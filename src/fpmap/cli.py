@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import jsonio
+from . import fpcore, jsonio
 from .duality import is_map, product_coarser_check, topology_from_config, von_neumann_kernel
 from .errors import (
     CapExceededError,
@@ -448,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
         return args.func(args)
     except (InputError, NotInSpanError) as exc:
@@ -466,6 +467,8 @@ def main(argv=None) -> int:
             InvalidNormError) as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
+    finally:
+        set_prime_cap(prime_cap)
 
 
 if __name__ == "__main__":

@@ -186,18 +186,6 @@ def _same_prime(x: GroupElement, y: GroupElement) -> None:
         raise InputError(f"mismatched primes: {x.prime.p} vs {y.prime.p}")
 
 
-def add(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x + y
-
-
-def negate(x: GroupElement) -> GroupElement:
-    return -x
-
-
-def smul(k: int, x: GroupElement) -> GroupElement:
-    return x.smul(k)
-
-
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row-echelon form over F_p, in place.
 
@@ -478,14 +466,6 @@ class Truncation:
             if c:
                 items.append((i, c))
         return GroupElement(self.prime, tuple(items))
-
-    def add_ranks(self, a: int, b: int) -> int:
-        p, d = self.prime.p, self.dim
-        r = 0
-        for i in range(d):
-            pw = p ** (d - 1 - i)
-            r += (((a // pw) + (b // pw)) % p) * pw
-        return r
 
     def neg_rank(self, r: int) -> int:
         p, d = self.prime.p, self.dim

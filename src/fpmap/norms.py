@@ -1,9 +1,10 @@
 """Norm families on truncated groups of prime exponent.
 
 All values are exact rationals (fractions.Fraction); no floating point enters
-any comparison. Hot paths (pair enumeration for the triangle inequality,
-shortest-path completion of a cost) run on integer numerators over a common
-denominator when that is safe, which is the same arithmetic exactly.
+any comparison. Hot paths (the triangle scan, the shortest-path completion of
+a cost, the metric closure) run on integer numerators over the least common
+denominator, stored as int64 when the sum of any two fits and as Python ints
+otherwise; both storages give the same exact arithmetic.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -14,7 +15,6 @@ and validate_axioms checks all three exhaustively on the truncated domain.
 
 from __future__ import annotations
 
-import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,10 +35,7 @@ from .fpcore import (
     as_prime,
 )
 
-# Guards for the integer fast path: common denominator and scaled numerators
-# must stay far from int64 overflow (sums of two values, path sums of size^1).
-_MAX_COMMON_DEN = 1 << 44
-_MAX_SCALED_NUM = 1 << 52
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -49,14 +46,18 @@ def _as_fraction(value, what: str) -> Fraction:
     raise InputError(f"{what} must be an exact rational (Fraction or int), got {value!r}")
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int | None:
-    """lcm of denominators, or None when it grows past the fast-path guard."""
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        if lcm > _MAX_COMMON_DEN:
-            return None
-    return lcm
+def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Numerators of ``values`` over their least common denominator ``den``.
+
+    Every caller adds at most two entries no larger in magnitude than the
+    largest value. The array is int64 when such a sum cannot overflow, and
+    holds Python ints (dtype object) otherwise, so every sum and comparison
+    on it is exact.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    fits = 2 * max(map(abs, nums), default=0) <= _INT64_MAX
+    return np.array(nums, dtype=np.int64 if fits else object), den
 
 
 class PointedMetricSpace:
@@ -99,39 +100,17 @@ class PointedMetricSpace:
 
     @staticmethod
     def _closure(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+        """Floyd-Warshall on scaled numerators.
+
+        Entries only shrink and stay nonnegative, so every candidate path is
+        a sum of two entries no larger than the largest input entry.
+        """
         n = len(rows)
-        # Python integers cannot overflow, so the numerator path is safe for
-        # any denominator that is merely large; bail out only when the common
-        # denominator is so incompatible that scaled numerators get huge.
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-                if den > 1 << 512:
-                    den = None
-                    break
-            if den is None:
-                break
-        if den is not None:
-            # Floyd-Warshall on integer numerators (exact, and much faster).
-            m = [[int(x * den) for x in r] for r in rows]
-            for k in range(n):
-                mk = m[k]
-                for i in range(n):
-                    mik = m[i][k]
-                    mi = m[i]
-                    for j in range(n):
-                        alt = mik + mk[j]
-                        if alt < mi[j]:
-                            mi[j] = alt
-            return [[Fraction(x, den) for x in r] for r in m]
+        m, den = _scaled([x for r in rows for x in r])
+        m = m.reshape(n, n)
         for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    alt = rows[i][k] + rows[k][j]
-                    if alt < rows[i][j]:
-                        rows[i][j] = alt
-        return rows
+            np.minimum(m, m[:, k, None] + m[k], out=m)
+        return [[Fraction(int(x), den) for x in r] for r in m]
 
     def dist(self, i: int, j: int) -> Fraction:
         return self._dist[i][j]
@@ -467,57 +446,24 @@ class CostCompletionNorm(Norm):
 
 
 def _shortest_path_values(tr: Truncation, cost: CostFunction) -> list[Fraction]:
-    size = tr.size
-    raw = [None] + [cost.value_of_rank(r) for r in range(1, size)]
-    den = _common_denominator(v for v in raw[1:])
-    if den is not None and all(v.numerator * (den // v.denominator) <= _MAX_SCALED_NUM
-                               for v in raw[1:]):
-        return _dijkstra_int(tr, raw, den)
-    return _dijkstra_frac(tr, raw)
+    """Dijkstra from 0 over the complete Cayley graph, one vectorized row per step.
 
-
-def _dijkstra_int(tr: Truncation, raw: list[Fraction | None], den: int) -> list[Fraction]:
+    The first step sets every distance to the direct edge cost, so no distance
+    ever exceeds the largest cost: ``inf`` marks finished vertices, and every
+    sum formed here adds two numbers no larger than that cost.
+    """
     size = tr.size
-    inf = np.int64(1) << np.int64(61)
-    w = np.empty(size, dtype=np.int64)
-    w[0] = inf  # self-loops never relax anything
-    for r in range(1, size):
-        v = raw[r]
-        w[r] = v.numerator * (den // v.denominator)
-    dist = np.full(size, inf, dtype=np.int64)
+    # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
+    w, den = _scaled([Fraction(0)] + [cost.value_of_rank(r) for r in range(1, size)])
+    inf = int(w.max()) + 1
+    dist = np.full(size, inf, dtype=w.dtype)
     dist[0] = 0
     done = np.zeros(size, dtype=bool)
     for _ in range(size):
-        masked = np.where(done, inf, dist)
-        u = int(masked.argmin())
-        if masked[u] >= inf:
-            break
+        u = int(np.where(done, inf, dist).argmin())
         done[u] = True
-        cand = dist[u] + w[tr.sub_rank_row(u)]
-        np.minimum(dist, cand, out=dist)
-    return [Fraction(int(dist[r]), den) for r in range(size)]
-
-
-def _dijkstra_frac(tr: Truncation, raw: list[Fraction | None]) -> list[Fraction]:
-    size = tr.size
-    dist: list[Fraction | None] = [None] * size
-    dist[0] = Fraction(0)
-    done = [False] * size
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        row = tr.sub_rank_row(u)
-        for v in range(size):
-            if v == u or done[v]:
-                continue
-            nd = d + raw[int(row[v])]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return [d if d is not None else Fraction(0) for d in dist]
+        np.minimum(dist, dist[u] + w[tr.sub_rank_row(u)], out=dist)
+    return [Fraction(int(d), den) for d in dist]
 
 
 class GraevBooleanNorm(Norm):
@@ -631,9 +577,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
                 "negated_value": jsonio.frac_to_str(vals[nr]),
             })
 
-    den = _common_denominator(vals)
-    use_int = den is not None and all(
-        v.numerator * (den // v.denominator) <= _MAX_SCALED_NUM for v in vals)
+    nums, _ = _scaled(vals)
 
     def triangle_violation(g: int, h: int, s: int) -> dict:
         return {
@@ -646,27 +590,14 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "value_sum": jsonio.frac_to_str(vals[s]),
         }
 
-    if use_int:
-        int_vals = np.array([v.numerator * (den // v.denominator) for v in vals],
-                            dtype=np.int64)
-
     def triangle_chunk(span: range) -> list[dict]:
         found: list[dict] = []
-        if use_int:
-            for g in span:
-                idx = tr.add_rank_row(g)[g:]
-                bad = int_vals[idx] > int_vals[g] + int_vals[g:]
-                for off in np.nonzero(bad)[0]:
-                    h = g + int(off)
-                    found.append(triangle_violation(g, h, int(idx[int(off)])))
-        else:
-            for g in span:
-                idx = tr.add_rank_row(g)
-                vg = vals[g]
-                for h in range(g, size):
-                    s = int(idx[h])
-                    if vals[s] > vg + vals[h]:
-                        found.append(triangle_violation(g, h, s))
+        for g in span:
+            idx = tr.add_rank_row(g)[g:]
+            bad = nums[idx] > nums[g] + nums[g:]
+            for off in np.nonzero(bad)[0]:
+                h = g + int(off)
+                found.append(triangle_violation(g, h, int(idx[int(off)])))
         return found
 
     if threads > 1 and size > 64:

@@ -326,7 +326,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     p = reduced.prime.p
     d = len(reduced)
     count_est = sum(
-        _n_choose_k(d, n) * (p - 1) ** n * n * p for n in range(1, min(d, max_tuple) + 1))
+        math.comb(d, n) * (p - 1) ** n * n * p for n in range(1, min(d, max_tuple) + 1))
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if count_est > cap:
         raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
@@ -411,10 +411,6 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
         violations=tuple(violations),
         max_ratio=max_ratio,
     )
-
-
-def _n_choose_k(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def reduce_from_config(cfg: dict, *, cap: int | None = None,

@@ -6,19 +6,10 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 
 import json
 
-import pytest
-
-from fpmap import fpcore
 from fpmap.cli import main, render_report
 from fpmap.extraction import convergent_line_space
-from fpmap.fpcore import GroupElement, Truncation, set_prime_cap
+from fpmap.fpcore import GroupElement, Prime, Truncation
 from fpmap import jsonio
-
-
-@pytest.fixture(autouse=True)
-def _restore_prime_cap():
-    yield
-    set_prime_cap(fpcore.DEFAULT_PRIME_CAP)
 
 
 def write_json(path, doc):
@@ -158,6 +149,13 @@ class TestEnvOverrides:
         cfg = write_json(tmp_path / "n.json",
                          {"kind": "ultrametric", "prime": 5, "dim": 2})
         assert main(["validate-norm", "--config", cfg]) == 2
+
+    def test_prime_cap_env_ends_with_the_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FPMAP_PRIME_CAP", "3")
+        cfg = write_json(tmp_path / "n.json",
+                         {"kind": "ultrametric", "prime": 2, "dim": 2})
+        assert main(["validate-norm", "--config", cfg]) == 0
+        assert Prime(5).p == 5
 
     def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")

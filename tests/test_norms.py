@@ -1,13 +1,19 @@
+import itertools
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_axiom_violations, brute_cost_completion, brute_graev
+from fpmap import jsonio
 from fpmap.errors import CapExceededError, InputError
 from fpmap.fpcore import GroupElement, Truncation
 from fpmap.norms import (
+    _INT64_MAX,
+    _scaled,
     CostCompletionNorm,
     CostFunction,
     GraevBooleanNorm,
@@ -24,6 +30,18 @@ from fpmap.norms import (
 
 def e(p, *pairs):
     return GroupElement.make(p, pairs)
+
+
+# (numerator scale, denominator): a denominator past 2^44 whose numerators stay
+# small (int64 storage), and numerators past int64 headroom (Python-int storage)
+LARGE_SCALES = [
+    pytest.param(1, (1 << 50) + 1, id="big-den"),
+    pytest.param(1 << 70, 1, id="big-num"),
+    pytest.param(1 << 70, (1 << 50) + 1, id="big-num-and-den"),
+]
+
+# largest numerator whose doubled value still fits int64, and the one after it
+INT64_EDGE = [(_INT64_MAX // 2, np.int64), (_INT64_MAX // 2 + 1, object)]
 
 
 class TestPointedMetricSpace:
@@ -45,6 +63,26 @@ class TestPointedMetricSpace:
             [5, 1, 0],
         ])
         assert sp.dist(0, 2) == 2
+
+    def test_triangle_repair_with_huge_common_denominator(self):
+        # entries 1/q for 14 primes q just above 2^40 put the lcm of the
+        # denominators past 2^512; all of them are near 2^-40, so only the
+        # direct 0-5 entry of 1 loses to a two-hop route
+        qs = [(1 << 40) + k for k in
+              (15, 27, 55, 97, 115, 141, 157, 177, 253, 277, 303, 343, 385, 415)]
+        assert math.lcm(*qs) > 1 << 512
+        n = 6
+        rows = [[F(0)] * n for _ in range(n)]
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if (i, j) != (0, 5)]
+        for (i, j), q in zip(pairs, qs, strict=True):
+            rows[i][j] = rows[j][i] = F(1, q)
+        rows[0][5] = rows[5][0] = F(1)
+        sp = PointedMetricSpace(rows)
+        assert sp.dist(0, 5) == sp.dist(5, 0) == min(rows[0][k] + rows[k][5]
+                                                     for k in range(1, 5))
+        assert all(sp.dist(i, j) == rows[i][j] for i, j in pairs)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            assert sp.dist(i, k) <= sp.dist(i, j) + sp.dist(j, k)
 
     def test_diagonal_forced_to_zero(self):
         sp = PointedMetricSpace([[F(1, 2)]])
@@ -167,20 +205,34 @@ class TestCostCompletionNorm:
         for r in range(tr.size):
             assert norm.eval(tr.element_of(r)) == oracle[r]
 
-    def test_fraction_path_matches_relaxation_oracle(self):
-        # a denominator past the fast-path guard forces the heap variant
-        den = (1 << 50) + 1
+    @pytest.mark.parametrize("scale,den", LARGE_SCALES)
+    def test_large_scaled_values_match_relaxation_oracle(self, scale, den):
         cost = CostFunction.from_pairs(2, 2, [
-            (e(2, (1, 1)), F(3, den)),
-            (e(2, (2, 1)), F(2, den)),
-            (e(2, (1, 1), (2, 1)), F(6, den)),
+            (e(2, (1, 1)), F(3 * scale, den)),
+            (e(2, (2, 1)), F(2 * scale, den)),
+            (e(2, (1, 1), (2, 1)), F(6 * scale, den)),
         ])
         norm = CostCompletionNorm(cost)
-        assert norm.eval(e(2, (1, 1), (2, 1))) == F(5, den)
+        assert norm.eval(e(2, (1, 1), (2, 1))) == F(5 * scale, den)
         oracle = brute_cost_completion(cost)
         tr = cost.truncation
         for r in range(tr.size):
             assert norm.eval(tr.element_of(r)) == oracle[r]
+
+    def test_int64_edge_gives_same_completion(self):
+        # c(e2) = c(e1+e2) = M, so relaxing from e2 forms M + M: the sum that
+        # would wrap in int64 one step past the edge
+        for big, dtype in INT64_EDGE:
+            assert _scaled([F(big)])[0].dtype == dtype
+            cost = CostFunction.from_pairs(2, 2, [
+                (e(2, (1, 1)), F(1)),
+                (e(2, (2, 1)), F(big)),
+                (e(2, (1, 1), (2, 1)), F(big)),
+            ])
+            norm = CostCompletionNorm(cost)
+            tr = cost.truncation
+            values = [norm.eval(tr.element_of(r)) for r in range(tr.size)]
+            assert values == brute_cost_completion(cost) == [0, big, 1, big]
 
     def test_scalar_bound(self):
         # any norm obeys N(k*g) <= k*N(g) <= p*N(g) by repeated addition
@@ -249,6 +301,19 @@ def table_from_values(p, dim, values):
     return TableNorm(p, dim, [(tr.element_of(r), v) for r, v in values.items()])
 
 
+def triangle_pairs(report, p, dim):
+    """Rank pairs {g, h} of the report's triangle violations."""
+    tr = Truncation(p, dim)
+    return {tuple(sorted(tr.rank_of(jsonio.element_from_pairs(p, v[k])) for k in "gh"))
+            for v in report.violations if v["axiom"] == 3}
+
+
+def oracle_triangle_pairs(norm, dim):
+    tr = Truncation(norm.prime, dim)
+    return {tuple(sorted((tr.rank_of(v[1]), tr.rank_of(v[2]))))
+            for v in brute_axiom_violations(norm, dim) if v[0] == "axiom3"}
+
+
 class TestValidateAxioms:
     def test_clean_norm_passes(self):
         norm = UltrametricProductNorm(3, 3)
@@ -305,13 +370,28 @@ class TestValidateAxioms:
         assert not r1.ok  # 1/r values break the triangle inequality plenty
         assert r1.to_json_dict() == r2.to_json_dict()
 
-    def test_forced_fraction_path(self):
-        big = (1 << 50) + 1
+    @pytest.mark.parametrize("scale,den", LARGE_SCALES)
+    def test_large_scaled_values_match_nested_loop_oracle(self, scale, den):
         norm = table_from_values(2, 2, {
-            1: F(1, big), 2: F(1, big), 3: F(3, big)})
+            1: F(scale, den), 2: F(scale, den), 3: F(3 * scale, den)})
         report = validate_axioms(norm)
-        bad = [v for v in report.violations if v["axiom"] == 3]
-        assert len(bad) >= 1
+        assert triangle_pairs(report, 2, 2) == oracle_triangle_pairs(norm, 2) == {(1, 2)}
+
+    def test_int64_edge_gives_same_violations(self):
+        # N(e1+e2) = M breaks the triangle at (e1, e2); the pair (e1+e2, e1+e2)
+        # forms M + M, which would wrap in int64 one step past the edge
+        reports = []
+        for big, dtype in INT64_EDGE:
+            assert _scaled([F(big)])[0].dtype == dtype
+            norm = table_from_values(2, 2, {1: F(1), 2: F(1), 3: F(big)})
+            report = validate_axioms(norm)
+            assert triangle_pairs(report, 2, 2) == oracle_triangle_pairs(norm, 2)
+            doc = report.to_json_dict()
+            for v in doc["violations"]:
+                v["value_sum"] = v["value_sum"].replace(str(big), "M")
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        assert [v["value_sum"] for v in reports[0]["violations"]] == ["M/1"]
 
 
 class TestGraevBooleanNorm:
