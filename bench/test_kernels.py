@@ -1,0 +1,43 @@
+"""Microbenchmarks of the rank-row kernels under the norm build and axiom scan.
+
+Run from the repository root: python -m pytest bench -q --benchmark-only
+
+They time, they do not gate: no threshold is asserted, and the directory is
+outside the tier-1 test paths.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fpmap.fpcore import Truncation  # noqa: E402
+
+SHAPES = [(5, 5), (3, 8)]
+
+
+def _warm(p, dim):
+    # builds the half-digit tables and neg_perm outside the timed calls
+    tr = Truncation(p, dim)
+    tr.sub_rank_row(0)
+    return tr, tr.size // 3
+
+
+@pytest.mark.parametrize("p, dim", SHAPES)
+def test_add_rank_row(benchmark, p, dim):
+    tr, r = _warm(p, dim)
+    benchmark(tr.add_rank_row, r)
+
+
+@pytest.mark.parametrize("p, dim", SHAPES)
+def test_sub_rank_row(benchmark, p, dim):
+    tr, r = _warm(p, dim)
+    benchmark(tr.sub_rank_row, r)
+
+
+@pytest.mark.parametrize("p, dim", SHAPES)
+def test_neg_perm(benchmark, p, dim):
+    # a fresh truncation per round, so the lazily cached permutation is rebuilt
+    benchmark(lambda: Truncation(p, dim).neg_perm)

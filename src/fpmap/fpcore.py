@@ -399,12 +399,29 @@ def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
         yield w
 
 
+def _digit_table(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Base-p digits of 0..p^k-1 and the weights that map them back.
+
+    Returns the (p^k, k) int64 digit vectors, most significant digit first,
+    and the weights p^(k-1), ..., 1.
+    """
+    weights = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+    return (np.arange(p ** k, dtype=np.int64)[:, None] // weights) % p, weights
+
+
 class Truncation:
     """Dense view of span(e_1..e_dim): elements indexed by lexicographic rank.
 
     Rank r corresponds to the coefficient vector given by the base-p digits of
     r with the coefficient of e_1 most significant, matching enumerate_span
     order on the standard basis.
+
+    For p != 2 the rank rows work on two halves of the digits: with
+    lo = ceil(dim/2), rank r = high * p^lo + low, where high holds the first
+    dim - lo digits and low the last lo. Each half keeps its p^k digit vectors
+    and the weights that turn them back into a rank, so a row is the outer sum
+    of one row over the high halves and one over the low halves, and never
+    needs the (size, dim) ``digits`` table.
     """
 
     def __init__(self, p, dim: int, *, cap: int | None = None):
@@ -418,31 +435,38 @@ class Truncation:
         self.dim = dim
         self.size = size
         self._digits = None
-        self._powers = None
+        self._halves = None
         self._neg_perm = None
-
-    @property
-    def powers(self) -> np.ndarray:
-        if self._powers is None:
-            p, d = self.prime.p, self.dim
-            self._powers = np.array([p ** (d - 1 - j) for j in range(d)], dtype=np.int64)
-        return self._powers
 
     @property
     def digits(self) -> np.ndarray:
         """(size, dim) int64 array; row r holds the coefficient vector of rank r."""
         if self._digits is None:
-            p, d = self.prime.p, self.dim
-            ranks = np.arange(self.size, dtype=np.int64)
-            self._digits = (ranks[:, None] // self.powers[None, :]) % p
+            self._digits = _digit_table(self.prime.p, self.dim)[0]
         return self._digits
+
+    def _half_digits(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(p^lo, high digits, high weights, low digits, low weights).
+
+        The high weights carry the factor p^lo, so a high-half row already
+        holds the high part of the full rank. dim = 1 leaves the high half
+        with one empty digit vector.
+        """
+        if self._halves is None:
+            p, d = self.prime.p, self.dim
+            lo = (d + 1) // 2
+            high, high_w = _digit_table(p, d - lo)
+            low, low_w = _digit_table(p, lo)
+            self._halves = (p ** lo, high, high_w * p ** lo, low, low_w)
+        return self._halves
 
     @property
     def neg_perm(self) -> np.ndarray:
         """neg_perm[r] is the rank of the negation of rank r."""
         if self._neg_perm is None:
             p = self.prime.p
-            self._neg_perm = ((p - self.digits) % p) @ self.powers
+            _, high, high_w, low, low_w = self._half_digits()
+            self._neg_perm = np.add.outer((-high % p) @ high_w, (-low % p) @ low_w).ravel()
         return self._neg_perm
 
     def rank_of(self, g: GroupElement) -> int:
@@ -467,27 +491,21 @@ class Truncation:
                 items.append((i, c))
         return GroupElement(self.prime, tuple(items))
 
-    def neg_rank(self, r: int) -> int:
-        p, d = self.prime.p, self.dim
-        out = 0
-        for i in range(d):
-            pw = p ** (d - 1 - i)
-            out += ((p - (r // pw) % p) % p) * pw
-        return out
-
     def add_rank_row(self, r: int) -> np.ndarray:
         """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
         p = self.prime.p
         if p == 2:
             return np.bitwise_xor(np.arange(self.size, dtype=np.int64), np.int64(r))
-        return ((self.digits + self.digits[r]) % p) @ self.powers
+        base, high, high_w, low, low_w = self._half_digits()
+        # digitwise addition mod p has no carry, so neither half spills into
+        # the other and the sum's rank is its high part plus its low part
+        row_high = ((high + high[r // base]) % p) @ high_w
+        row_low = ((low + low[r % base]) % p) @ low_w
+        return np.add.outer(row_high, row_low).ravel()
 
     def sub_rank_row(self, r: int) -> np.ndarray:
         """Ranks of (g - element_of(r)) for every rank g."""
-        p = self.prime.p
-        if p == 2:
-            return self.add_rank_row(r)
-        return ((self.digits - self.digits[r]) % p) @ self.powers
+        return self.add_rank_row(int(self.neg_perm[r]))
 
     def elements(self) -> list[GroupElement]:
         return [self.element_of(r) for r in range(self.size)]

@@ -187,9 +187,9 @@ class CostFunction:
             if v <= 0:
                 raise InputError(f"cost values must be positive, got {v} at rank {r}")
             vals[r] = v
+        neg = self.truncation.neg_perm.tolist()
         for r in range(1, size):
-            nr = self.truncation.neg_rank(r)
-            if vals[r] != vals[nr]:
+            if vals[r] != vals[neg[r]]:
                 raise InputError(f"cost must satisfy c(g) = c(-g); differs at rank {r}")
         self._vals = vals
 
@@ -244,13 +244,14 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
     tr = Truncation(prime, dim, cap=cap)
     rng = Random(seed)
     span = high - low
+    neg = tr.neg_perm.tolist()
     vals: list[Fraction | None] = [None] * tr.size
     for r in range(1, tr.size):
         if vals[r] is not None:
             continue
         v = low + span * Fraction(rng.randrange(steps + 1), steps)
         vals[r] = v
-        vals[tr.neg_rank(r)] = v
+        vals[neg[r]] = v
     return CostFunction(prime, dim, vals, cap=cap)
 
 
@@ -273,6 +274,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     K = Fraction(1, (4 * prime.p) ** dim)
     width = K / (2 * dim)
     rng = Random(seed)
+    neg = tr.neg_perm.tolist()
     vals: list[Fraction | None] = [None] * tr.size
     for r in range(1, tr.size):
         if vals[r] is not None:
@@ -281,7 +283,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
         band_low = K / 2 + (k - 1) * width
         v = band_low + width * Fraction(rng.randrange(steps), steps)
         vals[r] = v
-        vals[tr.neg_rank(r)] = v
+        vals[neg[r]] = v
     return CostFunction(prime, dim, vals, cap=cap)
 
 

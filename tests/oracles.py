@@ -32,6 +32,18 @@ def brute_graev(space, points):
     return best(tuple(pts))
 
 
+def brute_rank_row(tr, r, sign, positions=None):
+    """Ranks of g + sign * element_of(r), one GroupElement sum per rank g.
+
+    sign is +1 or -1; positions lists the ranks g to compute and defaults to
+    every rank of the truncation.
+    """
+    h = tr.element_of(r) if sign > 0 else -tr.element_of(r)
+    if positions is None:
+        positions = range(tr.size)
+    return [tr.rank_of(tr.element_of(g) + h) for g in positions]
+
+
 def brute_cost_completion(cost):
     """Minimum decomposition cost for every element, by edge relaxation.
 

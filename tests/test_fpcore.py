@@ -1,7 +1,10 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_rank_row
 from fpmap.errors import CapExceededError, InputError, NotInSpanError
 from fpmap.fpcore import (
     GroupElement,
@@ -216,11 +219,46 @@ class TestTruncation:
     def test_sub_and_neg(self):
         tr = Truncation(3, 2)
         for r in range(tr.size):
-            assert tr.neg_rank(r) == tr.rank_of(-tr.element_of(r))
-            assert int(tr.neg_perm[r]) == tr.neg_rank(r)
+            assert int(tr.neg_perm[r]) == tr.rank_of(-tr.element_of(r))
             row = tr.sub_rank_row(r)
             for s in range(tr.size):
                 assert int(row[s]) == tr.rank_of(tr.element_of(s) - tr.element_of(r))
+
+    # dim 1 leaves the high half empty; odd dims split unevenly
+    @pytest.mark.parametrize("p, dim", [(2, 1), (3, 1), (7, 1), (5, 2), (3, 3),
+                                        (7, 3), (3, 4), (5, 5), (2, 6), (3, 7)])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_rank_rows_at_both_ends_match_oracle(self, p, dim, end):
+        tr = Truncation(p, dim)
+        r = 0 if end == "first" else tr.size - 1
+        assert tr.add_rank_row(r).tolist() == brute_rank_row(tr, r, 1)
+        assert tr.sub_rank_row(r).tolist() == brute_rank_row(tr, r, -1)
+        assert int(tr.neg_perm[r]) == brute_rank_row(tr, r, -1, [0])[0]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_rows_match_oracle(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        dim = data.draw(st.integers(1, 6).filter(lambda d: p ** d <= 4096))
+        tr = Truncation(p, dim)
+        r = data.draw(st.integers(0, tr.size - 1))
+        assert tr.add_rank_row(r).tolist() == brute_rank_row(tr, r, 1)
+        assert tr.sub_rank_row(r).tolist() == brute_rank_row(tr, r, -1)
+        assert tr.neg_perm.tolist() == \
+            [brute_rank_row(tr, g, -1, [0])[0] for g in range(tr.size)]
+
+    def test_rank_rows_at_the_cap_edge_skip_the_digit_table(self):
+        # 97^3 = 912,673 elements: a (size, dim) digit table would be 21.9 MB
+        tr = Truncation(97, 3)
+        rng = Random(0)
+        positions = [0, 1, 96, 97, 9408, 9409, tr.size - 1] + \
+            [rng.randrange(tr.size) for _ in range(40)]
+        for r in [0, 1, 9409, 456_789, tr.size - 1]:
+            assert tr.add_rank_row(r)[positions].tolist() == brute_rank_row(tr, r, 1, positions)
+            assert tr.sub_rank_row(r)[positions].tolist() == brute_rank_row(tr, r, -1, positions)
+        assert tr.neg_perm[positions].tolist() == \
+            [brute_rank_row(tr, g, -1, [0])[0] for g in positions]
+        assert tr._digits is None
 
     def test_out_of_range_rejected(self):
         tr = Truncation(2, 2)
