@@ -1,4 +1,5 @@
-"""Microbenchmarks of the rank-row kernels under the norm build and axiom scan.
+"""Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
+and of the span kernel under every exhaustive word scan.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -13,7 +14,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fpmap.fpcore import Truncation  # noqa: E402
+from fpmap.fpcore import OrderedBasis, Truncation  # noqa: E402
+from fpmap.norms import (  # noqa: E402
+    CostCompletionNorm,
+    GraevBooleanNorm,
+    graded_cost,
+    random_metric_space,
+    validate_axioms,
+)
+from fpmap.reduction import reduce_basis  # noqa: E402
 
 SHAPES = [(5, 5), (3, 8)]
 
@@ -41,3 +50,28 @@ def test_sub_rank_row(benchmark, p, dim):
 def test_neg_perm(benchmark, p, dim):
     # a fresh truncation per round, so the lazily cached permutation is rebuilt
     benchmark(lambda: Truncation(p, dim).neg_perm)
+
+
+def _graded():
+    return CostCompletionNorm(graded_cost(0, 5, 5))
+
+
+def _graev():
+    return GraevBooleanNorm(random_metric_space(0, 12, 1, 3))
+
+
+@pytest.fixture(scope="module", params=[_graded, _graev], ids=["graded-5-5", "graev-2-11"])
+def reduced_norm(request):
+    norm = request.param()
+    validate_axioms(norm)  # a Graev norm gets its value table here
+    return norm, reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm).reduced.elems
+
+
+def test_span_ranks(benchmark, reduced_norm):
+    norm, elems = reduced_norm
+    benchmark(norm._tr.span_ranks, elems)
+
+
+def test_span_values(benchmark, reduced_norm):
+    norm, elems = reduced_norm
+    benchmark(norm.span_values, elems)

@@ -239,7 +239,9 @@ def cmd_demo_boolean(args) -> int:
 def cmd_run(args) -> int:
     doc = _load_json(args.config)
     enum_cap, matching_cap = _env_caps()
-    if (enum_cap is not None or matching_cap is not None) and isinstance(doc, dict):
+    # malformed caps are left for RunConfig.from_json_dict to reject
+    if (enum_cap is not None or matching_cap is not None) and isinstance(doc, dict) \
+            and isinstance(doc.get("caps", {}), dict):
         caps = dict(doc.get("caps", {}))
         if enum_cap is not None:
             caps["enum"] = enum_cap

@@ -14,7 +14,7 @@ InternalDisagreement because it can only mean a bug, never mathematics.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -25,6 +25,7 @@ from .extraction import IndependentFamily
 from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
+    OrderedBasis,
     Prime,
     Truncation,
     _rref,
@@ -130,14 +131,15 @@ class TopologySpec:
     @classmethod
     def from_balls(cls, norm: Norm, radii, *, cap: int | None = None) -> "TopologySpec":
         """Base sets {g : eval(g) < r} for each positive radius r."""
-        tr = Truncation(norm.prime, norm.dim, cap=cap)
-        members = []
-        for raw in radii:
-            r = Fraction(raw) if not isinstance(raw, Fraction) else raw
+        Truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
+        radii = [Fraction(raw) for raw in radii]
+        for r in radii:
             if r <= 0:
                 raise InputError(f"ball radius must be positive, got {r}")
-            members.append(frozenset(
-                rank for rank in range(tr.size) if norm.eval(tr.element_of(rank)) < r))
+        vals, den = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
+        # vals / den < r, divided through so that no entry is multiplied
+        members = [frozenset(np.flatnonzero(vals <= (r.numerator * den - 1) // r.denominator)
+                             .tolist()) for r in radii]
         return cls(norm.prime, norm.dim, tuple(members))
 
     def element_sets(self, *, cap: int | None = None) -> tuple[tuple[GroupElement, ...], ...]:
@@ -429,28 +431,16 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
 
     tables = []
     violations = []
-    combos = 0
+    vals, den = norm.span_values(family.members[:m])
     for t in range(1, m + 1):
-        members = family.members[:t]
-        min_by_support: dict[frozenset, Fraction] = {}
-        for coeffs in product(range(p), repeat=t):
-            support = frozenset(i + 1 for i, c in enumerate(coeffs) if c)
-            if not support:
-                continue
-            w = GroupElement.zero(norm.prime)
-            for c, a in zip(coeffs, members):
-                if c:
-                    w = w + a.smul(c)
-            v = norm.eval(w)
-            combos += 1
-            prev = min_by_support.get(support)
-            if prev is None or v < prev:
-                min_by_support[support] = v
+        # the span of the first t members is every p^(m-t)-th row
+        prefix = vals[::p ** (m - t)]
+        rows = np.arange(p ** t)
+        support = sum((rows // p ** (t - i) % p != 0) << i for i in range(1, t + 1))
         table = {}
         for size in range(1, t + 1):
             for F in combinations(range(1, t + 1), size):
-                fset = frozenset(F)
-                d_F = min(v for s, v in min_by_support.items() if s & fset)
+                d_F = Fraction(int(prefix[support & sum(1 << i for i in F) != 0].min()), den)
                 table[F] = d_F
                 if d_F <= 0:
                     violations.append({
@@ -460,4 +450,5 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
                         "value": jsonio.frac_to_str(d_F),
                     })
         tables.append(table)
-    return CoarserReport(norm.prime, m, tuple(tables), tuple(violations), combos)
+    return CoarserReport(norm.prime, m, tuple(tables), tuple(violations),
+                         sum(p ** t - 1 for t in range(1, m + 1)))

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import jsonio
 from .errors import (
     CapExceededError,
@@ -25,9 +27,11 @@ from .errors import (
 from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
+    OrderedBasis,
     Truncation,
     is_independent,
     solve_in_span,
+    span_word,
 )
 from .norms import GraevBooleanNorm, Norm, PointedMetricSpace
 from .reduction import ReducedBasis
@@ -41,8 +45,8 @@ def threshold(p: int, n: int) -> Fraction:
 def reduced_max_position(g: GroupElement, reduced: ReducedBasis) -> int:
     """Largest position with a nonzero coefficient in the reduced-basis expansion.
 
-    Zero for the zero element. Raises NotInSpan via decompose when g lies
-    outside the truncation span.
+    Zero for the zero element. Raises InputError when g lies outside the
+    span of the reduced basis.
     """
     coeffs = solve_in_span(g, reduced.reduced.elems)
     if coeffs is None:
@@ -101,8 +105,8 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> list[GroupElement
     """The whole truncation ordered by (norm value, rank): the canonical
     finite stand-in for a sequence converging to zero."""
     tr = Truncation(norm.prime, norm.dim, cap=cap)
-    ranked = sorted(range(tr.size), key=lambda r: (norm.eval(tr.element_of(r)), r))
-    return [tr.element_of(r) for r in ranked]
+    vals, _ = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
+    return [tr.element_of(r) for r in np.argsort(vals, kind="stable").tolist()]
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -308,37 +312,35 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     eps = Fraction(1, 2 ** (l - 1))
     delta = threshold(p, l)
     members = family.members[:m]
-    member_norms = [norm.eval(a) for a in members]
+    vals, den = norm.span_values(members)
+    member_nums = [int(vals[p ** (m - 1 - i)]) for i in range(m)]
+    member_norms = [Fraction(v, den) for v in member_nums]
+
+    def digit(i: int, words: int = p ** m) -> np.ndarray:
+        return np.arange(words) // p ** (m - 1 - i) % p
+
     violations: list[dict] = []
-    combos = 0
-    small = 0
-    for coeffs in itertools.product(range(p), repeat=m):
-        support = [i for i, lam in enumerate(coeffs) if lam]
-        if not support:
-            continue
-        w = GroupElement.zero(norm.prime)
-        for i in support:
-            w = w + members[i].smul(coeffs[i])
-        vw = norm.eval(w)
-        combos += 1
-        if vw < delta:
-            small += 1
-            for i in support:
-                if member_norms[i] >= eps:
-                    violations.append({
-                        "check": "modulus",
-                        "coeffs": list(coeffs),
-                        "w": jsonio.element_to_pairs(w),
-                        "member_index": i + 1,
-                        "value_w": jsonio.frac_to_str(vw),
-                        "value_member": jsonio.frac_to_str(member_norms[i]),
-                        "eps": jsonio.frac_to_str(eps),
-                        "delta": jsonio.frac_to_str(delta),
-                    })
-    splits = 0
+    # vw < 1/(4p)^l, divided through so that no entry is multiplied
+    small = vals[1:] <= (den - 1) // (4 * p) ** l
+    large = [i for i in range(m) if member_norms[i] >= eps]
+    touched = sum((digit(i)[1:] != 0 for i in large), np.zeros(p ** m - 1, dtype=bool))
+    for row in (np.flatnonzero(small & touched) + 1).tolist():
+        coeffs, w = span_word(members, row)
+        for i in large:
+            if coeffs[i]:
+                violations.append({
+                    "check": "modulus",
+                    "coeffs": list(coeffs),
+                    "w": jsonio.element_to_pairs(w),
+                    "member_index": i + 1,
+                    "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
+                    "value_member": jsonio.frac_to_str(member_norms[i]),
+                    "eps": jsonio.frac_to_str(eps),
+                    "delta": jsonio.frac_to_str(delta),
+                })
     for s in range(l, m):
-        tail_budget = p * sum(member_norms[s:m], Fraction(0))
-        splits += 1
+        budget = p * sum(member_nums[s:m])
+        tail_budget = Fraction(budget, den)
         if tail_budget >= threshold(p, s):
             violations.append({
                 "check": "split-sum",
@@ -346,28 +348,22 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
                 "tail_budget": jsonio.frac_to_str(tail_budget),
                 "bound": jsonio.frac_to_str(threshold(p, s)),
             })
-        for coeffs in itertools.product(range(p), repeat=m - s):
-            support = [i for i, lam in enumerate(coeffs) if lam]
-            if not support:
-                continue
-            tail = GroupElement.zero(norm.prime)
-            for i in support:
-                tail = tail + members[s + i].smul(coeffs[i])
-            neg_tail = tail.smul(p - 1)
-            v = norm.eval(neg_tail)
-            if v > tail_budget:
-                violations.append({
-                    "check": "split-combo",
-                    "split": s,
-                    "coeffs": list(coeffs),
-                    "tail": jsonio.element_to_pairs(tail),
-                    "value_negated_tail": jsonio.frac_to_str(v),
-                    "tail_budget": jsonio.frac_to_str(tail_budget),
-                })
+        # the tails over members s..m-1 are the first p^(m-s) rows
+        negated = sum(-digit(i, p ** (m - s)) % p * p ** (m - 1 - i) for i in range(s, m))
+        for row in (np.flatnonzero(vals[negated[1:]] > budget) + 1).tolist():
+            coeffs, tail = span_word(members[s:], row)
+            violations.append({
+                "check": "split-combo",
+                "split": s,
+                "coeffs": list(coeffs),
+                "tail": jsonio.element_to_pairs(tail),
+                "value_negated_tail": jsonio.frac_to_str(Fraction(int(vals[negated[row]]), den)),
+                "tail_budget": jsonio.frac_to_str(tail_budget),
+            })
     return ModulusReport(
         prime_p=p, l=l, m=m, eps=eps, delta=delta,
-        combos_checked=combos, small_norm_combos=small, splits_checked=splits,
-        violations=tuple(violations),
+        combos_checked=p ** m - 1, small_norm_combos=int(small.sum()),
+        splits_checked=max(0, m - l), violations=tuple(violations),
     )
 
 

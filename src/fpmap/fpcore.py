@@ -391,12 +391,18 @@ def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
     if total > cap:
         raise CapExceededError(f"span of {len(elems)} elements has {total} members, above cap {cap}")
     multiples = [[e.smul(k) for k in range(p)] for e in elems]
+    zero = GroupElement.zero(prime)
     for vec in itertools.product(range(p), repeat=len(elems)):
-        w = GroupElement.zero(prime)
-        for j, lam in enumerate(vec):
-            if lam:
-                w = w + multiples[j][lam]
-        yield w
+        yield sum((multiples[j][lam] for j, lam in enumerate(vec) if lam), zero)
+
+
+def span_word(elems: Sequence[GroupElement], row: int) -> tuple[tuple[int, ...], GroupElement]:
+    """Coefficients and element of word ``row`` of span(elems), in enumerate_span
+    order: the coefficient of elems[0] is the row's most significant digit."""
+    prime = elems[0].prime
+    k = len(elems)
+    coeffs = tuple(row // prime.p ** (k - 1 - j) % prime.p for j in range(k))
+    return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
 
 
 def _digit_table(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,5 +513,14 @@ class Truncation:
         """Ranks of (g - element_of(r)) for every rank g."""
         return self.add_rank_row(int(self.neg_perm[r]))
 
-    def elements(self) -> list[GroupElement]:
-        return [self.element_of(r) for r in range(self.size)]
+    def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        """Ranks of the p^k words of span(elems), in enumerate_span order: one
+        rank row per element, applied 1..p-1 times to the words built so far."""
+        ranks = np.zeros(1, dtype=np.int64)
+        for g in elems:
+            row = self.add_rank_row(self.rank_of(g))
+            layers = [ranks]
+            for _ in range(self.prime.p - 1):
+                layers.append(row[layers[-1]])
+            ranks = np.stack(layers, axis=1).ravel()
+        return ranks

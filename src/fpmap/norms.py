@@ -1,10 +1,12 @@
 """Norm families on truncated groups of prime exponent.
 
 All values are exact rationals (fractions.Fraction); no floating point enters
-any comparison. Hot paths (the triangle scan, the shortest-path completion of
-a cost, the metric closure) run on integer numerators over the least common
+any comparison. Hot paths run on integer numerators over the least common
 denominator, stored as int64 when the sum of any two fits and as Python ints
-otherwise; both storages give the same exact arithmetic.
+otherwise; both storages give the same exact arithmetic. Each norm's dense
+value table is such a vector, indexed by rank: table and cost-completion norms
+build it at construction, validate_axioms records it for the others, and
+Norm.span_values reads word values from it (a norm without one evaluates them).
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -30,9 +32,10 @@ from .fpcore import (
     DEFAULT_ENUM_CAP,
     DEFAULT_MATCHING_CAP,
     GroupElement,
-    Prime,
+    OrderedBasis,
     Truncation,
     as_prime,
+    enumerate_span,
 )
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -306,7 +309,11 @@ def random_metric_space(seed: int, n_points: int, low, high, *, basepoint: int =
 
 
 class Norm:
-    """Base class; concrete families implement _eval on the truncated domain."""
+    """Base class for a norm on the truncation F_p^dim.
+
+    ``_table`` holds the dense values (numerators by rank of ``_tr``, one
+    denominator); eval and span_values read it when present, and families
+    that lack one until validate_axioms records it implement ``_eval``."""
 
     kind = "abstract"
 
@@ -316,6 +323,8 @@ class Norm:
             raise InputError(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
         self._axiom_report: AxiomReport | None = None
+        self._tr: Truncation | None = None
+        self._table: tuple[np.ndarray, int] | None = None
 
     @property
     def is_validated(self) -> bool:
@@ -325,13 +334,30 @@ class Norm:
     def axiom_report(self) -> "AxiomReport | None":
         return self._axiom_report
 
-    def eval(self, g: GroupElement) -> Fraction:
+    def _check(self, g: GroupElement) -> None:
         if g.prime != self.prime:
             raise InputError(f"mismatched primes: {g.prime.p} vs {self.prime.p}")
         if g.max_index > self.dim:
             raise InputError(
                 f"index {g.max_index} outside the norm's truncation (dim {self.dim})")
-        return self._eval(g)
+
+    def eval(self, g: GroupElement) -> Fraction:
+        self._check(g)
+        if self._table is None:
+            return self._eval(g)
+        nums, den = self._table
+        return Fraction(int(nums[self._tr.rank_of(g)]), den)
+
+    def span_values(self, elems: Sequence[GroupElement]) -> tuple[np.ndarray, int]:
+        """Exact values of the p^k words of span(elems), in enumerate_span order:
+        numerators as _scaled stores them, over one denominator. The value of
+        c * elems[j] sits at row c * p^(k-1-j)."""
+        for g in elems:
+            self._check(g)
+        if self._table is None:
+            return _scaled([self._eval(w) for w in enumerate_span(elems)])
+        nums, den = self._table
+        return nums[self._tr.span_ranks(elems)], den
 
     def _eval(self, g: GroupElement) -> Fraction:
         raise NotImplementedError
@@ -365,20 +391,18 @@ class TableNorm(Norm):
                 f"{len(missing)} entries missing (first: rank {missing[0]})")
         if vals[0] is None:
             vals[0] = Fraction(0)
-        self._vals = vals
-
-    def _eval(self, g: GroupElement) -> Fraction:
-        return self._vals[self._tr.rank_of(g)]
+        self._table = _scaled(vals)
 
     def describe(self) -> dict:
+        nums, den = self._table
         return {
             "kind": self.kind,
             "prime": self.prime.p,
             "dim": self.dim,
             "entries": [
                 {"element": jsonio.element_to_pairs(self._tr.element_of(r)),
-                 "value": jsonio.frac_to_str(self._vals[r])}
-                for r in range(self._tr.size)
+                 "value": jsonio.frac_to_str(Fraction(n, den))}
+                for r, n in enumerate(nums.tolist())
             ],
         }
 
@@ -432,11 +456,8 @@ class CostCompletionNorm(Norm):
         super().__init__(cost.prime, cost.dim)
         self.cost = cost
         self._tr = cost.truncation
-        self._vals = _shortest_path_values(self._tr, cost)
+        self._table = _shortest_path_values(self._tr, cost)
         self._descriptor = descriptor
-
-    def _eval(self, g: GroupElement) -> Fraction:
-        return self._vals[self._tr.rank_of(g)]
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "prime": self.prime.p, "dim": self.dim}
@@ -447,7 +468,7 @@ class CostCompletionNorm(Norm):
         return out
 
 
-def _shortest_path_values(tr: Truncation, cost: CostFunction) -> list[Fraction]:
+def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarray, int]:
     """Dijkstra from 0 over the complete Cayley graph, one vectorized row per step.
 
     The first step sets every distance to the direct edge cost, so no distance
@@ -465,7 +486,7 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> list[Fraction]:
         u = int(np.where(done, inf, dist).argmin())
         done[u] = True
         np.minimum(dist, dist[u] + w[tr.sub_rank_row(u)], out=dist)
-    return [Fraction(int(d), den) for d in dist]
+    return dist, den
 
 
 class GraevBooleanNorm(Norm):
@@ -473,8 +494,8 @@ class GraevBooleanNorm(Norm):
 
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
-    minimum pair/singleton cover cost. No dense table is built, so the space
-    may be large; each evaluation is capped by the matching cap.
+    minimum pair/singleton cover cost. No table is built at construction, so
+    the space may be large; each evaluation is capped by the matching cap.
     """
 
     kind = "graev_boolean"
@@ -486,20 +507,14 @@ class GraevBooleanNorm(Norm):
         self.space = space
         self.matching_cap = DEFAULT_MATCHING_CAP if matching_cap is None else matching_cap
         self._points = space.nonbase
-        self._memo: dict[tuple[int, ...], Fraction] = {}
 
     def point_of_index(self, i: int) -> int:
         """Metric-space point index carried by group index i."""
         return self._points[i - 1]
 
     def _eval(self, g: GroupElement) -> Fraction:
-        key = g.support
-        got = self._memo.get(key)
-        if got is None:
-            pts = [self._points[i - 1] for i in key]
-            got = graev_norm(self.space, pts, matching_cap=self.matching_cap)
-            self._memo[key] = got
-        return got
+        return graev_norm(self.space, [self._points[i - 1] for i in g.support],
+                          matching_cap=self.matching_cap)
 
     def describe(self) -> dict:
         return {
@@ -542,44 +557,39 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     """Check axioms (1)-(3) on the whole truncation; cache the result on the norm.
 
     Axiom (3) runs over all unordered pairs. The report is cached on the norm
-    object so downstream operations can require a clean validation.
+    object so downstream operations can require a clean validation, and the
+    value table read here becomes the norm's table.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     tr = Truncation(norm.prime, norm.dim, cap=cap)
     size = tr.size
-    elems = tr.elements()
-    vals = [norm.eval(g) for g in elems]
+    nums, den = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
+    norm._tr, norm._table = tr, (nums, den)
     violations: list[dict] = []
 
     ser = [None] * size  # element serializations, built lazily
 
     def pairs_of(r: int):
         if ser[r] is None:
-            ser[r] = jsonio.element_to_pairs(elems[r])
+            ser[r] = jsonio.element_to_pairs(tr.element_of(r))
         return ser[r]
 
-    if vals[0] != 0:
-        violations.append({"axiom": 1, "element": pairs_of(0),
-                           "value": jsonio.frac_to_str(vals[0])})
-    for r in range(1, size):
-        if vals[r] <= 0:
-            violations.append({"axiom": 1, "element": pairs_of(r),
-                               "value": jsonio.frac_to_str(vals[r])})
+    def value(r: int) -> str:
+        return jsonio.frac_to_str(Fraction(int(nums[r]), den))
+
+    axiom1 = nums > 0
+    axiom1[0] = nums[0] == 0
+    for r in np.flatnonzero(~axiom1).tolist():
+        violations.append({"axiom": 1, "element": pairs_of(r), "value": value(r)})
 
     neg = tr.neg_perm
-    for r in range(size):
-        nr = int(neg[r])
-        if nr < r:
-            continue
-        if vals[r] != vals[nr]:
-            violations.append({
-                "axiom": 2,
-                "element": pairs_of(r),
-                "value": jsonio.frac_to_str(vals[r]),
-                "negated_value": jsonio.frac_to_str(vals[nr]),
-            })
-
-    nums, _ = _scaled(vals)
+    for r in np.flatnonzero((neg >= np.arange(size)) & (nums != nums[neg])).tolist():
+        violations.append({
+            "axiom": 2,
+            "element": pairs_of(r),
+            "value": value(r),
+            "negated_value": value(int(neg[r])),
+        })
 
     def triangle_violation(g: int, h: int, s: int) -> dict:
         return {
@@ -587,9 +597,9 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "g": pairs_of(g),
             "h": pairs_of(h),
             "sum": pairs_of(s),
-            "value_g": jsonio.frac_to_str(vals[g]),
-            "value_h": jsonio.frac_to_str(vals[h]),
-            "value_sum": jsonio.frac_to_str(vals[s]),
+            "value_g": value(g),
+            "value_h": value(h),
+            "value_sum": value(s),
         }
 
     def triangle_chunk(span: range) -> list[dict]:

@@ -10,10 +10,11 @@ basis elements are dominated by mixed pairs (pair-domination).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import jsonio
 from .errors import CapExceededError, InputError, InvalidNormError
@@ -23,6 +24,7 @@ from .fpcore import (
     OrderedBasis,
     as_prime,
     rank,
+    span_word,
 )
 from .norms import Norm, norm_from_config
 
@@ -165,40 +167,23 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
     reduced: list[GroupElement] = []
     steps = []
     for n in range(d):
-        incoming = basis[n]
-        best_val = None
-        best_coeffs = None
-        best_elem = None
-        tie_count = 0
-        runner_up = None
-        for prefix in itertools.product(range(p), repeat=n):
-            partial = GroupElement.zero(basis.prime)
-            for j, lam in enumerate(prefix):
-                if lam:
-                    partial = partial + reduced[j].smul(lam)
-            for lam_new in range(1, p):
-                candidate = partial + incoming.smul(lam_new)
-                val = norm.eval(candidate)
-                if best_val is None or val < best_val:
-                    if best_val is not None:
-                        runner_up = best_val if runner_up is None else min(runner_up, best_val)
-                    best_val = val
-                    best_coeffs = prefix + (lam_new,)
-                    best_elem = candidate
-                    tie_count = 1
-                elif val == best_val:
-                    tie_count += 1
-                else:
-                    runner_up = val if runner_up is None else min(runner_up, val)
+        # candidates: the rows whose incoming coefficient (last digit) is nonzero
+        span = reduced + [basis[n]]
+        vals, den = norm.span_values(span)
+        cand = vals.reshape(-1, p)[:, 1:].ravel()
+        i = int(np.argmin(cand))
+        best = cand[i]
+        above = cand[cand > best]
+        coeffs, elem = span_word(span, i // (p - 1) * p + i % (p - 1) + 1)
         steps.append(ReductionStep(
             index=n + 1,
-            coeffs=best_coeffs,
-            element=best_elem,
-            norm_value=best_val,
-            tie_count=tie_count,
-            runner_up_gap=None if runner_up is None else runner_up - best_val,
+            coeffs=coeffs,
+            element=elem,
+            norm_value=Fraction(int(best), den),
+            tie_count=int((cand == best).sum()),
+            runner_up_gap=None if not above.size else Fraction(int(above.min() - best), den),
         ))
-        reduced.append(best_elem)
+        reduced.append(elem)
     return ReducedBasis(
         original=basis,
         reduced=OrderedBasis(basis.prime, tuple(reduced)),
@@ -268,35 +253,30 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
         violations.append({"check": "independence", "rank": r, "size": d})
 
     elems = reduced.reduced.elems
-    top_values = [norm.eval(g) for g in elems]
-    checked = 0
-    max_ratio = None
-    for coeffs in itertools.product(range(p), repeat=d):
-        support = [j for j, lam in enumerate(coeffs) if lam]
-        if not support:
-            continue
-        if max_tuple is not None and len(support) > max_tuple:
-            continue
-        top = support[-1]
-        w = GroupElement.zero(reduced.prime)
-        for j in support:
-            w = w + elems[j].smul(coeffs[j])
-        vw = norm.eval(w)
-        vt = top_values[top]
-        checked += 1
-        if vw > 0:
-            ratio = vt / vw
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
-        if vt > vw:
-            violations.append({
-                "check": "max-term-minimality",
-                "coeffs": list(coeffs),
-                "w": jsonio.element_to_pairs(w),
-                "top_index": top + 1,
-                "value_top": jsonio.frac_to_str(vt),
-                "value_w": jsonio.frac_to_str(vw),
-            })
+    vals, den = norm.span_values(elems)
+    rows = np.arange(p ** d)
+    top = np.full(rows.size, -1)
+    support = np.zeros(rows.size, dtype=np.int64)
+    for j in range(d):
+        nz = rows // p ** (d - 1 - j) % p != 0
+        top[nz] = j
+        support += nz
+    words = (support >= 1) & (support <= (d if max_tuple is None else max_tuple))
+    top_values = vals[p ** (d - 1 - np.arange(d))]
+    vt, vw = top_values[top[words]], vals[words]
+    # every vw > 0 (nonzero words), so vt / vw peaks at the smallest vw per top
+    ratios = [Fraction(int(top_values[j]), int(vw[sel].min()))
+              for j in range(d) if (sel := top[words] == j).any()]
+    for row in rows[words][vt > vw].tolist():
+        coeffs, w = span_word(elems, row)
+        violations.append({
+            "check": "max-term-minimality",
+            "coeffs": list(coeffs),
+            "w": jsonio.element_to_pairs(w),
+            "top_index": int(top[row]) + 1,
+            "value_top": jsonio.frac_to_str(Fraction(int(top_values[top[row]]), den)),
+            "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
+        })
     tuple_note = ("all tuple sizes" if max_tuple is None
                   else f"tuple sizes up to {max_tuple}")
     return LemmaReport(
@@ -304,9 +284,9 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
         domain=(f"all nonzero coefficient vectors over F_{p}^{d} ({tuple_note}); "
                 "the top coefficient is nonzero by construction, a zero top "
                 "coefficient restates the check for a shorter tuple"),
-        checked=checked,
+        checked=int(words.sum()),
         violations=tuple(violations),
-        max_ratio=max_ratio,
+        max_ratio=max(ratios, default=None),
     )
 
 
@@ -331,46 +311,53 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     if count_est > cap:
         raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
 
+    # a word is a row whose support has 1..max_tuple indices; a target j of
+    # that word sits at depth k, the number of support indices above j
     elems = reduced.reduced.elems
-    scalar_values = [[norm.eval(g.smul(mu)) for mu in range(p)] for g in elems]
-    violations: list[dict] = []
+    vals, den = norm.span_values(elems)
+    rows = np.arange(p ** d)
+    used = [rows // p ** (d - 1 - j) % p != 0 for j in range(d)]
+    support = sum(used, np.zeros(rows.size, dtype=np.int64))
+    words = (support >= 1) & (support <= max_tuple)
+    found = []
     ratios_by_k: dict[int, Fraction] = {}
-    checked = 0
-    for n in range(1, min(d, max_tuple) + 1):
-        for indices in itertools.combinations(range(d), n):
-            for coeffs in itertools.product(range(1, p), repeat=n):
-                w = GroupElement.zero(reduced.prime)
-                for j, lam in zip(indices, coeffs):
-                    w = w + elems[j].smul(lam)
-                vw = norm.eval(w)
-                for k in range(n):
-                    target = indices[n - 1 - k]
-                    base_bound = (2 * p) ** k * vw
-                    for mu in range(p):
-                        slack = max(1, min(mu, p - mu))
-                        bound = slack * base_bound
-                        vt = scalar_values[target][mu]
-                        checked += 1
-                        if vw > 0:
-                            ratio = vt / (slack * vw)
-                            if k not in ratios_by_k or ratio > ratios_by_k[k]:
-                                ratios_by_k[k] = ratio
-                        if vt > bound:
-                            violations.append({
-                                "check": "member-word-bound",
-                                "indices": [j + 1 for j in indices],
-                                "coeffs": list(coeffs),
-                                "k": k,
-                                "mu": mu,
-                                "value_term": jsonio.frac_to_str(vt),
-                                "value_w": jsonio.frac_to_str(vw),
-                                "bound": jsonio.frac_to_str(bound),
-                            })
+    above = np.zeros(rows.size, dtype=np.int64)
+    for j in reversed(range(d)):
+        for k in range(min(d, max_tuple)):
+            sel = words & used[j] & (above == k)
+            if not sel.any():
+                continue
+            vw, sel_rows = vals[sel], rows[sel]
+            # every vw > 0 (nonzero words), so the ratio peaks at the smallest
+            smallest = int(vw.min())
+            for mu in range(p):
+                slack = max(1, min(mu, p - mu))
+                factor = slack * (2 * p) ** k
+                vt = int(vals[mu * p ** (d - 1 - j)])
+                ratio = Fraction(vt, slack * smallest)
+                if k not in ratios_by_k or ratio > ratios_by_k[k]:
+                    ratios_by_k[k] = ratio
+                # vt > factor * vw, divided through so that no entry is multiplied
+                for row in sel_rows[vw <= (vt - 1) // factor].tolist():
+                    coeffs = span_word(elems, row)[0]
+                    found.append((int(support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
+                                  [c for c in coeffs if c], k, mu, row, vt, factor))
+        above += used[j]
+    violations = [{
+        "check": "member-word-bound",
+        "indices": indices,
+        "coeffs": coeffs,
+        "k": k,
+        "mu": mu,
+        "value_term": jsonio.frac_to_str(Fraction(vt, den)),
+        "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
+        "bound": jsonio.frac_to_str(Fraction(factor * int(vals[row]), den)),
+    } for _, indices, coeffs, k, mu, row, vt, factor in sorted(found)]
     return LemmaReport(
         inequality="member-word-bound",
         domain=(f"words over up to {min(d, max_tuple)} distinct reduced indices with "
                 f"all-nonzero coefficients; k = 0..n-1; mu over F_{p}"),
-        checked=checked,
+        checked=p * int(support[words].sum()),
         violations=tuple(violations),
         max_ratio=max(ratios_by_k.values()) if ratios_by_k else None,
         ratios_by_k=ratios_by_k,
@@ -382,18 +369,17 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
-    elems = reduced.reduced.elems
+    vals, den = norm.span_values(reduced.reduced.elems)
     violations: list[dict] = []
     max_ratio = None
     checked = 0
     for a in range(d):
         for b in range(a + 1, d):
-            combo = elems[a] + elems[b].smul(p - 1)
-            vc = norm.eval(combo)
-            vb = norm.eval(elems[b])
+            vc = int(vals[p ** (d - 1 - a) + (p - 1) * p ** (d - 1 - b)])
+            vb = int(vals[p ** (d - 1 - b)])
             checked += 1
             if vc > 0:
-                ratio = vb / vc
+                ratio = Fraction(vb, vc)
                 if max_ratio is None or ratio > max_ratio:
                     max_ratio = ratio
             if vb > vc:
@@ -401,8 +387,8 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
                     "check": "pair-domination",
                     "n_prime": a + 1,
                     "n_dprime": b + 1,
-                    "value_later": jsonio.frac_to_str(vb),
-                    "value_combo": jsonio.frac_to_str(vc),
+                    "value_later": jsonio.frac_to_str(Fraction(vb, den)),
+                    "value_combo": jsonio.frac_to_str(Fraction(vc, den)),
                 })
     return LemmaReport(
         inequality="pair-domination",

@@ -2,13 +2,35 @@
 
 Everything in here is deliberately naive: different algorithms from the
 package (full partition enumeration instead of subset DP, edge relaxation to
-a fixpoint instead of Dijkstra, nested loops instead of vectorized rows).
-Agreement between the two is what the tests assert.
+a fixpoint instead of Dijkstra, nested loops instead of vectorized rows, and
+word scans that build and evaluate every word instead of reading
+Norm.span_values). Agreement between the two is what the tests assert.
 """
 
+import itertools
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
-from fpmap.fpcore import GroupElement, Truncation, enumerate_span
+from fpmap import jsonio
+from fpmap.duality import CoarserReport
+from fpmap.errors import CapExceededError, InputError
+from fpmap.extraction import IndependentFamily, ModulusReport, threshold
+from fpmap.fpcore import (
+    DEFAULT_ENUM_CAP,
+    GroupElement,
+    OrderedBasis,
+    Truncation,
+    enumerate_span,
+    rank,
+)
+from fpmap.norms import Norm
+from fpmap.reduction import (
+    LemmaReport,
+    ReducedBasis,
+    ReductionStep,
+    _require_validated,
+)
 
 
 def brute_graev(space, points):
@@ -74,7 +96,7 @@ def brute_cost_completion(cost):
 def brute_axiom_violations(norm, dim):
     """All axiom violations on the truncation, by plain nested loops."""
     tr = Truncation(norm.prime, dim)
-    elems = tr.elements()
+    elems = [tr.element_of(r) for r in range(tr.size)]
     out = []
     for g in elems:
         v = norm.eval(g)
@@ -109,3 +131,345 @@ def brute_min_norm_in_coset(norm, fixed, free_elems, p):
         elif v == best:
             argmin.append(g)
     return best, argmin
+
+
+def brute_reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> ReducedBasis:
+    """reduce_basis as one nested loop: every candidate built and evaluated by hand."""
+    _require_validated(norm)
+    p = basis.prime.p
+    if norm.prime != basis.prime:
+        raise InputError(f"mismatched primes: {basis.prime.p} vs {norm.prime.p}")
+    d = len(basis)
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if p ** d * (p - 1) > cap:
+        raise CapExceededError(
+            f"reduction would evaluate up to {p ** d * (p - 1)} candidates, above cap {cap}")
+
+    reduced: list[GroupElement] = []
+    steps = []
+    for n in range(d):
+        incoming = basis[n]
+        best_val = None
+        best_coeffs = None
+        best_elem = None
+        tie_count = 0
+        runner_up = None
+        for prefix in itertools.product(range(p), repeat=n):
+            partial = GroupElement.zero(basis.prime)
+            for j, lam in enumerate(prefix):
+                if lam:
+                    partial = partial + reduced[j].smul(lam)
+            for lam_new in range(1, p):
+                candidate = partial + incoming.smul(lam_new)
+                val = norm.eval(candidate)
+                if best_val is None or val < best_val:
+                    if best_val is not None:
+                        runner_up = best_val if runner_up is None else min(runner_up, best_val)
+                    best_val = val
+                    best_coeffs = prefix + (lam_new,)
+                    best_elem = candidate
+                    tie_count = 1
+                elif val == best_val:
+                    tie_count += 1
+                else:
+                    runner_up = val if runner_up is None else min(runner_up, val)
+        steps.append(ReductionStep(
+            index=n + 1,
+            coeffs=best_coeffs,
+            element=best_elem,
+            norm_value=best_val,
+            tie_count=tie_count,
+            runner_up_gap=None if runner_up is None else runner_up - best_val,
+        ))
+        reduced.append(best_elem)
+    return ReducedBasis(
+        original=basis,
+        reduced=OrderedBasis(basis.prime, tuple(reduced)),
+        steps=tuple(steps),
+    )
+
+
+def brute_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
+                              max_tuple: int | None = None,
+                              cap: int | None = None) -> LemmaReport:
+    """verify_reduced_properties with one GroupElement sum and eval per word."""
+    _require_validated(norm)
+    p = reduced.prime.p
+    d = len(reduced)
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if p ** d > cap:
+        raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
+    violations: list[dict] = []
+
+    for n in range(1, d + 1):
+        joined = list(reduced.reduced.elems[:n]) + list(reduced.original.elems[:n])
+        r = rank(joined, reduced.prime)
+        if r != n:
+            violations.append({"check": "prefix-span-equality", "n": n, "rank": r})
+    r = rank(reduced.reduced.elems, reduced.prime)
+    if r != d:
+        violations.append({"check": "independence", "rank": r, "size": d})
+
+    elems = reduced.reduced.elems
+    top_values = [norm.eval(g) for g in elems]
+    checked = 0
+    max_ratio = None
+    for coeffs in itertools.product(range(p), repeat=d):
+        support = [j for j, lam in enumerate(coeffs) if lam]
+        if not support:
+            continue
+        if max_tuple is not None and len(support) > max_tuple:
+            continue
+        top = support[-1]
+        w = GroupElement.zero(reduced.prime)
+        for j in support:
+            w = w + elems[j].smul(coeffs[j])
+        vw = norm.eval(w)
+        vt = top_values[top]
+        checked += 1
+        if vw > 0:
+            ratio = vt / vw
+            if max_ratio is None or ratio > max_ratio:
+                max_ratio = ratio
+        if vt > vw:
+            violations.append({
+                "check": "max-term-minimality",
+                "coeffs": list(coeffs),
+                "w": jsonio.element_to_pairs(w),
+                "top_index": top + 1,
+                "value_top": jsonio.frac_to_str(vt),
+                "value_w": jsonio.frac_to_str(vw),
+            })
+    tuple_note = ("all tuple sizes" if max_tuple is None
+                  else f"tuple sizes up to {max_tuple}")
+    return LemmaReport(
+        inequality="max-term-minimality",
+        domain=(f"all nonzero coefficient vectors over F_{p}^{d} ({tuple_note}); "
+                "the top coefficient is nonzero by construction, a zero top "
+                "coefficient restates the check for a shorter tuple"),
+        checked=checked,
+        violations=tuple(violations),
+        max_ratio=max_ratio,
+    )
+
+
+def brute_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
+                            max_tuple: int = 6, cap: int | None = None) -> LemmaReport:
+    """check_member_word_bound over (n, indices, coeffs, k, mu) in Fractions."""
+    _require_validated(norm)
+    p = reduced.prime.p
+    d = len(reduced)
+    count_est = sum(
+        math.comb(d, n) * (p - 1) ** n * n * p for n in range(1, min(d, max_tuple) + 1))
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if count_est > cap:
+        raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
+
+    elems = reduced.reduced.elems
+    scalar_values = [[norm.eval(g.smul(mu)) for mu in range(p)] for g in elems]
+    violations: list[dict] = []
+    ratios_by_k: dict[int, Fraction] = {}
+    checked = 0
+    for n in range(1, min(d, max_tuple) + 1):
+        for indices in itertools.combinations(range(d), n):
+            for coeffs in itertools.product(range(1, p), repeat=n):
+                w = GroupElement.zero(reduced.prime)
+                for j, lam in zip(indices, coeffs):
+                    w = w + elems[j].smul(lam)
+                vw = norm.eval(w)
+                for k in range(n):
+                    target = indices[n - 1 - k]
+                    base_bound = (2 * p) ** k * vw
+                    for mu in range(p):
+                        slack = max(1, min(mu, p - mu))
+                        bound = slack * base_bound
+                        vt = scalar_values[target][mu]
+                        checked += 1
+                        if vw > 0:
+                            ratio = vt / (slack * vw)
+                            if k not in ratios_by_k or ratio > ratios_by_k[k]:
+                                ratios_by_k[k] = ratio
+                        if vt > bound:
+                            violations.append({
+                                "check": "member-word-bound",
+                                "indices": [j + 1 for j in indices],
+                                "coeffs": list(coeffs),
+                                "k": k,
+                                "mu": mu,
+                                "value_term": jsonio.frac_to_str(vt),
+                                "value_w": jsonio.frac_to_str(vw),
+                                "bound": jsonio.frac_to_str(bound),
+                            })
+    return LemmaReport(
+        inequality="member-word-bound",
+        domain=(f"words over up to {min(d, max_tuple)} distinct reduced indices with "
+                f"all-nonzero coefficients; k = 0..n-1; mu over F_{p}"),
+        checked=checked,
+        violations=tuple(violations),
+        max_ratio=max(ratios_by_k.values()) if ratios_by_k else None,
+        ratios_by_k=ratios_by_k,
+    )
+
+
+def brute_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
+    """check_pair_domination with each combination built and evaluated by hand."""
+    _require_validated(norm)
+    p = reduced.prime.p
+    d = len(reduced)
+    elems = reduced.reduced.elems
+    violations: list[dict] = []
+    max_ratio = None
+    checked = 0
+    for a in range(d):
+        for b in range(a + 1, d):
+            combo = elems[a] + elems[b].smul(p - 1)
+            vc = norm.eval(combo)
+            vb = norm.eval(elems[b])
+            checked += 1
+            if vc > 0:
+                ratio = vb / vc
+                if max_ratio is None or ratio > max_ratio:
+                    max_ratio = ratio
+            if vb > vc:
+                violations.append({
+                    "check": "pair-domination",
+                    "n_prime": a + 1,
+                    "n_dprime": b + 1,
+                    "value_later": jsonio.frac_to_str(vb),
+                    "value_combo": jsonio.frac_to_str(vc),
+                })
+    return LemmaReport(
+        inequality="pair-domination",
+        domain=f"all index pairs n' < n'' in 1..{d}",
+        checked=checked,
+        violations=tuple(violations),
+        max_ratio=max_ratio,
+    )
+
+
+def brute_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
+                         *, cap: int | None = None) -> ModulusReport:
+    """independence_modulus with every word and every negated tail built by hand."""
+    p = norm.prime.p
+    if not 1 <= l:
+        raise InputError(f"l must be at least 1, got {l}")
+    if not 1 <= m <= len(family):
+        raise InputError(f"m must be in 1..{len(family)}, got {m}")
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if p ** m > cap:
+        raise CapExceededError(f"modulus scan needs {p ** m} words, above cap {cap}")
+    eps = Fraction(1, 2 ** (l - 1))
+    delta = threshold(p, l)
+    members = family.members[:m]
+    member_norms = [norm.eval(a) for a in members]
+    violations: list[dict] = []
+    combos = 0
+    small = 0
+    for coeffs in itertools.product(range(p), repeat=m):
+        support = [i for i, lam in enumerate(coeffs) if lam]
+        if not support:
+            continue
+        w = GroupElement.zero(norm.prime)
+        for i in support:
+            w = w + members[i].smul(coeffs[i])
+        vw = norm.eval(w)
+        combos += 1
+        if vw < delta:
+            small += 1
+            for i in support:
+                if member_norms[i] >= eps:
+                    violations.append({
+                        "check": "modulus",
+                        "coeffs": list(coeffs),
+                        "w": jsonio.element_to_pairs(w),
+                        "member_index": i + 1,
+                        "value_w": jsonio.frac_to_str(vw),
+                        "value_member": jsonio.frac_to_str(member_norms[i]),
+                        "eps": jsonio.frac_to_str(eps),
+                        "delta": jsonio.frac_to_str(delta),
+                    })
+    splits = 0
+    for s in range(l, m):
+        tail_budget = p * sum(member_norms[s:m], Fraction(0))
+        splits += 1
+        if tail_budget >= threshold(p, s):
+            violations.append({
+                "check": "split-sum",
+                "split": s,
+                "tail_budget": jsonio.frac_to_str(tail_budget),
+                "bound": jsonio.frac_to_str(threshold(p, s)),
+            })
+        for coeffs in itertools.product(range(p), repeat=m - s):
+            support = [i for i, lam in enumerate(coeffs) if lam]
+            if not support:
+                continue
+            tail = GroupElement.zero(norm.prime)
+            for i in support:
+                tail = tail + members[s + i].smul(coeffs[i])
+            neg_tail = tail.smul(p - 1)
+            v = norm.eval(neg_tail)
+            if v > tail_budget:
+                violations.append({
+                    "check": "split-combo",
+                    "split": s,
+                    "coeffs": list(coeffs),
+                    "tail": jsonio.element_to_pairs(tail),
+                    "value_negated_tail": jsonio.frac_to_str(v),
+                    "tail_budget": jsonio.frac_to_str(tail_budget),
+                })
+    return ModulusReport(
+        prime_p=p, l=l, m=m, eps=eps, delta=delta,
+        combos_checked=combos, small_norm_combos=small, splits_checked=splits,
+        violations=tuple(violations),
+    )
+
+
+def brute_coarser(family: IndependentFamily, norm: Norm, m: int, *,
+                          cap: int | None = None) -> CoarserReport:
+    """product_coarser_check with a per-support minimum dictionary for each prefix."""
+    if m < 1:
+        raise InputError(f"m must be positive, got {m}")
+    if m > len(family.members):
+        raise InputError(f"m = {m} exceeds the family length {len(family.members)}")
+    p = norm.prime.p
+    for g in family.members:
+        if g.prime != norm.prime:
+            raise InputError(f"mismatched primes: {g.prime.p} vs {p}")
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if p ** m > cap:
+        raise CapExceededError(f"{p}^{m} span combinations exceed the cap {cap}")
+
+    tables = []
+    violations = []
+    combos = 0
+    for t in range(1, m + 1):
+        members = family.members[:t]
+        min_by_support: dict[frozenset, Fraction] = {}
+        for coeffs in product(range(p), repeat=t):
+            support = frozenset(i + 1 for i, c in enumerate(coeffs) if c)
+            if not support:
+                continue
+            w = GroupElement.zero(norm.prime)
+            for c, a in zip(coeffs, members):
+                if c:
+                    w = w + a.smul(c)
+            v = norm.eval(w)
+            combos += 1
+            prev = min_by_support.get(support)
+            if prev is None or v < prev:
+                min_by_support[support] = v
+        table = {}
+        for size in range(1, t + 1):
+            for F in combinations(range(1, t + 1), size):
+                fset = frozenset(F)
+                d_F = min(v for s, v in min_by_support.items() if s & fset)
+                table[F] = d_F
+                if d_F <= 0:
+                    violations.append({
+                        "check": "coarser",
+                        "span": t,
+                        "F": list(F),
+                        "value": jsonio.frac_to_str(d_F),
+                    })
+        tables.append(table)
+    return CoarserReport(norm.prime, m, tuple(tables), tuple(violations), combos)

@@ -6,6 +6,8 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 
 import json
 
+import pytest
+
 from fpmap.cli import main, render_report
 from fpmap.extraction import convergent_line_space
 from fpmap.fpcore import GroupElement, Prime, Truncation
@@ -136,6 +138,13 @@ class TestEnvOverrides:
         cfg = write_json(tmp_path / "run.json",
                          dict(graded_run_cfg(), caps={"enum": 1000}))
         assert main(["run", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("caps", [5, [["enum", 5]]])
+    def test_malformed_caps_with_env_cap(self, tmp_path, monkeypatch, capsys, caps):
+        monkeypatch.setenv("FPMAP_ENUM_CAP", "100")
+        cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), caps=caps))
+        assert main(["run", "--config", cfg]) == 2
+        assert "caps must be a JSON object" in capsys.readouterr().err
 
     def test_bad_env_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FPMAP_ENUM_CAP", "banana")

@@ -51,7 +51,7 @@ def discrete_spec(p, d):
 
 def whole_group_spec(p, d):
     tr = Truncation(p, d)
-    return TopologySpec.from_elements(p, d, [tr.elements()])
+    return TopologySpec.from_elements(p, d, [[tr.element_of(r) for r in range(tr.size)]])
 
 
 class TestCharacter:
@@ -123,6 +123,9 @@ class TestTopologySpec:
         assert tiny.members == (frozenset({0}),)
         everything = TopologySpec.from_balls(norm, [F(2)])
         assert everything.members == (frozenset(range(4)),)
+        # balls are open: a radius equal to a value leaves that element out
+        edges = TopologySpec.from_balls(norm, [F(1, 2), F(1)])
+        assert edges.members == (frozenset({0}), frozenset({0, 1}))
         with pytest.raises(InputError, match="positive"):
             TopologySpec.from_balls(norm, [F(0)])
 

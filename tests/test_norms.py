@@ -336,6 +336,11 @@ class TestValidateAxioms:
         assert report.violations[0]["axiom"] == 1
         assert not norm.is_validated
 
+    def test_nonzero_value_at_zero_flagged(self):
+        norm = table_from_values(2, 1, {0: F(1), 1: F(1)})
+        report = validate_axioms(norm)
+        assert report.violations[0] == {"axiom": 1, "element": [], "value": "1/1"}
+
     def test_asymmetric_flagged(self):
         norm = table_from_values(3, 1, {1: F(1), 2: F(2)})
         report = validate_axioms(norm)

@@ -1,0 +1,226 @@
+"""The span kernel against the nested-loop word scans in tests/oracles.py.
+
+Norm.span_values and Truncation.span_ranks replace every hand-built word
+loop; each ported scan must give the same report, violation lists included,
+as the loop it replaced.
+"""
+
+from fractions import Fraction as F
+from random import Random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    brute_coarser,
+    brute_member_word_bound,
+    brute_modulus,
+    brute_pair_domination,
+    brute_reduce_basis,
+    brute_reduced_properties,
+)
+from fpmap.duality import product_coarser_check
+from fpmap.extraction import IndependentFamily, independence_modulus
+from fpmap.fpcore import (
+    GroupElement,
+    OrderedBasis,
+    Truncation,
+    as_prime,
+    enumerate_span,
+    rank,
+)
+from fpmap.norms import (
+    CostCompletionNorm,
+    GraevBooleanNorm,
+    TableNorm,
+    UltrametricProductNorm,
+    graded_cost,
+    random_cost,
+    random_metric_space,
+    validate_axioms,
+)
+from fpmap.reduction import (
+    ReducedBasis,
+    ReductionStep,
+    check_member_word_bound,
+    check_pair_domination,
+    reduce_basis,
+    verify_reduced_properties,
+)
+
+
+def build_norm(kind, p, dim, seed):
+    rng = Random(seed)
+    if kind == "table":
+        # values in [1, 2] satisfy the triangle inequality outright
+        cost = random_cost(seed, p, dim, 1, 2, steps=3)
+        tr = cost.truncation
+        return TableNorm(p, dim, [(tr.element_of(r), cost.value_of_rank(r))
+                                  for r in range(1, tr.size)])
+    if kind == "cost":
+        return CostCompletionNorm(random_cost(seed, p, dim, F(1, 10), 1, steps=4))
+    if kind == "graded":
+        return CostCompletionNorm(graded_cost(seed, p, dim, steps=4))
+    if kind == "ultrametric":
+        # few distinct weights, some below the modulus thresholds, so ties
+        # and small words both occur
+        return UltrametricProductNorm(
+            p, dim, [F(1, (4 * p) ** rng.randrange(3) * rng.randrange(1, 3))
+                     for _ in range(dim)])
+    return GraevBooleanNorm(random_metric_space(seed, dim + 1, 1, 3, steps=4))
+
+
+@st.composite
+def norms(draw):
+    kind = draw(st.sampled_from(["table", "cost", "graded", "ultrametric", "graev"]))
+    if kind == "graev":
+        p, dim = 2, draw(st.integers(1, 6))
+    else:
+        p, dim = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 5))
+    norm = build_norm(kind, p, dim, draw(st.integers(0, 10 ** 6)))
+    assert validate_axioms(norm).ok
+    return norm
+
+
+def random_basis(p, dim, rng):
+    """Unit upper-triangular rows: independent, with dense words."""
+    return OrderedBasis(as_prime(p), tuple(
+        GroupElement.make(p, [(i, 1)] + [(j, rng.randrange(p)) for j in range(i + 1, dim + 1)])
+        for i in range(1, dim + 1)))
+
+
+def planted(basis, norm):
+    """The basis itself posing as its own reduction."""
+    steps = tuple(ReductionStep(n, (0,) * (n - 1) + (1,), g, norm.eval(g), 1, None)
+                  for n, g in enumerate(basis, start=1))
+    return ReducedBasis(basis, basis, steps)
+
+
+def family_of(elems, norm):
+    return IndependentFamily(tuple(elems), tuple(range(1, len(elems) + 1)),
+                             tuple(norm.eval(g) for g in elems), None)
+
+
+def same_scans(reduced, norm, max_tuple, l, m):
+    d = len(reduced)
+    assert (verify_reduced_properties(reduced, norm, max_tuple=max_tuple).to_json_dict()
+            == brute_reduced_properties(reduced, norm, max_tuple=max_tuple).to_json_dict())
+    bound = min(max_tuple or d, 4)
+    assert (check_member_word_bound(reduced, norm, max_tuple=bound).to_json_dict()
+            == brute_member_word_bound(reduced, norm, max_tuple=bound).to_json_dict())
+    assert (check_pair_domination(reduced, norm).to_json_dict()
+            == brute_pair_domination(reduced, norm).to_json_dict())
+    family = family_of(reduced.reduced.elems, norm)
+    assert (independence_modulus(family, norm, l, m).to_json_dict()
+            == brute_modulus(family, norm, l, m).to_json_dict())
+    assert (product_coarser_check(family, norm, m).to_json_dict()
+            == brute_coarser(family, norm, m).to_json_dict())
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm=norms(), data=st.data())
+def test_ported_scans_match_nested_loops(norm, data):
+    d = norm.dim
+    std = OrderedBasis.standard(norm.prime, d)
+    reduced = reduce_basis(std, norm)
+    assert reduced.to_json_dict() == brute_reduce_basis(std, norm).to_json_dict()
+    max_tuple = data.draw(st.one_of(st.none(), st.integers(1, d)))
+    m = data.draw(st.integers(1, d))
+    l = data.draw(st.integers(1, m + 1))
+    same_scans(reduced, norm, max_tuple, l, m)
+    # a basis that is not reduced: the violation lists, in order
+    basis = random_basis(norm.prime.p, d, Random(data.draw(st.integers(0, 99))))
+    same_scans(planted(basis, norm), norm, max_tuple, l, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), dim=st.integers(1, 4), data=st.data())
+def test_modulus_and_coarser_match_on_unvalidated_tables(p, dim, data):
+    # neither check gates on the axioms: values that break the triangle
+    # inequality, or vanish off zero, reach the split-combo and coarser
+    # violations, and members may even be dependent
+    tr = Truncation(p, dim)
+    rng = Random(data.draw(st.integers(0, 10 ** 6)))
+    norm = TableNorm(p, dim, [(tr.element_of(r), F(rng.randrange(4), (4 * p) ** rng.randrange(4)))
+                              for r in range(1, tr.size)])
+    members = [tr.element_of(rng.randrange(1, tr.size)) for _ in range(data.draw(st.integers(1, 4)))]
+    family = family_of(members, norm)
+    m = data.draw(st.integers(1, len(members)))
+    l = data.draw(st.integers(1, m + 1))
+    assert (independence_modulus(family, norm, l, m).to_json_dict()
+            == brute_modulus(family, norm, l, m).to_json_dict())
+    assert (product_coarser_check(family, norm, m).to_json_dict()
+            == brute_coarser(family, norm, m).to_json_dict())
+
+
+def test_python_int_storage_matches_nested_loops():
+    # numerators near 2^70 do not fit int64, so the table holds Python ints
+    p, dim = 3, 3
+    tr = Truncation(p, dim)
+    rng = Random(5)
+    big = {}
+    for r in range(1, tr.size):
+        big.setdefault(min(r, int(tr.neg_perm[r])), F(2 ** 70 + rng.randrange(3), 2 ** 75))
+    norm = TableNorm(p, dim, [(tr.element_of(r), big[min(r, int(tr.neg_perm[r]))])
+                              for r in range(1, tr.size)])
+    assert norm._table[0].dtype == object
+    assert validate_axioms(norm).ok
+    std = OrderedBasis.standard(p, dim)
+    reduced = reduce_basis(std, norm)
+    assert reduced.to_json_dict() == brute_reduce_basis(std, norm).to_json_dict()
+    same_scans(reduced, norm, None, 1, dim)
+    same_scans(planted(random_basis(p, dim, rng), norm), norm, 2, 2, dim)
+
+
+def test_planted_violations_are_listed_in_loop_order():
+    norm = build_norm("ultrametric", 3, 4, 7)
+    validate_axioms(norm)
+    basis = random_basis(3, 4, Random(1))
+    reduced = planted(basis, norm)
+    props = verify_reduced_properties(reduced, norm)
+    words = check_member_word_bound(reduced, norm, max_tuple=4)
+    assert props.violations and words.violations
+    assert props.to_json_dict() == brute_reduced_properties(reduced, norm).to_json_dict()
+    assert (words.to_json_dict()
+            == brute_member_word_bound(reduced, norm, max_tuple=4).to_json_dict())
+
+
+def as_fractions(pair):
+    nums, den = pair
+    return [F(int(n), den) for n in nums]
+
+
+def test_table_and_generic_routes_agree():
+    norm = UltrametricProductNorm(3, 4, [F(1, 2), F(1, 5), F(1, 2), F(1, 7)])
+    rng = Random(3)
+    tr = Truncation(3, 4)
+    elems = [tr.element_of(rng.randrange(tr.size)) for _ in range(3)]
+    assert norm._table is None
+    generic = as_fractions(norm.span_values(elems))
+    assert generic == [norm.eval(w) for w in enumerate_span(elems)]
+    validate_axioms(norm)
+    assert norm._table is not None
+    assert as_fractions(norm.span_values(elems)) == generic
+    assert as_fractions(norm.span_values(OrderedBasis.standard(3, 4).elems)) == [
+        norm._eval(tr.element_of(r)) for r in range(tr.size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(1, 4), data=st.data())
+def test_span_ranks_match_enumerate_span(p, dim, data):
+    tr = Truncation(p, dim)
+    k = data.draw(st.integers(1, 3))
+    elems = [tr.element_of(data.draw(st.integers(0, tr.size - 1))) for _ in range(k)]
+    assert tr.span_ranks(elems).tolist() == [tr.rank_of(w) for w in enumerate_span(elems)]
+
+
+def test_span_ranks_skip_the_digit_table():
+    tr = Truncation(97, 3)
+    a = GroupElement.make(97, [(1, 5), (3, 96)])
+    b = GroupElement.make(97, [(2, 1), (3, 40)])
+    ranks = tr.span_ranks([a, b])
+    assert tr._digits is None
+    assert ranks.size == 97 ** 2
+    for c1, c2 in [(0, 0), (0, 1), (1, 0), (3, 77), (96, 96)]:
+        assert ranks[c1 * 97 + c2] == tr.rank_of(a.smul(c1) + b.smul(c2))
+    assert rank([a, b]) == 2 and len(set(ranks.tolist())) == 97 ** 2
