@@ -1,5 +1,6 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
-and of the span kernel under every exhaustive word scan.
+of the span kernel under every exhaustive word scan, of the Graev value-table
+DP and of null-subsequence selection.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -14,6 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fpmap.extraction import norm_sorted_span, select_null_subsequence  # noqa: E402
 from fpmap.fpcore import OrderedBasis, Truncation  # noqa: E402
 from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
@@ -75,3 +77,16 @@ def test_span_ranks(benchmark, reduced_norm):
 def test_span_values(benchmark, reduced_norm):
     norm, elems = reduced_norm
     benchmark(norm.span_values, elems)
+
+
+def test_graev_table(benchmark):
+    # p=2, dim 11: the table validate_axioms records, all 2048 subsets at once
+    norm = _graev()
+    benchmark(norm._dense_values)
+
+
+def test_select_null_subsequence(benchmark):
+    norm = _graded()
+    validate_axioms(norm)
+    reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
+    benchmark(select_null_subsequence, norm_sorted_span(norm), norm, reduced, 5)

@@ -46,7 +46,9 @@ def reduced_max_position(g: GroupElement, reduced: ReducedBasis) -> int:
     """Largest position with a nonzero coefficient in the reduced-basis expansion.
 
     Zero for the zero element. Raises InputError when g lies outside the
-    span of the reduced basis.
+    span of the reduced basis. Since span(reduced[:n]) = span(original[:n]),
+    this is the least n with g in span(original[:n]): g.max_index when the
+    original basis is the standard one.
     """
     coeffs = solve_in_span(g, reduced.reduced.elems)
     if coeffs is None:
@@ -56,6 +58,20 @@ def reduced_max_position(g: GroupElement, reduced: ReducedBasis) -> int:
         if lam:
             top = j
     return top
+
+
+def _top_positions(elems, reduced: ReducedBasis) -> np.ndarray:
+    """reduced_max_position of each element, read off max_index when the
+    original basis is the standard one and solved for otherwise."""
+    d = len(reduced)
+    if not all(g.items == ((n, 1),) for n, g in enumerate(reduced.original, start=1)):
+        return np.array([reduced_max_position(g, reduced) for g in elems], dtype=np.int64)
+    for g in elems:
+        if g.prime != reduced.prime:
+            raise InputError(f"mismatched primes: {g.prime.p} vs {reduced.prime.p}")
+        if g.max_index > d:
+            raise InputError(f"{g!r} is not in the span of the reduced basis")
+    return np.array([g.max_index for g in elems], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,10 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     the longest achievable length and the constraint that blocks the next
     slot ("threshold" when no candidate is small enough, "max-progression"
     when small candidates exist but never with a rising top position).
+
+    Candidate values come from one Norm.values_of call and are compared as
+    integers; top positions are each candidate's max_index when the original
+    basis is the standard one, and reduced_max_position solves otherwise.
     """
     if length < 0:
         raise InputError(f"requested length must be nonnegative, got {length}")
@@ -127,32 +147,26 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     candidates = list(seq)
     if length == 0:
         return NullSequence(p, (), (), ())
-    norms = [norm.eval(g) for g in candidates]
-    maxes = [reduced_max_position(g, reduced) for g in candidates]
-    thresholds = [threshold(p, n) for n in range(1, length + 1)]
-    N = len(candidates)
+    nums, den = norm.values_of(candidates)
+    maxes = _top_positions(candidates, reduced)
+    # small[s][i]: candidate i has a top position and a value below
+    # 1/(4p)^(s+1), divided through so that no entry is multiplied
+    small = [(maxes >= 1) & (nums <= (den - 1) // (4 * p) ** (s + 1)) for s in range(length)]
 
     # feas[s][i]: slots s..length-1 can be filled starting by taking index i.
-    # suffix_best[s][i]: largest top position among feasible starts at >= i,
-    # which is what the previous slot needs to know to continue the chain.
-    feas = [[False] * N for _ in range(length)]
-    suffix_best = [[0] * (N + 1) for _ in range(length)]
-    for s in range(length - 1, -1, -1):
-        for i in range(N - 1, -1, -1):
-            ok_here = maxes[i] >= 1 and norms[i] < thresholds[s]
-            if ok_here and s < length - 1:
-                ok_here = suffix_best[s + 1][i + 1] > maxes[i]
-            feas[s][i] = ok_here
-            suffix_best[s][i] = max(suffix_best[s][i + 1], maxes[i] if ok_here else 0)
+    # later[i]: largest top position among feasible starts of slot s + 1 at
+    # >= i, which is what slot s needs to know to continue the chain (a start
+    # at i itself cannot exceed maxes[i]).
+    feas = [None] * length
+    later = None
+    for s in reversed(range(length)):
+        feas[s] = small[s] if later is None else small[s] & (later > maxes)
+        later = np.maximum.accumulate(np.where(feas[s], maxes, 0)[::-1])[::-1]
 
-    if not any(feas[0]):
-        achievable = _achievable_length(norms, maxes, p, length)
+    if not feas[0].any():
+        achievable = _achievable_length(small, maxes)
         failed = achievable + 1
-        t = threshold(p, failed)
-        if not any(m >= 1 and v < t for v, m in zip(norms, maxes)):
-            constraint = "threshold"
-        else:
-            constraint = "max-progression"
+        constraint = "max-progression" if small[failed - 1].any() else "threshold"
         raise ExhaustedError(
             f"no qualifying subsequence of length {length}; "
             f"achievable length is {achievable}, slot {failed} blocked by "
@@ -163,44 +177,32 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     last_max = 0
     pos = 0
     for s in range(length):
-        i = pos
-        while True:
-            good = feas[s][i] and maxes[i] > last_max
-            if good and s < length - 1:
-                good = suffix_best[s + 1][i + 1] > maxes[i]
-            if good:
-                break
-            i += 1
+        i = pos + int(np.flatnonzero(feas[s][pos:] & (maxes[pos:] > last_max))[0])
         chosen.append(i)
         last_max = maxes[i]
         pos = i + 1
     return NullSequence(
         p,
         tuple(candidates[i] for i in chosen),
-        tuple(norms[i] for i in chosen),
-        tuple(maxes[i] for i in chosen),
+        tuple(Fraction(int(nums[i]), den) for i in chosen),
+        tuple(int(maxes[i]) for i in chosen),
     )
 
 
-def _achievable_length(norms, maxes, p: int, limit: int) -> int:
-    """Longest feasible subsequence length, capped at limit."""
-    N = len(norms)
-    for slots in range(limit, 0, -1):
-        first_row = [False] * N
-        prev_suffix = [0] * (N + 1)
-        for s in range(slots - 1, -1, -1):
-            suffix = [0] * (N + 1)
-            for i in range(N - 1, -1, -1):
-                good = maxes[i] >= 1 and norms[i] < threshold(p, s + 1)
-                if good and s < slots - 1:
-                    good = prev_suffix[i + 1] > maxes[i]
-                if s == 0:
-                    first_row[i] = good
-                suffix[i] = max(suffix[i + 1], maxes[i] if good else 0)
-            prev_suffix = suffix
-        if any(first_row):
-            return slots
-    return 0
+def _achievable_length(small, maxes) -> int:
+    """Longest chain over the slots of ``small``, from one forward pass.
+
+    ends marks the candidates at which a chain through slot s can end; a
+    chain through slot s + 1 can end at i when some end at or before i has a
+    lower top position (an end at i itself cannot).
+    """
+    floor = np.zeros(len(maxes), dtype=np.int64)  # slot 0 follows top position 0
+    for s, ok in enumerate(small):
+        ends = ok & (maxes > floor)
+        if not ends.any():
+            return s
+        floor = np.minimum.accumulate(np.where(ends, maxes, np.iinfo(np.int64).max))
+    return len(small)
 
 
 @dataclass(frozen=True)

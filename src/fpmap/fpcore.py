@@ -513,14 +513,19 @@ class Truncation:
         """Ranks of (g - element_of(r)) for every rank g."""
         return self.add_rank_row(int(self.neg_perm[r]))
 
+    def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
+        """Ranks of span(elems + [g]) from the ranks of span(elems), both in
+        enumerate_span order: one rank row, applied 1..p-1 times to the words
+        built so far. The span of no elements has the ranks [0]."""
+        row = self.add_rank_row(self.rank_of(g))
+        layers = [ranks]
+        for _ in range(self.prime.p - 1):
+            layers.append(row[layers[-1]])
+        return np.stack(layers, axis=1).ravel()
+
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
-        """Ranks of the p^k words of span(elems), in enumerate_span order: one
-        rank row per element, applied 1..p-1 times to the words built so far."""
+        """Ranks of the p^k words of span(elems), in enumerate_span order."""
         ranks = np.zeros(1, dtype=np.int64)
         for g in elems:
-            row = self.add_rank_row(self.rank_of(g))
-            layers = [ranks]
-            for _ in range(self.prime.p - 1):
-                layers.append(row[layers[-1]])
-            ranks = np.stack(layers, axis=1).ravel()
+            ranks = self.extend_span(ranks, g)
         return ranks

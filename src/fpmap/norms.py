@@ -5,8 +5,10 @@ any comparison. Hot paths run on integer numerators over the least common
 denominator, stored as int64 when the sum of any two fits and as Python ints
 otherwise; both storages give the same exact arithmetic. Each norm's dense
 value table is such a vector, indexed by rank: table and cost-completion norms
-build it at construction, validate_axioms records it for the others, and
-Norm.span_values reads word values from it (a norm without one evaluates them).
+build it at construction, and validate_axioms records it for the others (the
+ultrametric norm by evaluating every word, the Graev norm by one integer DP
+over all subsets, still bounded by its matching cap). Norm.span_values and
+Norm.values_of read values from it (a norm without one evaluates them).
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -49,18 +51,21 @@ def _as_fraction(value, what: str) -> Fraction:
     raise InputError(f"{what} must be an exact rational (Fraction or int), got {value!r}")
 
 
+def _storage(largest: int, headroom: int = 2):
+    """int64 when a sum of ``headroom`` integers of magnitude at most
+    ``largest`` cannot overflow it, Python ints (dtype object) otherwise."""
+    return np.int64 if headroom * largest <= _INT64_MAX else object
+
+
 def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     """Numerators of ``values`` over their least common denominator ``den``.
 
     Every caller adds at most two entries no larger in magnitude than the
-    largest value. The array is int64 when such a sum cannot overflow, and
-    holds Python ints (dtype object) otherwise, so every sum and comparison
-    on it is exact.
+    largest value, and the array is stored so that such a sum stays exact.
     """
     den = math.lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
-    fits = 2 * max(map(abs, nums), default=0) <= _INT64_MAX
-    return np.array(nums, dtype=np.int64 if fits else object), den
+    return np.array(nums, dtype=_storage(max(map(abs, nums), default=0))), den
 
 
 class PointedMetricSpace:
@@ -359,6 +364,33 @@ class Norm:
         nums, den = self._table
         return nums[self._tr.span_ranks(elems)], den
 
+    def values_of(self, elems: Sequence[GroupElement]) -> tuple[np.ndarray, int]:
+        """Exact values of the given elements, numerators as _scaled stores them
+        over one denominator: one gather from the table, or one eval each."""
+        if self._table is None:
+            return _scaled([self.eval(g) for g in elems])
+        ranks = []
+        for g in elems:
+            self._check(g)
+            ranks.append(self._tr.rank_of(g))
+        nums, den = self._table
+        return nums[ranks], den
+
+    def extend_span(self, ranks: np.ndarray, g: GroupElement) -> tuple[np.ndarray, np.ndarray, int]:
+        """Grow a span by one element on the value table: from the ranks of
+        span(elems) to the ranks of span(elems + [g]) with their numerators and
+        denominator, in enumerate_span order. Needs the table."""
+        self._check(g)
+        ranks = self._tr.extend_span(ranks, g)
+        nums, den = self._table
+        return ranks, nums[ranks], den
+
+    def _dense_values(self) -> tuple[np.ndarray, int]:
+        """The value of every rank as _scaled stores it, by evaluating each word;
+        validate_axioms records it as the table."""
+        return _scaled([self._eval(w) for w in
+                        enumerate_span(OrderedBasis.standard(self.prime, self.dim))])
+
     def _eval(self, g: GroupElement) -> Fraction:
         raise NotImplementedError
 
@@ -495,7 +527,10 @@ class GraevBooleanNorm(Norm):
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
     minimum pair/singleton cover cost. No table is built at construction, so
-    the space may be large; each evaluation is capped by the matching cap.
+    the space may be large: an evaluation before validate_axioms runs
+    graev_norm on its subset, and validate_axioms builds the whole table by
+    one integer DP over all 2^dim subsets. The matching cap bounds both: no
+    subset, and so no table, may have more points than the cap.
     """
 
     kind = "graev_boolean"
@@ -515,6 +550,39 @@ class GraevBooleanNorm(Norm):
     def _eval(self, g: GroupElement) -> Fraction:
         return graev_norm(self.space, [self._points[i - 1] for i in g.support],
                           matching_cap=self.matching_cap)
+
+    def _dense_values(self) -> tuple[np.ndarray, int]:
+        """graev_norm of every subset at once, on distances scaled to integers.
+
+        Bit b of a rank carries group index dim - b. The masks whose lowest set
+        bit is b are taken together, for b from dim - 1 down to 0: the point at
+        b is left alone or paired with a point at a higher bit c, and both
+        leave a mask whose lowest bit is above b. Every value and candidate sum
+        is at most dim times the largest distance, which picks the DP storage.
+        Every distance is itself a value (a singleton, or by the triangle
+        inequality a pair), so the distances' common denominator is already
+        the least one of the values.
+        """
+        d, cap = self.dim, self.matching_cap
+        if d > cap:
+            # the first word over the cap in rank order has cap + 1 points
+            raise CapExceededError(f"{cap + 1} points exceed the matching cap {cap}")
+        n, base = self.space.n_points, self.space.basepoint
+        dist, den = _scaled([x for row in self.space._dist for x in row])
+        dist = dist.reshape(n, n)
+        pts = [self._points[d - 1 - b] for b in range(d)]
+        val = np.zeros(2 ** d, dtype=_storage(int(dist.max()), d))
+        for b in reversed(range(d)):
+            step = 2 ** (b + 1)
+            rest = val[::step]  # the masks without b: every subset of the higher bits
+            best = rest + int(dist[pts[b], base])
+            for c in range(b + 1, d):
+                half = 2 ** (c - b - 1)
+                with_c = best.reshape(-1, 2, half)[:, 1]
+                np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[pts[b], pts[c]]),
+                           out=with_c)
+            val[2 ** b::step] = best
+        return val.astype(_storage(int(val.max()))), den
 
     def describe(self) -> dict:
         return {
@@ -563,8 +631,10 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     tr = Truncation(norm.prime, norm.dim, cap=cap)
     size = tr.size
-    nums, den = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
-    norm._tr, norm._table = tr, (nums, den)
+    if norm._table is None:
+        norm._table = norm._dense_values()
+    norm._tr = tr
+    nums, den = norm._table
     violations: list[dict] = []
 
     ser = [None] * size  # element serializations, built lazily

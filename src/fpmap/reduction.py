@@ -166,10 +166,11 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
 
     reduced: list[GroupElement] = []
     steps = []
+    ranks = np.zeros(1, dtype=np.int64)  # span(reduced), grown by one element per step
     for n in range(d):
         # candidates: the rows whose incoming coefficient (last digit) is nonzero
         span = reduced + [basis[n]]
-        vals, den = norm.span_values(span)
+        _, vals, den = norm.extend_span(ranks, basis[n])
         cand = vals.reshape(-1, p)[:, 1:].ravel()
         i = int(np.argmin(cand))
         best = cand[i]
@@ -184,6 +185,7 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
             runner_up_gap=None if not above.size else Fraction(int(above.min() - best), den),
         ))
         reduced.append(elem)
+        ranks = norm.extend_span(ranks, elem)[0]
     return ReducedBasis(
         original=basis,
         reduced=OrderedBasis(basis.prime, tuple(reduced)),

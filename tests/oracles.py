@@ -14,8 +14,14 @@ from itertools import combinations, product
 
 from fpmap import jsonio
 from fpmap.duality import CoarserReport
-from fpmap.errors import CapExceededError, InputError
-from fpmap.extraction import IndependentFamily, ModulusReport, threshold
+from fpmap.errors import CapExceededError, ExhaustedError, InputError
+from fpmap.extraction import (
+    IndependentFamily,
+    ModulusReport,
+    NullSequence,
+    reduced_max_position,
+    threshold,
+)
 from fpmap.fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
@@ -473,3 +479,89 @@ def brute_coarser(family: IndependentFamily, norm: Norm, m: int, *,
                     })
         tables.append(table)
     return CoarserReport(norm.prime, m, tuple(tables), tuple(violations), combos)
+
+
+def brute_select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
+                                  length: int) -> NullSequence:
+    """select_null_subsequence with one eval and one reduced_max_position solve
+    per candidate and a list-of-lists DP, re-run per length on exhaustion."""
+    if length < 0:
+        raise InputError(f"requested length must be nonnegative, got {length}")
+    p = norm.prime.p
+    candidates = list(seq)
+    if length == 0:
+        return NullSequence(p, (), (), ())
+    norms = [norm.eval(g) for g in candidates]
+    maxes = [reduced_max_position(g, reduced) for g in candidates]
+    thresholds = [threshold(p, n) for n in range(1, length + 1)]
+    N = len(candidates)
+
+    # feas[s][i]: slots s..length-1 can be filled starting by taking index i.
+    # suffix_best[s][i]: largest top position among feasible starts at >= i,
+    # which is what the previous slot needs to know to continue the chain.
+    feas = [[False] * N for _ in range(length)]
+    suffix_best = [[0] * (N + 1) for _ in range(length)]
+    for s in range(length - 1, -1, -1):
+        for i in range(N - 1, -1, -1):
+            ok_here = maxes[i] >= 1 and norms[i] < thresholds[s]
+            if ok_here and s < length - 1:
+                ok_here = suffix_best[s + 1][i + 1] > maxes[i]
+            feas[s][i] = ok_here
+            suffix_best[s][i] = max(suffix_best[s][i + 1], maxes[i] if ok_here else 0)
+
+    if not any(feas[0]):
+        achievable = brute_achievable_length(norms, maxes, p, length)
+        failed = achievable + 1
+        t = threshold(p, failed)
+        if not any(m >= 1 and v < t for v, m in zip(norms, maxes)):
+            constraint = "threshold"
+        else:
+            constraint = "max-progression"
+        raise ExhaustedError(
+            f"no qualifying subsequence of length {length}; "
+            f"achievable length is {achievable}, slot {failed} blocked by "
+            f"the {constraint} constraint",
+            achievable_length=achievable, failed_slot=failed, constraint=constraint)
+
+    chosen: list[int] = []
+    last_max = 0
+    pos = 0
+    for s in range(length):
+        i = pos
+        while True:
+            good = feas[s][i] and maxes[i] > last_max
+            if good and s < length - 1:
+                good = suffix_best[s + 1][i + 1] > maxes[i]
+            if good:
+                break
+            i += 1
+        chosen.append(i)
+        last_max = maxes[i]
+        pos = i + 1
+    return NullSequence(
+        p,
+        tuple(candidates[i] for i in chosen),
+        tuple(norms[i] for i in chosen),
+        tuple(maxes[i] for i in chosen),
+    )
+
+
+def brute_achievable_length(norms, maxes, p: int, limit: int) -> int:
+    """Longest feasible subsequence length, capped at limit: one DP per length."""
+    N = len(norms)
+    for slots in range(limit, 0, -1):
+        first_row = [False] * N
+        prev_suffix = [0] * (N + 1)
+        for s in range(slots - 1, -1, -1):
+            suffix = [0] * (N + 1)
+            for i in range(N - 1, -1, -1):
+                good = maxes[i] >= 1 and norms[i] < threshold(p, s + 1)
+                if good and s < slots - 1:
+                    good = prev_suffix[i + 1] > maxes[i]
+                if s == 0:
+                    first_row[i] = good
+                suffix[i] = max(suffix[i + 1], maxes[i] if good else 0)
+            prev_suffix = suffix
+        if any(first_row):
+            return slots
+    return 0

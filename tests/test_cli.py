@@ -11,6 +11,7 @@ import pytest
 from fpmap.cli import main, render_report
 from fpmap.extraction import convergent_line_space
 from fpmap.fpcore import GroupElement, Prime, Truncation
+from fpmap.norms import random_metric_space
 from fpmap import jsonio
 
 
@@ -130,6 +131,20 @@ class TestInputAndCapExits:
         cfg = write_json(tmp_path / "run.json", run)
         assert main(["run", "--config", cfg]) == 3
         assert "cap 5" in capsys.readouterr().err
+
+    def test_graev_matching_cap_edge(self, tmp_path, capsys):
+        # dim == cap validates; one point more exits 3 before any subset DP
+        def space(n_points):
+            return random_metric_space(1, n_points, 1, 3).to_json_dict()
+
+        for n_points, code in ((4, 0), (5, 3)):
+            norm = {"kind": "graev_boolean", "matching_cap": 3, "space": space(n_points)}
+            assert main(["validate-norm", "--config", write_json(tmp_path / "g.json", norm)]) == code
+        assert capsys.readouterr().err == "error: 4 points exceed the matching cap 3\n"
+        run = {"prime": 2, "dim": 4, "caps": {"matching": 3},
+               "norm": {"kind": "graev_boolean", "space": space(5)}}
+        assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
+        assert capsys.readouterr().err == "error: stage axioms: 4 points exceed the matching cap 3\n"
 
 
 class TestEnvOverrides:

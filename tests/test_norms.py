@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_axiom_violations, brute_cost_completion, brute_graev
 from fpmap import jsonio
 from fpmap.errors import CapExceededError, InputError
-from fpmap.fpcore import GroupElement, Truncation
+from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, enumerate_span
 from fpmap.norms import (
     _INT64_MAX,
     _scaled,
@@ -441,6 +441,93 @@ class TestGraevBooleanNorm:
         sp = random_metric_space(seed, 4, F(1, 2), F(3))
         norm = GraevBooleanNorm(sp)
         assert validate_axioms(norm).ok
+
+
+def graev_table_and_reference(space):
+    """The DP table, and _scaled of one graev_norm per word in rank order."""
+    norm = GraevBooleanNorm(space)
+    words = enumerate_span(OrderedBasis.standard(2, norm.dim))
+    ref = _scaled([graev_norm(space, [norm.point_of_index(i) for i in w.support])
+                   for w in words])
+    return norm._dense_values(), ref
+
+
+def assert_same_storage(got, want):
+    (nums, den), (ref_nums, ref_den) = got, want
+    assert den == ref_den
+    assert nums.dtype == ref_nums.dtype
+    assert nums.tolist() == ref_nums.tolist()
+
+
+def far_base_space(n_near, base_dist):
+    """n_near points one apart, all at base_dist from the basepoint 0."""
+    n = n_near + 1
+    return PointedMetricSpace([[0 if i == j else base_dist if 0 in (i, j) else 1
+                                for j in range(n)] for i in range(n)])
+
+
+class TestGraevTable:
+    """GraevBooleanNorm's one-DP value table against graev_norm word by word."""
+
+    @given(dim=st.integers(1, 8), seed=st.integers(0, 10 ** 6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_word_graev_norm(self, dim, seed, data):
+        low = F(1, data.draw(st.integers(1, 10 ** 6)))
+        high = low * data.draw(st.integers(1, 50))
+        space = random_metric_space(seed, dim + 1, low, high,
+                                    basepoint=data.draw(st.integers(0, dim)),
+                                    steps=data.draw(st.integers(1, 60)))
+        assert_same_storage(*graev_table_and_reference(space))
+
+    def test_nonzero_basepoint(self):
+        space = random_metric_space(3, 7, F(1, 3), F(5, 2), basepoint=4)
+        assert_same_storage(*graev_table_and_reference(space))
+
+    def test_python_int_storage(self):
+        # distance numerators near 2^70 do not fit int64 at all
+        big = 2 ** 70
+        space = PointedMetricSpace([[0, big + 1, big + 3], [big + 1, 0, big + 2],
+                                    [big + 3, big + 2, 0]])
+        got, ref = graev_table_and_reference(space)
+        assert got[0].dtype == object
+        assert_same_storage(got, ref)
+
+    @pytest.mark.parametrize("big, dtype", INT64_EDGE)
+    def test_int64_edge_of_the_table(self, big, dtype):
+        got, ref = graev_table_and_reference(PointedMetricSpace([[0, big], [big, 0]]))
+        assert got[0].dtype == dtype
+        assert_same_storage(got, ref)
+
+    @pytest.mark.parametrize("dist", [_INT64_MAX // 4, _INT64_MAX // 4 + 1, _INT64_MAX // 3 + 1])
+    def test_int64_edge_of_the_dp(self, dist):
+        # four points all dist apart: the DP runs on int64 while 4 * dist fits;
+        # at the last distance a singleton plus the value of the other three
+        # (3 * dist) would already wrap in int64
+        n = 5
+        space = PointedMetricSpace([[0 if i == j else dist for j in range(n)] for i in range(n)])
+        assert_same_storage(*graev_table_and_reference(space))
+
+    def test_dp_storage_is_not_the_table_storage(self):
+        # the far basepoint puts the DP on Python ints (4 * base_dist passes
+        # int64), but the near points pair off and the table fits int64
+        got, ref = graev_table_and_reference(far_base_space(4, _INT64_MAX // 3))
+        assert got[0].dtype == np.int64
+        assert_same_storage(got, ref)
+
+    def test_validate_axioms_records_the_table(self):
+        space = random_metric_space(8, 6, F(1, 4), F(2))
+        norm = GraevBooleanNorm(space)
+        assert validate_axioms(norm).ok
+        assert_same_storage(norm._table, graev_table_and_reference(space)[1])
+
+    def test_matching_cap_bounds_the_table(self):
+        space = random_metric_space(2, 6, F(1), F(2))  # dimension 5
+        assert validate_axioms(GraevBooleanNorm(space, matching_cap=5)).ok
+        with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
+            validate_axioms(GraevBooleanNorm(space, matching_cap=4))
+        # the enum cap is checked first
+        with pytest.raises(CapExceededError, match="truncation has 32 elements"):
+            validate_axioms(GraevBooleanNorm(space, matching_cap=4), cap=16)
 
 
 class TestNormFromConfig:

@@ -2,12 +2,15 @@
 
 Norm.span_values and Truncation.span_ranks replace every hand-built word
 loop; each ported scan must give the same report, violation lists included,
-as the loop it replaced.
+as the loop it replaced. Null-subsequence selection reads candidate values
+from the same tables and top positions without a solve, against the
+per-candidate loop it replaced.
 """
 
 from fractions import Fraction as F
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +21,17 @@ from oracles import (
     brute_pair_domination,
     brute_reduce_basis,
     brute_reduced_properties,
+    brute_select_null_subsequence,
 )
 from fpmap.duality import product_coarser_check
-from fpmap.extraction import IndependentFamily, independence_modulus
+from fpmap.errors import ExhaustedError, InputError
+from fpmap.extraction import (
+    IndependentFamily,
+    independence_modulus,
+    norm_sorted_span,
+    reduced_max_position,
+    select_null_subsequence,
+)
 from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,
@@ -224,3 +235,66 @@ def test_span_ranks_skip_the_digit_table():
     for c1, c2 in [(0, 0), (0, 1), (1, 0), (3, 77), (96, 96)]:
         assert ranks[c1 * 97 + c2] == tr.rank_of(a.smul(c1) + b.smul(c2))
     assert rank([a, b]) == 2 and len(set(ranks.tolist())) == 97 ** 2
+
+
+def same_selection(seq, norm, reduced, length):
+    """select_null_subsequence and the per-candidate loop agree, down to the
+    ExhaustedError fields and the error raised for a candidate outside the span."""
+    try:
+        want = brute_select_null_subsequence(seq, norm, reduced, length)
+    except (ExhaustedError, InputError) as exc:
+        with pytest.raises(type(exc)) as info:
+            select_null_subsequence(seq, norm, reduced, length)
+        assert str(info.value) == str(exc)
+        if isinstance(exc, ExhaustedError):
+            got = info.value
+            assert ((got.achievable_length, got.failed_slot, got.constraint)
+                    == (exc.achievable_length, exc.failed_slot, exc.constraint))
+        return
+    assert select_null_subsequence(seq, norm, reduced, length) == want
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm=norms(), data=st.data())
+def test_selection_matches_per_candidate_loop(norm, data):
+    d = norm.dim
+    rng = Random(data.draw(st.integers(0, 10 ** 6)))
+    span = norm_sorted_span(norm)
+    # length d + 1 cannot be met on a standard original, so exhaustion shows up
+    length = data.draw(st.integers(1, d + 1))
+    standard = reduce_basis(OrderedBasis.standard(norm.prime, d), norm)
+    # a planted non-standard original takes the solve per candidate
+    other = planted(random_basis(norm.prime.p, d, rng), norm)
+    for reduced in (standard, other):
+        for seq in (span, rng.sample(span, rng.randrange(len(span) + 1))):
+            same_selection(seq, norm, reduced, length)
+
+
+def test_selection_without_a_table_and_outside_the_span():
+    # an unvalidated norm evaluates each candidate; a shorter reduced basis
+    # leaves e3 and e4 outside its span
+    norm = UltrametricProductNorm(2, 4, [F(1, 9), F(1, 100), F(1, 2), F(1, 3000)])
+    tr = Truncation(2, 4)
+    elems = [tr.element_of(r) for r in range(tr.size)]
+    assert norm._table is None
+    for basis in (OrderedBasis.standard(2, 4), random_basis(2, 4, Random(2))):
+        for length in (1, 2, 3, 4):
+            same_selection(elems, norm, planted(basis, norm), length)
+            same_selection(elems[::-1], norm, planted(basis, norm), length)
+    assert norm._table is None
+    validate_axioms(norm)
+    short = reduce_basis(OrderedBasis.standard(2, 2), norm)
+    same_selection(elems[:4], norm, short, 2)
+    same_selection(elems, norm, short, 2)
+    with pytest.raises(InputError, match="is not in the span of the reduced basis"):
+        select_null_subsequence([elems[1], elems[2]], norm, short, 1)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm=norms())
+def test_top_position_is_max_index_for_standard_original(norm):
+    reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
+    tr = Truncation(norm.prime, norm.dim)
+    for r in range(tr.size):
+        g = tr.element_of(r)
+        assert reduced_max_position(g, reduced) == g.max_index
