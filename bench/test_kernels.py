@@ -1,6 +1,7 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
-of the span kernel under every exhaustive word scan, of the Graev value-table
-DP and of null-subsequence selection.
+of the shortest-path completion and the triangle scan themselves, of the span
+kernel under every exhaustive word scan, of the Graev value-table DP and of
+null-subsequence selection.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -9,6 +10,7 @@ outside the tier-1 test paths.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,9 @@ from fpmap.fpcore import OrderedBasis, Truncation  # noqa: E402
 from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
     GraevBooleanNorm,
+    _shortest_path_values,
     graded_cost,
+    random_cost,
     random_metric_space,
     validate_axioms,
 )
@@ -60,6 +64,25 @@ def _graded():
 
 def _graev():
     return GraevBooleanNorm(random_metric_space(0, 12, 1, 3))
+
+
+@pytest.mark.parametrize("make_cost", [lambda: graded_cost(0, 5, 5),
+                                       lambda: random_cost(0, 3, 6, Fraction(1, 100), 1)],
+                         ids=["graded-5-5", "wide-3-6"])
+def test_shortest_path_values(benchmark, make_cost):
+    # graded costs stop after the source row; costs in [1/100, 1] settle most
+    # vertices, where the early stop does not pay
+    cost = make_cost()
+    cost.truncation.sub_rank_row(0)
+    benchmark(_shortest_path_values, cost.truncation, cost)
+
+
+@pytest.mark.parametrize("make_norm", [_graded, _graev], ids=["graded-5-5", "graev-2-11"])
+def test_triangle_scan(benchmark, make_norm):
+    # the whole validate_axioms call; the first one records the Graev table
+    norm = make_norm()
+    validate_axioms(norm)
+    benchmark(validate_axioms, norm)
 
 
 @pytest.fixture(scope="module", params=[_graded, _graev], ids=["graded-5-5", "graev-2-11"])

@@ -32,7 +32,7 @@ from .extraction import (
     select_null_subsequence,
 )
 from .fpcore import set_prime_cap
-from .norms import norm_from_config, validate_axioms
+from .norms import norm_from_config, require_threads, validate_axioms
 from .pipeline import STAGE_KEYS, RunConfig, run_pipeline
 from .reduction import (
     check_member_word_bound,
@@ -452,6 +452,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
+        if getattr(args, "threads", None) is not None:  # run defaults to the config's
+            require_threads(args.threads)
         return args.func(args)
     except (InputError, NotInSpanError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -497,17 +497,33 @@ class Truncation:
                 items.append((i, c))
         return GroupElement(self.prime, tuple(items))
 
-    def add_rank_row(self, r: int) -> np.ndarray:
-        """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
+    def _half_rows(self, r: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(p^lo, high-half row, low-half row) of rank r, for p != 2.
+
+        Digitwise addition mod p has no carry, so neither half spills into the
+        other: the rank of element_of(r) + element_of(q) is
+        high_row[q // p^lo] + low_row[q % p^lo].
+        """
         p = self.prime.p
-        if p == 2:
-            return np.bitwise_xor(np.arange(self.size, dtype=np.int64), np.int64(r))
         base, high, high_w, low, low_w = self._half_digits()
-        # digitwise addition mod p has no carry, so neither half spills into
-        # the other and the sum's rank is its high part plus its low part
         row_high = ((high + high[r // base]) % p) @ high_w
         row_low = ((low + low[r % base]) % p) @ low_w
+        return base, row_high, row_low
+
+    def add_rank_row(self, r: int) -> np.ndarray:
+        """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
+        if self.prime.p == 2:
+            return np.bitwise_xor(np.arange(self.size, dtype=np.int64), np.int64(r))
+        _, row_high, row_low = self._half_rows(r)
         return np.add.outer(row_high, row_low).ravel()
+
+    def add_ranks(self, r: int, ranks: np.ndarray) -> np.ndarray:
+        """Ranks of (element_of(q) + element_of(r)) for the given ranks q only:
+        the entries of add_rank_row(r) at ``ranks``, without the full row."""
+        if self.prime.p == 2:
+            return np.bitwise_xor(ranks, np.int64(r))
+        base, row_high, row_low = self._half_rows(r)
+        return row_high[ranks // base] + row_low[ranks % base]
 
     def sub_rank_row(self, r: int) -> np.ndarray:
         """Ranks of (g - element_of(r)) for every rank g."""

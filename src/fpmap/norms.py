@@ -506,16 +506,27 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     The first step sets every distance to the direct edge cost, so no distance
     ever exceeds the largest cost: ``inf`` marks finished vertices, and every
     sum formed here adds two numbers no larger than that cost.
+
+    The loop stops early once d + w_min >= the largest unsettled distance,
+    where d is the smallest unsettled distance and w_min the smallest cost.
+    Every unsettled distance is then final: a shorter path would have to
+    leave the settled set at a vertex at distance >= d and then take at least
+    one more edge, of weight >= w_min. Settled distances never exceed d, so
+    the largest unsettled distance is the largest distance. A cost whose
+    values all lie in [c, 2c], such as a graded one, stops after the source.
     """
     size = tr.size
     # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
     w, den = _scaled([Fraction(0)] + [cost.value_of_rank(r) for r in range(1, size)])
     inf = int(w.max()) + 1
+    w_min = int(w[1:].min())
     dist = np.full(size, inf, dtype=w.dtype)
     dist[0] = 0
     done = np.zeros(size, dtype=bool)
     for _ in range(size):
         u = int(np.where(done, inf, dist).argmin())
+        if int(dist[u]) + w_min >= int(dist.max()):
+            break
         done[u] = True
         np.minimum(dist, dist[u] + w[tr.sub_rank_row(u)], out=dist)
     return dist, den
@@ -621,13 +632,27 @@ class AxiomReport:
         }
 
 
+def require_threads(threads) -> int:
+    """The worker thread count for validate_axioms, if it is a positive integer."""
+    if not isinstance(threads, int) or threads < 1:
+        raise InputError(f"threads must be a positive integer, got {threads!r}")
+    return threads
+
+
 def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> AxiomReport:
     """Check axioms (1)-(3) on the whole truncation; cache the result on the norm.
 
-    Axiom (3) runs over all unordered pairs. The report is cached on the norm
-    object so downstream operations can require a clean validation, and the
-    value table read here becomes the norm's table.
+    Axiom (3) covers all unordered pairs, and ``pairs_checked`` counts them
+    all. Since N(g + h) <= max N, only pairs with N(g) + N(h) < max N can
+    violate it, and only those are summed: with the ranks sorted by value,
+    the partners of the i-th one from position i on are the slice up to the
+    first value >= max N - (its value). Violations are listed by (g, h) ranks,
+    g <= h. ``threads`` splits the positions with a nonempty slice into that
+    many chunks. The report is cached on the norm object so downstream
+    operations can require a clean validation, and the value table read here
+    becomes the norm's table.
     """
+    require_threads(threads)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     tr = Truncation(norm.prime, norm.dim, cap=cap)
     size = tr.size
@@ -661,35 +686,44 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "negated_value": value(int(neg[r])),
         })
 
-    def triangle_violation(g: int, h: int, s: int) -> dict:
-        return {
-            "axiom": 3,
-            "g": pairs_of(g),
-            "h": pairs_of(h),
-            "sum": pairs_of(s),
-            "value_g": value(g),
-            "value_h": value(h),
-            "value_sum": value(s),
-        }
+    order = np.argsort(nums, kind="stable")
+    sorted_nums = nums[order]
+    ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
+    # ends[i] - i never grows with i, so the positions with partners come first
+    n_pos = int(np.count_nonzero(ends > np.arange(size)))
 
-    def triangle_chunk(span: range) -> list[dict]:
-        found: list[dict] = []
-        for g in span:
-            idx = tr.add_rank_row(g)[g:]
-            bad = nums[idx] > nums[g] + nums[g:]
-            for off in np.nonzero(bad)[0]:
-                h = g + int(off)
-                found.append(triangle_violation(g, h, int(idx[int(off)])))
+    def triangle_chunk(positions: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        found = []
+        for i in positions:
+            g = int(order[i])
+            hs = order[i:ends[i]]
+            sums = tr.add_ranks(g, hs)
+            bad = np.flatnonzero(nums[sums] > sorted_nums[i] + sorted_nums[i:ends[i]])
+            if bad.size:
+                found.append((np.full(bad.size, g), hs[bad], sums[bad]))
         return found
 
-    if threads > 1 and size > 64:
-        bounds = [size * t // threads for t in range(threads + 1)]
-        chunks = [range(bounds[t], bounds[t + 1]) for t in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(triangle_chunk, chunks):
-                violations.extend(part)
+    bounds = [n_pos * t // threads for t in range(threads + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            found = [f for part in pool.map(triangle_chunk, chunks) for f in part]
     else:
-        violations.extend(triangle_chunk(range(size)))
+        found = [f for chunk in chunks for f in triangle_chunk(chunk)]
+    if found:
+        a, b, s = map(np.concatenate, zip(*found))
+        g, h = np.minimum(a, b), np.maximum(a, b)
+        for k in np.lexsort((h, g)).tolist():
+            g_k, h_k, s_k = int(g[k]), int(h[k]), int(s[k])
+            violations.append({
+                "axiom": 3,
+                "g": pairs_of(g_k),
+                "h": pairs_of(h_k),
+                "sum": pairs_of(s_k),
+                "value_g": value(g_k),
+                "value_h": value(h_k),
+                "value_sum": value(s_k),
+            })
 
     report = AxiomReport(
         kind=norm.kind,

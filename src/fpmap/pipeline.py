@@ -30,7 +30,7 @@ from .extraction import (
     select_null_subsequence,
 )
 from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, Prime, as_prime
-from .norms import norm_from_config, validate_axioms
+from .norms import norm_from_config, require_threads, validate_axioms
 from .reduction import (
     check_member_word_bound,
     check_pair_domination,
@@ -98,9 +98,7 @@ class RunConfig:
         if matching_cap is not None and (not isinstance(matching_cap, int)
                                          or matching_cap < 1):
             raise InputError(f"matching cap must be a positive integer, got {matching_cap!r}")
-        threads = cfg.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
-            raise InputError(f"threads must be a positive integer, got {threads!r}")
+        threads = require_threads(cfg.get("threads", 1))
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
             raise InputError(f"out must be a path string, got {out!r}")

@@ -4,13 +4,17 @@ Everything in here is deliberately naive: different algorithms from the
 package (full partition enumeration instead of subset DP, edge relaxation to
 a fixpoint instead of Dijkstra, nested loops instead of vectorized rows, and
 word scans that build and evaluate every word instead of reading
-Norm.span_values). Agreement between the two is what the tests assert.
+Norm.span_values), or the package's own loops without their pruning (a
+Dijkstra step for every vertex, a triangle row for every g). Agreement
+between the two is what the tests assert.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from fpmap import jsonio
 from fpmap.duality import CoarserReport
@@ -30,7 +34,7 @@ from fpmap.fpcore import (
     enumerate_span,
     rank,
 )
-from fpmap.norms import Norm
+from fpmap.norms import Norm, _scaled
 from fpmap.reduction import (
     LemmaReport,
     ReducedBasis,
@@ -97,6 +101,36 @@ def brute_cost_completion(cost):
                     dist[v] = nd
                     changed = True
     return dist
+
+
+def full_dijkstra(tr, cost):
+    """Dijkstra without the early stop: one sub_rank_row per vertex, all size
+    of them, on the numerators _scaled stores. Returns (dist, den)."""
+    size = tr.size
+    # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
+    w, den = _scaled([Fraction(0)] + [cost.value_of_rank(r) for r in range(1, size)])
+    inf = int(w.max()) + 1
+    dist = np.full(size, inf, dtype=w.dtype)
+    dist[0] = 0
+    done = np.zeros(size, dtype=bool)
+    for _ in range(size):
+        u = int(np.where(done, inf, dist).argmin())
+        done[u] = True
+        np.minimum(dist, dist[u] + w[tr.sub_rank_row(u)], out=dist)
+    return dist, den
+
+
+def row_scan_triangles(tr, nums):
+    """Axiom (3) violations as (g, h, sum) rank triples, g <= h, by one full
+    add_rank_row per g over every h >= g, in (g, h) order."""
+    found = []
+    for g in range(tr.size):
+        idx = tr.add_rank_row(g)[g:]
+        bad = nums[idx] > nums[g] + nums[g:]
+        for off in np.nonzero(bad)[0]:
+            h = g + int(off)
+            found.append((g, h, int(idx[int(off)])))
+    return found
 
 
 def brute_axiom_violations(norm, dim):

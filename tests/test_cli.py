@@ -12,7 +12,7 @@ from fpmap.cli import main, render_report
 from fpmap.extraction import convergent_line_space
 from fpmap.fpcore import GroupElement, Prime, Truncation
 from fpmap.norms import random_metric_space
-from fpmap import jsonio
+from fpmap import jsonio, norms
 
 
 def write_json(path, doc):
@@ -357,3 +357,82 @@ class TestDemoAndReport:
         text = render_report(doc)
         assert "stopped at stage selection" in text
         assert "axioms: (not run)" in text
+
+
+def threads_argv(tmp_path, case):
+    """A passing command line for each subcommand that takes --threads."""
+    norm = write_json(tmp_path / "n.json",
+                      {"kind": "cost_completion", "prime": 2, "dim": 4,
+                       "seed": 0, "graded": True})
+    run = write_json(tmp_path / "run.json", graded_run_cfg())
+    topo = write_json(tmp_path / "topo.json",
+                      {"kind": "elements", "prime": 2, "dim": 3, "base": [[[[3, 1]]]]})
+    return {
+        "validate-norm": ["validate-norm", "--config", norm],
+        "reduce": ["reduce", "--config", norm],
+        "verify": ["verify", "--config", norm],
+        "extract": ["extract", "--config", norm, "--length", "4"],
+        "modulus": ["modulus", "--config", norm, "--l", "1", "--m", "4"],
+        # the map check never validates a norm, so only the CLI sees --threads
+        "duality-map": ["duality", "--check", "map", "--spec", topo],
+        "duality-coarser": ["duality", "--check", "coarser", "--spec", run],
+        "run": ["run", "--config", run],
+    }[case]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the validator's thread pool by one that records its
+    max_workers and maps in the calling thread, so no thread starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(norms, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("case", ["validate-norm", "reduce", "verify", "extract",
+                                      "modulus", "duality-map", "duality-coarser", "run"])
+    def test_below_one_exits_two_on_every_subcommand(self, tmp_path, capsys, case, threads):
+        argv = threads_argv(tmp_path, case)
+        assert main(argv + ["--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: threads must be a positive integer, got {threads}\n"
+        assert main(argv + ["--threads", "2"]) == 0
+
+    def test_config_threads_zero_has_the_same_message(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), threads=0))
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: threads must be a positive integer, got 0\n"
+
+    @pytest.mark.parametrize("norm_cfg, threads, sizes", [
+        # only rank 0 (value 0) has partners below the largest value: one chunk
+        ({"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True},
+         8, []),
+        # weights 1, 1/2, 1/3: the values 0, 1/3, 1/3 have partners, 1/2 none
+        ({"kind": "ultrametric", "prime": 3, "dim": 3}, 8, [3]),
+        ({"kind": "ultrametric", "prime": 2, "dim": 7}, 2, [2]),
+    ], ids=["graded", "ultrametric-3-3", "ultrametric-2-7"])
+    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, capsys, pool_sizes,
+                                                     norm_cfg, threads, sizes):
+        cfg = write_json(tmp_path / "n.json", norm_cfg)
+        assert main(["validate-norm", "--config", cfg]) == 0
+        one = capsys.readouterr().out
+        assert pool_sizes == []
+        assert main(["validate-norm", "--config", cfg, "--threads", str(threads)]) == 0
+        assert capsys.readouterr().out == one
+        assert pool_sizes == sizes

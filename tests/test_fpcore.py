@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +247,9 @@ class TestTruncation:
         assert tr.sub_rank_row(r).tolist() == brute_rank_row(tr, r, -1)
         assert tr.neg_perm.tolist() == \
             [brute_rank_row(tr, g, -1, [0])[0] for g in range(tr.size)]
+        ranks = data.draw(st.lists(st.integers(0, tr.size - 1), max_size=20))
+        assert tr.add_ranks(r, np.array(ranks, dtype=np.int64)).tolist() == \
+            brute_rank_row(tr, r, 1, ranks)
 
     def test_rank_rows_at_the_cap_edge_skip_the_digit_table(self):
         # 97^3 = 912,673 elements: a (size, dim) digit table would be 21.9 MB
@@ -256,6 +260,8 @@ class TestTruncation:
         for r in [0, 1, 9409, 456_789, tr.size - 1]:
             assert tr.add_rank_row(r)[positions].tolist() == brute_rank_row(tr, r, 1, positions)
             assert tr.sub_rank_row(r)[positions].tolist() == brute_rank_row(tr, r, -1, positions)
+            assert tr.add_ranks(r, np.array(positions)).tolist() == \
+                brute_rank_row(tr, r, 1, positions)
         assert tr.neg_perm[positions].tolist() == \
             [brute_rank_row(tr, g, -1, [0])[0] for g in positions]
         assert tr._digits is None

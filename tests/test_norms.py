@@ -220,8 +220,8 @@ class TestCostCompletionNorm:
             assert norm.eval(tr.element_of(r)) == oracle[r]
 
     def test_int64_edge_gives_same_completion(self):
-        # c(e2) = c(e1+e2) = M, so relaxing from e2 forms M + M: the sum that
-        # would wrap in int64 one step past the edge
+        # c(e1) = 1 and c(e2) = c(e1+e2) = M: the early stop forms M + 1 once
+        # e1 is settled, and relaxing from e1 forms 1 + M
         for big, dtype in INT64_EDGE:
             assert _scaled([F(big)])[0].dtype == dtype
             cost = CostFunction.from_pairs(2, 2, [
@@ -365,6 +365,17 @@ class TestValidateAxioms:
         report = validate_axioms(norm)
         oracle = brute_axiom_violations(norm, 3)
         assert report.ok == (not oracle)
+        found = {1: [], 2: set()}
+        for v in report.violations:
+            if v["axiom"] in found:
+                g = jsonio.element_from_pairs(2, v["element"])
+                if v["axiom"] == 1:
+                    found[1].append(g)
+                else:
+                    found[2] |= {g, -g}
+        assert found[1] == [v[1] for v in oracle if v[0] == "axiom1"]
+        assert found[2] == {v[1] for v in oracle if v[0] == "axiom2"}
+        assert triangle_pairs(report, 2, 3) == oracle_triangle_pairs(norm, 3)
 
     def test_thread_count_does_not_change_report(self):
         # dimension 7 puts 128 elements in play, enough to cross the
@@ -374,6 +385,14 @@ class TestValidateAxioms:
         r2 = validate_axioms(norm, threads=2)
         assert not r1.ok  # 1/r values break the triangle inequality plenty
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        # no chunk of positions would be scanned, so the report would be empty
+        norm = table_from_values(2, 2, {1: F(1), 2: F(1), 3: F(3)})
+        with pytest.raises(InputError, match="threads must be a positive integer"):
+            validate_axioms(norm, threads=threads)
+        assert norm.axiom_report is None
 
     @pytest.mark.parametrize("scale,den", LARGE_SCALES)
     def test_large_scaled_values_match_nested_loop_oracle(self, scale, den):
