@@ -54,7 +54,6 @@ from .reduction import (
     check_member_word_bound,
     check_pair_domination,
     reduce_basis,
-    reduce_from_config,
     reduced_basis_from_json,
     verify_reduced_properties,
 )

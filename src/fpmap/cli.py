@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import fpcore, jsonio
-from .duality import is_map, product_coarser_check, topology_from_config, von_neumann_kernel
+from .duality import is_map, topology_from_config, von_neumann_kernel
 from .errors import (
     CapExceededError,
     ExhaustedError,
@@ -24,20 +24,14 @@ from .errors import (
     NormBoundFailedError,
     NotInSpanError,
 )
-from .extraction import (
-    boolean_counterexample,
-    extract_independent_family,
-    independence_modulus,
-    norm_sorted_span,
-    select_null_subsequence,
-)
-from .fpcore import set_prime_cap
-from .norms import norm_from_config, require_threads, validate_axioms
-from .pipeline import STAGE_KEYS, RunConfig, run_pipeline
+from .extraction import boolean_counterexample
+from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, set_prime_cap
+from .norms import require_threads, validate_axioms
+from .pipeline import RunConfig, RunReport, run_pipeline
 from .reduction import (
     check_member_word_bound,
     check_pair_domination,
-    reduce_from_config,
+    reduce_basis,
     reduced_basis_from_json,
     verify_reduced_properties,
 )
@@ -75,36 +69,71 @@ def _env_int(name: str) -> int | None:
     return value
 
 
-def _env_caps() -> tuple[int | None, int | None]:
-    """Read cap overrides from the environment; returns (enum, matching)."""
+def _env_caps() -> dict:
+    """The cap overrides set in the environment, as run-config caps.
+
+    FPMAP_PRIME_CAP is not a run-config cap; it is applied here, for this
+    call only (see main).
+    """
     prime_cap = _env_int("FPMAP_PRIME_CAP")
     if prime_cap is not None:
         set_prime_cap(prime_cap)
-    return _env_int("FPMAP_ENUM_CAP"), _env_int("FPMAP_MATCHING_CAP")
+    caps = {"enum": _env_int("FPMAP_ENUM_CAP"), "matching": _env_int("FPMAP_MATCHING_CAP")}
+    return {k: v for k, v in caps.items() if v is not None}
 
 
-def _norm_config_with_env(path: str, matching_env: int | None) -> dict:
-    cfg = _load_json(path)
-    if matching_env is not None and isinstance(cfg, dict) \
-            and cfg.get("kind") == "graev_boolean":
-        cfg["matching_cap"] = matching_env
+def _run_config(args, doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
+    """The RunConfig of one subcommand, with the environment's caps merged in.
+
+    doc is a run config, or with norm_only a bare norm descriptor: its prime
+    and dim are the norm's, and l and m are checked by the stages that use
+    them. Every subcommand takes one cap precedence: FPMAP_* beats the run
+    config's caps, which beat a matching_cap inside the norm descriptor.
+    """
+    env = _env_caps()
+    if norm_only:
+        cfg = RunConfig(None, None, doc, l=l, m=m, enum_cap=env.get("enum", DEFAULT_ENUM_CAP),
+                        matching_cap=env.get("matching"))
+    else:
+        # malformed caps are left for RunConfig.from_json_dict to reject
+        if env and isinstance(doc, dict) and isinstance(doc.get("caps", {}), dict):
+            doc = dict(doc, caps={**doc.get("caps", {}), **env})
+        cfg = RunConfig.from_json_dict(doc)
+    if args.threads is not None:  # run defaults to the config's
+        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 
-def cmd_validate_norm(args) -> int:
-    enum_cap, matching_cap = _env_caps()
-    cfg = _norm_config_with_env(args.config, matching_cap)
-    norm = norm_from_config(cfg, cap=enum_cap)
-    report = validate_axioms(norm, cap=enum_cap, threads=args.threads)
-    _emit(report.to_json_dict(), args.out)
+def _run_through(cfg: RunConfig, name: str) -> RunReport:
+    """One run_pipeline call on cfg that must reach stage name.
+
+    A selection or norm-bound error, or an axiom failure that stopped the
+    chain before that stage, is raised as the finding it is.
+    """
+    report = run_pipeline(cfg, stages=(name,))
+    if report.error is not None:
+        finding = ExhaustedError if report.error["kind"] == "exhausted" else NormBoundFailedError
+        raise finding(report.error["message"])
+    if report.stages[name] is None:
+        raise InvalidNormError("the norm failed axiom validation; see its axiom_report")
+    return report
+
+
+def _emit_stage(cfg: RunConfig, name: str, out: str | None) -> int:
+    report = _run_through(cfg, name)
+    _emit(report.stages[name], out)
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
 
+def cmd_validate_norm(args) -> int:
+    cfg = _run_config(args, _load_json(args.config), norm_only=True)
+    return _emit_stage(cfg, "axioms", args.out)
+
+
 def cmd_reduce(args) -> int:
-    enum_cap, matching_cap = _env_caps()
-    cfg = _norm_config_with_env(args.config, matching_cap)
-    norm, reduced = reduce_from_config(cfg, cap=enum_cap, threads=args.threads)
-    _emit({"norm": cfg, "reduced": reduced.to_json_dict()}, args.out)
+    cfg = _run_config(args, _load_json(args.config), norm_only=True)
+    report = _run_through(cfg, "reduction")
+    _emit({"norm": cfg.norm_descriptor, "reduced": report.stages["reduction"]}, args.out)
     return EXIT_PASS
 
 
@@ -121,38 +150,36 @@ def _parse_limits(tokens) -> dict:
     return limits
 
 
-def _norm_and_reduced(args, enum_cap, matching_cap):
+def cmd_verify(args) -> int:
+    # verify calls the checkers itself: its properties check honours --limits
+    # n, while run's checks every tuple size
     if args.reduced:
         doc = _load_json(args.reduced)
         jsonio.require_keys(doc, ["norm", "reduced"], [], what="reduce output")
-        cfg = doc["norm"]
-        if matching_cap is not None and isinstance(cfg, dict) \
-                and cfg.get("kind") == "graev_boolean":
-            cfg["matching_cap"] = matching_cap
-        norm = norm_from_config(cfg, cap=enum_cap)
-        validate_axioms(norm, cap=enum_cap, threads=args.threads)
-        return norm, reduced_basis_from_json(doc["reduced"])
-    if not args.config:
+        norm_cfg = doc["norm"]
+    elif args.config:
+        doc, norm_cfg = None, _load_json(args.config)
+    else:
         raise InputError("pass --config or --reduced")
-    cfg = _norm_config_with_env(args.config, matching_cap)
-    return reduce_from_config(cfg, cap=enum_cap, threads=args.threads)
-
-
-def cmd_verify(args) -> int:
-    enum_cap, matching_cap = _env_caps()
-    norm, reduced = _norm_and_reduced(args, enum_cap, matching_cap)
-    limits = _parse_limits(args.limits)
-    max_tuple = limits.get("n", 4)
+    cfg = _run_config(args, norm_cfg, norm_only=True)
+    norm = cfg.build_norm()
+    validate_axioms(norm, cap=cfg.enum_cap, threads=cfg.threads)
+    if doc is None:
+        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm,
+                               cap=cfg.enum_cap)
+    else:
+        reduced = reduced_basis_from_json(doc["reduced"])
+    max_tuple = _parse_limits(args.limits).get("n", 4)
     docs = {"properties": None, "member_word_bound": None, "pair_domination": None}
     bad = False
     if args.lemma in ("props", "all"):
         report = verify_reduced_properties(reduced, norm, max_tuple=max_tuple,
-                                           cap=enum_cap)
+                                           cap=cfg.enum_cap)
         docs["properties"] = report.to_json_dict()
         bad = bad or not report.ok
     if args.lemma in ("1", "all"):
         report = check_member_word_bound(reduced, norm, max_tuple=max_tuple,
-                                         cap=enum_cap)
+                                         cap=cfg.enum_cap)
         docs["member_word_bound"] = report.to_json_dict()
         bad = bad or not report.ok
     if args.lemma in ("2", "all"):
@@ -164,54 +191,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    enum_cap, matching_cap = _env_caps()
-    cfg = _norm_config_with_env(args.config, matching_cap)
-    norm, reduced = reduce_from_config(cfg, cap=enum_cap, threads=args.threads)
-    seq = select_null_subsequence(norm_sorted_span(norm, cap=enum_cap),
-                                  norm, reduced, args.length)
-    family = extract_independent_family(seq, reduced, norm)
-    _emit({"selection": seq.to_json_dict(), "family": family.to_json_dict()},
-          args.out)
+    cfg = _run_config(args, _load_json(args.config), norm_only=True, m=args.length)
+    stages = _run_through(cfg, "family").stages
+    _emit({"selection": stages["selection"], "family": stages["family"]}, args.out)
     return EXIT_PASS
 
 
 def cmd_modulus(args) -> int:
-    enum_cap, matching_cap = _env_caps()
-    cfg = _norm_config_with_env(args.config, matching_cap)
-    norm, reduced = reduce_from_config(cfg, cap=enum_cap, threads=args.threads)
-    seq = select_null_subsequence(norm_sorted_span(norm, cap=enum_cap),
-                                  norm, reduced, args.m)
-    family = extract_independent_family(seq, reduced, norm)
-    report = independence_modulus(family, norm, args.l, args.m, cap=enum_cap)
-    _emit(report.to_json_dict(), args.out)
-    return EXIT_PASS if report.ok else EXIT_VIOLATIONS
+    cfg = _run_config(args, _load_json(args.config), norm_only=True, l=args.l, m=args.m)
+    return _emit_stage(cfg, "modulus", args.out)
 
 
 def cmd_duality(args) -> int:
-    enum_cap, matching_cap = _env_caps()
     doc = _load_json(args.spec)
     if args.check == "coarser":
-        cfg = RunConfig.from_json_dict(doc)
+        cfg = _run_config(args, doc)
         if args.prime is not None and cfg.prime.p != args.prime:
             raise InputError(f"--prime {args.prime} does not match the config's {cfg.prime.p}")
         if args.dim is not None and cfg.dim != args.dim:
             raise InputError(f"--dim {args.dim} does not match the config's {cfg.dim}")
-        if enum_cap is not None:
-            cfg = replace(cfg, enum_cap=enum_cap)
-        if matching_cap is not None:
-            cfg = replace(cfg, matching_cap=matching_cap)
-        norm = cfg.build_norm()
-        validate_axioms(norm, cap=cfg.enum_cap, threads=args.threads)
-        from .fpcore import OrderedBasis
-        from .reduction import reduce_basis
-        reduced = reduce_basis(OrderedBasis.standard(cfg.prime, cfg.dim), norm,
-                               cap=cfg.enum_cap)
-        seq = select_null_subsequence(norm_sorted_span(norm, cap=cfg.enum_cap),
-                                      norm, reduced, cfg.m)
-        family = extract_independent_family(seq, reduced, norm)
-        report = product_coarser_check(family, norm, cfg.m, cap=cfg.enum_cap)
-        _emit(report.to_json_dict(), args.out)
-        return EXIT_PASS if report.ok else EXIT_VIOLATIONS
+        return _emit_stage(cfg, "coarser", args.out)
+    enum_cap = _env_caps().get("enum")
     spec = topology_from_config(doc, cap=enum_cap)
     if args.prime is not None and spec.prime.p != args.prime:
         raise InputError(f"--prime {args.prime} does not match the spec's {spec.prime.p}")
@@ -237,20 +237,7 @@ def cmd_demo_boolean(args) -> int:
 
 
 def cmd_run(args) -> int:
-    doc = _load_json(args.config)
-    enum_cap, matching_cap = _env_caps()
-    # malformed caps are left for RunConfig.from_json_dict to reject
-    if (enum_cap is not None or matching_cap is not None) and isinstance(doc, dict) \
-            and isinstance(doc.get("caps", {}), dict):
-        caps = dict(doc.get("caps", {}))
-        if enum_cap is not None:
-            caps["enum"] = enum_cap
-        if matching_cap is not None:
-            caps["matching"] = matching_cap
-        doc["caps"] = caps
-    cfg = RunConfig.from_json_dict(doc)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
+    cfg = _run_config(args, _load_json(args.config))
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     report = run_pipeline(cfg)
@@ -260,9 +247,8 @@ def cmd_run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for stage in STAGE_KEYS:
-        if stage in report.timings:
-            print(f"timing {stage}: {report.timings[stage]:.3f}s", file=sys.stderr)
+    for stage, seconds in report.timings.items():
+        print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
 

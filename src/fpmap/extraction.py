@@ -304,10 +304,10 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     stays below 1/(4p)^s.
     """
     p = norm.prime.p
-    if not 1 <= l:
-        raise InputError(f"l must be at least 1, got {l}")
     if not 1 <= m <= len(family):
         raise InputError(f"m must be in 1..{len(family)}, got {m}")
+    if not 1 <= l <= m:
+        raise InputError(f"l must be in 1..{m}, got {l}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if p ** m > cap:
         raise CapExceededError(f"modulus scan needs {p ** m} words, above cap {cap}")

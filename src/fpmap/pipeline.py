@@ -12,7 +12,7 @@ unless explicitly asked for (timings are the one nondeterministic field,
 so the canonical byte stream excludes them).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import jsonio
@@ -56,20 +56,21 @@ class RunConfig:
     """Parsed and validated run description.
 
     prime and dim are stated twice on purpose (top level and inside the norm
-    descriptor); the cross-check catches config editing mistakes early.
+    descriptor); the cross-check catches config editing mistakes early. A
+    bare norm descriptor runs with prime and dim None: they are the norm's.
     """
 
-    prime: Prime
-    dim: int
+    prime: Prime | None
+    dim: int | None
     norm_cfg: dict
-    max_tuple: int
-    l: int
-    m: int
-    enum_cap: int
-    matching_cap: int | None
-    threads: int
-    out: str | None
-    raw: dict
+    max_tuple: int = 4
+    l: int = 1
+    m: int = 1
+    enum_cap: int = DEFAULT_ENUM_CAP
+    matching_cap: int | None = None
+    threads: int = 1
+    out: str | None = None
+    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_json_dict(cls, cfg: dict) -> "RunConfig":
@@ -107,15 +108,20 @@ class RunConfig:
         return cls(prime, dim, dict(cfg["norm"]), max_tuple, l, m,
                    enum_cap, matching_cap, threads, out, cfg)
 
+    @property
+    def norm_descriptor(self):
+        """norm_cfg with the run's matching cap, which beats the descriptor's own."""
+        if self.matching_cap is None or not isinstance(self.norm_cfg, dict) \
+                or self.norm_cfg.get("kind") != "graev_boolean":
+            return self.norm_cfg
+        return dict(self.norm_cfg, matching_cap=self.matching_cap)
+
     def build_norm(self):
-        norm_cfg = dict(self.norm_cfg)
-        if self.matching_cap is not None and norm_cfg.get("kind") == "graev_boolean":
-            norm_cfg.setdefault("matching_cap", self.matching_cap)
-        norm = norm_from_config(norm_cfg, cap=self.enum_cap)
-        if norm.prime != self.prime:
+        norm = norm_from_config(self.norm_descriptor, cap=self.enum_cap)
+        if self.prime is not None and norm.prime != self.prime:
             raise InputError(
                 f"config prime {self.prime.p} does not match the norm's {norm.prime.p}")
-        if norm.dim != self.dim:
+        if self.dim is not None and norm.dim != self.dim:
             raise InputError(
                 f"config dim {self.dim} does not match the norm's {norm.dim}")
         return norm
@@ -154,14 +160,26 @@ class RunReport:
         return jsonio.canonical_dumps(self.to_json_dict(include_timings=include_timings))
 
 
-def run_pipeline(cfg: RunConfig) -> RunReport:
-    """Execute every stage in order and assemble the report.
+def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
+    """Build the norm, then run the given stages and the stages they read from.
 
-    Axiom failure, selection exhaustion, and a failed member norm bound stop
-    the chain (later stages stay null, verdict "fail") but still produce a
-    complete report. Checker violations only flip the verdict.
+    Stages run in STAGE_KEYS order, axioms always; a stage that is neither
+    asked for nor read from stays null. Axiom failure, selection exhaustion,
+    and a failed member norm bound stop the chain (later stages stay null,
+    verdict "fail") but still produce a complete report. Checker violations
+    only flip the verdict. The norm build is timed as "build" but has no
+    stage document.
     """
-    stages: dict = {k: None for k in STAGE_KEYS}
+    # every stage after axioms reads the reduced basis, modulus and coarser
+    # read the family, and the family is extracted from the selection
+    wanted = {"build", "axioms", *stages}
+    if wanted & {"modulus", "coarser"}:
+        wanted.add("family")
+    if "family" in wanted:
+        wanted.add("selection")
+    if wanted - {"build", "axioms"}:
+        wanted.add("reduction")
+    docs: dict = {k: None for k in STAGE_KEYS}
     timings: dict = {}
     error = None
     # threads and out change how the run executes, never what it computes,
@@ -171,6 +189,9 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     cap = cfg.enum_cap
 
     def run_stage(name, fn):
+        """fn's result, timed and recorded; None for a stage not asked for."""
+        if name not in wanted:
+            return None
         t0 = perf_counter()
         try:
             result = fn()
@@ -178,36 +199,34 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             raise CapExceededError(f"stage {name}: {exc}") from exc
         finally:
             timings[name] = perf_counter() - t0
+        if name in docs:
+            docs[name] = result.to_json_dict()
         return result
 
-    norm = cfg.build_norm()
+    def failed(*reports):
+        return any(r is not None and not r.ok for r in reports)
+
+    norm = run_stage("build", cfg.build_norm)
     axioms = run_stage("axioms", lambda: validate_axioms(
         norm, cap=cap, threads=cfg.threads))
-    stages["axioms"] = axioms.to_json_dict()
     bad = not axioms.ok
 
     if not bad:
         reduced = run_stage("reduction", lambda: reduce_basis(
-            OrderedBasis.standard(cfg.prime, cfg.dim), norm, cap=cap))
-        stages["reduction"] = reduced.to_json_dict()
-        props = run_stage("properties", lambda: verify_reduced_properties(
-            reduced, norm, cap=cap))
-        stages["properties"] = props.to_json_dict()
-        words = run_stage("member_word_bound", lambda: check_member_word_bound(
-            reduced, norm, max_tuple=cfg.max_tuple, cap=cap))
-        stages["member_word_bound"] = words.to_json_dict()
-        pairs = run_stage("pair_domination", lambda: check_pair_domination(
-            reduced, norm))
-        stages["pair_domination"] = pairs.to_json_dict()
-        bad = not (props.ok and words.ok and pairs.ok)
+            OrderedBasis.standard(norm.prime, norm.dim), norm, cap=cap))
+        bad = failed(
+            run_stage("properties", lambda: verify_reduced_properties(
+                reduced, norm, cap=cap)),
+            run_stage("member_word_bound", lambda: check_member_word_bound(
+                reduced, norm, max_tuple=cfg.max_tuple, cap=cap)),
+            run_stage("pair_domination", lambda: check_pair_domination(
+                reduced, norm)))
 
         try:
             seq = run_stage("selection", lambda: select_null_subsequence(
                 norm_sorted_span(norm, cap=cap), norm, reduced, cfg.m))
-            stages["selection"] = seq.to_json_dict()
             family = run_stage("family", lambda: extract_independent_family(
                 seq, reduced, norm))
-            stages["family"] = family.to_json_dict()
         except ExhaustedError as exc:
             error = {
                 "stage": "selection",
@@ -222,17 +241,15 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             error = {"stage": "family", "kind": "norm-bound", "message": str(exc)}
             bad = True
         else:
-            modulus = run_stage("modulus", lambda: independence_modulus(
-                family, norm, cfg.l, cfg.m, cap=cap))
-            stages["modulus"] = modulus.to_json_dict()
-            coarser = run_stage("coarser", lambda: product_coarser_check(
-                family, norm, cfg.m, cap=cap))
-            stages["coarser"] = coarser.to_json_dict()
-            bad = bad or not (modulus.ok and coarser.ok)
+            bad |= failed(
+                run_stage("modulus", lambda: independence_modulus(
+                    family, norm, cfg.l, cfg.m, cap=cap)),
+                run_stage("coarser", lambda: product_coarser_check(
+                    family, norm, cfg.m, cap=cap)))
 
     return RunReport(
         config_echo=echo,
-        stages=stages,
+        stages=docs,
         verdict="fail" if bad else "pass",
         error=error,
         timings=timings,

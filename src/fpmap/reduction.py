@@ -26,7 +26,7 @@ from .fpcore import (
     rank,
     span_word,
 )
-from .norms import Norm, norm_from_config
+from .norms import Norm
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,11 @@ def _require_validated(norm: Norm) -> None:
         raise InvalidNormError("the norm failed axiom validation; see its axiom_report")
 
 
+def _require_max_tuple(max_tuple: int | None) -> None:
+    if max_tuple is not None and (not isinstance(max_tuple, int) or max_tuple < 1):
+        raise InputError(f"max_tuple must be a positive integer, got {max_tuple!r}")
+
+
 def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> ReducedBasis:
     """Rewrite the basis so element n is a minimum-norm combination over slot n.
 
@@ -237,6 +242,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     over coefficient vectors whose top coefficient is nonzero; a zero top
     coefficient is the same statement for a shorter tuple.
     """
+    _require_max_tuple(max_tuple)
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
@@ -304,6 +310,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     for p > 3 a middle scalar genuinely needs it. Reports the worst observed
     slack-normalized ratio per k.
     """
+    _require_max_tuple(max_tuple)
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
@@ -399,14 +406,3 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
         violations=tuple(violations),
         max_ratio=max_ratio,
     )
-
-
-def reduce_from_config(cfg: dict, *, cap: int | None = None,
-                       threads: int = 1) -> tuple[Norm, ReducedBasis]:
-    """Convenience used by the CLI: build, validate, and reduce in one call."""
-    from .norms import validate_axioms
-
-    norm = norm_from_config(cfg, cap=cap)
-    validate_axioms(norm, cap=cap, threads=threads)
-    basis = OrderedBasis.standard(norm.prime, norm.dim)
-    return norm, reduce_basis(basis, norm, cap=cap)

@@ -140,7 +140,7 @@ class TestInputAndCapExits:
         for n_points, code in ((4, 0), (5, 3)):
             norm = {"kind": "graev_boolean", "matching_cap": 3, "space": space(n_points)}
             assert main(["validate-norm", "--config", write_json(tmp_path / "g.json", norm)]) == code
-        assert capsys.readouterr().err == "error: 4 points exceed the matching cap 3\n"
+        assert capsys.readouterr().err == "error: stage axioms: 4 points exceed the matching cap 3\n"
         run = {"prime": 2, "dim": 4, "caps": {"matching": 3},
                "norm": {"kind": "graev_boolean", "space": space(5)}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
