@@ -1,7 +1,8 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
-of the shortest-path completion and the triangle scan themselves, of the span
-kernel under every exhaustive word scan, of the Graev value-table DP and of
-null-subsequence selection.
+of the seeded cost builders, of the shortest-path completion and the triangle
+scan themselves, of the span kernel under every exhaustive word scan, of the
+Graev value-table DP and of the norm-sorted span and null-subsequence
+selection.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -66,6 +67,16 @@ def _graev():
     return GraevBooleanNorm(random_metric_space(0, 12, 1, 3))
 
 
+@pytest.mark.parametrize("p, dim", SHAPES)
+def test_graded_cost(benchmark, p, dim):
+    benchmark(graded_cost, 0, p, dim)
+
+
+@pytest.mark.parametrize("p, dim", SHAPES)
+def test_random_cost(benchmark, p, dim):
+    benchmark(random_cost, 0, p, dim, Fraction(1, 100), 1)
+
+
 @pytest.mark.parametrize("make_cost", [lambda: graded_cost(0, 5, 5),
                                        lambda: random_cost(0, 3, 6, Fraction(1, 100), 1)],
                          ids=["graded-5-5", "wide-3-6"])
@@ -113,3 +124,18 @@ def test_select_null_subsequence(benchmark):
     validate_axioms(norm)
     reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
     benchmark(select_null_subsequence, norm_sorted_span(norm), norm, reduced, 5)
+
+
+def _graev_near_base():
+    # every point within 1/(4p)^5 of the basepoint, so a length-5 chain exists
+    return GraevBooleanNorm(random_metric_space(0, 12, Fraction(1, 10 ** 6), Fraction(3, 10 ** 6)))
+
+
+@pytest.mark.parametrize("make_norm", [_graded, _graev_near_base],
+                         ids=["graded-5-5", "graev-2-11"])
+def test_sorted_span_and_selection(benchmark, make_norm):
+    # the two calls of the selection stage, on ranks from the recorded table
+    norm = make_norm()
+    validate_axioms(norm)
+    reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
+    benchmark(lambda: select_null_subsequence(norm_sorted_span(norm), norm, reduced, 5))

@@ -8,6 +8,7 @@ stable for a fixed config.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .errors import (
     NormBoundFailedError,
     NotInSpanError,
 )
-from .extraction import boolean_counterexample
+from .extraction import boolean_counterexample, require_l
 from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, set_prime_cap
 from .norms import require_threads, validate_axioms
 from .pipeline import RunConfig, RunReport, run_pipeline
@@ -198,6 +199,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_modulus(args) -> int:
+    # l is checked before the chain runs; m, which the selection has to
+    # reach, by the modulus stage
+    if args.m >= 1:
+        require_l(args.l, args.m)
     cfg = _run_config(args, _load_json(args.config), norm_only=True, l=args.l, m=args.m)
     return _emit_stage(cfg, "modulus", args.out)
 
@@ -433,9 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser as it was, and one built per call leaves its
+# reference cycles for the garbage collector to find
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
         if getattr(args, "threads", None) is not None:  # run defaults to the config's

@@ -27,7 +27,6 @@ from .errors import (
 from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
-    OrderedBasis,
     Truncation,
     is_independent,
     solve_in_span,
@@ -60,18 +59,21 @@ def reduced_max_position(g: GroupElement, reduced: ReducedBasis) -> int:
     return top
 
 
-def _top_positions(elems, reduced: ReducedBasis) -> np.ndarray:
-    """reduced_max_position of each element, read off max_index when the
-    original basis is the standard one and solved for otherwise."""
-    d = len(reduced)
+def _top_positions(ranks: np.ndarray, tr: Truncation, reduced: ReducedBasis) -> np.ndarray:
+    """reduced_max_position of the element of each rank: its max_index, by
+    arithmetic on the rank, when the original basis is the standard one, and
+    solved for otherwise."""
     if not all(g.items == ((n, 1),) for n, g in enumerate(reduced.original, start=1)):
-        return np.array([reduced_max_position(g, reduced) for g in elems], dtype=np.int64)
-    for g in elems:
-        if g.prime != reduced.prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {reduced.prime.p}")
-        if g.max_index > d:
-            raise InputError(f"{g!r} is not in the span of the reduced basis")
-    return np.array([g.max_index for g in elems], dtype=np.int64)
+        return np.array([reduced_max_position(tr.element_of(r), reduced)
+                         for r in ranks.tolist()], dtype=np.int64)
+    if ranks.size and tr.prime != reduced.prime:
+        raise InputError(f"mismatched primes: {tr.prime.p} vs {reduced.prime.p}")
+    maxes = tr.max_indices(ranks)
+    outside = np.flatnonzero(maxes > len(reduced))
+    if outside.size:
+        g = tr.element_of(int(ranks[outside[0]]))
+        raise InputError(f"{g!r} is not in the span of the reduced basis")
+    return maxes
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,13 @@ class NullSequence:
         }
 
 
-def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> list[GroupElement]:
-    """The whole truncation ordered by (norm value, rank): the canonical
-    finite stand-in for a sequence converging to zero."""
+def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
+    """The int64 ranks of the whole truncation ordered by (norm value, rank):
+    the canonical finite stand-in for a sequence converging to zero. Rank r
+    has value row r of the norm's table, so no rank row is needed."""
     tr = Truncation(norm.prime, norm.dim, cap=cap)
-    vals, _ = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
-    return [tr.element_of(r) for r in np.argsort(vals, kind="stable").tolist()]
+    nums, _ = norm.values_of(np.arange(tr.size))
+    return np.argsort(nums, kind="stable")
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -137,18 +140,27 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     slot ("threshold" when no candidate is small enough, "max-progression"
     when small candidates exist but never with a rising top position).
 
-    Candidate values come from one Norm.values_of call and are compared as
-    integers; top positions are each candidate's max_index when the original
-    basis is the standard one, and reduced_max_position solves otherwise.
+    seq is an int64 array of ranks of the norm's truncation, as
+    norm_sorted_span returns, or an iterable of elements, which Norm.ranks_of
+    turns into ranks once. Values are gathered by one Norm.values_of call and
+    compared as integers; top positions are max_index arithmetic on the ranks
+    when the original basis is the standard one, and reduced_max_position
+    solves otherwise. Only the chosen terms are built as elements.
     """
     if length < 0:
         raise InputError(f"requested length must be nonnegative, got {length}")
     p = norm.prime.p
-    candidates = list(seq)
     if length == 0:
         return NullSequence(p, (), (), ())
-    nums, den = norm.values_of(candidates)
-    maxes = _top_positions(candidates, reduced)
+    tr = norm.truncation
+    if not isinstance(seq, np.ndarray):
+        ranks = norm.ranks_of(seq)
+    elif seq.size and not 0 <= seq.min() <= seq.max() < tr.size:
+        raise InputError(f"candidate ranks must lie in 0..{tr.size - 1}")
+    else:
+        ranks = seq
+    nums, den = norm.values_of(ranks)
+    maxes = _top_positions(ranks, tr, reduced)
     # small[s][i]: candidate i has a top position and a value below
     # 1/(4p)^(s+1), divided through so that no entry is multiplied
     small = [(maxes >= 1) & (nums <= (den - 1) // (4 * p) ** (s + 1)) for s in range(length)]
@@ -183,7 +195,7 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
         pos = i + 1
     return NullSequence(
         p,
-        tuple(candidates[i] for i in chosen),
+        tuple(tr.element_of(int(ranks[i])) for i in chosen),
         tuple(Fraction(int(nums[i]), den) for i in chosen),
         tuple(int(maxes[i]) for i in chosen),
     )
@@ -293,6 +305,12 @@ class ModulusReport:
         }
 
 
+def require_l(l: int, m: int) -> None:
+    """The modulus needs 1 <= l <= m."""
+    if not 1 <= l <= m:
+        raise InputError(f"l must be in 1..{m}, got {l}")
+
+
 def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
                          *, cap: int | None = None) -> ModulusReport:
     """Check that norm-small words have norm-small members, quantitatively.
@@ -306,8 +324,7 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     p = norm.prime.p
     if not 1 <= m <= len(family):
         raise InputError(f"m must be in 1..{len(family)}, got {m}")
-    if not 1 <= l <= m:
-        raise InputError(f"l must be in 1..{m}, got {l}")
+    require_l(l, m)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if p ** m > cap:
         raise CapExceededError(f"modulus scan needs {p ** m} words, above cap {cap}")

@@ -486,6 +486,24 @@ class Truncation:
             r += c * p ** (d - i)
         return r
 
+    def max_indices(self, ranks: np.ndarray) -> np.ndarray:
+        """max_index of element_of(r) for each of the given ranks, without
+        building one.
+
+        The coefficient of e_i is the digit of weight p^(dim-i), so a nonzero
+        rank with v trailing zero base-p digits has max_index dim - v, and
+        rank 0 has 0. Each pass divides the ranks still divisible by p.
+        """
+        p = self.prime.p
+        out = np.where(ranks == 0, 0, self.dim)
+        idx = np.flatnonzero(ranks)
+        q = ranks[idx]
+        while idx.size:
+            div = q % p == 0
+            idx, q = idx[div], q[div] // p
+            out[idx] -= 1
+        return out
+
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:
             raise InputError(f"rank {r} out of range for truncation of size {self.size}")

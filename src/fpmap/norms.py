@@ -3,12 +3,15 @@
 All values are exact rationals (fractions.Fraction); no floating point enters
 any comparison. Hot paths run on integer numerators over the least common
 denominator, stored as int64 when the sum of any two fits and as Python ints
-otherwise; both storages give the same exact arithmetic. Each norm's dense
-value table is such a vector, indexed by rank: table and cost-completion norms
-build it at construction, and validate_axioms records it for the others (the
-ultrametric norm by evaluating every word, the Graev norm by one integer DP
-over all subsets, still bounded by its matching cap). Norm.span_values and
-Norm.values_of read values from it (a norm without one evaluates them).
+otherwise; both storages give the same exact arithmetic. A cost is such a
+vector: CostFunction holds integer numerators by rank over one denominator,
+and graded_cost and random_cost draw them directly, with no Fraction per
+element. Each norm's dense value table is such a vector too, indexed by rank:
+table and cost-completion norms build it at construction, and
+validate_axioms records it for the others (the ultrametric norm by
+evaluating every word, the Graev norm by one integer DP over all subsets,
+still bounded by its matching cap). Norm.span_values and Norm.values_of
+(by rank) read values from it (a norm without one evaluates them).
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -176,30 +179,50 @@ def graev_norm(space: PointedMetricSpace, points: Iterable[int],
 
 
 class CostFunction:
-    """A symmetric positive cost on the nonzero elements of a truncation."""
+    """A symmetric positive cost on the nonzero elements of a truncation.
+
+    ``nums`` and ``den`` hold the values as _scaled stores them: integer
+    numerators by rank over their least common denominator, with nums[0] = 0
+    for the zero element, which takes no cost.
+    """
 
     def __init__(self, p, dim: int, values_by_rank: Sequence[Fraction | None],
                  *, cap: int | None = None):
-        self.prime = as_prime(p)
-        self.truncation = Truncation(self.prime, dim, cap=cap)
-        self.dim = dim
-        size = self.truncation.size
-        if len(values_by_rank) != size:
-            raise InputError(f"cost table must have {size} entries, got {len(values_by_rank)}")
-        vals: list[Fraction | None] = [None] * size
-        for r in range(1, size):
+        tr = Truncation(as_prime(p), dim, cap=cap)
+        if len(values_by_rank) != tr.size:
+            raise InputError(f"cost table must have {tr.size} entries, got {len(values_by_rank)}")
+        vals = [Fraction(0)]
+        for r in range(1, tr.size):
             v = values_by_rank[r]
             if v is None:
                 raise InputError(f"cost missing for element of rank {r}")
-            v = _as_fraction(v, "cost value")
-            if v <= 0:
-                raise InputError(f"cost values must be positive, got {v} at rank {r}")
-            vals[r] = v
-        neg = self.truncation.neg_perm.tolist()
-        for r in range(1, size):
-            if vals[r] != vals[neg[r]]:
-                raise InputError(f"cost must satisfy c(g) = c(-g); differs at rank {r}")
-        self._vals = vals
+            vals.append(_as_fraction(v, "cost value"))
+        self._adopt(tr, *_scaled(vals))
+
+    @classmethod
+    def from_numerators(cls, tr: Truncation, nums: np.ndarray, den: int) -> "CostFunction":
+        """The cost with value nums[r] / den at rank r, (nums, den) as _scaled
+        stores them and nums[0] = 0."""
+        cost = cls.__new__(cls)
+        cost._adopt(tr, nums, den)
+        return cost
+
+    def _adopt(self, tr: Truncation, nums: np.ndarray, den: int) -> None:
+        """Take the values once they are positive and symmetric under negation;
+        each check reports its first offending rank."""
+        bad = np.flatnonzero(nums[1:] <= 0)
+        if bad.size:
+            r = int(bad[0]) + 1
+            raise InputError(
+                f"cost values must be positive, got {Fraction(int(nums[r]), den)} at rank {r}")
+        bad = np.flatnonzero(nums != nums[tr.neg_perm])
+        if bad.size:
+            raise InputError(f"cost must satisfy c(g) = c(-g); differs at rank {int(bad[0])}")
+        self.prime = tr.prime
+        self.truncation = tr
+        self.dim = tr.dim
+        self.nums = nums
+        self.den = den
 
     @classmethod
     def from_pairs(cls, p, dim: int, pairs: Iterable[tuple[GroupElement, Fraction]],
@@ -220,7 +243,7 @@ class CostFunction:
     def value_of_rank(self, r: int) -> Fraction:
         if r == 0:
             raise InputError("the zero element has no cost")
-        return self._vals[r]
+        return Fraction(int(self.nums[r]), self.den)
 
     def value(self, g: GroupElement) -> Fraction:
         return self.value_of_rank(self.truncation.rank_of(g))
@@ -229,9 +252,31 @@ class CostFunction:
         tr = self.truncation
         return [
             {"element": jsonio.element_to_pairs(tr.element_of(r)),
-             "value": jsonio.frac_to_str(self._vals[r])}
-            for r in range(1, tr.size)
+             "value": jsonio.frac_to_str(Fraction(n, self.den))}
+            for r, n in enumerate(self.nums.tolist()) if r
         ]
+
+
+def _drawn_cost(tr: Truncation, rng: Random, choices: int, bound: int, numerators,
+                den: int) -> CostFunction:
+    """A cost from one draw rng.randrange(choices) per pair {g, -g} of
+    nonzero elements, taken in the order of their smaller ranks.
+
+    numerators(ranks, draws) gives the values over den of the pairs' smaller
+    ranks; none exceeds bound, which picks int64 or Python ints for them.
+    Dividing the numerators and den by their gcd leaves den the least common
+    denominator, and the numerators are stored as _scaled stores them.
+    """
+    neg = tr.neg_perm
+    firsts = np.flatnonzero(neg >= np.arange(tr.size))[1:]
+    draws = [rng.randrange(choices) for _ in range(firsts.size)]
+    raw = numerators(firsts, np.array(draws, dtype=_storage(bound, 1)))
+    nums = np.zeros(tr.size, dtype=raw.dtype)
+    nums[firsts] = raw
+    nums[neg[firsts]] = raw
+    g = math.gcd(den, int(np.gcd.reduce(raw)))
+    nums //= g
+    return CostFunction.from_numerators(tr, nums.astype(_storage(int(nums.max()))), den // g)
 
 
 def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
@@ -248,19 +293,13 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
         raise InputError(f"need 0 < low <= high, got {low} and {high}")
     if steps < 1:
         raise InputError("steps must be positive")
-    prime = as_prime(p)
-    tr = Truncation(prime, dim, cap=cap)
-    rng = Random(seed)
-    span = high - low
-    neg = tr.neg_perm.tolist()
-    vals: list[Fraction | None] = [None] * tr.size
-    for r in range(1, tr.size):
-        if vals[r] is not None:
-            continue
-        v = low + span * Fraction(rng.randrange(steps + 1), steps)
-        vals[r] = v
-        vals[neg[r]] = v
-    return CostFunction(prime, dim, vals, cap=cap)
+    tr = Truncation(as_prime(p), dim, cap=cap)
+    # over the common denominator L of low and high, draw k has the value
+    # (lo * steps + (hi - lo) * k) / (L * steps)
+    L = math.lcm(low.denominator, high.denominator)
+    lo, hi = int(low * L), int(high * L)
+    return _drawn_cost(tr, Random(seed), steps + 1, hi * steps,
+                       lambda firsts, k: lo * steps + (hi - lo) * k, L * steps)
 
 
 def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
@@ -277,22 +316,13 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     """
     if steps < 1:
         raise InputError("steps must be positive")
-    prime = as_prime(p)
-    tr = Truncation(prime, dim, cap=cap)
-    K = Fraction(1, (4 * prime.p) ** dim)
-    width = K / (2 * dim)
-    rng = Random(seed)
-    neg = tr.neg_perm.tolist()
-    vals: list[Fraction | None] = [None] * tr.size
-    for r in range(1, tr.size):
-        if vals[r] is not None:
-            continue
-        k = tr.element_of(r).max_index
-        band_low = K / 2 + (k - 1) * width
-        v = band_low + width * Fraction(rng.randrange(steps), steps)
-        vals[r] = v
-        vals[neg[r]] = v
-    return CostFunction(prime, dim, vals, cap=cap)
+    tr = Truncation(as_prime(p), dim, cap=cap)
+    # with width = K/(2 dim), draw j at leading index k has the value
+    # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)
+    return _drawn_cost(
+        tr, Random(seed), steps, 2 * dim * steps,
+        lambda firsts, j: (tr.max_indices(firsts).astype(j.dtype) + dim - 1) * steps + j,
+        2 * dim * steps * (4 * tr.prime.p) ** dim)
 
 
 def random_metric_space(seed: int, n_points: int, low, high, *, basepoint: int = 0,
@@ -364,15 +394,29 @@ class Norm:
         nums, den = self._table
         return nums[self._tr.span_ranks(elems)], den
 
-    def values_of(self, elems: Sequence[GroupElement]) -> tuple[np.ndarray, int]:
-        """Exact values of the given elements, numerators as _scaled stores them
-        over one denominator: one gather from the table, or one eval each."""
-        if self._table is None:
-            return _scaled([self.eval(g) for g in elems])
+    @property
+    def truncation(self) -> Truncation:
+        """The truncation whose ranks index the table; a norm without a table
+        yet has the one of its prime and dim under the default cap."""
+        return self._tr if self._tr is not None else Truncation(self.prime, self.dim)
+
+    def ranks_of(self, elems: Iterable[GroupElement]) -> np.ndarray:
+        """int64 ranks in the truncation of the given elements, each checked
+        against the norm as eval checks it."""
+        tr = self.truncation
         ranks = []
         for g in elems:
             self._check(g)
-            ranks.append(self._tr.rank_of(g))
+            ranks.append(tr.rank_of(g))
+        return np.array(ranks, dtype=np.int64)
+
+    def values_of(self, ranks: np.ndarray) -> tuple[np.ndarray, int]:
+        """Exact values of the elements of the given ranks, numerators as
+        _scaled stores them over one denominator: one gather from the table,
+        or one eval each."""
+        if self._table is None:
+            tr = self.truncation
+            return _scaled([self._eval(tr.element_of(r)) for r in ranks.tolist()])
         nums, den = self._table
         return nums[ranks], den
 
@@ -517,7 +561,7 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     """
     size = tr.size
     # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
-    w, den = _scaled([Fraction(0)] + [cost.value_of_rank(r) for r in range(1, size)])
+    w, den = cost.nums, cost.den
     inf = int(w.max()) + 1
     w_min = int(w[1:].min())
     dist = np.full(size, inf, dtype=w.dtype)

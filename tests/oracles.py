@@ -2,9 +2,9 @@
 
 Everything in here is deliberately naive: different algorithms from the
 package (full partition enumeration instead of subset DP, edge relaxation to
-a fixpoint instead of Dijkstra, nested loops instead of vectorized rows, and
-word scans that build and evaluate every word instead of reading
-Norm.span_values), or the package's own loops without their pruning (a
+a fixpoint instead of Dijkstra, nested loops instead of vectorized rows, one
+Fraction per rank instead of integer cost numerators, and word scans that
+build and evaluate every word instead of reading Norm.span_values), or the package's own loops without their pruning (a
 Dijkstra step for every vertex, a triangle row for every g). Agreement
 between the two is what the tests assert.
 """
@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
 import numpy as np
 
@@ -31,10 +32,11 @@ from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,
     Truncation,
+    as_prime,
     enumerate_span,
     rank,
 )
-from fpmap.norms import Norm, _scaled
+from fpmap.norms import CostFunction, Norm, _as_fraction, _scaled
 from fpmap.reduction import (
     LemmaReport,
     ReducedBasis,
@@ -62,6 +64,52 @@ def brute_graev(space, points):
         return value
 
     return best(tuple(pts))
+
+
+def brute_random_cost(seed, p, dim, low, high, *, steps=60, cap=None):
+    """random_cost with one Fraction per pair {g, -g}, built rank by rank."""
+    low = _as_fraction(low, "low")
+    high = _as_fraction(high, "high")
+    if not 0 < low <= high:
+        raise InputError(f"need 0 < low <= high, got {low} and {high}")
+    if steps < 1:
+        raise InputError("steps must be positive")
+    prime = as_prime(p)
+    tr = Truncation(prime, dim, cap=cap)
+    rng = Random(seed)
+    span = high - low
+    neg = tr.neg_perm.tolist()
+    vals = [None] * tr.size
+    for r in range(1, tr.size):
+        if vals[r] is not None:
+            continue
+        v = low + span * Fraction(rng.randrange(steps + 1), steps)
+        vals[r] = v
+        vals[neg[r]] = v
+    return CostFunction(prime, dim, vals, cap=cap)
+
+
+def brute_graded_cost(seed, p, dim, *, steps=60, cap=None):
+    """graded_cost with one Fraction per pair {g, -g}, its band read off the
+    max_index of a GroupElement built for the rank."""
+    if steps < 1:
+        raise InputError("steps must be positive")
+    prime = as_prime(p)
+    tr = Truncation(prime, dim, cap=cap)
+    K = Fraction(1, (4 * prime.p) ** dim)
+    width = K / (2 * dim)
+    rng = Random(seed)
+    neg = tr.neg_perm.tolist()
+    vals = [None] * tr.size
+    for r in range(1, tr.size):
+        if vals[r] is not None:
+            continue
+        k = tr.element_of(r).max_index
+        band_low = K / 2 + (k - 1) * width
+        v = band_low + width * Fraction(rng.randrange(steps), steps)
+        vals[r] = v
+        vals[neg[r]] = v
+    return CostFunction(prime, dim, vals, cap=cap)
 
 
 def brute_rank_row(tr, r, sign, positions=None):

@@ -168,6 +168,21 @@ class TestVacuousLimits:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: l must be in 1..2, got 3\n"
 
+    def test_modulus_checks_l_before_building_the_norm(self, tmp_path, capsys, monkeypatch):
+        # this band norm exhausts its selection at m = 4, so an l checked only
+        # by the modulus stage would surface as that finding, with exit 1
+        norm = write_json(tmp_path / "norm.json", {
+            "kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0,
+            "low": "1/262144", "high": "1/8192"})
+        built = []
+        monkeypatch.setattr(pipeline, "norm_from_config",
+                            lambda *args, **kwargs: built.append(args))
+        assert main(["modulus", "--config", norm, "--l", "5", "--m", "4"]) == 2
+        assert capsys.readouterr().err == "error: l must be in 1..4, got 5\n"
+        assert main(["modulus", "--config", norm, "--l", "0", "--m", "4"]) == 2
+        assert capsys.readouterr().err == "error: l must be in 1..4, got 0\n"
+        assert built == []
+
     def test_independence_modulus_rejects_l_above_m(self):
         cfg = pipeline.RunConfig.from_json_dict(RUN_CONFIGS["graded-p2-d4"])
         report = pipeline.run_pipeline(cfg, stages=("modulus",))

@@ -4,6 +4,7 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 3 cap exceeded.
 """
 
+import gc
 import json
 
 import pytest
@@ -102,6 +103,20 @@ class TestRun:
         doc = json.loads(out.read_text())
         assert doc["error"]["kind"] == "exhausted"
         assert doc["stages"]["selection"] is None
+
+
+    def test_repeated_calls_leave_no_parser_cycles(self, tmp_path, capsys):
+        # a parser built per call left about 300 objects in reference cycles
+        cfg = write_json(tmp_path / "run.json", graded_run_cfg())
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() < 100
+        finally:
+            gc.enable()
 
 
 class TestInputAndCapExits:

@@ -10,6 +10,7 @@ per-candidate loop it replaced.
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -246,21 +247,25 @@ def test_span_ranks_skip_the_digit_table():
     assert rank([a, b]) == 2 and len(set(ranks.tolist())) == 97 ** 2
 
 
-def same_selection(seq, norm, reduced, length):
+def same_selection(seq, norm, reduced, length, ranks=None):
     """select_null_subsequence and the per-candidate loop agree, down to the
-    ExhaustedError fields and the error raised for a candidate outside the span."""
+    ExhaustedError fields and the error raised for a candidate outside the span.
+    Given the ranks of seq too, selection over them must agree as well."""
+    inputs = [seq] if ranks is None else [seq, ranks]
     try:
         want = brute_select_null_subsequence(seq, norm, reduced, length)
     except (ExhaustedError, InputError) as exc:
-        with pytest.raises(type(exc)) as info:
-            select_null_subsequence(seq, norm, reduced, length)
-        assert str(info.value) == str(exc)
-        if isinstance(exc, ExhaustedError):
-            got = info.value
-            assert ((got.achievable_length, got.failed_slot, got.constraint)
-                    == (exc.achievable_length, exc.failed_slot, exc.constraint))
+        for candidates in inputs:
+            with pytest.raises(type(exc)) as info:
+                select_null_subsequence(candidates, norm, reduced, length)
+            assert str(info.value) == str(exc)
+            if isinstance(exc, ExhaustedError):
+                got = info.value
+                assert ((got.achievable_length, got.failed_slot, got.constraint)
+                        == (exc.achievable_length, exc.failed_slot, exc.constraint))
         return
-    assert select_null_subsequence(seq, norm, reduced, length) == want
+    for candidates in inputs:
+        assert select_null_subsequence(candidates, norm, reduced, length) == want
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -268,7 +273,7 @@ def same_selection(seq, norm, reduced, length):
 def test_selection_matches_per_candidate_loop(norm, data):
     d = norm.dim
     rng = Random(data.draw(st.integers(0, 10 ** 6)))
-    span = norm_sorted_span(norm)
+    span = [norm.truncation.element_of(r) for r in norm_sorted_span(norm).tolist()]
     # length d + 1 cannot be met on a standard original, so exhaustion shows up
     length = data.draw(st.integers(1, d + 1))
     standard = reduce_basis(OrderedBasis.standard(norm.prime, d), norm)
@@ -277,6 +282,34 @@ def test_selection_matches_per_candidate_loop(norm, data):
     for reduced in (standard, other):
         for seq in (span, rng.sample(span, rng.randrange(len(span) + 1))):
             same_selection(seq, norm, reduced, length)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm=norms(), data=st.data())
+def test_rank_space_selection_matches_per_candidate_loop(norm, data):
+    # norm_sorted_span's ranks, and a random subset of them in random order,
+    # against the loop over the same candidates as elements
+    d, tr = norm.dim, norm.truncation
+    rng = Random(data.draw(st.integers(0, 10 ** 6)))
+    span = norm_sorted_span(norm)
+    assert span.dtype == np.int64
+    length = data.draw(st.integers(1, d + 1))
+    standard = reduce_basis(OrderedBasis.standard(norm.prime, d), norm)
+    other = planted(random_basis(norm.prime.p, d, rng), norm)
+    subset = np.array(rng.sample(span.tolist(), rng.randrange(span.size + 1)), dtype=np.int64)
+    for reduced in (standard, other):
+        for ranks in (span, subset):
+            elems = [tr.element_of(r) for r in ranks.tolist()]
+            same_selection(elems, norm, reduced, length, ranks=ranks)
+
+
+def test_rank_candidates_out_of_range():
+    norm = UltrametricProductNorm(3, 2)
+    validate_axioms(norm)
+    reduced = reduce_basis(OrderedBasis.standard(3, 2), norm)
+    for bad in ([0, 9], [-1]):
+        with pytest.raises(InputError, match="candidate ranks must lie in 0..8"):
+            select_null_subsequence(np.array(bad, dtype=np.int64), norm, reduced, 1)
 
 
 def test_selection_without_a_table_and_outside_the_span():
@@ -295,6 +328,8 @@ def test_selection_without_a_table_and_outside_the_span():
     short = reduce_basis(OrderedBasis.standard(2, 2), norm)
     same_selection(elems[:4], norm, short, 2)
     same_selection(elems, norm, short, 2)
+    # e3 is the first candidate outside, one index past the reduced basis
+    same_selection(elems[2:4], norm, short, 1, ranks=np.array([2, 3]))
     with pytest.raises(InputError, match="is not in the span of the reduced basis"):
         select_null_subsequence([elems[1], elems[2]], norm, short, 1)
 
