@@ -1,8 +1,8 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
 of the seeded cost builders, of the shortest-path completion and the triangle
 scan themselves, of the span kernel under every exhaustive word scan, of the
-Graev value-table DP and of the norm-sorted span and null-subsequence
-selection.
+prefix ranks, the member word bound and the coarser tables, of the Graev
+value-table DP and of the norm-sorted span and null-subsequence selection.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -18,8 +18,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fpmap.extraction import norm_sorted_span, select_null_subsequence  # noqa: E402
-from fpmap.fpcore import OrderedBasis, Truncation  # noqa: E402
+from fpmap.duality import product_coarser_check  # noqa: E402
+from fpmap.extraction import (  # noqa: E402
+    IndependentFamily,
+    norm_sorted_span,
+    select_null_subsequence,
+)
+from fpmap.fpcore import OrderedBasis, Truncation, running_ranks  # noqa: E402
 from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
     GraevBooleanNorm,
@@ -29,7 +34,7 @@ from fpmap.norms import (  # noqa: E402
     random_metric_space,
     validate_axioms,
 )
-from fpmap.reduction import reduce_basis  # noqa: E402
+from fpmap.reduction import check_member_word_bound, reduce_basis  # noqa: E402
 
 SHAPES = [(5, 5), (3, 8)]
 
@@ -100,17 +105,42 @@ def test_triangle_scan(benchmark, make_norm):
 def reduced_norm(request):
     norm = request.param()
     validate_axioms(norm)  # a Graev norm gets its value table here
-    return norm, reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm).reduced.elems
+    return norm, reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
 
 
 def test_span_ranks(benchmark, reduced_norm):
-    norm, elems = reduced_norm
-    benchmark(norm._tr.span_ranks, elems)
+    # a cold build: a repeated tuple is answered from the one-entry memo, so
+    # each round takes a fresh truncation, its tables warmed untimed
+    norm, reduced = reduced_norm
+    benchmark.pedantic(lambda tr: tr.span_ranks(reduced.reduced.elems), rounds=100,
+                       setup=lambda: ((_warm(norm.prime, norm.dim)[0],), {}))
 
 
 def test_span_values(benchmark, reduced_norm):
-    norm, elems = reduced_norm
-    benchmark(norm.span_values, elems)
+    norm, reduced = reduced_norm
+    benchmark(norm.span_values, reduced.reduced.elems)
+
+
+def test_running_ranks(benchmark):
+    # d = 11: the prefix ranks of a reduced basis, reduced[0], original[0], ...
+    norm = _graev()
+    validate_axioms(norm)
+    reduced = reduce_basis(OrderedBasis.standard(2, 11), norm)
+    benchmark(running_ranks, [g for pair in zip(reduced.reduced, reduced.original)
+                              for g in pair])
+
+
+def test_check_member_word_bound(benchmark, reduced_norm):
+    norm, reduced = reduced_norm
+    benchmark(check_member_word_bound, reduced, norm)
+
+
+def test_product_coarser_check(benchmark, reduced_norm):
+    # the first five reduced elements as the family, m = 5
+    norm, reduced = reduced_norm
+    members = reduced.reduced.elems[:5]
+    family = IndependentFamily(members, tuple(range(1, 6)), tuple(map(norm.eval, members)), None)
+    benchmark(product_coarser_check, family, norm, 5)
 
 
 def test_graev_table(benchmark):

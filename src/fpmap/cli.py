@@ -26,7 +26,7 @@ from .errors import (
     NotInSpanError,
 )
 from .extraction import boolean_counterexample, require_l
-from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, set_prime_cap
+from .fpcore import OrderedBasis, set_prime_cap
 from .norms import require_threads, validate_axioms
 from .pipeline import RunConfig, RunReport, run_pipeline
 from .reduction import (
@@ -71,7 +71,7 @@ def _env_int(name: str) -> int | None:
 
 
 def _env_caps() -> dict:
-    """The cap overrides set in the environment, as run-config caps.
+    """The cap overrides set in the environment, by RunConfig field.
 
     FPMAP_PRIME_CAP is not a run-config cap; it is applied here, for this
     call only (see main).
@@ -79,27 +79,27 @@ def _env_caps() -> dict:
     prime_cap = _env_int("FPMAP_PRIME_CAP")
     if prime_cap is not None:
         set_prime_cap(prime_cap)
-    caps = {"enum": _env_int("FPMAP_ENUM_CAP"), "matching": _env_int("FPMAP_MATCHING_CAP")}
+    caps = {"enum_cap": _env_int("FPMAP_ENUM_CAP"),
+            "matching_cap": _env_int("FPMAP_MATCHING_CAP")}
     return {k: v for k, v in caps.items() if v is not None}
 
 
 def _run_config(args, doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
-    """The RunConfig of one subcommand, with the environment's caps merged in.
+    """The RunConfig of one subcommand, with the environment's caps applied.
 
     doc is a run config, or with norm_only a bare norm descriptor: its prime
     and dim are the norm's, and l and m are checked by the stages that use
     them. Every subcommand takes one cap precedence: FPMAP_* beats the run
-    config's caps, which beat a matching_cap inside the norm descriptor.
+    config's caps, which beat a matching_cap inside the norm descriptor. The
+    environment's caps bound work only, so they go into the RunConfig fields
+    and never into cfg.raw, whose echo stays the file's document.
     """
-    env = _env_caps()
+    env = _env_caps()  # first: FPMAP_PRIME_CAP holds while the config parses
     if norm_only:
-        cfg = RunConfig(None, None, doc, l=l, m=m, enum_cap=env.get("enum", DEFAULT_ENUM_CAP),
-                        matching_cap=env.get("matching"))
+        cfg = RunConfig(None, None, doc, l=l, m=m)
     else:
-        # malformed caps are left for RunConfig.from_json_dict to reject
-        if env and isinstance(doc, dict) and isinstance(doc.get("caps", {}), dict):
-            doc = dict(doc, caps={**doc.get("caps", {}), **env})
         cfg = RunConfig.from_json_dict(doc)
+    cfg = replace(cfg, **env)
     if args.threads is not None:  # run defaults to the config's
         cfg = replace(cfg, threads=args.threads)
     return cfg
@@ -199,10 +199,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_modulus(args) -> int:
-    # l is checked before the chain runs; m, which the selection has to
-    # reach, by the modulus stage
-    if args.m >= 1:
-        require_l(args.l, args.m)
+    # m >= 1 and l are checked before the chain runs; m's upper bound, the
+    # family length the selection reaches, by the modulus stage
+    if args.m < 1:
+        raise InputError(f"m must be a positive integer, got {args.m}")
+    require_l(args.l, args.m)
     cfg = _run_config(args, _load_json(args.config), norm_only=True, l=args.l, m=args.m)
     return _emit_stage(cfg, "modulus", args.out)
 
@@ -216,7 +217,7 @@ def cmd_duality(args) -> int:
         if args.dim is not None and cfg.dim != args.dim:
             raise InputError(f"--dim {args.dim} does not match the config's {cfg.dim}")
         return _emit_stage(cfg, "coarser", args.out)
-    enum_cap = _env_caps().get("enum")
+    enum_cap = _env_caps().get("enum_cap")
     spec = topology_from_config(doc, cap=enum_cap)
     if args.prime is not None and spec.prime.p != args.prime:
         raise InputError(f"--prime {args.prime} does not match the spec's {spec.prime.p}")

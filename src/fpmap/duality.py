@@ -433,14 +433,17 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
     violations = []
     vals, den = norm.span_values(family.members[:m])
     for t in range(1, m + 1):
-        # the span of the first t members is every p^(m-t)-th row
+        # the span of the first t members is every p^(m-t)-th row; the words
+        # meeting F are the union over i in F of the words using member i, so
+        # delta_F is the least mu_i over F, mu_i the least value of a word
+        # with a nonzero digit i
         prefix = vals[::p ** (m - t)]
-        rows = np.arange(p ** t)
-        support = sum((rows // p ** (t - i) % p != 0) << i for i in range(1, t + 1))
+        mu = {i: int(prefix.reshape(p ** (i - 1), p, p ** (t - i))[:, 1:].min())
+              for i in range(1, t + 1)}
         table = {}
         for size in range(1, t + 1):
             for F in combinations(range(1, t + 1), size):
-                d_F = Fraction(int(prefix[support & sum(1 << i for i in F) != 0].min()), den)
+                d_F = Fraction(min(mu[i] for i in F), den)
                 table[F] = d_F
                 if d_F <= 0:
                     violations.append({

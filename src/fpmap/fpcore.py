@@ -214,30 +214,48 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _element_rows(elems: Sequence[GroupElement], indices: Sequence[int]) -> list[list[int]]:
-    col = {idx: j for j, idx in enumerate(indices)}
-    rows = []
+def running_ranks(elems: Iterable[GroupElement], p=None) -> list[int]:
+    """Rank of each prefix elems[:1], elems[:2], ... as vectors over F_p.
+
+    One forward elimination over sparse rows: each pivot row is an
+    index -> coefficient dict whose lowest index, its pivot, carries
+    coefficient 1, and no two pivots coincide. An element is reduced by the
+    pivot row at its lowest index until that index has none; what is left
+    is then independent of the rows so far and becomes a new pivot row.
+    """
+    elems = tuple(elems)
+    if not elems:
+        return []
+    prime = as_prime(p) if p is not None else elems[0].prime
+    q = prime.p
+    pivots: dict[int, dict[int, int]] = {}
+    out = []
     for g in elems:
-        row = [0] * len(indices)
-        for i, c in g.items:
-            row[col[i]] = c
-        rows.append(row)
-    return rows
+        if g.prime != prime:
+            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
+        v = dict(g.items)
+        while v:
+            lead = min(v)
+            row = pivots.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, q)
+                pivots[lead] = {i: c * inv % q for i, c in v.items()}
+                break
+            f = v[lead]
+            for i, c in row.items():
+                x = (v.get(i, 0) - f * c) % q
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+        out.append(len(pivots))
+    return out
 
 
 def rank(elems: Iterable[GroupElement], p=None) -> int:
     """Rank of the set of elements as vectors over F_p."""
-    elems = tuple(elems)
-    if not elems:
-        return 0
-    prime = as_prime(p) if p is not None else elems[0].prime
-    for g in elems:
-        if g.prime != prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
-    indices = sorted({i for g in elems for i in g.support})
-    rows = _element_rows(elems, indices)
-    _, pivots = _rref(rows, prime.p)
-    return len(pivots)
+    ranks = running_ranks(elems, p)
+    return ranks[-1] if ranks else 0
 
 
 def solve_in_span(g: GroupElement, elems: Sequence[GroupElement]) -> tuple[int, ...] | None:
@@ -443,6 +461,7 @@ class Truncation:
         self._digits = None
         self._halves = None
         self._neg_perm = None
+        self._span = None  # (element tuple, its span ranks): the last span built
 
     @property
     def digits(self) -> np.ndarray:
@@ -558,8 +577,14 @@ class Truncation:
         return np.stack(layers, axis=1).ravel()
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
-        """Ranks of the p^k words of span(elems), in enumerate_span order."""
-        ranks = np.zeros(1, dtype=np.int64)
-        for g in elems:
-            ranks = self.extend_span(ranks, g)
-        return ranks
+        """Ranks of the p^k words of span(elems), in enumerate_span order, as a
+        read-only array. The last element tuple asked for is remembered, so
+        the scans that read one span in turn share a single build."""
+        key = tuple(elems)
+        if self._span is None or self._span[0] != key:
+            ranks = np.zeros(1, dtype=np.int64)
+            for g in key:
+                ranks = self.extend_span(ranks, g)
+            ranks.flags.writeable = False
+            self._span = (key, ranks)
+        return self._span[1]

@@ -698,8 +698,12 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     """
     require_threads(threads)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    tr = Truncation(norm.prime, norm.dim, cap=cap)
+    # the norm's own truncation keeps the half-digit tables and neg_perm
+    # that its build cached
+    tr = norm._tr if norm._tr is not None else Truncation(norm.prime, norm.dim, cap=cap)
     size = tr.size
+    if size > cap:
+        raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
     if norm._table is None:
         norm._table = norm._dense_values()
     norm._tr = tr
@@ -737,12 +741,16 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     n_pos = int(np.count_nonzero(ends > np.arange(size)))
 
     def triangle_chunk(positions: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # one step per position, on Python scalars: its slices are short, so
+        # NumPy's per-call overhead is what there is to save
+        add = np.bitwise_xor if tr.prime.p == 2 else lambda hs, g: tr.add_ranks(g, hs)
         found = []
-        for i in positions:
-            g = int(order[i])
-            hs = order[i:ends[i]]
-            sums = tr.add_ranks(g, hs)
-            bad = np.flatnonzero(nums[sums] > sorted_nums[i] + sorted_nums[i:ends[i]])
+        a, b = positions.start, positions.stop
+        for i, g, end, v in zip(positions, order[a:b].tolist(), ends[a:b].tolist(),
+                                sorted_nums[a:b].tolist()):
+            hs = order[i:end]
+            sums = add(hs, g)
+            bad = (nums[sums] > v + sorted_nums[i:end]).nonzero()[0]
             if bad.size:
                 found.append((np.full(bad.size, g), hs[bad], sums[bad]))
         return found

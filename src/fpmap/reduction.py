@@ -11,7 +11,7 @@ basis elements are dominated by mixed pairs (pair-domination).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +24,7 @@ from .fpcore import (
     OrderedBasis,
     as_prime,
     rank,
+    running_ranks,
     span_word,
 )
 from .norms import Norm
@@ -73,11 +74,14 @@ class ReducedBasis:
     """The reduced basis together with the original and the per-step records.
 
     Prefix spans agree: span(reduced[:n]) = span(original[:n]) for every n.
+    ``prefix_ranks[n-1]`` is the rank of reduced[:n] + original[:n], all n
+    from one elimination over reduced[0], original[0], reduced[1], ...
     """
 
     original: OrderedBasis
     reduced: OrderedBasis
     steps: tuple[ReductionStep, ...]
+    prefix_ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.original) != len(self.reduced) or len(self.steps) != len(self.reduced):
@@ -89,9 +93,11 @@ class ReducedBasis:
                 raise InputError(f"step {n} carries index {step.index}")
             if step.element != self.reduced[n - 1]:
                 raise InputError(f"step {n} element does not match the reduced basis")
-        for n in range(1, len(self.reduced) + 1):
-            joined = list(self.reduced.elems[:n]) + list(self.original.elems[:n])
-            if rank(joined, self.original.prime) != n:
+        interleaved = [g for pair in zip(self.reduced, self.original) for g in pair]
+        ranks = tuple(running_ranks(interleaved, self.original.prime)[1::2])
+        object.__setattr__(self, "prefix_ranks", ranks)
+        for n, r in enumerate(ranks, start=1):
+            if r != n:
                 raise InputError(f"prefix spans of length {n} differ")
 
     @property
@@ -251,9 +257,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
         raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
     violations: list[dict] = []
 
-    for n in range(1, d + 1):
-        joined = list(reduced.reduced.elems[:n]) + list(reduced.original.elems[:n])
-        r = rank(joined, reduced.prime)
+    for n, r in enumerate(reduced.prefix_ranks, start=1):
         if r != n:
             violations.append({"check": "prefix-span-equality", "n": n, "rank": r})
     r = rank(reduced.reduced.elems, reduced.prime)
@@ -346,8 +350,12 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
                 ratio = Fraction(vt, slack * smallest)
                 if k not in ratios_by_k or ratio > ratios_by_k[k]:
                     ratios_by_k[k] = ratio
-                # vt > factor * vw, divided through so that no entry is multiplied
-                for row in sel_rows[vw <= (vt - 1) // factor].tolist():
+                # vt > factor * vw, divided through so that no entry is multiplied;
+                # no word is that small when the smallest is not
+                limit = (vt - 1) // factor
+                if smallest > limit:
+                    continue
+                for row in sel_rows[vw <= limit].tolist():
                     coeffs = span_word(elems, row)[0]
                     found.append((int(support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
                                   [c for c in coeffs if c], k, mu, row, vt, factor))

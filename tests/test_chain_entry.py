@@ -149,8 +149,9 @@ class TestCapPrecedence:
         capsys.readouterr()
         monkeypatch.setenv("FPMAP_MATCHING_CAP", "10")
         assert main(["run", "--config", run]) == 0
+        # the environment's cap bounds the work; the echo is the file's document
         echo = json.loads(capsys.readouterr().out)["config"]
-        assert echo["caps"] == {"matching": 10}
+        assert echo["caps"] == {"matching": 2}
 
     def test_reduce_echoes_the_descriptor_it_built(self, tmp_path, capsys, monkeypatch):
         norm, _ = capped_graev(tmp_path)
