@@ -1,6 +1,7 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
-of the seeded cost builders, of the shortest-path completion and the triangle
-scan themselves, of the span kernel under every exhaustive word scan, of the
+of the seeded cost builders, of the shortest-path completion and the axiom
+check (pair scan, generator certificate, and a refuted certificate followed by
+the scan), of the span kernel under every exhaustive word scan, of the
 prefix ranks, the member word bound and the coarser tables, of the Graev
 value-table DP and of the norm-sorted span and null-subsequence selection.
 
@@ -28,6 +29,7 @@ from fpmap.fpcore import OrderedBasis, Truncation, running_ranks  # noqa: E402
 from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
     GraevBooleanNorm,
+    UltrametricProductNorm,
     _shortest_path_values,
     graded_cost,
     random_cost,
@@ -93,9 +95,17 @@ def test_shortest_path_values(benchmark, make_cost):
     benchmark(_shortest_path_values, cost.truncation, cost)
 
 
-@pytest.mark.parametrize("make_norm", [_graded, _graev], ids=["graded-5-5", "graev-2-11"])
+def _ultrametric():
+    return UltrametricProductNorm(2, 11)
+
+
+@pytest.mark.parametrize("make_norm", [_graded, _graev, _ultrametric],
+                         ids=["graded-5-5", "graev-2-11", "ultrametric-2-11"])
 def test_triangle_scan(benchmark, make_norm):
-    # the whole validate_axioms call; the first one records the Graev table
+    # the whole validate_axioms call; the first one records the value table.
+    # graded-5-5 takes the pair scan, graev-2-11 the generator certificate,
+    # and ultrametric-2-11 tries the certificate, is refuted, then scans:
+    # the worst case of the work rule
     norm = make_norm()
     validate_axioms(norm)
     benchmark(validate_axioms, norm)

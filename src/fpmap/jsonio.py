@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 
@@ -52,8 +53,55 @@ def element_from_pairs(p, pairs):
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text for report documents."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON text for report documents: the bytes of
+    json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) plus a
+    newline. Indentation sends json.dumps to the pure-Python encoder, so
+    dicts, lists, strings, ints, bools and None are written here; any other
+    leaf (a float, say) goes to json.dumps."""
+    parts: list[str] = []
+    _emit(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``parts``; ``newline`` is the line
+    break plus the indentation of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            parts.append(sep)
+            parts.append(encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)))
+            parts.append(": ")
+            _emit(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _emit(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def require_list(value, *, what="array"):

@@ -333,23 +333,26 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     support = sum(used, np.zeros(rows.size, dtype=np.int64))
     words = (support >= 1) & (support <= max_tuple)
     found = []
-    ratios_by_k: dict[int, Fraction] = {}
+    # per k, the largest ratio vt / (slack * smallest) as an integer pair,
+    # compared by cross-multiplication; the Fractions are built at the end
+    best: dict[int, tuple[int, int]] = {}
     above = np.zeros(rows.size, dtype=np.int64)
     for j in reversed(range(d)):
+        rows_j = np.flatnonzero(words & used[j])
+        depth_j = above[rows_j]
         for k in range(min(d, max_tuple)):
-            sel = words & used[j] & (above == k)
-            if not sel.any():
+            sel_rows = rows_j[depth_j == k]
+            if not sel_rows.size:
                 continue
-            vw, sel_rows = vals[sel], rows[sel]
+            vw = vals[sel_rows]
             # every vw > 0 (nonzero words), so the ratio peaks at the smallest
             smallest = int(vw.min())
             for mu in range(p):
                 slack = max(1, min(mu, p - mu))
                 factor = slack * (2 * p) ** k
                 vt = int(vals[mu * p ** (d - 1 - j)])
-                ratio = Fraction(vt, slack * smallest)
-                if k not in ratios_by_k or ratio > ratios_by_k[k]:
-                    ratios_by_k[k] = ratio
+                if k not in best or vt * best[k][1] > best[k][0] * slack * smallest:
+                    best[k] = (vt, slack * smallest)
                 # vt > factor * vw, divided through so that no entry is multiplied;
                 # no word is that small when the smallest is not
                 limit = (vt - 1) // factor
@@ -370,6 +373,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
         "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
         "bound": jsonio.frac_to_str(Fraction(factor * int(vals[row]), den)),
     } for _, indices, coeffs, k, mu, row, vt, factor in sorted(found)]
+    ratios_by_k = {k: Fraction(*pair) for k, pair in best.items()}
     return LemmaReport(
         inequality="member-word-bound",
         domain=(f"words over up to {min(d, max_tuple)} distinct reduced indices with "

@@ -2,16 +2,21 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_min_norm_in_coset
+from oracles import brute_member_word_bound, brute_min_norm_in_coset
 from fpmap.errors import CapExceededError, InputError, InvalidNormError
 from fpmap.fpcore import GroupElement, OrderedBasis, Prime, Truncation
 from fpmap.jsonio import canonical_dumps
 from fpmap.norms import (
     CostCompletionNorm,
+    GraevBooleanNorm,
     TableNorm,
     UltrametricProductNorm,
+    graded_cost,
     random_cost,
+    random_metric_space,
     validate_axioms,
 )
 from fpmap.reduction import (
@@ -259,6 +264,27 @@ class TestMemberWordBound:
             red = reduce_basis(OrderedBasis.standard(p, d), norm)
             report = check_member_word_bound(red, norm, max_tuple=5)
             assert report.ok, report.violations[:2]
+
+    @given(st.sampled_from(["graev", "graded", "cost", "ultrametric"]),
+           st.sampled_from([(2, 5), (3, 3), (5, 3)]), st.integers(0, 10 ** 6),
+           st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_ratios_match_the_fraction_reference(self, kind, shape, seed, max_tuple):
+        # per-k ratios kept as integer pairs: the same Fractions, and bytes
+        p, d = (2, shape[1] + 2) if kind == "graev" else shape
+        norm = {
+            "graev": lambda: GraevBooleanNorm(random_metric_space(seed, d + 1, 1, 3)),
+            "graded": lambda: CostCompletionNorm(graded_cost(seed, p, d)),
+            "cost": lambda: CostCompletionNorm(random_cost(seed, p, d, F(1, 100), 1)),
+            "ultrametric": lambda: UltrametricProductNorm(
+                p, d, [F(1 + (seed >> i) % 7, 1 + (seed >> 2 * i) % 5) for i in range(d)]),
+        }[kind]()
+        validate_axioms(norm)
+        red = reduce_basis(OrderedBasis.standard(p, d), norm)
+        got = check_member_word_bound(red, norm, max_tuple=max_tuple)
+        want = brute_member_word_bound(red, norm, max_tuple=max_tuple)
+        assert got.ratios_by_k == want.ratios_by_k and got.max_ratio == want.max_ratio
+        assert canonical_dumps(got.to_json_dict()) == canonical_dumps(want.to_json_dict())
 
     def test_cap(self):
         norm = UltrametricProductNorm(2, 8)
