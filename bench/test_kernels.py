@@ -3,7 +3,8 @@ of the seeded cost builders, of the shortest-path completion and the axiom
 check (pair scan, generator certificate, and a refuted certificate followed by
 the scan), of the span kernel under every exhaustive word scan, of the
 prefix ranks, the member word bound and the coarser tables, of the Graev
-value-table DP and of the norm-sorted span and null-subsequence selection.
+value-table DP and the ultrametric table build, and of the norm-sorted span
+and null-subsequence selection, on the standard original and a dense one.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -14,6 +15,7 @@ outside the tier-1 test paths.
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -25,7 +27,7 @@ from fpmap.extraction import (  # noqa: E402
     norm_sorted_span,
     select_null_subsequence,
 )
-from fpmap.fpcore import OrderedBasis, Truncation, running_ranks  # noqa: E402
+from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, rank, running_ranks  # noqa: E402
 from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
     GraevBooleanNorm,
@@ -102,7 +104,7 @@ def _ultrametric():
 @pytest.mark.parametrize("make_norm", [_graded, _graev, _ultrametric],
                          ids=["graded-5-5", "graev-2-11", "ultrametric-2-11"])
 def test_triangle_scan(benchmark, make_norm):
-    # the whole validate_axioms call; the first one records the value table.
+    # the whole validate_axioms call; the first one records the Graev table.
     # graded-5-5 takes the pair scan, graev-2-11 the generator certificate,
     # and ultrametric-2-11 tries the certificate, is refuted, then scans:
     # the worst case of the work rule
@@ -159,6 +161,11 @@ def test_graev_table(benchmark):
     benchmark(norm._dense_values)
 
 
+def test_ultrametric_table(benchmark):
+    # p=2, dim 16: the whole construction, whose table is d integer passes
+    benchmark(UltrametricProductNorm, 2, 16)
+
+
 def test_select_null_subsequence(benchmark):
     norm = _graded()
     validate_axioms(norm)
@@ -179,3 +186,25 @@ def test_sorted_span_and_selection(benchmark, make_norm):
     validate_axioms(norm)
     reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
     benchmark(lambda: select_null_subsequence(norm_sorted_span(norm), norm, reduced, 5))
+
+
+def test_selection_on_a_dense_original(benchmark):
+    # p=2, dim 12, an original basis of random dense rows: top positions come
+    # from one inverse of the original's span ranks, rebuilt each round (the
+    # one-entry span memo is cleared untimed)
+    norm = CostCompletionNorm(graded_cost(0, 2, 12))
+    validate_axioms(norm)
+    rng = Random(0)
+    elems = []
+    while len(elems) < 12:
+        g = GroupElement.make(2, [(i, rng.randrange(2)) for i in range(1, 13)])
+        if rank(elems + [g]) == len(elems) + 1:
+            elems.append(g)
+    reduced = reduce_basis(OrderedBasis(norm.prime, tuple(elems)), norm)
+    ranks = norm_sorted_span(norm)
+
+    def cold():
+        norm.truncation._span = None
+        return (ranks, norm, reduced, 5), {}
+
+    benchmark.pedantic(select_null_subsequence, setup=cold, rounds=50)

@@ -25,7 +25,6 @@ from .fpcore import (
     decompose,
     enumerate_span,
     is_independent,
-    is_independent_oracle,
     length_and_max,
     rank,
     set_prime_cap,

@@ -25,12 +25,10 @@ from .extraction import IndependentFamily
 from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
-    OrderedBasis,
     Prime,
     Truncation,
     _rref,
     as_prime,
-    enumerate_span,
 )
 from .norms import Norm, norm_from_config
 
@@ -131,12 +129,12 @@ class TopologySpec:
     @classmethod
     def from_balls(cls, norm: Norm, radii, *, cap: int | None = None) -> "TopologySpec":
         """Base sets {g : eval(g) < r} for each positive radius r."""
-        Truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
+        tr = Truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
         radii = [Fraction(raw) for raw in radii]
         for r in radii:
             if r <= 0:
                 raise InputError(f"ball radius must be positive, got {r}")
-        vals, den = norm.span_values(OrderedBasis.standard(norm.prime, norm.dim).elems)
+        vals, den = norm.values_of(np.arange(tr.size))
         # vals / den < r, divided through so that no entry is multiplied
         members = [frozenset(np.flatnonzero(vals <= (r.numerator * den - 1) // r.denominator)
                              .tolist()) for r in radii]
@@ -168,10 +166,7 @@ def random_topology(seed: int, p, dim: int, *, cap: int | None = None) -> Topolo
         if rng.random() < 0.5:
             gens = [tr.element_of(rng.randrange(tr.size))
                     for _ in range(rng.randrange(0, dim + 1))]
-            if gens:
-                ranks = frozenset(tr.rank_of(g) for g in enumerate_span(gens, cap=cap))
-            else:
-                ranks = frozenset({0})
+            ranks = frozenset(tr.span_ranks(gens).tolist())
         else:
             extra = rng.sample(range(1, tr.size), k=rng.randrange(0, tr.size))
             ranks = frozenset({0, *extra})
@@ -259,10 +254,7 @@ def _annihilator_basis(chars: list[Character], p: int, dim: int) -> tuple[GroupE
 
 def _assert_same_subgroup(expected_ranks: frozenset[int],
                           basis: tuple[GroupElement, ...], tr: Truncation) -> None:
-    if basis:
-        spanned = frozenset(tr.rank_of(g) for g in enumerate_span(basis))
-    else:
-        spanned = frozenset({0})
+    spanned = frozenset(tr.span_ranks(basis).tolist())
     if spanned != expected_ranks:
         raise InternalDisagreementError(
             f"annihilator basis spans {len(spanned)} elements but the "

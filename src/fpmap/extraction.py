@@ -60,16 +60,23 @@ def reduced_max_position(g: GroupElement, reduced: ReducedBasis) -> int:
 
 
 def _top_positions(ranks: np.ndarray, tr: Truncation, reduced: ReducedBasis) -> np.ndarray:
-    """reduced_max_position of the element of each rank: its max_index, by
-    arithmetic on the rank, when the original basis is the standard one, and
-    solved for otherwise."""
-    if not all(g.items == ((n, 1),) for n, g in enumerate(reduced.original, start=1)):
-        return np.array([reduced_max_position(tr.element_of(r), reduced)
-                         for r in ranks.tolist()], dtype=np.int64)
+    """reduced_max_position of the element of each rank, by arithmetic on
+    its coordinates over the original basis written as a rank (the
+    coefficient of original[j] as the digit of e_(j+1)): their max_index.
+    For the standard original the coordinates are the rank itself; otherwise
+    they are read from one inverse of the original's span ranks, where a
+    rank outside that span reads as rank 1, of max_index dim."""
     if ranks.size and tr.prime != reduced.prime:
         raise InputError(f"mismatched primes: {tr.prime.p} vs {reduced.prime.p}")
-    maxes = tr.max_indices(ranks)
-    outside = np.flatnonzero(maxes > len(reduced))
+    p, k = tr.prime.p, len(reduced)
+    coords = ranks
+    if ranks.size and not all(g.items == ((n, 1),) for n, g in enumerate(reduced.original, start=1)):
+        span = tr.span_ranks(reduced.original.elems)
+        coords = np.ones(tr.size, dtype=np.int64)
+        coords[span] = np.arange(span.size) * p ** (tr.dim - k)
+        coords = coords[ranks]
+    maxes = tr.max_indices(coords)
+    outside = np.flatnonzero(maxes > k)
     if outside.size:
         g = tr.element_of(int(ranks[outside[0]]))
         raise InputError(f"{g!r} is not in the span of the reduced basis")
@@ -143,9 +150,9 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     seq is an int64 array of ranks of the norm's truncation, as
     norm_sorted_span returns, or an iterable of elements, which Norm.ranks_of
     turns into ranks once. Values are gathered by one Norm.values_of call and
-    compared as integers; top positions are max_index arithmetic on the ranks
-    when the original basis is the standard one, and reduced_max_position
-    solves otherwise. Only the chosen terms are built as elements.
+    compared as integers; top positions are max_index arithmetic on the
+    coordinates over the original basis, which for the standard original
+    are the ranks themselves. Only the chosen terms are built as elements.
     """
     if length < 0:
         raise InputError(f"requested length must be nonnegative, got {length}")
@@ -456,6 +463,15 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
                 f"certificate scan needs ~{est} combinations, above cap {capv}")
         combos = _exponent_vectors(n, p, limit)
 
+    terms: dict[tuple[int, int], tuple[GroupElement, Fraction]] = {}
+
+    def term(i: int, k: int) -> tuple[GroupElement, Fraction]:
+        """k * xs[i] and its value, each term evaluated once."""
+        if (i, k) not in terms:
+            g = xs[i].smul(k)
+            terms[i, k] = g, norm.eval(g)
+        return terms[i, k]
+
     min_bad = None
     witness = None
     checked = 0
@@ -464,16 +480,10 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
         if not support:
             continue
         checked += 1
-        bad_term = None
-        for i in support:
-            if norm.eval(xs[i].smul(vec[i])) >= eps:
-                bad_term = i
-                break
+        bad_term = next((i for i in support if term(i, vec[i])[1] >= eps), None)
         if bad_term is None:
             continue
-        w = GroupElement.zero(norm.prime)
-        for i in support:
-            w = w + xs[i].smul(vec[i])
+        w = sum((term(i, vec[i])[0] for i in support), GroupElement.zero(norm.prime))
         vw = norm.eval(w)
         if min_bad is None or vw < min_bad:
             min_bad = vw
@@ -482,7 +492,7 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
                 "w": jsonio.element_to_pairs(w),
                 "term_index": bad_term + 1,
                 "value_w": jsonio.frac_to_str(vw),
-                "value_term": jsonio.frac_to_str(norm.eval(xs[bad_term].smul(vec[bad_term]))),
+                "value_term": jsonio.frac_to_str(term(bad_term, vec[bad_term])[1]),
             }
     if min_bad is None:
         return CertificateResult(eps, grid, grid[0], None, None, checked)

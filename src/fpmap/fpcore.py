@@ -352,38 +352,6 @@ def is_independent(elems: Iterable[GroupElement], p=None) -> bool:
     return rank(elems, p) == len(elems)
 
 
-def is_independent_oracle(elems: Iterable[GroupElement], *, cap: int | None = None) -> bool:
-    """Independence by subset enumeration.
-
-    For every split X = A | (X \\ A), the spans of the two halves must meet
-    only at zero. A set containing the zero element is dependent outright.
-    """
-    elems = tuple(elems)
-    if not elems:
-        return True
-    prime = elems[0].prime
-    for g in elems:
-        if g.prime != prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
-    if any(g.is_zero() for g in elems):
-        return False
-    n = len(elems)
-    p = prime.p
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if (p ** n) * (2 ** n) > cap:
-        raise CapExceededError(
-            f"independence oracle needs ~{p ** n} * {2 ** n} steps, above cap {cap}")
-    for bits in range(1, 2 ** n - 1):
-        half = [elems[j] for j in range(n) if bits >> j & 1]
-        rest = [elems[j] for j in range(n) if not bits >> j & 1]
-        for w in enumerate_span(half, cap=cap):
-            if w.is_zero():
-                continue
-            if solve_in_span(w, rest) is not None:
-                return False
-    return True
-
-
 def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
     """All p^n combinations of the given elements, in lexicographic coefficient order.
 

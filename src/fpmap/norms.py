@@ -7,11 +7,11 @@ otherwise; both storages give the same exact arithmetic. A cost is such a
 vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
 element. Each norm's dense value table is such a vector too, indexed by rank:
-table and cost-completion norms build it at construction, and
-validate_axioms records it for the others (the ultrametric norm by
-evaluating every word, the Graev norm by one integer DP over all subsets,
-still bounded by its matching cap). Norm.span_values and Norm.values_of
-(by rank) read values from it (a norm without one evaluates them).
+table, ultrametric and cost-completion norms build it at construction, and
+validate_axioms records it for the Graev norm by one integer DP over all
+subsets, still bounded by its matching cap. Norm.span_values and
+Norm.values_of (by rank) read values from it (a Graev norm without one
+evaluates them word by word).
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -37,7 +37,6 @@ from .fpcore import (
     DEFAULT_ENUM_CAP,
     DEFAULT_MATCHING_CAP,
     GroupElement,
-    OrderedBasis,
     Truncation,
     as_prime,
     enumerate_span,
@@ -347,8 +346,9 @@ class Norm:
     """Base class for a norm on the truncation F_p^dim.
 
     ``_table`` holds the dense values (numerators by rank of ``_tr``, one
-    denominator); eval and span_values read it when present, and families
-    that lack one until validate_axioms records it implement ``_eval``."""
+    denominator); eval and span_values read it when present. Only the Graev
+    norm lacks one until validate_axioms records it, and implements
+    ``_eval`` for that time."""
 
     kind = "abstract"
 
@@ -420,24 +420,6 @@ class Norm:
         nums, den = self._table
         return nums[ranks], den
 
-    def extend_span(self, ranks: np.ndarray, g: GroupElement) -> tuple[np.ndarray, np.ndarray, int]:
-        """Grow a span by one element on the value table: from the ranks of
-        span(elems) to the ranks of span(elems + [g]) with their numerators and
-        denominator, in enumerate_span order. Needs the table."""
-        self._check(g)
-        ranks = self._tr.extend_span(ranks, g)
-        nums, den = self._table
-        return ranks, nums[ranks], den
-
-    def _dense_values(self) -> tuple[np.ndarray, int]:
-        """The value of every rank as _scaled stores it, by evaluating each word;
-        validate_axioms records it as the table."""
-        return _scaled([self._eval(w) for w in
-                        enumerate_span(OrderedBasis.standard(self.prime, self.dim))])
-
-    def _eval(self, g: GroupElement) -> Fraction:
-        raise NotImplementedError
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -488,11 +470,13 @@ class UltrametricProductNorm(Norm):
 
     Satisfies the strong inequality N(g+h) <= max(N(g), N(h)) for any positive
     weights, since the support of a sum is contained in the union of supports.
+    The value table is built at construction, one integer pass per index.
     """
 
     kind = "ultrametric"
 
-    def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None):
+    def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None,
+                 *, cap: int | None = None):
         super().__init__(p, dim)
         if weights is None:
             ws = tuple(Fraction(1, i) for i in range(1, dim + 1))
@@ -503,11 +487,15 @@ class UltrametricProductNorm(Norm):
             if any(w <= 0 for w in ws):
                 raise InputError("weights must be positive")
         self.weights = ws
-
-    def _eval(self, g: GroupElement) -> Fraction:
-        if g.is_zero():
-            return Fraction(0)
-        return max(self.weights[i - 1] for i in g.support)
+        self._tr = Truncation(self.prime, dim, cap=cap)
+        # every weight is the value of its unit, so the weights' scaling is
+        # the table's; putting e_i in front of the words over e_(i+1)..e_dim
+        # keeps the values of coefficient 0 and raises the others to >= w_i
+        w, den = _scaled(ws)
+        nums = np.zeros(1, dtype=w.dtype)
+        for w_i in w[::-1]:
+            nums = np.concatenate([nums] + [np.maximum(nums, w_i)] * (self.prime.p - 1))
+        self._table = nums, den
 
     def describe(self) -> dict:
         return {
@@ -861,7 +849,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
         if weights is not None:
             weights = [jsonio.frac_from_str(w)
                        for w in jsonio.require_list(weights, what="weights")]
-        return UltrametricProductNorm(cfg["prime"], cfg["dim"], weights)
+        return UltrametricProductNorm(cfg["prime"], cfg["dim"], weights, cap=cap)
     if kind == "table":
         jsonio.require_keys(cfg, ["kind", "prime", "dim", "entries"], [],
                             what="table config")

@@ -23,7 +23,6 @@ from .fpcore import (
     GroupElement,
     OrderedBasis,
     as_prime,
-    rank,
     running_ranks,
     span_word,
 )
@@ -175,13 +174,14 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
         raise CapExceededError(
             f"reduction would evaluate up to {p ** d * (p - 1)} candidates, above cap {cap}")
 
+    tr = norm.truncation
     reduced: list[GroupElement] = []
     steps = []
     ranks = np.zeros(1, dtype=np.int64)  # span(reduced), grown by one element per step
     for n in range(d):
         # candidates: the rows whose incoming coefficient (last digit) is nonzero
         span = reduced + [basis[n]]
-        _, vals, den = norm.extend_span(ranks, basis[n])
+        vals, den = norm.values_of(tr.extend_span(ranks, basis[n]))
         cand = vals.reshape(-1, p)[:, 1:].ravel()
         i = int(np.argmin(cand))
         best = cand[i]
@@ -196,7 +196,7 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
             runner_up_gap=None if not above.size else Fraction(int(above.min() - best), den),
         ))
         reduced.append(elem)
-        ranks = norm.extend_span(ranks, elem)[0]
+        ranks = tr.extend_span(ranks, elem)
     return ReducedBasis(
         original=basis,
         reduced=OrderedBasis(basis.prime, tuple(reduced)),
@@ -243,10 +243,9 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
                               cap: int | None = None) -> LemmaReport:
     """Exhaustive check that every word is at least as large as its top term.
 
-    Also re-checks the structural facts: prefix spans match the original
-    basis, and the reduced elements are independent. The word scan quantifies
-    over coefficient vectors whose top coefficient is nonzero; a zero top
-    coefficient is the same statement for a shorter tuple.
+    The word scan quantifies over coefficient vectors whose top coefficient
+    is nonzero; a zero top coefficient is the same statement for a shorter
+    tuple.
     """
     _require_max_tuple(max_tuple)
     _require_validated(norm)
@@ -256,14 +255,6 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     if p ** d > cap:
         raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
     violations: list[dict] = []
-
-    for n, r in enumerate(reduced.prefix_ranks, start=1):
-        if r != n:
-            violations.append({"check": "prefix-span-equality", "n": n, "rank": r})
-    r = rank(reduced.reduced.elems, reduced.prime)
-    if r != d:
-        violations.append({"check": "independence", "rank": r, "size": d})
-
     elems = reduced.reduced.elems
     vals, den = norm.span_values(elems)
     rows = np.arange(p ** d)

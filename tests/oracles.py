@@ -37,6 +37,7 @@ from fpmap.fpcore import (
     _rref,
     as_prime,
     enumerate_span,
+    solve_in_span,
 )
 from fpmap.norms import CostFunction, Norm, _as_fraction, _scaled
 from fpmap.reduction import (
@@ -65,6 +66,45 @@ def brute_rank(elems, p=None):
             row[col[i]] = c
         rows.append(row)
     return len(_rref(rows, prime.p)[1])
+
+
+def is_independent_oracle(elems, *, cap: int | None = None) -> bool:
+    """Independence by subset enumeration.
+
+    For every split X = A | (X \\ A), the spans of the two halves must meet
+    only at zero. A set containing the zero element is dependent outright.
+    """
+    elems = tuple(elems)
+    if not elems:
+        return True
+    prime = elems[0].prime
+    for g in elems:
+        if g.prime != prime:
+            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
+    if any(g.is_zero() for g in elems):
+        return False
+    n = len(elems)
+    p = prime.p
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if (p ** n) * (2 ** n) > cap:
+        raise CapExceededError(
+            f"independence oracle needs ~{p ** n} * {2 ** n} steps, above cap {cap}")
+    for bits in range(1, 2 ** n - 1):
+        half = [elems[j] for j in range(n) if bits >> j & 1]
+        rest = [elems[j] for j in range(n) if not bits >> j & 1]
+        for w in enumerate_span(half, cap=cap):
+            if w.is_zero():
+                continue
+            if solve_in_span(w, rest) is not None:
+                return False
+    return True
+
+
+def brute_ultrametric_values(p, weights):
+    """The value of every word of the truncation F_p^len(weights), in rank
+    order: one Fraction max of the weights over its support."""
+    words = enumerate_span(OrderedBasis.standard(p, len(weights)))
+    return [max((weights[i - 1] for i in w.support), default=Fraction(0)) for w in words]
 
 
 def brute_graev(space, points):

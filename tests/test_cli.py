@@ -147,6 +147,14 @@ class TestInputAndCapExits:
         assert main(["run", "--config", cfg]) == 3
         assert "cap 5" in capsys.readouterr().err
 
+    def test_ultrametric_enum_cap_exit_three_at_build(self, tmp_path, capsys):
+        # the value table is built with the norm, so the cap stops stage build
+        run = {"prime": 2, "dim": 5, "caps": {"enum": 31},
+               "norm": {"kind": "ultrametric", "prime": 2, "dim": 5}}
+        assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage build: truncation has 32 elements, above cap 31\n")
+
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
         # dim == cap validates; one point more exits 3 before any subset DP
         def space(n_points):

@@ -2,12 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import is_independent_oracle
 from fpmap.errors import ExhaustedError, InputError, NormBoundFailedError
 from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,
     Truncation,
-    is_independent_oracle,
 )
 from fpmap.extraction import (
     BooleanWitnessReport,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_rank_row
+from oracles import brute_rank_row, is_independent_oracle
 from fpmap.errors import CapExceededError, InputError, NotInSpanError
 from fpmap.fpcore import (
     GroupElement,
@@ -15,7 +15,6 @@ from fpmap.fpcore import (
     decompose,
     enumerate_span,
     is_independent,
-    is_independent_oracle,
     length_and_max,
     rank,
     solve_in_span,

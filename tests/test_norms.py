@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_axiom_violations, brute_cost_completion, brute_graev
+from oracles import (
+    brute_axiom_violations,
+    brute_cost_completion,
+    brute_graev,
+    brute_ultrametric_values,
+)
 from fpmap import jsonio
 from fpmap.errors import CapExceededError, InputError
 from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, enumerate_span
@@ -271,6 +276,31 @@ class TestUltrametricProductNorm:
         g = tr.element_of(data.draw(st.integers(0, tr.size - 1)))
         h = tr.element_of(data.draw(st.integers(0, tr.size - 1)))
         assert norm.eval(g + h) <= max(norm.eval(g), norm.eval(h))
+
+    @given(p=st.sampled_from([2, 3, 5]), dim=st.integers(1, 5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_per_word_max(self, p, dim, data):
+        # small weights take int64 storage; numerators past 2^62, or many
+        # coprime denominators, take Python ints
+        num = st.one_of(st.integers(1, 100), st.integers(2 ** 62, 2 ** 70))
+        den = st.one_of(st.integers(1, 100), st.integers(2 ** 30, 2 ** 50))
+        weights = [F(data.draw(num), data.draw(den)) for _ in range(dim)]
+        norm = UltrametricProductNorm(p, dim, weights)
+        assert_same_storage(norm._table, _scaled(brute_ultrametric_values(p, weights)))
+
+    @pytest.mark.parametrize("big, dtype", INT64_EDGE)
+    def test_int64_edge_of_the_table(self, big, dtype):
+        weights = [F(1), F(big), F(2)]
+        norm = UltrametricProductNorm(3, 3, weights)
+        assert norm._table[0].dtype == dtype
+        assert_same_storage(norm._table, _scaled(brute_ultrametric_values(3, weights)))
+
+    def test_table_is_bounded_by_the_enum_cap(self):
+        with pytest.raises(CapExceededError, match="truncation has 32 elements, above cap 31"):
+            UltrametricProductNorm(2, 5, cap=31)
+        assert UltrametricProductNorm(2, 5, cap=32)._table[0].size == 32
+        with pytest.raises(CapExceededError, match="above cap 31"):
+            norm_from_config({"kind": "ultrametric", "prime": 2, "dim": 5}, cap=31)
 
 
 class TestTableNorm:

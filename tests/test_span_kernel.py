@@ -23,6 +23,7 @@ from oracles import (
     brute_reduce_basis,
     brute_reduced_properties,
     brute_select_null_subsequence,
+    brute_ultrametric_values,
 )
 from fpmap.duality import product_coarser_check
 from fpmap.errors import ExhaustedError, InputError
@@ -212,18 +213,18 @@ def as_fractions(pair):
 
 
 def test_table_and_generic_routes_agree():
+    # span values before and after validate_axioms, against one max of the
+    # weights per word
     norm = UltrametricProductNorm(3, 4, [F(1, 2), F(1, 5), F(1, 2), F(1, 7)])
     rng = Random(3)
     tr = Truncation(3, 4)
     elems = [tr.element_of(rng.randrange(tr.size)) for _ in range(3)]
-    assert norm._table is None
-    generic = as_fractions(norm.span_values(elems))
-    assert generic == [norm.eval(w) for w in enumerate_span(elems)]
+    ref = brute_ultrametric_values(3, norm.weights)
+    values = as_fractions(norm.span_values(elems))
+    assert values == [ref[tr.rank_of(w)] for w in enumerate_span(elems)]
     validate_axioms(norm)
-    assert norm._table is not None
-    assert as_fractions(norm.span_values(elems)) == generic
-    assert as_fractions(norm.span_values(OrderedBasis.standard(3, 4).elems)) == [
-        norm._eval(tr.element_of(r)) for r in range(tr.size)]
+    assert as_fractions(norm.span_values(elems)) == values
+    assert as_fractions(norm.span_values(OrderedBasis.standard(3, 4).elems)) == ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +278,7 @@ def test_selection_matches_per_candidate_loop(norm, data):
     # length d + 1 cannot be met on a standard original, so exhaustion shows up
     length = data.draw(st.integers(1, d + 1))
     standard = reduce_basis(OrderedBasis.standard(norm.prime, d), norm)
-    # a planted non-standard original takes the solve per candidate
+    # a planted non-standard original reads coordinates from its span ranks
     other = planted(random_basis(norm.prime.p, d, rng), norm)
     for reduced in (standard, other):
         for seq in (span, rng.sample(span, rng.randrange(len(span) + 1))):
@@ -303,6 +304,34 @@ def test_rank_space_selection_matches_per_candidate_loop(norm, data):
             same_selection(elems, norm, reduced, length, ranks=ranks)
 
 
+def random_dense_basis(p, dim, k, rng):
+    """k independent elements with uniformly random coefficients."""
+    elems = []
+    while len(elems) < k:
+        g = GroupElement.make(p, [(i, rng.randrange(p)) for i in range(1, dim + 1)])
+        if rank(elems + [g]) == len(elems) + 1:
+            elems.append(g)
+    return OrderedBasis(as_prime(p), tuple(elems))
+
+
+def test_selection_on_a_random_original_at_dim_10():
+    # a dense original spanning the truncation, and one of 6 elements, whose
+    # span leaves out most candidates: selection over the candidates inside
+    # it, and the error for the first one outside
+    norm = build_norm("graded", 2, 10, 4)
+    validate_axioms(norm)
+    tr = norm.truncation
+    span = norm_sorted_span(norm)
+    rng = Random(10)
+    for k in (10, 6):
+        reduced = reduce_basis(random_dense_basis(2, 10, k, rng), norm)
+        inside = span[np.isin(span, tr.span_ranks(reduced.original.elems))]
+        for ranks in (inside, span):
+            for length in (1, 4, k, k + 1):
+                same_selection([tr.element_of(r) for r in ranks.tolist()], norm, reduced,
+                               length, ranks=ranks)
+
+
 def test_rank_candidates_out_of_range():
     norm = UltrametricProductNorm(3, 2)
     validate_axioms(norm)
@@ -313,17 +342,15 @@ def test_rank_candidates_out_of_range():
 
 
 def test_selection_without_a_table_and_outside_the_span():
-    # an unvalidated norm evaluates each candidate; a shorter reduced basis
-    # leaves e3 and e4 outside its span
+    # selection on a norm not yet validated; a shorter reduced basis leaves
+    # e3 and e4 outside its span
     norm = UltrametricProductNorm(2, 4, [F(1, 9), F(1, 100), F(1, 2), F(1, 3000)])
     tr = Truncation(2, 4)
     elems = [tr.element_of(r) for r in range(tr.size)]
-    assert norm._table is None
     for basis in (OrderedBasis.standard(2, 4), random_basis(2, 4, Random(2))):
         for length in (1, 2, 3, 4):
             same_selection(elems, norm, planted(basis, norm), length)
             same_selection(elems[::-1], norm, planted(basis, norm), length)
-    assert norm._table is None
     validate_axioms(norm)
     short = reduce_basis(OrderedBasis.standard(2, 2), norm)
     same_selection(elems[:4], norm, short, 2)
