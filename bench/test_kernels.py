@@ -3,8 +3,10 @@ of the seeded cost builders, of the shortest-path completion and the axiom
 check (pair scan, generator certificate, and a refuted certificate followed by
 the scan), of the span kernel under every exhaustive word scan, of the
 prefix ranks, the member word bound and the coarser tables, of the Graev
-value-table DP and the ultrametric table build, and of the norm-sorted span
-and null-subsequence selection, on the standard original and a dense one.
+value-table DP and the ultrametric table build, of the norm-sorted span
+and null-subsequence selection, on the standard original and a dense one,
+and of duality: is_map on two ultrametric balls (test_is_map_balls) and the
+von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded).
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -21,7 +23,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fpmap.duality import product_coarser_check  # noqa: E402
+from fpmap.duality import (  # noqa: E402
+    TopologySpec,
+    is_map,
+    product_coarser_check,
+    random_topology,
+    von_neumann_kernel,
+)
 from fpmap.extraction import (  # noqa: E402
     IndependentFamily,
     norm_sorted_span,
@@ -208,3 +216,15 @@ def test_selection_on_a_dense_original(benchmark):
         return (ranks, norm, reduced, 5), {}
 
     benchmark.pedantic(select_null_subsequence, setup=cold, rounds=50)
+
+
+def test_is_map_balls(benchmark):
+    # p=2, dim 13: two nested ball subgroups of the default ultrametric norm
+    spec = TopologySpec.from_balls(UltrametricProductNorm(2, 13), [Fraction(1, 4), Fraction(1, 9)])
+    benchmark(is_map, spec)
+
+
+def test_von_neumann_kernel_seeded(benchmark):
+    # p=3, dim 8: three base sets of 2187, 282 and 6561 ranks
+    spec = random_topology(10, 3, 8)
+    benchmark(von_neumann_kernel, spec)

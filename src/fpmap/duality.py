@@ -1,15 +1,15 @@
 """Characters of a finite truncation and the almost-periodicity criteria.
 
 A character of an exponent-p group lands in a cyclic group of order p, so
-it is just a linear functional into Z/pZ: a dual coefficient vector. On a
-finite truncation everything downstream of that observation is exhaustively
-computable: which characters are continuous for a given neighborhood base,
-what their kernels cut out, and whether the continuous ones separate points.
+it is just a linear functional into Z/pZ: a dual coefficient vector. It is
+continuous iff it annihilates the span W_U of some base set U, so which
+characters are continuous, what their kernels cut out, and whether they
+separate points is linear algebra on at most dim generators per base set.
 
 The separation verdict is computed three independent ways (kernel of the
-continuous dual, rank of the continuous dual, intersection of admissible
-index-p subgroups) and the routes must agree; a mismatch raises
-InternalDisagreement because it can only mean a bug, never mathematics.
+continuous dual, rank of the continuous dual, intersection of the W_U) and
+the routes must agree; a mismatch raises InternalDisagreement because it
+can only mean a bug, never mathematics.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from .fpcore import (
     Truncation,
     _rref,
     as_prime,
+    rank,
 )
 from .norms import Norm, norm_from_config
 
@@ -81,8 +82,8 @@ class Character:
         """Ranks of the kernel within the given truncation."""
         if tr.prime != self.prime or tr.dim != self.dim:
             raise InputError("truncation does not match the character")
-        vals = tr.digits.dot(np.array(self.coeffs, dtype=np.int64)) % self.prime.p
-        return frozenset(int(r) for r in np.nonzero(vals == 0)[0])
+        basis = _annihilator_basis([list(self.coeffs)], self.prime.p, self.dim)
+        return frozenset(tr.span_ranks(basis).tolist())
 
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.coeffs)}
@@ -205,9 +206,52 @@ def topology_from_config(cfg, *, cap: int | None = None) -> TopologySpec:
     raise InputError(f"unknown topology kind {kind!r}")
 
 
-def _base_arrays(spec: TopologySpec) -> list[np.ndarray]:
-    return [np.fromiter(sorted(u), dtype=np.int64, count=len(u))
-            for u in spec.members]
+def _coeff_rows(ranks, p: int, dim: int) -> list[list[int]]:
+    """Coefficient vector of each rank, the coefficient of e_1 first."""
+    return (np.asarray(ranks, dtype=np.int64)[:, None]
+            // p ** np.arange(dim - 1, -1, -1) % p).tolist()
+
+
+def _annihilator_basis(rows, p: int, dim: int) -> tuple[GroupElement, ...]:
+    """Reduced-echelon basis of the common kernel of the given coefficient
+    rows (reduced in place), via the null space of their matrix."""
+    rows, pivots = _rref(rows, p)
+    null_rows = []
+    for f in (c for c in range(dim) if c not in pivots):
+        x = [0] * dim
+        x[f] = 1
+        for r, pc in enumerate(pivots):
+            x[pc] = (-rows[r][f]) % p
+        null_rows.append(x)
+    canon, _ = _rref(null_rows, p)
+    return tuple(
+        GroupElement.make(p, [(j + 1, c) for j, c in enumerate(row) if c])
+        for row in canon)
+
+
+def _base_spans(spec: TopologySpec, cap: int | None):
+    """(truncation, mask of the intersection of the W_U, mask of the
+    continuous dual, a basis of ann(W_U) per base set U), W_U = span(U).
+
+    W_U grows from the first rank of U outside the span so far, so it takes
+    at most dim span extensions; ann(W_U) is the null space of those
+    generators, and the continuous dual is the union of the ann(W_U)."""
+    p, d = spec.prime.p, spec.dim
+    tr = Truncation(spec.prime, d, cap=cap)
+    inter, dual = np.ones(tr.size, dtype=bool), np.zeros(tr.size, dtype=bool)
+    anns = []
+    for u in spec.members:
+        u = np.sort(np.fromiter(u, dtype=np.int64, count=len(u)))
+        w = np.zeros(tr.size, dtype=bool)
+        span, gens = np.zeros(1, dtype=np.int64), []
+        while (u := u[~w[u]]).size:
+            gens.append(int(u[0]))
+            span = tr.extend_span(span, tr.element_of(gens[-1]))
+            w[span] = True
+        inter &= w
+        anns.append(_annihilator_basis(_coeff_rows(gens, p, d), p, d))
+        dual[tr.span_ranks(anns[-1])] = True
+    return tr, inter, dual, anns
 
 
 def continuous_characters(spec: TopologySpec, *, cap: int | None = None) -> list[Character]:
@@ -216,40 +260,8 @@ def continuous_characters(spec: TopologySpec, *, cap: int | None = None) -> list
     Continuity into a discrete target is exactly that kernel containment;
     the trivial character always qualifies and comes first.
     """
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    p, d = spec.prime.p, spec.dim
-    if p ** d > cap:
-        raise CapExceededError(f"{p}^{d} dual vectors exceed the cap {cap}")
-    tr = Truncation(spec.prime, d, cap=cap)
-    digits = tr.digits
-    bases = _base_arrays(spec)
-    out = []
-    for vr in range(tr.size):
-        vals = digits.dot(digits[vr]) % p
-        zero = vals == 0
-        if any(bool(zero[ua].all()) for ua in bases):
-            out.append(Character(spec.prime, tuple(int(c) for c in digits[vr])))
-    return out
-
-
-def _annihilator_basis(chars: list[Character], p: int, dim: int) -> tuple[GroupElement, ...]:
-    """Reduced-echelon basis of the common kernel, via the null space of the
-    matrix of dual vectors."""
-    rows, pivots = _rref([list(c.coeffs) for c in chars], p)
-    free = [c for c in range(dim) if c not in pivots]
-    null_rows = []
-    for f in free:
-        x = [0] * dim
-        x[f] = 1
-        for r, pc in enumerate(pivots):
-            x[pc] = (-rows[r][f]) % p
-        null_rows.append(x)
-    if not null_rows:
-        return ()
-    canon, _ = _rref(null_rows, p)
-    return tuple(
-        GroupElement.make(p, [(j + 1, c) for j, c in enumerate(row) if c])
-        for row in canon)
+    rows = _coeff_rows(np.flatnonzero(_base_spans(spec, cap)[2]), spec.prime.p, spec.dim)
+    return [Character(spec.prime, tuple(row)) for row in rows]
 
 
 def _assert_same_subgroup(expected_ranks: frozenset[int],
@@ -257,25 +269,23 @@ def _assert_same_subgroup(expected_ranks: frozenset[int],
     spanned = frozenset(tr.span_ranks(basis).tolist())
     if spanned != expected_ranks:
         raise InternalDisagreementError(
-            f"annihilator basis spans {len(spanned)} elements but the "
-            f"brute-force kernel has {len(expected_ranks)}: the two routes disagree")
+            f"annihilator basis spans {len(spanned)} elements but the base "
+            f"spans meet in {len(expected_ranks)}: the two routes disagree")
 
 
 def von_neumann_kernel(spec: TopologySpec, *, cap: int | None = None) -> tuple[GroupElement, ...]:
     """Intersection of the kernels of all continuous characters, as a
     reduced-echelon basis (empty tuple for the trivial subgroup).
 
-    Computed twice: brute-force intersection over the truncation, and the
-    annihilator of the continuous dual span. Disagreement raises.
+    Computed twice: the annihilator of the continuous dual, the null space
+    of the stacked ann(W_U) bases, and the intersection of the W_U, which
+    it equals by the double annihilator. Disagreement raises.
     """
-    chars = continuous_characters(spec, cap=cap)
+    tr, inter, _, anns = _base_spans(spec, cap)
     p, d = spec.prime.p, spec.dim
-    tr = Truncation(spec.prime, d, cap=cap)
-    rows = np.array([c.coeffs for c in chars], dtype=np.int64)
-    vals = tr.digits.dot(rows.T) % p
-    brute = frozenset(int(r) for r in np.nonzero(~vals.any(axis=1))[0])
-    basis = _annihilator_basis(chars, p, d)
-    _assert_same_subgroup(brute, basis, tr)
+    basis = _annihilator_basis(
+        _coeff_rows([tr.rank_of(a) for ann in anns for a in ann], p, d), p, d)
+    _assert_same_subgroup(frozenset(np.flatnonzero(inter).tolist()), basis, tr)
     return basis
 
 
@@ -325,40 +335,27 @@ def is_map(spec: TopologySpec, *, cap: int | None = None) -> MapReport:
     """Do the continuous characters separate points? Three routes, one verdict.
 
     Route one: the von Neumann kernel has an empty basis. Route two: the
-    continuous dual vectors span the full dual. Route three: the index-p
-    subgroups containing some base set intersect in zero alone, computed on
-    element sets without linear algebra. Any disagreement raises.
-    """
-    chars = continuous_characters(spec, cap=cap)
+    continuous dual vectors span the full dual. Route three: the spans W_U
+    of the base sets intersect in zero alone, read from their rank masks.
+    Any disagreement raises. Each open index-p subgroup is the kernel of
+    one line of the continuous dual."""
     kernel_basis = von_neumann_kernel(spec, cap=cap)
+    _, inter, dual, anns = _base_spans(spec, cap)
     p, d = spec.prime.p, spec.dim
-    dual_rank = len(_rref([list(c.coeffs) for c in chars], p)[1])
+    n_continuous = int(dual.sum())
+    dual_rank = rank([a for ann in anns for a in ann], spec.prime)
     route_kernel = len(kernel_basis) == 0
     route_rank = dual_rank == d
-
-    tr = Truncation(spec.prime, d, cap=cap)
-    digits = tr.digits
-    bases = _base_arrays(spec)
-    inter = set(range(tr.size))
-    n_open = 0
-    for vr in range(1, tr.size):
-        coeffs = digits[vr]
-        lead = coeffs[np.nonzero(coeffs)[0][0]]
-        if lead != 1:
-            continue  # one representative per index-p subgroup
-        zero = (digits.dot(coeffs) % p) == 0
-        if any(bool(zero[ua].all()) for ua in bases):
-            n_open += 1
-            inter &= {int(r) for r in np.nonzero(zero)[0]}
-    route_sub = inter == {0}
+    route_sub = int(inter.sum()) == 1
 
     if not (route_kernel == route_rank == route_sub):
         raise InternalDisagreementError(
             f"separation routes disagree: kernel {route_kernel}, "
             f"dual rank {route_rank}, open subgroups {route_sub}")
     witness = kernel_basis[0] if kernel_basis else None
-    return MapReport(spec.prime, d, route_kernel, dual_rank, len(chars), n_open,
-                     kernel_basis, witness, route_kernel, route_rank, route_sub)
+    return MapReport(spec.prime, d, route_kernel, dual_rank, n_continuous,
+                     (n_continuous - 1) // (p - 1), kernel_basis, witness,
+                     route_kernel, route_rank, route_sub)
 
 
 @dataclass(frozen=True)

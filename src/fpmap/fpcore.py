@@ -412,8 +412,8 @@ class Truncation:
     lo = ceil(dim/2), rank r = high * p^lo + low, where high holds the first
     dim - lo digits and low the last lo. Each half keeps its p^k digit vectors
     and the weights that turn them back into a rank, so a row is the outer sum
-    of one row over the high halves and one over the low halves, and never
-    needs the (size, dim) ``digits`` table.
+    of one row over the high halves and one over the low halves, and no
+    (size, dim) table of coefficient vectors is ever built.
     """
 
     def __init__(self, p, dim: int, *, cap: int | None = None):
@@ -426,17 +426,10 @@ class Truncation:
             raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
         self.dim = dim
         self.size = size
-        self._digits = None
+        self._identity = None
         self._halves = None
         self._neg_perm = None
         self._span = None  # (element tuple, its span ranks): the last span built
-
-    @property
-    def digits(self) -> np.ndarray:
-        """(size, dim) int64 array; row r holds the coefficient vector of rank r."""
-        if self._digits is None:
-            self._digits = _digit_table(self.prime.p, self.dim)[0]
-        return self._digits
 
     def _half_digits(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(p^lo, high digits, high weights, low digits, low weights).
@@ -518,7 +511,10 @@ class Truncation:
     def add_rank_row(self, r: int) -> np.ndarray:
         """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
         if self.prime.p == 2:
-            return np.bitwise_xor(np.arange(self.size, dtype=np.int64), np.int64(r))
+            if self._identity is None:  # a fresh arange per row costs a page-faulted map
+                self._identity = np.arange(self.size, dtype=np.int64)
+                self._identity.flags.writeable = False
+            return np.bitwise_xor(self._identity, np.int64(r))
         _, row_high, row_low = self._half_rows(r)
         return np.add.outer(row_high, row_low).ravel()
 

@@ -5,10 +5,12 @@ package (a dense reduced row-echelon form per rank instead of one sparse
 forward elimination, full partition enumeration instead of subset DP, edge
 relaxation to a fixpoint instead of Dijkstra, nested loops instead of
 vectorized rows, one Fraction per rank instead of integer cost numerators,
-and word scans that build and evaluate every word instead of reading
-Norm.span_values), or the package's own loops without their pruning (a
-Dijkstra step for every vertex, a triangle row for every g). Agreement
-between the two is what the tests assert.
+word scans that build and evaluate every word instead of reading
+Norm.span_values, and duality by a dot product of every dual vector with
+every element instead of linear algebra on the spans of the base sets), or
+the package's own loops without their pruning (a Dijkstra step for every
+vertex, a triangle row for every g). Agreement between the two is what the
+tests assert.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from random import Random
 import numpy as np
 
 from fpmap import jsonio
-from fpmap.duality import CoarserReport
+from fpmap.duality import Character, CoarserReport
 from fpmap.errors import CapExceededError, ExhaustedError, InputError
 from fpmap.extraction import (
     IndependentFamily,
@@ -709,3 +711,63 @@ def brute_achievable_length(norms, maxes, p: int, limit: int) -> int:
         if any(first_row):
             return slots
     return 0
+
+
+def _coefficient_table(p: int, dim: int) -> np.ndarray:
+    """(p^dim, dim) int64 table whose row r is the coefficient vector of rank r,
+    the coefficient of e_1 first."""
+    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return np.arange(p ** dim, dtype=np.int64)[:, None] // weights % p
+
+
+def _base_arrays(spec) -> list[np.ndarray]:
+    return [np.fromiter(sorted(u), dtype=np.int64, count=len(u)) for u in spec.members]
+
+
+def brute_continuous_characters(spec, *, cap: int | None = None) -> list[Character]:
+    """Every dual vector, in dual-rank order, that vanishes on all of some base
+    set: one dot product of each dual vector with every element."""
+    p, d = spec.prime.p, spec.dim
+    Truncation(spec.prime, d, cap=cap)  # enforces the enumeration cap
+    table = _coefficient_table(p, d)
+    bases = _base_arrays(spec)
+    out = []
+    for coeffs in table:
+        zero = table.dot(coeffs) % p == 0
+        if any(bool(zero[ua].all()) for ua in bases):
+            out.append(Character(spec.prime, tuple(int(c) for c in coeffs)))
+    return out
+
+
+def brute_von_neumann_kernel(spec, *, cap: int | None = None) -> tuple[GroupElement, ...]:
+    """The elements every continuous character sends to 0, found by dot
+    products, then the dense reduced row-echelon form of all their coefficient
+    rows: the nonzero rows are the unique reduced-echelon basis."""
+    p, d = spec.prime.p, spec.dim
+    chars = brute_continuous_characters(spec, cap=cap)
+    table = _coefficient_table(p, d)
+    duals = np.array([c.coeffs for c in chars], dtype=np.int64)
+    kernel = np.flatnonzero(~(table.dot(duals.T) % p).any(axis=1))
+    rows, pivots = _rref(table[kernel].tolist(), p)
+    return tuple(GroupElement.make(p, [(j + 1, c) for j, c in enumerate(row) if c])
+                 for row in rows[:len(pivots)])
+
+
+def brute_open_subgroups(spec, *, cap: int | None = None) -> tuple[int, frozenset[int]]:
+    """(number of index-p subgroups containing some base set, the ranks of
+    their intersection), one dual vector with leading coefficient 1 standing
+    for each subgroup, its kernel found by dot products."""
+    p, d = spec.prime.p, spec.dim
+    Truncation(spec.prime, d, cap=cap)
+    table = _coefficient_table(p, d)
+    bases = _base_arrays(spec)
+    inter = set(range(len(table)))
+    count = 0
+    for coeffs in table[1:]:
+        if coeffs[np.flatnonzero(coeffs)[0]] != 1:
+            continue
+        zero = table.dot(coeffs) % p == 0
+        if any(bool(zero[ua].all()) for ua in bases):
+            count += 1
+            inter &= set(np.flatnonzero(zero).tolist())
+    return count, frozenset(inter)

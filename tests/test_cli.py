@@ -5,6 +5,7 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 """
 
 import gc
+import hashlib
 import json
 
 import pytest
@@ -324,6 +325,37 @@ class TestDuality:
         assert main(["duality", "--check", "map", "--spec", self.topo(tmp_path),
                      "--prime", "3"]) == 2
         assert "does not match" in capsys.readouterr().err
+
+    # sha256 of the stdout of each check, captured from the enumeration over
+    # every dual vector that the span linear algebra replaced
+    PINNED = {
+        "balls": ({"kind": "balls", "norm": {"kind": "ultrametric", "prime": 2, "dim": 13},
+                   "radii": ["1/4", "1/9"]}, 2 ** 13, {
+            "map": "58bc7c32397c7e472c7a488e9209dffb6a97d780a501ce2735f44dabe996b939",
+            "kernel": "7f202b135c9252ec6514131cb4bcd1631a62ff01e54462c1d7404273a2152683"}),
+        "seeded": ({"kind": "seeded", "prime": 3, "dim": 5, "seed": 10}, 3 ** 5, {
+            "map": "daf21713fc8e5ef1a62ff43744d4e3f11c3af1f0784382e664bba12dd38a2680",
+            "kernel": "92ed7cf0396e356908e1a9767d2be52fb4549615afeb1635fbcff83cb3a64e27"}),
+    }
+
+    @pytest.mark.parametrize("check", ["map", "kernel"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_report_bytes(self, tmp_path, capsys, name, check):
+        spec, _, digests = self.PINNED[name]
+        assert main(["duality", "--check", check,
+                     "--spec", write_json(tmp_path / "spec.json", spec)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[check]
+
+    @pytest.mark.parametrize("check", ["map", "kernel"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_enum_cap_below_the_size_exits_three(self, tmp_path, monkeypatch, capsys,
+                                                 name, check):
+        spec, size, _ = self.PINNED[name]
+        monkeypatch.setenv("FPMAP_ENUM_CAP", str(size - 1))
+        assert main(["duality", "--check", check,
+                     "--spec", write_json(tmp_path / "spec.json", spec)]) == 3
+        assert f"above cap {size - 1}" in capsys.readouterr().err
 
     def test_coarser_uses_run_config(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", graded_run_cfg())

@@ -2,7 +2,16 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    brute_continuous_characters,
+    brute_open_subgroups,
+    brute_rank,
+    brute_von_neumann_kernel,
+)
+from fpmap import duality
 from fpmap.duality import (
     Character,
     CoarserReport,
@@ -32,6 +41,7 @@ from fpmap.norms import (
     CostCompletionNorm,
     UltrametricProductNorm,
     graded_cost,
+    random_cost,
     validate_axioms,
 )
 from fpmap.reduction import reduce_basis
@@ -49,6 +59,11 @@ def discrete_spec(p, d):
     return TopologySpec.from_elements(p, d, [[]])
 
 
+def coeffs_of(tr, r):
+    g = tr.element_of(r)
+    return [g.coeff(i) for i in range(1, tr.dim + 1)]
+
+
 def whole_group_spec(p, d):
     tr = Truncation(p, d)
     return TopologySpec.from_elements(p, d, [[tr.element_of(r) for r in range(tr.size)]])
@@ -58,7 +73,7 @@ class TestCharacter:
     def test_linearity_exhaustive(self):
         tr = Truncation(3, 2)
         for vr in range(tr.size):
-            chi = Character.make(3, tr.digits[vr])
+            chi = Character.make(3, coeffs_of(tr, vr))
             for a in range(tr.size):
                 for b in range(tr.size):
                     g, h = tr.element_of(a), tr.element_of(b)
@@ -82,7 +97,7 @@ class TestCharacter:
         for p, d in ((2, 3), (3, 3)):
             tr = Truncation(p, d)
             for vr in range(1, tr.size):
-                chi = Character.make(p, tr.digits[vr])
+                chi = Character.make(p, coeffs_of(tr, vr))
                 assert len(chi.zero_ranks(tr)) == p ** (d - 1)
 
     def test_rejects_bad_coefficients(self):
@@ -280,6 +295,65 @@ class TestIsMap:
 
     def test_seeded_specs_are_reproducible(self):
         assert random_topology(11, 3, 3) == random_topology(11, 3, 3)
+
+
+MAX_DIM = {2: 6, 3: 4, 5: 3}
+
+
+@st.composite
+def topologies(draw):
+    """Seeded, balls and elements specs at p in {2, 3, 5}. Elements specs
+    take up to four base sets, each a fresh random set or a subset or
+    superset of an earlier one, so nested and non-nested bases both occur."""
+    p = draw(st.sampled_from(sorted(MAX_DIM)))
+    d = draw(st.integers(1, MAX_DIM[p]))
+    kind = draw(st.sampled_from(["seeded", "balls", "elements"]))
+    if kind == "seeded":
+        return random_topology(draw(st.integers(0, 10 ** 6)), p, d)
+    if kind == "balls":
+        if draw(st.booleans()):
+            weights = [F(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(d)]
+            norm = UltrametricProductNorm(p, d, weights)
+        else:
+            norm = CostCompletionNorm(random_cost(draw(st.integers(0, 10 ** 6)), p, d,
+                                                  F(1, 10), F(1)))
+        radii = draw(st.lists(st.fractions(F(1, 20), F(3)).filter(lambda r: r > 0),
+                              min_size=1, max_size=3))
+        return TopologySpec.from_balls(norm, radii)
+    tr = Truncation(p, d)
+    ranks = st.integers(0, tr.size - 1)
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        fresh = draw(st.lists(ranks, max_size=d))
+        if sets and draw(st.booleans()):
+            earlier = draw(st.sampled_from(sets))
+            fresh = earlier + fresh if draw(st.booleans()) else earlier[:len(fresh)]
+        sets.append(fresh)
+    return TopologySpec.from_elements(p, d, [[tr.element_of(r) for r in u] for u in sets])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=topologies())
+def test_duality_matches_the_enumeration_oracles(spec):
+    chars = brute_continuous_characters(spec)
+    kernel = brute_von_neumann_kernel(spec)
+    n_open, inter = brute_open_subgroups(spec)
+    dual_rank = brute_rank([GroupElement.make(spec.prime, enumerate(c.coeffs, 1))
+                            for c in chars], spec.prime)
+    assert continuous_characters(spec) == chars
+    assert von_neumann_kernel(spec) == kernel
+    assert is_map(spec) == MapReport(
+        spec.prime, spec.dim, not kernel, dual_rank, len(chars), n_open, kernel,
+        kernel[0] if kernel else None, not kernel, dual_rank == spec.dim, inter == {0})
+
+
+def test_route_three_reads_the_base_spans(monkeypatch):
+    # a kernel route that wrongly claims separation is contradicted by route
+    # three, which reads the spans of the base sets and not the kernel basis
+    monkeypatch.setattr(duality, "von_neumann_kernel", lambda spec, cap=None: ())
+    with pytest.raises(InternalDisagreementError,
+                       match="kernel True, dual rank False, open subgroups False"):
+        is_map(span_e3_spec())
 
 
 def standard_family(norm, m):
