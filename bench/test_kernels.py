@@ -5,8 +5,10 @@ the scan), of the span kernel under every exhaustive word scan, of the
 prefix ranks, the member word bound and the coarser tables, of the Graev
 value-table DP and the ultrametric table build, of the norm-sorted span
 and null-subsequence selection, on the standard original and a dense one,
-and of duality: is_map on two ultrametric balls (test_is_map_balls) and the
-von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded).
+of duality: is_map on two ultrametric balls (test_is_map_balls) and the
+von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded),
+of the word layout build, and of the reduction, the properties check and
+the Graev norm build from a config on the Graev d=11 kernel norm.
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -42,11 +44,16 @@ from fpmap.norms import (  # noqa: E402
     UltrametricProductNorm,
     _shortest_path_values,
     graded_cost,
+    norm_from_config,
     random_cost,
     random_metric_space,
     validate_axioms,
 )
-from fpmap.reduction import check_member_word_bound, reduce_basis  # noqa: E402
+from fpmap.reduction import (  # noqa: E402
+    check_member_word_bound,
+    reduce_basis,
+    verify_reduced_properties,
+)
 
 SHAPES = [(5, 5), (3, 8)]
 
@@ -161,6 +168,39 @@ def test_product_coarser_check(benchmark, reduced_norm):
     members = reduced.reduced.elems[:5]
     family = IndependentFamily(members, tuple(range(1, 6)), tuple(map(norm.eval, members)), None)
     benchmark(product_coarser_check, family, norm, 5)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 16), (5, 6)])
+def test_word_layout(benchmark, p, dim):
+    # a fresh truncation per round, so the lazily kept layout is rebuilt
+    benchmark(lambda: Truncation(p, dim).layout)
+
+
+def _validated_graev():
+    norm = _graev()
+    validate_axioms(norm)
+    return norm
+
+
+def test_reduce_basis(benchmark):
+    # p=2, dim 11: the Graev kernel norm, its table recorded untimed
+    norm = _validated_graev()
+    benchmark(reduce_basis, OrderedBasis.standard(2, 11), norm)
+
+
+def test_verify_reduced_properties(benchmark):
+    # the span memo holds the reduced basis's span, as in a run
+    norm = _validated_graev()
+    reduced = reduce_basis(OrderedBasis.standard(2, 11), norm)
+    benchmark(verify_reduced_properties, reduced, norm)
+
+
+def test_graev_build(benchmark):
+    # a graev-p2-shaped descriptor: 12 points, distances as "num/den" strings
+    # on a 60-step grid in [1/100000, 1/50000]
+    space = random_metric_space(0, 12, Fraction(1, 100000), Fraction(1, 50000))
+    cfg = {"kind": "graev_boolean", "prime": 2, "dim": 11, "space": space.to_json_dict()}
+    benchmark(norm_from_config, cfg)
 
 
 def test_graev_table(benchmark):

@@ -129,10 +129,16 @@ class NullSequence:
 def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
     """The int64 ranks of the whole truncation ordered by (norm value, rank):
     the canonical finite stand-in for a sequence converging to zero. Rank r
-    has value row r of the norm's table, so no rank row is needed."""
-    tr = Truncation(norm.prime, norm.dim, cap=cap)
-    nums, _ = norm.values_of(np.arange(tr.size))
-    return np.argsort(nums, kind="stable")
+    has value row r of the norm's table, so no rank row is needed, and a
+    validated norm already holds this order (read-only) from
+    validate_axioms."""
+    size = norm.prime.p ** norm.dim
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if size > cap:
+        raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
+    if norm._order is not None:
+        return norm._order
+    return np.argsort(norm.values_of(np.arange(size))[0], kind="stable")
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -220,7 +226,7 @@ def _achievable_length(small, maxes) -> int:
         ends = ok & (maxes > floor)
         if not ends.any():
             return s
-        floor = np.minimum.accumulate(np.where(ends, maxes, np.iinfo(np.int64).max))
+        floor = np.minimum.accumulate(np.where(ends, maxes, np.iinfo(maxes.dtype).max))
     return len(small)
 
 

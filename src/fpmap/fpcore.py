@@ -391,6 +391,44 @@ def span_word(elems: Sequence[GroupElement], row: int) -> tuple[tuple[int, ...],
     return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
 
 
+@dataclass(frozen=True)
+class WordLayout:
+    """Per-rank digit statistics of a truncation, as read-only arrays.
+
+    ``top[r]`` is the max_index of element_of(r) (0 for rank 0), ``support[r]``
+    its number of nonzero coefficients, and ``strip[r]`` the rank with its
+    top term removed, so the k-th strip of r has r's k-th term from the top
+    as its top. top and support are int8; strip has the truncation's rank
+    dtype (int32 up to 2^31 elements).
+    """
+
+    top: np.ndarray
+    support: np.ndarray
+    strip: np.ndarray
+
+
+def _word_layout(p: int, dim: int) -> WordLayout:
+    """The layout of p^dim ranks, built one trailing digit at a time: rank
+    q * p + c of dimension i carries the digits of rank q of dimension i - 1
+    and then c at index i, so c != 0 makes i the top and q * p the strip,
+    and c = 0 keeps q's top and strips q's top digit. O(size) in all."""
+    rank_type = np.int32 if p ** dim <= 2 ** 31 else np.int64
+    top = support = np.zeros(1, dtype=np.int8)
+    strip = np.zeros(1, dtype=rank_type)
+    for i in range(1, dim + 1):
+        n = top.size
+        t = np.empty((n, p), dtype=np.int8)
+        t[:, 0], t[:, 1:] = top, i
+        s = np.empty((n, p), dtype=np.int8)
+        s[:, 0], s[:, 1:] = support, support[:, None] + 1
+        q = np.empty((n, p), dtype=rank_type)
+        q[:, 0], q[:, 1:] = strip * p, np.arange(0, n * p, p, dtype=rank_type)[:, None]
+        top, support, strip = t.ravel(), s.ravel(), q.ravel()
+    for a in (top, support, strip):
+        a.flags.writeable = False
+    return WordLayout(top, support, strip)
+
+
 def _digit_table(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-p digits of 0..p^k-1 and the weights that map them back.
 
@@ -429,6 +467,7 @@ class Truncation:
         self._identity = None
         self._halves = None
         self._neg_perm = None
+        self._layout = None
         self._span = None  # (element tuple, its span ranks): the last span built
 
     def _half_digits(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -466,23 +505,17 @@ class Truncation:
             r += c * p ** (d - i)
         return r
 
+    @property
+    def layout(self) -> WordLayout:
+        """The truncation's WordLayout, built on first use."""
+        if self._layout is None:
+            self._layout = _word_layout(self.prime.p, self.dim)
+        return self._layout
+
     def max_indices(self, ranks: np.ndarray) -> np.ndarray:
         """max_index of element_of(r) for each of the given ranks, without
-        building one.
-
-        The coefficient of e_i is the digit of weight p^(dim-i), so a nonzero
-        rank with v trailing zero base-p digits has max_index dim - v, and
-        rank 0 has 0. Each pass divides the ranks still divisible by p.
-        """
-        p = self.prime.p
-        out = np.where(ranks == 0, 0, self.dim)
-        idx = np.flatnonzero(ranks)
-        q = ranks[idx]
-        while idx.size:
-            div = q % p == 0
-            idx, q = idx[div], q[div] // p
-            out[idx] -= 1
-        return out
+        building one: a read of the layout's int8 ``top``."""
+        return self.layout.top[ranks]
 
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:
@@ -532,13 +565,21 @@ class Truncation:
 
     def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
         """Ranks of span(elems + [g]) from the ranks of span(elems), both in
-        enumerate_span order: one rank row, applied 1..p-1 times to the words
-        built so far. The span of no elements has the ranks [0]."""
-        row = self.add_rank_row(self.rank_of(g))
-        layers = [ranks]
-        for _ in range(self.prime.p - 1):
-            layers.append(row[layers[-1]])
-        return np.stack(layers, axis=1).ravel()
+        enumerate_span order: the words so far plus c * g, c = 1..p-1, each
+        layer computed only at the layer before (add_ranks's gathers, with
+        g's half rows built once). The span of no elements has the ranks
+        [0]."""
+        p, r = self.prime.p, self.rank_of(g)
+        out = np.empty((ranks.size, p), dtype=np.int64)
+        out[:, 0] = ranks
+        if p == 2:
+            np.bitwise_xor(ranks, r, out=out[:, 1])
+        else:
+            base, row_high, row_low = self._half_rows(r)
+            for c in range(1, p):
+                prev = out[:, c - 1]
+                out[:, c] = row_high[prev // base] + row_low[prev % base]
+        return out.ravel()
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
         """Ranks of the p^k words of span(elems), in enumerate_span order, as a
@@ -549,6 +590,11 @@ class Truncation:
             ranks = np.zeros(1, dtype=np.int64)
             for g in key:
                 ranks = self.extend_span(ranks, g)
-            ranks.flags.writeable = False
-            self._span = (key, ranks)
+            self.remember_span(key, ranks)
         return self._span[1]
+
+    def remember_span(self, elems: Sequence[GroupElement], ranks: np.ndarray) -> None:
+        """Keep ``ranks``, the span ranks of elems built elsewhere, as the
+        last span; it becomes read-only."""
+        ranks.flags.writeable = False
+        self._span = (tuple(elems), ranks)

@@ -16,22 +16,32 @@ from .errors import InputError
 
 
 def frac_to_str(value: Fraction) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
-def frac_from_str(text) -> Fraction:
+def pair_from_str(text) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal, the denominator
+    positive but the pair not reduced: frac_from_str without the Fraction,
+    with the same checks and messages."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str):
         raise InputError(f"expected a rational as 'num/den' string, got {text!r}")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, slash, den = text.partition("/")
+        num, den = int(num), int(den) if slash else 1
+    except ValueError as exc:
         raise InputError(f"bad rational literal {text!r}: {exc}") from None
+    if den == 0:
+        # the message Fraction(num, 0) raises
+        raise InputError(f"bad rational literal {text!r}: Fraction({num}, 0)")
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def frac_from_str(text) -> Fraction:
+    return Fraction(*pair_from_str(text))
 
 
 def element_to_pairs(g) -> list:

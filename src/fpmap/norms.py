@@ -76,54 +76,53 @@ class PointedMetricSpace:
     Ingested matrices are repaired deterministically: the diagonal is forced
     to zero, each pair is symmetrized by the smaller directed entry, then the
     matrix is closed under shortest paths so the triangle inequality holds.
-    Distinct points at repaired distance zero are rejected.
+    Distinct points at repaired distance zero are rejected. The repair runs
+    on integers: ``nums`` and ``den`` hold the repaired (n, n) matrix as
+    _scaled stores it, numerators over the least common denominator.
     """
 
     def __init__(self, matrix: Sequence[Sequence], basepoint: int = 0):
+        """matrix entries are Fractions or ints, or (numerator, denominator)
+        int pairs with a positive denominator, as jsonio.pair_from_str
+        parses them."""
         n = len(matrix)
         if n < 1:
             raise InputError("metric space needs at least one point")
         if not isinstance(basepoint, int) or isinstance(basepoint, bool) or not 0 <= basepoint < n:
             raise InputError(f"basepoint {basepoint!r} out of range for {n} points")
-        rows = []
+        pairs = []
         for r in matrix:
             if len(r) != n:
                 raise InputError("distance matrix must be square")
-            rows.append([_as_fraction(x, "distance") for x in r])
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] < 0:
-                    raise InputError(f"negative distance at ({i}, {j})")
-        for i in range(n):
-            rows[i][i] = Fraction(0)
-            for j in range(i + 1, n):
-                d = min(rows[i][j], rows[j][i])
-                rows[i][j] = rows[j][i] = d
-        rows = self._closure(rows)
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] == 0:
-                    raise InputError(f"points {i} and {j} are distinct but at distance 0")
-        self.n_points = n
-        self.basepoint = basepoint
-        self._dist = tuple(tuple(r) for r in rows)
-
-    @staticmethod
-    def _closure(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-        """Floyd-Warshall on scaled numerators.
-
-        Entries only shrink and stay nonnegative, so every candidate path is
-        a sum of two entries no larger than the largest input entry.
-        """
-        n = len(rows)
-        m, den = _scaled([x for r in rows for x in r])
-        m = m.reshape(n, n)
+            pairs.extend(x if isinstance(x, tuple) else
+                         _as_fraction(x, "distance").as_integer_ratio() for x in r)
+        den = math.lcm(*(d for _, d in pairs))
+        m = [a * (den // d) for a, d in pairs]
+        # entries only shrink and stay nonnegative from here, so every
+        # candidate path is a sum of two entries no larger than the largest
+        m = np.array(m, dtype=_storage(max(map(abs, m)))).reshape(n, n)
+        bad = np.argwhere(m < 0)
+        if bad.size:
+            raise InputError(f"negative distance at ({bad[0][0]}, {bad[0][1]})")
+        m = np.minimum(m, m.T)
+        np.fill_diagonal(m, 0)
         for k in range(n):
             np.minimum(m, m[:, k, None] + m[k], out=m)
-        return [[Fraction(int(x), den) for x in r] for r in m]
+        zero = m == 0
+        np.fill_diagonal(zero, False)
+        bad = np.argwhere(zero)
+        if bad.size:
+            raise InputError(f"points {bad[0][0]} and {bad[0][1]} are distinct but at distance 0")
+        # dividing by the gcd leaves den the least common denominator
+        g = math.gcd(den, *m.ravel().tolist())
+        m //= g
+        self.n_points = n
+        self.basepoint = basepoint
+        self.nums = m.astype(_storage(int(m.max())))
+        self.den = den // g
 
     def dist(self, i: int, j: int) -> Fraction:
-        return self._dist[i][j]
+        return Fraction(int(self.nums[i, j]), self.den)
 
     @property
     def nonbase(self) -> tuple[int, ...]:
@@ -133,7 +132,8 @@ class PointedMetricSpace:
     def to_json_dict(self) -> dict:
         return {
             "basepoint": self.basepoint,
-            "dist": [[jsonio.frac_to_str(x) for x in row] for row in self._dist],
+            "dist": [[jsonio.frac_to_str(Fraction(x, self.den)) for x in row]
+                     for row in self.nums.tolist()],
         }
 
 
@@ -142,8 +142,9 @@ def graev_norm(space: PointedMetricSpace, points: Iterable[int],
     """Minimum total cost of covering ``points`` by pairs and singletons.
 
     A pair {x, y} costs dist(x, y); a singleton {x} costs dist(x, basepoint).
-    Computed by a memoized dynamic program over subsets; the recursion fixes
-    the lowest remaining point and either pairs it or leaves it alone.
+    Computed by a memoized dynamic program over subsets on the space's
+    integer numerators; the recursion fixes the lowest remaining point and
+    either pairs it or leaves it alone.
     """
     pts = sorted(set(points))
     for x in pts:
@@ -154,27 +155,28 @@ def graev_norm(space: PointedMetricSpace, points: Iterable[int],
     cap = DEFAULT_MATCHING_CAP if matching_cap is None else matching_cap
     if len(pts) > cap:
         raise CapExceededError(f"{len(pts)} points exceed the matching cap {cap}")
+    dist = space.nums
     base = space.basepoint
-    memo: dict[int, Fraction] = {0: Fraction(0)}
+    memo: dict[int, int] = {0: 0}
 
-    def best(mask: int) -> Fraction:
+    def best(mask: int) -> int:
         got = memo.get(mask)
         if got is not None:
             return got
         low = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << low)
-        value = space.dist(pts[low], base) + best(rest)
+        value = int(dist[pts[low], base]) + best(rest)
         m = rest
         while m:
             j = (m & -m).bit_length() - 1
             m &= m - 1
-            alt = space.dist(pts[low], pts[j]) + best(rest & ~(1 << j))
+            alt = int(dist[pts[low], pts[j]]) + best(rest & ~(1 << j))
             if alt < value:
                 value = alt
         memo[mask] = value
         return value
 
-    return best((1 << len(pts)) - 1)
+    return Fraction(best((1 << len(pts)) - 1), space.den)
 
 
 class CostFunction:
@@ -348,7 +350,8 @@ class Norm:
     ``_table`` holds the dense values (numerators by rank of ``_tr``, one
     denominator); eval and span_values read it when present. Only the Graev
     norm lacks one until validate_axioms records it, and implements
-    ``_eval`` for that time."""
+    ``_eval`` for that time. validate_axioms also keeps the ranks in
+    (value, rank) order as ``_order``."""
 
     kind = "abstract"
 
@@ -360,6 +363,7 @@ class Norm:
         self._axiom_report: AxiomReport | None = None
         self._tr: Truncation | None = None
         self._table: tuple[np.ndarray, int] | None = None
+        self._order: np.ndarray | None = None  # the table's stable argsort
 
     @property
     def is_validated(self) -> bool:
@@ -383,16 +387,20 @@ class Norm:
         nums, den = self._table
         return Fraction(int(nums[self._tr.rank_of(g)]), den)
 
-    def span_values(self, elems: Sequence[GroupElement]) -> tuple[np.ndarray, int]:
+    def span_values(self, elems: Sequence[GroupElement],
+                    rows: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Exact values of the p^k words of span(elems), in enumerate_span order:
         numerators as _scaled stores them, over one denominator. The value of
-        c * elems[j] sits at row c * p^(k-1-j)."""
+        c * elems[j] sits at row c * p^(k-1-j). Given ``rows``, only the
+        values of those rows are gathered."""
         for g in elems:
             self._check(g)
         if self._table is None:
-            return _scaled([self._eval(w) for w in enumerate_span(elems)])
+            vals, den = _scaled([self._eval(w) for w in enumerate_span(elems)])
+            return vals if rows is None else vals[rows], den
         nums, den = self._table
-        return nums[self._tr.span_ranks(elems)], den
+        ranks = self._tr.span_ranks(elems)
+        return nums[ranks if rows is None else ranks[rows]], den
 
     @property
     def truncation(self) -> Truncation:
@@ -603,16 +611,15 @@ class GraevBooleanNorm(Norm):
         leave a mask whose lowest bit is above b. Every value and candidate sum
         is at most dim times the largest distance, which picks the DP storage.
         Every distance is itself a value (a singleton, or by the triangle
-        inequality a pair), so the distances' common denominator is already
-        the least one of the values.
+        inequality a pair), so the space's denominator, the least common one
+        of the distances, is already the least one of the values.
         """
         d, cap = self.dim, self.matching_cap
         if d > cap:
             # the first word over the cap in rank order has cap + 1 points
             raise CapExceededError(f"{cap + 1} points exceed the matching cap {cap}")
-        n, base = self.space.n_points, self.space.basepoint
-        dist, den = _scaled([x for row in self.space._dist for x in row])
-        dist = dist.reshape(n, n)
+        base = self.space.basepoint
+        dist, den = self.space.nums, self.space.den
         pts = [self._points[d - 1 - b] for b in range(d)]
         val = np.zeros(2 ** d, dtype=_storage(int(dist.max()), d))
         for b in reversed(range(d)):
@@ -665,8 +672,9 @@ class AxiomReport:
 
 
 def require_threads(threads) -> int:
-    """The worker thread count for validate_axioms, if it is a positive integer."""
-    if not isinstance(threads, int) or threads < 1:
+    """The worker thread count for validate_axioms, if it is a positive
+    integer (a JSON true is not one)."""
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InputError(f"threads must be a positive integer, got {threads!r}")
     return threads
 
@@ -786,6 +794,8 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
         })
 
     order = np.argsort(nums, kind="stable")
+    order.flags.writeable = False
+    norm._order = order  # norm_sorted_span's result
     sorted_nums = nums[order]
     ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
     # ends[i] - i never grows with i, so the positions with partners come first
@@ -901,7 +911,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
             raise InputError("graev_boolean norms require prime 2")
         sp = cfg["space"]
         jsonio.require_keys(sp, ["basepoint", "dist"], [], what="metric space")
-        matrix = [[jsonio.frac_from_str(x)
+        matrix = [[jsonio.pair_from_str(x)
                    for x in jsonio.require_list(row, what="dist row")]
                   for row in jsonio.require_list(sp["dist"], what="dist")]
         space = PointedMetricSpace(matrix, basepoint=sp["basepoint"])

@@ -51,6 +51,11 @@ STAGE_KEYS = (
 )
 
 
+def _is_int(value) -> bool:
+    """An integer config field: a JSON true or false is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed and validated run description.
@@ -79,25 +84,24 @@ class RunConfig:
                             what="run config")
         prime = as_prime(cfg["prime"])
         dim = cfg["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise InputError(f"dim must be a positive integer, got {dim!r}")
         limits = jsonio.require_keys(cfg.get("limits", {}), [],
                                      ["max_tuple", "l", "m"], what="limits")
         max_tuple = limits.get("max_tuple", 4)
         l = limits.get("l", 1)
         m = limits.get("m", min(dim, 5))
-        if not (isinstance(l, int) and isinstance(m, int) and 1 <= l <= m <= dim):
+        if not (_is_int(l) and _is_int(m) and 1 <= l <= m <= dim):
             raise InputError(f"limits need 1 <= l <= m <= dim, got l={l!r}, m={m!r}")
-        if not isinstance(max_tuple, int) or max_tuple < 1:
+        if not _is_int(max_tuple) or max_tuple < 1:
             raise InputError(f"max_tuple must be a positive integer, got {max_tuple!r}")
         caps = jsonio.require_keys(cfg.get("caps", {}), [],
                                    ["enum", "matching"], what="caps")
         enum_cap = caps.get("enum", DEFAULT_ENUM_CAP)
         matching_cap = caps.get("matching")
-        if not isinstance(enum_cap, int) or enum_cap < 1:
+        if not _is_int(enum_cap) or enum_cap < 1:
             raise InputError(f"enum cap must be a positive integer, got {enum_cap!r}")
-        if matching_cap is not None and (not isinstance(matching_cap, int)
-                                         or matching_cap < 1):
+        if matching_cap is not None and (not _is_int(matching_cap) or matching_cap < 1):
             raise InputError(f"matching cap must be a positive integer, got {matching_cap!r}")
         threads = require_threads(cfg.get("threads", 1))
         out = cfg.get("out")

@@ -22,6 +22,8 @@ from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
     OrderedBasis,
+    Truncation,
+    WordLayout,
     as_prime,
     running_ranks,
     span_word,
@@ -180,16 +182,17 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
     ranks = np.zeros(1, dtype=np.int64)  # span(reduced), grown by one element per step
     for n in range(d):
         # candidates: the rows whose incoming coefficient (last digit) is nonzero
-        span = reduced + [basis[n]]
-        vals, den = norm.values_of(tr.extend_span(ranks, basis[n]))
+        words = tr.extend_span(ranks, basis[n])
+        vals, den = norm.values_of(words)
         cand = vals.reshape(-1, p)[:, 1:].ravel()
         i = int(np.argmin(cand))
         best = cand[i]
         above = cand[cand > best]
-        coeffs, elem = span_word(span, i // (p - 1) * p + i % (p - 1) + 1)
+        row = i // (p - 1) * p + i % (p - 1) + 1
+        elem = tr.element_of(int(words[row]))
         steps.append(ReductionStep(
             index=n + 1,
-            coeffs=coeffs,
+            coeffs=_digits(row, p, n + 1),
             element=elem,
             norm_value=Fraction(int(best), den),
             tie_count=int((cand == best).sum()),
@@ -197,11 +200,26 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
         ))
         reduced.append(elem)
         ranks = tr.extend_span(ranks, elem)
+    # the checkers read this span next
+    tr.remember_span(reduced, ranks)
     return ReducedBasis(
         original=basis,
         reduced=OrderedBasis(basis.prime, tuple(reduced)),
         steps=tuple(steps),
     )
+
+
+def _digits(row: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of row, most significant first: the coefficients
+    of word ``row`` of a span of k elements."""
+    return tuple(row // p ** (k - 1 - j) % p for j in range(k))
+
+
+def _layout(norm: Norm, d: int) -> WordLayout:
+    """The word layout of the p^d rows of a span of d elements: the norm's
+    own truncation's when d is its dim."""
+    tr = norm.truncation
+    return tr.layout if tr.dim == d else Truncation(tr.prime, d).layout
 
 
 @dataclass(frozen=True)
@@ -254,30 +272,28 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if p ** d > cap:
         raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
-    violations: list[dict] = []
     elems = reduced.reduced.elems
     vals, den = norm.span_values(elems)
-    rows = np.arange(p ** d)
-    top = np.full(rows.size, -1)
-    support = np.zeros(rows.size, dtype=np.int64)
-    for j in range(d):
-        nz = rows // p ** (d - 1 - j) % p != 0
-        top[nz] = j
-        support += nz
-    words = (support >= 1) & (support <= (d if max_tuple is None else max_tuple))
-    top_values = vals[p ** (d - 1 - np.arange(d))]
-    vt, vw = top_values[top[words]], vals[words]
+    lay = _layout(norm, d)
+    # the nonzero rows within the tuple bound, and the top of each; every
+    # top j has a word, its unit row, whose value starts the minimum
+    words = np.flatnonzero(lay.support <= (d if max_tuple is None else max_tuple))[1:]
+    tops, vw = lay.top[words], vals[words]
+    top_values = vals[[0] + [p ** (d - j) for j in range(1, d + 1)]]
+    smallest = top_values.copy()
+    np.minimum.at(smallest, tops, vw)
     # every vw > 0 (nonzero words), so vt / vw peaks at the smallest vw per top
-    ratios = [Fraction(int(top_values[j]), int(vw[sel].min()))
-              for j in range(d) if (sel := top[words] == j).any()]
-    for row in rows[words][vt > vw].tolist():
+    ratios = [Fraction(int(top_values[j]), int(smallest[j])) for j in range(1, d + 1)]
+    violations = []
+    for row in words[top_values[tops] > vw].tolist():
         coeffs, w = span_word(elems, row)
+        top = int(lay.top[row])
         violations.append({
             "check": "max-term-minimality",
             "coeffs": list(coeffs),
             "w": jsonio.element_to_pairs(w),
-            "top_index": int(top[row]) + 1,
-            "value_top": jsonio.frac_to_str(Fraction(int(top_values[top[row]]), den)),
+            "top_index": top,
+            "value_top": jsonio.frac_to_str(Fraction(int(top_values[top]), den)),
             "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
         })
     tuple_note = ("all tuple sizes" if max_tuple is None
@@ -287,9 +303,9 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
         domain=(f"all nonzero coefficient vectors over F_{p}^{d} ({tuple_note}); "
                 "the top coefficient is nonzero by construction, a zero top "
                 "coefficient restates the check for a shorter tuple"),
-        checked=int(words.sum()),
+        checked=words.size,
         violations=tuple(violations),
-        max_ratio=max(ratios, default=None),
+        max_ratio=max(ratios),
     )
 
 
@@ -315,33 +331,38 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     if count_est > cap:
         raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
 
-    # a word is a row whose support has 1..max_tuple indices; a target j of
-    # that word sits at depth k, the number of support indices above j
+    # a word is a row whose support has 1..max_tuple indices; its target at
+    # depth k is the top of its k-th strip, and a word with k terms or fewer
+    # is stripped to rank 0, of top 0, which is no target. Only the values
+    # of the words and of the terms mu * reduced[j - 1] are gathered.
     elems = reduced.reduced.elems
-    vals, den = norm.span_values(elems)
-    rows = np.arange(p ** d)
-    used = [rows // p ** (d - 1 - j) % p != 0 for j in range(d)]
-    support = sum(used, np.zeros(rows.size, dtype=np.int64))
-    words = (support >= 1) & (support <= max_tuple)
+    lay = _layout(norm, d)
+    words = np.flatnonzero(lay.support <= max_tuple)[1:]
+    checked = p * int(lay.support[words].sum())
+    vw, den = norm.span_values(elems, words)
+    terms = norm.span_values(elems, [mu * p ** (d - j) for j in range(1, d + 1)
+                                     for mu in range(p)])[0]
+    peak = vw.max()
     found = []
     # per k, the largest ratio vt / (slack * smallest) as an integer pair,
     # compared by cross-multiplication; the Fractions are built at the end
     best: dict[int, tuple[int, int]] = {}
-    above = np.zeros(rows.size, dtype=np.int64)
-    for j in reversed(range(d)):
-        rows_j = np.flatnonzero(words & used[j])
-        depth_j = above[rows_j]
-        for k in range(min(d, max_tuple)):
-            sel_rows = rows_j[depth_j == k]
-            if not sel_rows.size:
-                continue
-            vw = vals[sel_rows]
+    stripped = words
+    for k in range(min(d, max_tuple)):
+        if k:
+            stripped = lay.strip[stripped]
+        targets = lay.top[stripped]
+        # every target j in 1..d-k has a word at depth k, so each of their
+        # minima is one of its values
+        least = np.full(d + 1, peak, dtype=vw.dtype)
+        np.minimum.at(least, targets, vw)
+        for j in range(1, d - k + 1):
             # every vw > 0 (nonzero words), so the ratio peaks at the smallest
-            smallest = int(vw.min())
+            smallest = int(least[j])
             for mu in range(p):
                 slack = max(1, min(mu, p - mu))
                 factor = slack * (2 * p) ** k
-                vt = int(vals[mu * p ** (d - 1 - j)])
+                vt = int(terms[(j - 1) * p + mu])
                 if k not in best or vt * best[k][1] > best[k][0] * slack * smallest:
                     best[k] = (vt, slack * smallest)
                 # vt > factor * vw, divided through so that no entry is multiplied;
@@ -349,11 +370,11 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
                 limit = (vt - 1) // factor
                 if smallest > limit:
                     continue
-                for row in sel_rows[vw <= limit].tolist():
-                    coeffs = span_word(elems, row)[0]
-                    found.append((int(support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
-                                  [c for c in coeffs if c], k, mu, row, vt, factor))
-        above += used[j]
+                bad = np.flatnonzero((targets == j) & (vw <= limit))
+                for row, value in zip(words[bad].tolist(), vw[bad].tolist()):
+                    coeffs = _digits(row, p, d)
+                    found.append((int(lay.support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
+                                  [c for c in coeffs if c], k, mu, row, value, vt, factor))
     violations = [{
         "check": "member-word-bound",
         "indices": indices,
@@ -361,15 +382,15 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
         "k": k,
         "mu": mu,
         "value_term": jsonio.frac_to_str(Fraction(vt, den)),
-        "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
-        "bound": jsonio.frac_to_str(Fraction(factor * int(vals[row]), den)),
-    } for _, indices, coeffs, k, mu, row, vt, factor in sorted(found)]
+        "value_w": jsonio.frac_to_str(Fraction(value, den)),
+        "bound": jsonio.frac_to_str(Fraction(factor * value, den)),
+    } for _, indices, coeffs, k, mu, _, value, vt, factor in sorted(found)]
     ratios_by_k = {k: Fraction(*pair) for k, pair in best.items()}
     return LemmaReport(
         inequality="member-word-bound",
         domain=(f"words over up to {min(d, max_tuple)} distinct reduced indices with "
                 f"all-nonzero coefficients; k = 0..n-1; mu over F_{p}"),
-        checked=p * int(support[words].sum()),
+        checked=checked,
         violations=tuple(violations),
         max_ratio=max(ratios_by_k.values()) if ratios_by_k else None,
         ratios_by_k=ratios_by_k,
@@ -383,17 +404,17 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
     d = len(reduced)
     vals, den = norm.span_values(reduced.reduced.elems)
     violations: list[dict] = []
-    max_ratio = None
+    # the largest ratio vb / vc as an integer pair, compared by
+    # cross-multiplication; one Fraction is built at the end
+    top = None
     checked = 0
     for a in range(d):
         for b in range(a + 1, d):
             vc = int(vals[p ** (d - 1 - a) + (p - 1) * p ** (d - 1 - b)])
             vb = int(vals[p ** (d - 1 - b)])
             checked += 1
-            if vc > 0:
-                ratio = Fraction(vb, vc)
-                if max_ratio is None or ratio > max_ratio:
-                    max_ratio = ratio
+            if vc > 0 and (top is None or vb * top[1] > top[0] * vc):
+                top = (vb, vc)
             if vb > vc:
                 violations.append({
                     "check": "pair-domination",
@@ -407,5 +428,5 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
         domain=f"all index pairs n' < n'' in 1..{d}",
         checked=checked,
         violations=tuple(violations),
-        max_ratio=max_ratio,
+        max_ratio=None if top is None else Fraction(*top),
     )

@@ -6,9 +6,11 @@ forward elimination, full partition enumeration instead of subset DP, edge
 relaxation to a fixpoint instead of Dijkstra, nested loops instead of
 vectorized rows, one Fraction per rank instead of integer cost numerators,
 word scans that build and evaluate every word instead of reading
-Norm.span_values, and duality by a dot product of every dual vector with
-every element instead of linear algebra on the spans of the base sets), or
-the package's own loops without their pruning (a Dijkstra step for every
+Norm.span_values, duality by a dot product of every dual vector with every
+element instead of linear algebra on the spans of the base sets, the
+reduction checkers with one digit pass per index instead of the word
+layout, and the metric repair on Fractions instead of integers), or the
+package's own loops without their pruning (a Dijkstra step for every
 vertex, a triangle row for every g). Agreement between the two is what the
 tests assert.
 """
@@ -40,6 +42,7 @@ from fpmap.fpcore import (
     as_prime,
     enumerate_span,
     solve_in_span,
+    span_word,
 )
 from fpmap.norms import CostFunction, Norm, _as_fraction, _scaled
 from fpmap.reduction import (
@@ -771,3 +774,134 @@ def brute_open_subgroups(spec, *, cap: int | None = None) -> tuple[int, frozense
             count += 1
             inter &= set(np.flatnonzero(zero).tolist())
     return count, frozenset(inter)
+
+
+def fraction_metric_repair(matrix) -> list[list[Fraction]]:
+    """PointedMetricSpace's repair of a distance matrix on Fractions:
+    nonnegativity, zero diagonal, the smaller directed entry per pair, a
+    Floyd-Warshall closure entry by entry, and distinct points apart. Raises
+    the InputErrors the package raises."""
+    n = len(matrix)
+    rows = [[_as_fraction(x, "distance") for x in r] for r in matrix]
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < 0:
+                raise InputError(f"negative distance at ({i}, {j})")
+    for i in range(n):
+        rows[i][i] = Fraction(0)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = min(rows[i][j], rows[j][i])
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] == 0:
+                raise InputError(f"points {i} and {j} are distinct but at distance 0")
+    return rows
+
+
+def per_index_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
+                                 max_tuple: int | None = None) -> LemmaReport:
+    """verify_reduced_properties with one full-length digit pass per index
+    for the top positions and supports, and one mask per top for its
+    minimum, instead of the word layout."""
+    _require_validated(norm)
+    p = reduced.prime.p
+    d = len(reduced)
+    violations: list[dict] = []
+    elems = reduced.reduced.elems
+    vals, den = norm.span_values(elems)
+    rows = np.arange(p ** d)
+    top = np.full(rows.size, -1)
+    support = np.zeros(rows.size, dtype=np.int64)
+    for j in range(d):
+        nz = rows // p ** (d - 1 - j) % p != 0
+        top[nz] = j
+        support += nz
+    words = (support >= 1) & (support <= (d if max_tuple is None else max_tuple))
+    top_values = vals[p ** (d - 1 - np.arange(d))]
+    vt, vw = top_values[top[words]], vals[words]
+    ratios = [Fraction(int(top_values[j]), int(vw[sel].min()))
+              for j in range(d) if (sel := top[words] == j).any()]
+    for row in rows[words][vt > vw].tolist():
+        coeffs, w = span_word(elems, row)
+        violations.append({
+            "check": "max-term-minimality",
+            "coeffs": list(coeffs),
+            "w": jsonio.element_to_pairs(w),
+            "top_index": int(top[row]) + 1,
+            "value_top": jsonio.frac_to_str(Fraction(int(top_values[top[row]]), den)),
+            "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
+        })
+    tuple_note = ("all tuple sizes" if max_tuple is None
+                  else f"tuple sizes up to {max_tuple}")
+    return LemmaReport(
+        inequality="max-term-minimality",
+        domain=(f"all nonzero coefficient vectors over F_{p}^{d} ({tuple_note}); "
+                "the top coefficient is nonzero by construction, a zero top "
+                "coefficient restates the check for a shorter tuple"),
+        checked=int(words.sum()),
+        violations=tuple(violations),
+        max_ratio=max(ratios, default=None),
+    )
+
+
+def per_index_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
+                                max_tuple: int = 6) -> LemmaReport:
+    """check_member_word_bound with one boolean mask per index, the depth of
+    each target counted by adding the masks above it, instead of the word
+    layout's strips."""
+    _require_validated(norm)
+    p = reduced.prime.p
+    d = len(reduced)
+    elems = reduced.reduced.elems
+    vals, den = norm.span_values(elems)
+    rows = np.arange(p ** d)
+    used = [rows // p ** (d - 1 - j) % p != 0 for j in range(d)]
+    support = sum(used, np.zeros(rows.size, dtype=np.int64))
+    words = (support >= 1) & (support <= max_tuple)
+    found = []
+    best: dict[int, Fraction] = {}
+    above = np.zeros(rows.size, dtype=np.int64)
+    for j in reversed(range(d)):
+        rows_j = np.flatnonzero(words & used[j])
+        depth_j = above[rows_j]
+        for k in range(min(d, max_tuple)):
+            sel_rows = rows_j[depth_j == k]
+            if not sel_rows.size:
+                continue
+            vw = vals[sel_rows]
+            smallest = int(vw.min())
+            for mu in range(p):
+                slack = max(1, min(mu, p - mu))
+                factor = slack * (2 * p) ** k
+                vt = int(vals[mu * p ** (d - 1 - j)])
+                ratio = Fraction(vt, slack * smallest)
+                if k not in best or ratio > best[k]:
+                    best[k] = ratio
+                for row in [r for r, v in zip(sel_rows.tolist(), vw.tolist()) if v * factor < vt]:
+                    coeffs = span_word(elems, row)[0]
+                    found.append((int(support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
+                                  [c for c in coeffs if c], k, mu, row, vt, factor))
+        above += used[j]
+    violations = [{
+        "check": "member-word-bound",
+        "indices": indices,
+        "coeffs": coeffs,
+        "k": k,
+        "mu": mu,
+        "value_term": jsonio.frac_to_str(Fraction(vt, den)),
+        "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
+        "bound": jsonio.frac_to_str(Fraction(factor * int(vals[row]), den)),
+    } for _, indices, coeffs, k, mu, row, vt, factor in sorted(found)]
+    return LemmaReport(
+        inequality="member-word-bound",
+        domain=(f"words over up to {min(d, max_tuple)} distinct reduced indices with "
+                f"all-nonzero coefficients; k = 0..n-1; mu over F_{p}"),
+        checked=p * int(support[words].sum()),
+        violations=tuple(violations),
+        max_ratio=max(best.values()) if best else None,
+        ratios_by_k=best,
+    )

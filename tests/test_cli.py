@@ -491,3 +491,26 @@ class TestThreads:
         assert main(["validate-norm", "--config", cfg, "--threads", str(threads)]) == 0
         assert capsys.readouterr().out == one
         assert pool_sizes == sizes
+
+
+@pytest.mark.parametrize("edit", [
+    {"dim": True},
+    {"limits": {"max_tuple": True}},
+    {"limits": {"l": True, "m": True}},
+    {"caps": {"enum": True}},
+    {"caps": {"matching": True}},
+    {"threads": True},
+], ids=["dim", "max_tuple", "l-m", "enum", "matching", "threads"])
+def test_run_refuses_json_booleans_in_integer_fields(tmp_path, capsys, edit):
+    # before, "dim": true ran as dim 1 and echoed true into the report
+    cfg = dict(graded_run_cfg(), **edit)
+    if "dim" in edit:
+        cfg["norm"] = dict(cfg["norm"], dim=1)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", write_json(tmp_path / "run.json", cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    # graded: true is a flag, not an integer, and stays valid
+    assert main(["run", "--config", write_json(tmp_path / "ok.json", graded_run_cfg()),
+                 "--out", str(out)]) == 0

@@ -104,6 +104,20 @@ class TestRunConfig:
         with pytest.raises(InputError, match="dim"):
             RunConfig.from_json_dict(graded_cfg(dim=0))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("dim", True, "dim must be"),
+        ("limits", {"max_tuple": True}, "max_tuple"),
+        ("limits", {"l": True}, "l <= m <= dim"),
+        ("limits", {"m": True}, "l <= m <= dim"),
+        ("caps", {"enum": True}, "enum cap"),
+        ("caps", {"matching": True}, "matching cap"),
+        ("threads", True, "threads"),
+    ])
+    def test_booleans_are_not_integers(self, field, value, match):
+        # JSON true is a Python int; an integer field must still refuse it
+        with pytest.raises(InputError, match=match):
+            RunConfig.from_json_dict(graded_cfg(**{field: value}))
+
     def test_norm_must_be_object(self):
         with pytest.raises(InputError, match="JSON object"):
             RunConfig.from_json_dict({"prime": 2, "dim": 3, "norm": "ultrametric"})

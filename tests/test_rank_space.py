@@ -161,7 +161,8 @@ def test_run_builds_elements_only_for_the_chosen_terms(tmp_path, monkeypatch):
     monkeypatch.setattr(Truncation, "element_of", counted)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
     # one element per rank for the cost draw and one for the sorted span
-    # would be 1562 + 3125 calls
-    assert len(calls) <= m
+    # would be 1562 + 3125 calls; reduction builds each chosen element from
+    # its rank (dim calls) and selection each chosen term (m calls)
+    assert len(calls) <= m + cfg["dim"]
     report = json.loads((tmp_path / "out.json").read_text())
     assert len(report["stages"]["selection"]["terms"]) == m

@@ -56,16 +56,17 @@ def write_json(path, doc):
 
 
 @pytest.fixture
-def rank_rows(monkeypatch):
-    """Records the rank of every add_rank_row call."""
+def extensions(monkeypatch):
+    """Records the element of every extend_span call: one per element of
+    each span built."""
     calls = []
-    original = Truncation.add_rank_row
+    original = Truncation.extend_span
 
-    def counting(self, r):
-        calls.append(r)
-        return original(self, r)
+    def counting(self, ranks, g):
+        calls.append(g)
+        return original(self, ranks, g)
 
-    monkeypatch.setattr(Truncation, "add_rank_row", counting)
+    monkeypatch.setattr(Truncation, "extend_span", counting)
     return calls
 
 
@@ -157,14 +158,14 @@ class TestPrefixRanks:
 
 
 class TestSpanMemo:
-    def test_same_tuple_builds_no_second_row(self, rank_rows):
+    def test_same_tuple_builds_no_second_row(self, extensions):
         tr = Truncation(3, 4)
         a, b = tr.element_of(5), tr.element_of(40)
         first = tr.span_ranks([a, b])
-        assert len(rank_rows) == 2
+        assert len(extensions) == 2
         # an equal tuple of other element objects hits the memo too
         again = tr.span_ranks((tr.element_of(5), tr.element_of(40)))
-        assert again is first and len(rank_rows) == 2
+        assert again is first and len(extensions) == 2
         assert first.tolist() == [tr.rank_of(w) for w in enumerate_span([a, b])]
 
     def test_the_array_is_read_only(self):
@@ -173,35 +174,37 @@ class TestSpanMemo:
         with pytest.raises(ValueError):
             ranks[0] = 1
 
-    def test_a_different_tuple_is_rebuilt(self, rank_rows):
+    def test_a_different_tuple_is_rebuilt(self, extensions):
         tr = Truncation(5, 3)
         a, b = tr.element_of(7), tr.element_of(31)
         ab = tr.span_ranks([a, b])
         ba = tr.span_ranks([b, a])
-        assert len(rank_rows) == 4
+        assert len(extensions) == 4
         assert ba.tolist() == [tr.rank_of(w) for w in enumerate_span([b, a])]
-        assert tr.span_ranks([a, b]).tolist() == ab.tolist() and len(rank_rows) == 6
+        assert tr.span_ranks([a, b]).tolist() == ab.tolist() and len(extensions) == 6
 
-    def test_the_checkers_share_one_span(self, rank_rows):
+    def test_the_checkers_share_one_span(self, extensions):
         norm = CostCompletionNorm(graded_cost(1, 3, 4))
         validate_axioms(norm)
         reduced = reduce_basis(OrderedBasis.standard(3, 4), norm)
-        rank_rows.clear()
+        extensions.clear()
+        # reduce_basis leaves the reduced basis's span as the last one built
         verify_reduced_properties(reduced, norm)
-        assert len(rank_rows) == 4
         check_member_word_bound(reduced, norm)
         check_pair_domination(reduced, norm)
-        assert len(rank_rows) == 4
+        assert extensions == []
+        fresh = Truncation(3, 4).span_ranks(reduced.reduced.elems)
+        assert norm.truncation.span_ranks(reduced.reduced.elems).tolist() == fresh.tolist()
 
-    def test_modulus_and_coarser_share_one_span(self, rank_rows):
+    def test_modulus_and_coarser_share_one_span(self, extensions):
         norm = CostCompletionNorm(graded_cost(2, 2, 5))
         validate_axioms(norm)
         members = OrderedBasis.standard(2, 5).elems[:3]
         family = IndependentFamily(members, (1, 2, 3), tuple(map(norm.eval, members)), None)
-        rank_rows.clear()
+        extensions.clear()
         independence_modulus(family, norm, 1, 3)
         product_coarser_check(family, norm, 3)
-        assert len(rank_rows) == 3
+        assert len(extensions) == 3
 
 
 def table_norm(p, dim, values):
