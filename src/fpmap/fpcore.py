@@ -565,10 +565,11 @@ class Truncation:
 
     def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
         """Ranks of span(elems + [g]) from the ranks of span(elems), both in
-        enumerate_span order: the words so far plus c * g, c = 1..p-1, each
-        layer computed only at the layer before (add_ranks's gathers, with
-        g's half rows built once). The span of no elements has the ranks
-        [0]."""
+        enumerate_span order: the words so far plus c * g, c = 1..p-1,
+        computed only at those words. For p != 2, g's half rows are built
+        once and each layer steps every word's two halves, as indices into
+        the half tables, by one gather each. The span of no elements has the
+        ranks [0]."""
         p, r = self.prime.p, self.rank_of(g)
         out = np.empty((ranks.size, p), dtype=np.int64)
         out[:, 0] = ranks
@@ -576,9 +577,11 @@ class Truncation:
             np.bitwise_xor(ranks, r, out=out[:, 1])
         else:
             base, row_high, row_low = self._half_rows(r)
+            high_step = row_high // base
+            high, low = np.divmod(ranks, base)
             for c in range(1, p):
-                prev = out[:, c - 1]
-                out[:, c] = row_high[prev // base] + row_low[prev % base]
+                high, low = high_step[high], row_low[low]
+                np.add(high * base, low, out=out[:, c])
         return out.ravel()
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
