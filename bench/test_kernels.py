@@ -7,8 +7,10 @@ value-table DP and the ultrametric table build, of the norm-sorted span
 and null-subsequence selection, on the standard original and a dense one,
 of duality: is_map on two ultrametric balls (test_is_map_balls) and the
 von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded),
-of the word layout build, and of the reduction, the properties check and
-the Graev norm build from a config on the Graev d=11 kernel norm.
+of the word layout build, of the reduction, the properties check and
+the Graev norm build from a config on the Graev d=11 kernel norm, and of
+the seeded cost draws and the value order at larger sizes
+(test_cost_draws, test_value_order).
 
 Run from the repository root: python -m pytest bench -q --benchmark-only
 
@@ -168,6 +170,27 @@ def test_product_coarser_check(benchmark, reduced_norm):
     members = reduced.reduced.elems[:5]
     family = IndependentFamily(members, tuple(range(1, 6)), tuple(map(norm.eval, members)), None)
     benchmark(product_coarser_check, family, norm, 5)
+
+
+@pytest.mark.parametrize("make_cost", [lambda: graded_cost(0, 5, 5),
+                                       lambda: random_cost(0, 2, 16, Fraction(1, 100), 1)],
+                         ids=["graded-5-5", "random-2-16"])
+def test_cost_draws(benchmark, make_cost):
+    # the whole cost build: 1562 and 65535 draws, one per pair {g, -g}
+    benchmark(make_cost)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 16), (5, 6)])
+def test_value_order(benchmark, p, dim):
+    # norm_sorted_span of a graded norm with its kept order dropped, so each
+    # round gathers the table and orders it by (value, rank)
+    norm = CostCompletionNorm(graded_cost(0, p, dim))
+
+    def cold():
+        norm._order = None
+        return (norm,), {}
+
+    benchmark.pedantic(norm_sorted_span, setup=cold, rounds=100)
 
 
 @pytest.mark.parametrize("p, dim", [(2, 16), (5, 6)])

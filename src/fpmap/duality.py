@@ -384,11 +384,15 @@ class CoarserReport:
         return self.tables[m_prime - 1]
 
     def to_json_dict(self) -> dict:
+        # product_coarser_check shares one Fraction per distinct value, and a
+        # Fraction hashes slower than it formats, so they are told apart by id
+        distinct = {id(v): v for tab in self.tables for v in tab.values()}
+        text = {k: jsonio.frac_to_str(v) for k, v in distinct.items()}
         return {
             "prime": self.prime.p,
             "m": self.m,
             "tables": {
-                str(t): {",".join(map(str, F)): jsonio.frac_to_str(v)
+                str(t): {",".join(map(str, F)): text[id(v)]
                          for F, v in sorted(tab.items(), key=lambda kv: (len(kv[0]), kv[0]))}
                 for t, tab in enumerate(self.tables, start=1)
             },
@@ -429,17 +433,20 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
         prefix = vals[::p ** (m - t)]
         mu = {i: int(prefix.reshape(p ** (i - 1), p, p ** (t - i))[:, 1:].min())
               for i in range(1, t + 1)}
+        # one Fraction per distinct mu_i, shared by every F that takes it;
+        # the sign test reads the numerator
+        fracs = {v: Fraction(v, den) for v in mu.values()}
         table = {}
         for size in range(1, t + 1):
             for F in combinations(range(1, t + 1), size):
-                d_F = Fraction(min(mu[i] for i in F), den)
-                table[F] = d_F
-                if d_F <= 0:
+                low = min(mu[i] for i in F)
+                table[F] = fracs[low]
+                if low <= 0:
                     violations.append({
                         "check": "coarser",
                         "span": t,
                         "F": list(F),
-                        "value": jsonio.frac_to_str(d_F),
+                        "value": jsonio.frac_to_str(fracs[low]),
                     })
         tables.append(table)
     return CoarserReport(norm.prime, m, tuple(tables), tuple(violations),

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .fpcore import (
     solve_in_span,
     span_word,
 )
-from .norms import GraevBooleanNorm, Norm, PointedMetricSpace
+from .norms import GraevBooleanNorm, Norm, PointedMetricSpace, value_order
 from .reduction import ReducedBasis
 
 
@@ -101,16 +102,20 @@ class NullSequence:
         if not (len(self.terms) == len(self.norms) == len(self.maxes)):
             raise InputError("terms, norms, and maxes must have equal length")
         last = 0
-        for n, (g, v, m) in enumerate(zip(self.terms, self.norms, self.maxes), start=1):
+        for n, (g, v, m, bound) in enumerate(
+                zip(self.terms, self.norms, self.maxes, self.thresholds), start=1):
             if g.is_zero():
                 raise InputError(f"term {n} is zero; terms must be nonzero")
             if m <= last:
                 raise InputError(f"top positions must strictly increase (term {n})")
-            if v >= threshold(self.prime_p, n):
-                raise InputError(
-                    f"term {n} has norm {v}, not below 1/(4p)^{n} = "
-                    f"{threshold(self.prime_p, n)}")
+            if v >= bound:
+                raise InputError(f"term {n} has norm {v}, not below 1/(4p)^{n} = {bound}")
             last = m
+
+    @cached_property
+    def thresholds(self) -> tuple[Fraction, ...]:
+        """threshold(p, n) of each term n, built once per sequence."""
+        return tuple(threshold(self.prime_p, n) for n in range(1, len(self.terms) + 1))
 
     def __len__(self):
         return len(self.terms)
@@ -121,8 +126,7 @@ class NullSequence:
             "terms": [jsonio.element_to_pairs(g) for g in self.terms],
             "norms": [jsonio.frac_to_str(v) for v in self.norms],
             "maxes": list(self.maxes),
-            "thresholds": [jsonio.frac_to_str(threshold(self.prime_p, n))
-                           for n in range(1, len(self.terms) + 1)],
+            "thresholds": [jsonio.frac_to_str(t) for t in self.thresholds],
         }
 
 
@@ -138,7 +142,7 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
         raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
     if norm._order is not None:
         return norm._order
-    return np.argsort(norm.values_of(np.arange(size))[0], kind="stable")
+    return value_order(norm.values_of(np.arange(size))[0])
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -273,7 +277,7 @@ def extract_independent_family(seq: NullSequence, reduced: ReducedBasis,
             raise InputError(f"term {n} has top position {k}, beyond the basis")
         a = reduced.reduced[k - 1]
         v = norm.eval(a)
-        if v >= threshold(p, n):
+        if v >= seq.thresholds[n - 1]:
             raise NormBoundFailedError(
                 f"member {n} (reduced element {k}) has norm {v}, not below "
                 f"1/(4p)^{n}; the reduction or the norm is inconsistent")
@@ -373,12 +377,13 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     for s in range(l, m):
         budget = p * sum(member_nums[s:m])
         tail_budget = Fraction(budget, den)
-        if tail_budget >= threshold(p, s):
+        bound = threshold(p, s)
+        if tail_budget >= bound:
             violations.append({
                 "check": "split-sum",
                 "split": s,
                 "tail_budget": jsonio.frac_to_str(tail_budget),
-                "bound": jsonio.frac_to_str(threshold(p, s)),
+                "bound": jsonio.frac_to_str(bound),
             })
         # the tails over members s..m-1 are the first p^(m-s) rows
         negated = sum(-digit(i, p ** (m - s)) % p * p ** (m - 1 - i) for i in range(s, m))

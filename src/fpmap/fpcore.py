@@ -407,24 +407,22 @@ class WordLayout:
     strip: np.ndarray
 
 
-def _word_layout(p: int, dim: int) -> WordLayout:
-    """The layout of p^dim ranks, built one trailing digit at a time: rank
-    q * p + c of dimension i carries the digits of rank q of dimension i - 1
-    and then c at index i, so c != 0 makes i the top and q * p the strip,
-    and c = 0 keeps q's top and strips q's top digit. O(size) in all."""
+def _word_layout(p: int, dim: int, top: np.ndarray) -> WordLayout:
+    """The layout of p^dim ranks around their ``top``, the rest built one
+    trailing digit at a time: rank q * p + c of dimension i carries the
+    digits of rank q of dimension i - 1 and then c at index i, so c != 0
+    makes q * p the strip, and c = 0 strips q's top digit. O(size) in all."""
     rank_type = np.int32 if p ** dim <= 2 ** 31 else np.int64
-    top = support = np.zeros(1, dtype=np.int8)
+    support = np.zeros(1, dtype=np.int8)
     strip = np.zeros(1, dtype=rank_type)
     for i in range(1, dim + 1):
-        n = top.size
-        t = np.empty((n, p), dtype=np.int8)
-        t[:, 0], t[:, 1:] = top, i
+        n = support.size
         s = np.empty((n, p), dtype=np.int8)
         s[:, 0], s[:, 1:] = support, support[:, None] + 1
         q = np.empty((n, p), dtype=rank_type)
         q[:, 0], q[:, 1:] = strip * p, np.arange(0, n * p, p, dtype=rank_type)[:, None]
-        top, support, strip = t.ravel(), s.ravel(), q.ravel()
-    for a in (top, support, strip):
+        support, strip = s.ravel(), q.ravel()
+    for a in (support, strip):
         a.flags.writeable = False
     return WordLayout(top, support, strip)
 
@@ -467,6 +465,7 @@ class Truncation:
         self._identity = None
         self._halves = None
         self._neg_perm = None
+        self._top = None  # the layout's top, which max_indices builds alone
         self._layout = None
         self._span = None  # (element tuple, its span ranks): the last span built
 
@@ -509,13 +508,25 @@ class Truncation:
     def layout(self) -> WordLayout:
         """The truncation's WordLayout, built on first use."""
         if self._layout is None:
-            self._layout = _word_layout(self.prime.p, self.dim)
+            self._layout = _word_layout(self.prime.p, self.dim, self._tops())
         return self._layout
+
+    def _tops(self) -> np.ndarray:
+        """The layout's int8 ``top`` alone, in dim strided passes: a nonzero
+        rank that ends in exactly j zero digits has top dim - j."""
+        if self._top is None:
+            p, d = self.prime.p, self.dim
+            self._top = np.full(p ** d, d, dtype=np.int8)
+            for j in range(1, d):
+                self._top[::p ** j] = d - j
+            self._top[0] = 0
+            self._top.flags.writeable = False
+        return self._top
 
     def max_indices(self, ranks: np.ndarray) -> np.ndarray:
         """max_index of element_of(r) for each of the given ranks, without
-        building one: a read of the layout's int8 ``top``."""
-        return self.layout.top[ranks]
+        building one: a read of the layout's int8 ``top``, built alone."""
+        return self._tops()[ranks]
 
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:

@@ -258,10 +258,34 @@ class CostFunction:
         ]
 
 
-def _drawn_cost(tr: Truncation, rng: Random, choices: int, bound: int, numerators,
+_DRAW_BLOCK = 1 << 20  # 32-bit words per getrandbits call: 4 MB
+
+
+def _randrange_draws(seed, n: int, count: int) -> np.ndarray:
+    """[Random(seed).randrange(n) for _ in range(count)] for n >= 1, int64
+    below 2^63 choices. Below 2^32 each draw is one Mersenne Twister word
+    shifted right by 32 - n.bit_length(), redrawn while it is >= n, and
+    getrandbits(32 * m) gives m words lowest first, so blocks of them are
+    read as little-endian uint32. Nothing else reads this generator, so the
+    words of the last block past the last draw do no harm."""
+    rng = Random(seed)
+    if n >= 1 << 32:
+        return np.array([rng.randrange(n) for _ in range(count)], dtype=_storage(n - 1, 1))
+    shift = 32 - n.bit_length()
+    kept, need = [np.zeros(0, dtype=np.int64)], count
+    while need > 0:
+        # the expected words for the draws still needed, and a few spare
+        m = min(_DRAW_BLOCK, (need << (32 - shift)) // n + 4 * math.isqrt(need) + 16)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
+        kept.append(words[words < n][:need])
+        need -= kept[-1].size
+    return np.concatenate(kept, dtype=np.int64)
+
+
+def _drawn_cost(tr: Truncation, seed, choices: int, bound: int, numerators,
                 den: int) -> CostFunction:
-    """A cost from one draw rng.randrange(choices) per pair {g, -g} of
-    nonzero elements, taken in the order of their smaller ranks.
+    """A cost from the draws Random(seed).randrange(choices), one per pair
+    {g, -g} of nonzero elements, taken in the order of their smaller ranks.
 
     numerators(ranks, draws) gives the values over den of the pairs' smaller
     ranks; none exceeds bound, which picks int64 or Python ints for them.
@@ -270,8 +294,8 @@ def _drawn_cost(tr: Truncation, rng: Random, choices: int, bound: int, numerator
     """
     neg = tr.neg_perm
     firsts = np.flatnonzero(neg >= np.arange(tr.size))[1:]
-    draws = [rng.randrange(choices) for _ in range(firsts.size)]
-    raw = numerators(firsts, np.array(draws, dtype=_storage(bound, 1)))
+    draws = _randrange_draws(seed, choices, firsts.size).astype(_storage(bound, 1), copy=False)
+    raw = numerators(firsts, draws)
     nums = np.zeros(tr.size, dtype=raw.dtype)
     nums[firsts] = raw
     nums[neg[firsts]] = raw
@@ -299,7 +323,7 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
     # (lo * steps + (hi - lo) * k) / (L * steps)
     L = math.lcm(low.denominator, high.denominator)
     lo, hi = int(low * L), int(high * L)
-    return _drawn_cost(tr, Random(seed), steps + 1, hi * steps,
+    return _drawn_cost(tr, seed, steps + 1, hi * steps,
                        lambda firsts, k: lo * steps + (hi - lo) * k, L * steps)
 
 
@@ -321,7 +345,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     # with width = K/(2 dim), draw j at leading index k has the value
     # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)
     return _drawn_cost(
-        tr, Random(seed), steps, 2 * dim * steps,
+        tr, seed, steps, 2 * dim * steps,
         lambda firsts, j: (tr.max_indices(firsts).astype(j.dtype) + dim - 1) * steps + j,
         2 * dim * steps * (4 * tr.prime.p) ** dim)
 
@@ -543,9 +567,10 @@ class CostCompletionNorm(Norm):
 def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarray, int]:
     """Dijkstra from 0 over the complete Cayley graph, one vectorized row per step.
 
-    The first step sets every distance to the direct edge cost, so no distance
-    ever exceeds the largest cost: ``inf`` marks finished vertices, and every
-    sum formed here adds two numbers no larger than that cost.
+    Settling the source relaxes along the identity row, so the loop starts
+    from the direct edge costs with rank 0 settled and no row built. No
+    distance ever exceeds the largest cost: ``inf`` marks finished vertices,
+    and every sum formed here adds two numbers no larger than that cost.
 
     The loop stops early once d + w_min >= the largest unsettled distance,
     where d is the smallest unsettled distance and w_min the smallest cost.
@@ -553,17 +578,17 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     leave the settled set at a vertex at distance >= d and then take at least
     one more edge, of weight >= w_min. Settled distances never exceed d, so
     the largest unsettled distance is the largest distance. A cost whose
-    values all lie in [c, 2c], such as a graded one, stops after the source.
+    values all lie in [c, 2c], such as a graded one, builds no row at all.
     """
     size = tr.size
     # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
     w, den = cost.nums, cost.den
     inf = int(w.max()) + 1
     w_min = int(w[1:].min())
-    dist = np.full(size, inf, dtype=w.dtype)
-    dist[0] = 0
+    dist = w.copy()
     done = np.zeros(size, dtype=bool)
-    for _ in range(size):
+    done[0] = True
+    for _ in range(size - 1):
         u = int(np.where(done, inf, dist).argmin())
         if int(dist[u]) + w_min >= int(dist.max()):
             break
@@ -709,19 +734,36 @@ def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_n
     order[i] with order[i:ends[i]].
 
     One step per position, on Python scalars: its slices are short, so
-    NumPy's per-call overhead is what there is to save.
+    NumPy's per-call overhead is what there is to save. The zero element
+    takes no step when N(0) >= 0: 0 + h = h, and N(h) <= N(0) + N(h).
     """
     add = np.bitwise_xor if tr.prime.p == 2 else lambda hs, g: tr.add_ranks(g, hs)
     found = []
     a, b = positions.start, positions.stop
     for i, g, end, v in zip(positions, order[a:b].tolist(), ends[a:b].tolist(),
                             sorted_nums[a:b].tolist()):
+        if g == 0 and v >= 0:
+            continue
         hs = order[i:end]
         sums = add(hs, g)
         bad = (nums[sums] > v + sorted_nums[i:end]).nonzero()[0]
         if bad.size:
             found.append((np.full(bad.size, g), hs[bad], sums[bad]))
     return found
+
+
+def value_order(nums: np.ndarray) -> np.ndarray:
+    """np.argsort(nums, kind="stable"). For int64 values below 2^62 // size
+    in magnitude it is one plain sort of the distinct keys value * size +
+    rank and a floor modulo by size."""
+    size = nums.size
+    if nums.dtype == np.int64 and size and \
+            max(int(nums.max()), -int(nums.min())) < (1 << 62) // size:
+        keys = nums * size
+        keys += np.arange(size)
+        keys.sort()
+        return np.remainder(keys, size, out=keys)
+    return np.argsort(nums, kind="stable")
 
 
 def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> AxiomReport:
@@ -793,7 +835,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "negated_value": value(int(neg[r])),
         })
 
-    order = np.argsort(nums, kind="stable")
+    order = value_order(nums)
     order.flags.writeable = False
     norm._order = order  # norm_sorted_span's result
     sorted_nums = nums[order]

@@ -61,20 +61,22 @@ def completion_matches_oracles(cost, *, brute=True):
 
 
 class TestDijkstraEarlyStop:
+    # the source is settled from the direct edge costs without a row, so
+    # a cost that stops after the source builds none
     @pytest.mark.parametrize("p, dim", [(2, 3), (3, 2), (5, 2)])
     def test_graded_matches_oracles_after_one_row(self, rows, p, dim):
         cost = graded_cost(0, p, dim)
         completion_matches_oracles(cost)
         rows.clear()
         _shortest_path_values(cost.truncation, cost)
-        assert rows == [0]
+        assert rows == []
 
     @pytest.mark.parametrize("p, dim", [(2, 9), (3, 5), (5, 4)])
     def test_one_row_on_larger_graded_and_narrow_costs(self, rows, p, dim):
         for cost in (graded_cost(1, p, dim), random_cost(1, p, dim, *NARROW)):
             rows.clear()
             _shortest_path_values(cost.truncation, cost)
-            assert rows == [0]
+            assert rows == []
 
     @pytest.mark.parametrize("low, high", [NARROW, WIDE], ids=["narrow", "wide"])
     @pytest.mark.parametrize("seed, p, dim", [(0, 2, 3), (1, 3, 2), (2, 5, 2), (3, 2, 4)])
@@ -90,12 +92,25 @@ class TestDijkstraEarlyStop:
         completion_matches_oracles(cost, brute=False)
         rows.clear()
         _shortest_path_values(cost.truncation, cost)
-        assert rows == [0]
+        assert rows == []
 
     def test_wide_costs_need_more_than_one_row(self, rows):
         cost = random_cost(0, 3, 4, *WIDE)
         _shortest_path_values(cost.truncation, cost)
         assert 1 < len(rows) < cost.truncation.size
+        assert 0 not in rows
+
+    @pytest.mark.parametrize("seed, p, dim", [(0, 2, 5), (1, 3, 3), (2, 5, 2)])
+    def test_costs_beyond_c_to_2c_settle_more_than_the_source(self, rows, seed, p, dim):
+        # values in [1, 3]: the smallest twice over does not reach the
+        # largest, so rows follow the source, and none is the source's
+        cost = random_cost(seed, p, dim, F(1), F(3), steps=2)
+        values = {cost.value_of_rank(r) for r in range(1, cost.truncation.size)}
+        assert 2 * min(values) < max(values)
+        completion_matches_oracles(cost)
+        rows.clear()
+        _shortest_path_values(cost.truncation, cost)
+        assert rows and 0 not in rows
 
     @pytest.mark.parametrize("low, high", [NARROW, WIDE], ids=["narrow", "wide"])
     def test_python_int_storage(self, low, high):
@@ -228,6 +243,18 @@ class TestBoundedTriangleScan:
         report, expected = scan_matches_row_scan(
             table_norm(p, dim, planted_values(dim, p ** dim, 10, 5, 3)), threads=2)
         assert expected
+
+    @pytest.mark.parametrize("zero_value", [-2, 0, 3])
+    def test_the_zero_element_against_the_row_scan(self, zero_value):
+        # the scan skips the pairs of 0 only when N(0) >= 0; with N(0) < 0
+        # every h breaks N(0 + h) <= N(0) + N(h)
+        norm = table_norm(3, 3, planted_values(5, 27, 4, 6, 2))
+        nums, den = norm._table
+        nums = nums.copy()
+        nums[0] = zero_value * den
+        norm._table = (nums, den)
+        report, expected = scan_matches_row_scan(norm)
+        assert any(g == 0 for g, _, _ in expected) == (zero_value < 0)
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_threads_give_the_same_report(self, threads):
