@@ -304,6 +304,12 @@ def _drawn_cost(tr: Truncation, seed, choices: int, bound: int, numerators,
     return CostFunction.from_numerators(tr, nums.astype(_storage(int(nums.max()))), den // g)
 
 
+def _require_steps(steps) -> None:
+    """A cost's grid size must be a positive integer (a JSON true is not one)."""
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise InputError(f"steps must be a positive integer, got {steps!r}")
+
+
 def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
                 cap: int | None = None) -> CostFunction:
     """Deterministic pseudorandom cost with values on a grid in [low, high].
@@ -316,8 +322,7 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
     high = _as_fraction(high, "high")
     if not 0 < low <= high:
         raise InputError(f"need 0 < low <= high, got {low} and {high}")
-    if steps < 1:
-        raise InputError("steps must be positive")
+    _require_steps(steps)
     tr = Truncation(as_prime(p), dim, cap=cap)
     # over the common denominator L of low and high, draw k has the value
     # (lo * steps + (hi - lo) * k) / (L * steps)
@@ -339,8 +344,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     a chain of strictly increasing leading indices of any length up to dim,
     with every value already below 1/(4p)^dim.
     """
-    if steps < 1:
-        raise InputError("steps must be positive")
+    _require_steps(steps)
     tr = Truncation(as_prime(p), dim, cap=cap)
     # with width = K/(2 dim), draw j at leading index k has the value
     # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)

@@ -493,6 +493,21 @@ class TestThreads:
         assert pool_sizes == sizes
 
 
+@pytest.mark.parametrize("steps", [2.5, True, "7", 0, 1e20])
+@pytest.mark.parametrize("graded", [True, False])
+def test_run_refuses_steps_that_are_not_positive_integers(tmp_path, capsys, steps, graded):
+    # before, a float or a string crashed the cost draw with a traceback
+    norm = dict(graded_run_cfg()["norm"], steps=steps)
+    if not graded:
+        del norm["graded"]
+        norm.update(low="1/100", high="1")
+    cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), norm=norm))
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: steps must be a positive integer")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [
     {"dim": True},
     {"limits": {"max_tuple": True}},
