@@ -121,7 +121,7 @@ def _ultrametric():
 @pytest.mark.parametrize("make_norm", [_graded, _graev, _ultrametric],
                          ids=["graded-5-5", "graev-2-11", "ultrametric-2-11"])
 def test_triangle_scan(benchmark, make_norm):
-    # the whole validate_axioms call; the first one records the Graev table.
+    # the whole validate_axioms call, on the table each norm built.
     # graded-5-5 takes the pair scan, graev-2-11 the generator certificate,
     # and ultrametric-2-11 tries the certificate, is refuted, then scans:
     # the worst case of the work rule
@@ -206,7 +206,7 @@ def _validated_graev():
 
 
 def test_reduce_basis(benchmark):
-    # p=2, dim 11: the Graev kernel norm, its table recorded untimed
+    # p=2, dim 11: the Graev kernel norm, built and validated untimed
     norm = _validated_graev()
     benchmark(reduce_basis, OrderedBasis.standard(2, 11), norm)
 
@@ -227,7 +227,7 @@ def test_graev_build(benchmark):
 
 
 def test_graev_table(benchmark):
-    # p=2, dim 11: the table validate_axioms records, all 2048 subsets at once
+    # p=2, dim 11: the table the norm builds at construction, all 2048 subsets at once
     norm = _graev()
     benchmark(norm._dense_values)
 
@@ -252,7 +252,7 @@ def _graev_near_base():
 @pytest.mark.parametrize("make_norm", [_graded, _graev_near_base],
                          ids=["graded-5-5", "graev-2-11"])
 def test_sorted_span_and_selection(benchmark, make_norm):
-    # the two calls of the selection stage, on ranks from the recorded table
+    # the two calls of the selection stage, on ranks from the norm's table
     norm = make_norm()
     validate_axioms(norm)
     reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)

@@ -22,10 +22,8 @@ from .fpcore import (
     Prime,
     Truncation,
     as_prime,
-    decompose,
     enumerate_span,
     is_independent,
-    length_and_max,
     rank,
     set_prime_cap,
     solve_in_span,

@@ -99,10 +99,7 @@ def _run_config(args, doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -
         cfg = RunConfig(None, None, doc, l=l, m=m)
     else:
         cfg = RunConfig.from_json_dict(doc)
-    cfg = replace(cfg, **env)
-    if args.threads is not None:  # run defaults to the config's
-        cfg = replace(cfg, threads=args.threads)
-    return cfg
+    return replace(cfg, **env)
 
 
 def _run_through(cfg: RunConfig, name: str) -> RunReport:
@@ -164,7 +161,7 @@ def cmd_verify(args) -> int:
         raise InputError("pass --config or --reduced")
     cfg = _run_config(args, norm_cfg, norm_only=True)
     norm = cfg.build_norm()
-    validate_axioms(norm, cap=cfg.enum_cap, threads=cfg.threads)
+    validate_axioms(norm, cap=cfg.enum_cap)
     if doc is None:
         reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm,
                                cap=cfg.enum_cap)
@@ -360,12 +357,15 @@ def cmd_report(args) -> int:
     return EXIT_PASS if doc.get("verdict") == "pass" else EXIT_VIOLATIONS
 
 
-def _add_common(sub, *, config=True, threads=True):
-    if config:
-        sub.add_argument("--config", required=True, help="path to a norm config JSON")
-    if threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the axiom validator")
+def _add_threads(sub):
+    sub.add_argument("--threads", type=int,
+                     help="accepted and checked, but ignored: every check runs "
+                          "on one thread")
+
+
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="path to a norm config JSON")
+    _add_threads(sub)
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lemma", choices=("props", "1", "2", "all"), default="all")
     sub.add_argument("--limits", action="append", metavar="n=INT",
                      help="checker limits, e.g. n=4 for the tuple size")
-    sub.add_argument("--threads", type=int, default=1)
+    _add_threads(sub)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_verify)
 
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", choices=("map", "kernel", "coarser"), default="map")
     sub.add_argument("--prime", type=int, help="cross-check the spec's prime")
     sub.add_argument("--dim", type=int, help="cross-check the spec's dimension")
-    sub.add_argument("--threads", type=int, default=1)
+    _add_threads(sub)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_duality)
 
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("run", help="execute the full pipeline from a run config")
     sub.add_argument("--config", required=True, help="path to a run config JSON")
-    sub.add_argument("--threads", type=int, default=None)
+    _add_threads(sub)
     sub.add_argument("--out", default=None)
     sub.add_argument("--include-timings", action="store_true",
                      help="embed wall-clock timings (breaks byte stability)")
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
-        if getattr(args, "threads", None) is not None:  # run defaults to the config's
+        if getattr(args, "threads", None) is not None:
             require_threads(args.threads)
         return args.func(args)
     except (InputError, NotInSpanError) as exc:

@@ -281,8 +281,13 @@ def von_neumann_kernel(spec: TopologySpec, *, cap: int | None = None) -> tuple[G
     of the stacked ann(W_U) bases, and the intersection of the W_U, which
     it equals by the double annihilator. Disagreement raises.
     """
-    tr, inter, _, anns = _base_spans(spec, cap)
-    p, d = spec.prime.p, spec.dim
+    return _kernel_basis(_base_spans(spec, cap))
+
+
+def _kernel_basis(spans) -> tuple[GroupElement, ...]:
+    """von_neumann_kernel from what _base_spans returns."""
+    tr, inter, _, anns = spans
+    p, d = tr.prime.p, tr.dim
     basis = _annihilator_basis(
         _coeff_rows([tr.rank_of(a) for ann in anns for a in ann], p, d), p, d)
     _assert_same_subgroup(frozenset(np.flatnonzero(inter).tolist()), basis, tr)
@@ -339,8 +344,9 @@ def is_map(spec: TopologySpec, *, cap: int | None = None) -> MapReport:
     of the base sets intersect in zero alone, read from their rank masks.
     Any disagreement raises. Each open index-p subgroup is the kernel of
     one line of the continuous dual."""
-    kernel_basis = von_neumann_kernel(spec, cap=cap)
-    _, inter, dual, anns = _base_spans(spec, cap)
+    spans = _base_spans(spec, cap)
+    _, inter, dual, anns = spans
+    kernel_basis = _kernel_basis(spans)
     p, d = spec.prime.p, spec.dim
     n_continuous = int(dual.sum())
     dual_rank = rank([a for ann in anns for a in ann], spec.prime)

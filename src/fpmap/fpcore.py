@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, InputError, NotInSpanError
+from .errors import CapExceededError, InputError
 
 DEFAULT_PRIME_CAP = 97
 DEFAULT_ENUM_CAP = 10_000_000
@@ -289,16 +289,6 @@ def solve_in_span(g: GroupElement, elems: Sequence[GroupElement]) -> tuple[int, 
     return tuple(coeffs)
 
 
-def decompose(g: GroupElement, basis: "OrderedBasis") -> tuple[int, ...]:
-    """Coefficients of g over an ordered basis; NotInSpan if g lies outside."""
-    for e in basis.elems:
-        _same_prime(g, e)
-    coeffs = solve_in_span(g, basis.elems)
-    if coeffs is None:
-        raise NotInSpanError(f"{g!r} is not in the span of the given basis")
-    return coeffs
-
-
 @dataclass(frozen=True)
 class OrderedBasis:
     """An ordered, independent tuple of nonzero elements over one prime."""
@@ -330,18 +320,6 @@ class OrderedBasis:
 
     def __getitem__(self, n):
         return self.elems[n]
-
-
-def length_and_max(g: GroupElement, basis: OrderedBasis) -> tuple[int, int]:
-    """(number of nonzero coefficients, largest 1-based position) of g over basis.
-
-    The zero element yields (0, 0).
-    """
-    coeffs = decompose(g, basis)
-    nz = [j + 1 for j, c in enumerate(coeffs) if c]
-    if not nz:
-        return (0, 0)
-    return (len(nz), nz[-1])
 
 
 def is_independent(elems: Iterable[GroupElement], p=None) -> bool:

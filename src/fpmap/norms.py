@@ -6,24 +6,22 @@ denominator, stored as int64 when the sum of any two fits and as Python ints
 otherwise; both storages give the same exact arithmetic. A cost is such a
 vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
-element. Each norm's dense value table is such a vector too, indexed by rank:
-table, ultrametric and cost-completion norms build it at construction, and
-validate_axioms records it for the Graev norm by one integer DP over all
-subsets, still bounded by its matching cap. Norm.span_values and
-Norm.values_of (by rank) read values from it (a Graev norm without one
-evaluates them word by word).
+element. Each norm's dense value table is such a vector too, indexed by rank,
+and every norm builds it at construction: a Graev norm by one integer DP over
+all subsets, when its points fit the matching cap. Norm.eval, span_values and
+values_of (by rank) read values from it; a Graev norm wider than its matching
+cap has no table, and evaluates eval and span_values word by word.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
   (2) N(-g) = N(g),
   (3) N(g + h) <= N(g) + N(h),
-and validate_axioms checks all three exhaustively on the truncated domain.
+and validate_axioms checks all three exhaustively on the norm's table.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -249,14 +247,6 @@ class CostFunction:
     def value(self, g: GroupElement) -> Fraction:
         return self.value_of_rank(self.truncation.rank_of(g))
 
-    def to_entries(self) -> list[dict]:
-        tr = self.truncation
-        return [
-            {"element": jsonio.element_to_pairs(tr.element_of(r)),
-             "value": jsonio.frac_to_str(Fraction(n, self.den))}
-            for r, n in enumerate(self.nums.tolist()) if r
-        ]
-
 
 _DRAW_BLOCK = 1 << 20  # 32-bit words per getrandbits call: 4 MB
 
@@ -376,9 +366,10 @@ class Norm:
     """Base class for a norm on the truncation F_p^dim.
 
     ``_table`` holds the dense values (numerators by rank of ``_tr``, one
-    denominator); eval and span_values read it when present. Only the Graev
-    norm lacks one until validate_axioms records it, and implements
-    ``_eval`` for that time. validate_axioms also keeps the ranks in
+    denominator), built at construction. Only a Graev norm wider than its
+    matching cap has none; it implements ``_eval``, which eval and
+    span_values call word by word, and every other reader of the table
+    raises its matching cap error. validate_axioms keeps the ranks in
     (value, rank) order as ``_order``."""
 
     kind = "abstract"
@@ -430,11 +421,21 @@ class Norm:
         ranks = self._tr.span_ranks(elems)
         return nums[ranks if rows is None else ranks[rows]], den
 
+    def _values(self) -> tuple[np.ndarray, int]:
+        """The value table; only a Graev norm wider than its matching cap has
+        none, and the first word over the cap in rank order has cap + 1
+        points."""
+        if self._table is None:
+            cap = self.matching_cap
+            raise CapExceededError(f"{cap + 1} points exceed the matching cap {cap}")
+        return self._table
+
     @property
     def truncation(self) -> Truncation:
-        """The truncation whose ranks index the table; a norm without a table
-        yet has the one of its prime and dim under the default cap."""
-        return self._tr if self._tr is not None else Truncation(self.prime, self.dim)
+        """The truncation whose ranks index the table; a norm without one
+        raises as _values does."""
+        self._values()
+        return self._tr
 
     def ranks_of(self, elems: Iterable[GroupElement]) -> np.ndarray:
         """int64 ranks in the truncation of the given elements, each checked
@@ -448,16 +449,9 @@ class Norm:
 
     def values_of(self, ranks: np.ndarray) -> tuple[np.ndarray, int]:
         """Exact values of the elements of the given ranks, numerators as
-        _scaled stores them over one denominator: one gather from the table,
-        or one eval each."""
-        if self._table is None:
-            tr = self.truncation
-            return _scaled([self._eval(tr.element_of(r)) for r in ranks.tolist()])
-        nums, den = self._table
+        _scaled stores them over one denominator: one gather from the table."""
+        nums, den = self._values()
         return nums[ranks], den
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
 
 class TableNorm(Norm):
@@ -486,19 +480,6 @@ class TableNorm(Norm):
         if vals[0] is None:
             vals[0] = Fraction(0)
         self._table = _scaled(vals)
-
-    def describe(self) -> dict:
-        nums, den = self._table
-        return {
-            "kind": self.kind,
-            "prime": self.prime.p,
-            "dim": self.dim,
-            "entries": [
-                {"element": jsonio.element_to_pairs(self._tr.element_of(r)),
-                 "value": jsonio.frac_to_str(Fraction(n, den))}
-                for r, n in enumerate(nums.tolist())
-            ],
-        }
 
 
 class UltrametricProductNorm(Norm):
@@ -533,14 +514,6 @@ class UltrametricProductNorm(Norm):
             nums = np.concatenate([nums] + [np.maximum(nums, w_i)] * (self.prime.p - 1))
         self._table = nums, den
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prime": self.prime.p,
-            "dim": self.dim,
-            "weights": [jsonio.frac_to_str(w) for w in self.weights],
-        }
-
 
 class CostCompletionNorm(Norm):
     """Largest norm below a cost: minimum over decompositions of the summed cost.
@@ -552,20 +525,10 @@ class CostCompletionNorm(Norm):
 
     kind = "cost_completion"
 
-    def __init__(self, cost: CostFunction, *, descriptor: dict | None = None):
+    def __init__(self, cost: CostFunction):
         super().__init__(cost.prime, cost.dim)
-        self.cost = cost
         self._tr = cost.truncation
         self._table = _shortest_path_values(self._tr, cost)
-        self._descriptor = descriptor
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "prime": self.prime.p, "dim": self.dim}
-        if self._descriptor is not None:
-            out.update(self._descriptor)
-        else:
-            out["costs"] = self.cost.to_entries()
-        return out
 
 
 def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarray, int]:
@@ -606,22 +569,27 @@ class GraevBooleanNorm(Norm):
 
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
-    minimum pair/singleton cover cost. No table is built at construction, so
-    the space may be large: an evaluation before validate_axioms runs
-    graev_norm on its subset, and validate_axioms builds the whole table by
-    one integer DP over all 2^dim subsets. The matching cap bounds both: no
-    subset, and so no table, may have more points than the cap.
+    minimum pair/singleton cover cost. When every subset fits the matching
+    cap (dim <= matching_cap), the whole table is built at construction by
+    one integer DP over all 2^dim subsets, under the enumeration cap ``cap``.
+    A wider space builds no table and may be large: each evaluation runs
+    graev_norm on its subset, which the matching cap bounds, and
+    validate_axioms refuses it with the matching cap error.
     """
 
     kind = "graev_boolean"
 
-    def __init__(self, space: PointedMetricSpace, *, matching_cap: int | None = None):
+    def __init__(self, space: PointedMetricSpace, *, matching_cap: int | None = None,
+                 cap: int | None = None):
         if space.n_points < 2:
             raise InputError("need at least one non-basepoint point")
         super().__init__(2, space.n_points - 1)
         self.space = space
         self.matching_cap = DEFAULT_MATCHING_CAP if matching_cap is None else matching_cap
         self._points = space.nonbase
+        if self.dim <= self.matching_cap:
+            self._tr = Truncation(self.prime, self.dim, cap=cap)
+            self._table = self._dense_values()
 
     def point_of_index(self, i: int) -> int:
         """Metric-space point index carried by group index i."""
@@ -643,10 +611,7 @@ class GraevBooleanNorm(Norm):
         inequality a pair), so the space's denominator, the least common one
         of the distances, is already the least one of the values.
         """
-        d, cap = self.dim, self.matching_cap
-        if d > cap:
-            # the first word over the cap in rank order has cap + 1 points
-            raise CapExceededError(f"{cap + 1} points exceed the matching cap {cap}")
+        d = self.dim
         base = self.space.basepoint
         dist, den = self.space.nums, self.space.den
         pts = [self._points[d - 1 - b] for b in range(d)]
@@ -662,15 +627,6 @@ class GraevBooleanNorm(Norm):
                            out=with_c)
             val[2 ** b::step] = best
         return val.astype(_storage(int(val.max()))), den
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prime": 2,
-            "dim": self.dim,
-            "matching_cap": self.matching_cap,
-            "space": self.space.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -700,12 +656,12 @@ class AxiomReport:
         }
 
 
-def require_threads(threads) -> int:
-    """The worker thread count for validate_axioms, if it is a positive
-    integer (a JSON true is not one)."""
+def require_threads(threads) -> None:
+    """Refuse a thread count that is not a positive integer (a JSON true is
+    not one). Configs, the CLI and validate_axioms accept the count and check
+    it so, but every check runs on the calling thread whatever it is."""
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InputError(f"threads must be a positive integer, got {threads!r}")
-    return threads
 
 
 def _generator_ranks(p: int, dim: int) -> list[int]:
@@ -795,24 +751,21 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     it is cheaper and axiom (1) has no violation (which gives N(e) > 0). If
     it is refuted, the scan runs as it would have, so the worst case costs
     at most twice the scan and every violation is found by the scan.
-    Violations are listed by (g, h) ranks, g <= h. ``threads`` splits the
-    scan's positions with a nonempty slice into that many chunks; the
-    certificate runs on one thread. The report is cached on the norm object
-    so downstream operations can require a clean validation, and the value
-    table read here becomes the norm's table.
+    Violations are listed by (g, h) ranks, g <= h. The check reads the
+    norm's own table and builds none: a Graev norm wider than its matching
+    cap, which has no table, raises its matching cap error after the
+    enumeration cap is checked. ``threads`` is checked as require_threads
+    checks it and changes nothing: everything runs on the calling thread.
+    The report is cached on the norm object so downstream operations can
+    require a clean validation.
     """
     require_threads(threads)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    # the norm's own truncation keeps the half-digit tables and neg_perm
-    # that its build cached
-    tr = norm._tr if norm._tr is not None else Truncation(norm.prime, norm.dim, cap=cap)
-    size = tr.size
+    size = norm.prime.p ** norm.dim
     if size > cap:
         raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
-    if norm._table is None:
-        norm._table = norm._dense_values()
-    norm._tr = tr
-    nums, den = norm._table
+    nums, den = norm._values()
+    tr = norm._tr
     violations: list[dict] = []
 
     ser = [None] * size  # element serializations, built lazily
@@ -851,17 +804,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     n_gens = d * (p - 1) + math.comb(d, 2) * (p - 1) ** 2  # |E|
     if n_gens * size < int(reach[:n_pos].sum()) and axiom1.all() and _is_own_completion(tr, nums):
         n_pos = 0
-
-    def scan(positions: range) -> list[tuple[np.ndarray, ...]]:
-        return _triangle_scan(tr, nums, order, sorted_nums, ends, positions)
-
-    bounds = [n_pos * t // threads for t in range(threads + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            found = [f for part in pool.map(scan, chunks) for f in part]
-    else:
-        found = [f for chunk in chunks for f in scan(chunk)]
+    found = _triangle_scan(tr, nums, order, sorted_nums, ends, range(n_pos))
     if found:
         a, b, s = map(np.concatenate, zip(*found))
         g, h = np.minimum(a, b), np.maximum(a, b)
@@ -936,20 +879,13 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
             if "low" in cfg or "high" in cfg:
                 raise InputError("graded cost_completion configs fix their own value range")
             cost = graded_cost(cfg["seed"], cfg["prime"], cfg["dim"], steps=steps, cap=cap)
-            descriptor = {"seed": cfg["seed"], "graded": True, "steps": steps}
-            return CostCompletionNorm(cost, descriptor=descriptor)
+            return CostCompletionNorm(cost)
         if "low" not in cfg or "high" not in cfg:
             raise InputError("seeded cost_completion configs need low and high")
         cost = random_cost(cfg["seed"], cfg["prime"], cfg["dim"],
                            jsonio.frac_from_str(cfg["low"]),
                            jsonio.frac_from_str(cfg["high"]), steps=steps, cap=cap)
-        descriptor = {
-            "seed": cfg["seed"],
-            "low": jsonio.frac_to_str(jsonio.frac_from_str(cfg["low"])),
-            "high": jsonio.frac_to_str(jsonio.frac_from_str(cfg["high"])),
-            "steps": steps,
-        }
-        return CostCompletionNorm(cost, descriptor=descriptor)
+        return CostCompletionNorm(cost)
     if kind == "graev_boolean":
         jsonio.require_keys(cfg, ["kind", "space"], ["prime", "dim", "matching_cap"],
                             what="graev_boolean config")
@@ -961,7 +897,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
                    for x in jsonio.require_list(row, what="dist row")]
                   for row in jsonio.require_list(sp["dist"], what="dist")]
         space = PointedMetricSpace(matrix, basepoint=sp["basepoint"])
-        norm = GraevBooleanNorm(space, matching_cap=cfg.get("matching_cap"))
+        norm = GraevBooleanNorm(space, matching_cap=cfg.get("matching_cap"), cap=cap)
         if "dim" in cfg and cfg["dim"] != norm.dim:
             raise InputError(f"space has {norm.dim} non-basepoint points, config says {cfg['dim']}")
         return norm

@@ -73,7 +73,6 @@ class RunConfig:
     m: int = 1
     enum_cap: int = DEFAULT_ENUM_CAP
     matching_cap: int | None = None
-    threads: int = 1
     out: str | None = None
     raw: dict = field(default_factory=dict)
 
@@ -103,14 +102,14 @@ class RunConfig:
             raise InputError(f"enum cap must be a positive integer, got {enum_cap!r}")
         if matching_cap is not None and (not _is_int(matching_cap) or matching_cap < 1):
             raise InputError(f"matching cap must be a positive integer, got {matching_cap!r}")
-        threads = require_threads(cfg.get("threads", 1))
+        require_threads(cfg.get("threads", 1))  # accepted and checked, but ignored
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
             raise InputError(f"out must be a path string, got {out!r}")
         if not isinstance(cfg["norm"], dict):
             raise InputError("norm descriptor must be a JSON object")
         return cls(prime, dim, dict(cfg["norm"]), max_tuple, l, m,
-                   enum_cap, matching_cap, threads, out, cfg)
+                   enum_cap, matching_cap, out, cfg)
 
     @property
     def norm_descriptor(self):
@@ -186,9 +185,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     docs: dict = {k: None for k in STAGE_KEYS}
     timings: dict = {}
     error = None
-    # threads and out change how the run executes, never what it computes,
-    # so they stay out of the echo to keep reports byte-identical across
-    # execution settings.
+    # threads (accepted, but ignored) and out never change what a run
+    # computes, so they stay out of the echo to keep reports byte-identical
+    # across execution settings.
     echo = {k: v for k, v in cfg.raw.items() if k not in ("threads", "out")}
     cap = cfg.enum_cap
 
@@ -211,8 +210,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
         return any(r is not None and not r.ok for r in reports)
 
     norm = run_stage("build", cfg.build_norm)
-    axioms = run_stage("axioms", lambda: validate_axioms(
-        norm, cap=cap, threads=cfg.threads))
+    axioms = run_stage("axioms", lambda: validate_axioms(norm, cap=cap))
     bad = not axioms.ok
 
     if not bad:

@@ -325,6 +325,8 @@ class TestWorkRule:
         assert _is_own_completion(norm._tr, norm._table[0])
 
     def test_threads_split_only_the_scan(self):
+        # threads is accepted and ignored: the certificate and the scan run
+        # as they do at threads=1
         values = graev_values(1, 9)
         one, log = check(table_norm(2, 9, values), threads=3)
         assert log == {"verdicts": [True], "scanned": 0}

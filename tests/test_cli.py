@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 import gc
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -155,6 +156,22 @@ class TestInputAndCapExits:
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
         assert capsys.readouterr().err == (
             "error: stage build: truncation has 32 elements, above cap 31\n")
+
+    @pytest.mark.parametrize("caps, err", [
+        # within its matching cap the norm builds its table, so the enum cap
+        # stops stage build, as for the ultrametric norm
+        ({"enum": 31, "matching": 5}, "stage build: truncation has 32 elements, above cap 31"),
+        # past it the norm has no table, and validate_axioms refuses it
+        ({"matching": 4}, "stage axioms: 5 points exceed the matching cap 4"),
+        # after checking the enum cap
+        ({"enum": 31, "matching": 4}, "stage axioms: truncation has 32 elements, above cap 31"),
+    ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps"])
+    def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, caps, err):
+        run = {"prime": 2, "dim": 5, "caps": caps,
+               "norm": {"kind": "graev_boolean",
+                        "space": random_metric_space(1, 6, 1, 3).to_json_dict()}}
+        assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
         # dim == cap validates; one point more exits 3 before any subset DP
@@ -321,6 +338,15 @@ class TestDuality:
         doc = stdout_doc(capsys)
         assert doc == {"dim": 3, "kernel_basis": [[[3, 1]]], "prime": 2}
 
+    def test_balls_over_a_graev_norm_past_its_matching_cap(self, tmp_path, capsys):
+        # the wide norm has no value table, so the balls cannot be read
+        norm = {"kind": "graev_boolean", "matching_cap": 4,
+                "space": random_metric_space(1, 6, 1, 3).to_json_dict()}
+        spec = write_json(tmp_path / "balls.json",
+                          {"kind": "balls", "norm": norm, "radii": ["2"]})
+        assert main(["duality", "--check", "map", "--spec", spec]) == 3
+        assert capsys.readouterr().err == "error: 5 points exceed the matching cap 4\n"
+
     def test_prime_cross_check(self, tmp_path, capsys):
         assert main(["duality", "--check", "map", "--spec", self.topo(tmp_path),
                      "--prime", "3"]) == 2
@@ -435,29 +461,6 @@ def threads_argv(tmp_path, case):
     }[case]
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces the validator's thread pool by one that records its
-    max_workers and maps in the calling thread, so no thread starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(norms, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("case", ["validate-norm", "reduce", "verify", "extract",
@@ -474,23 +477,23 @@ class TestThreads:
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: threads must be a positive integer, got 0\n"
 
-    @pytest.mark.parametrize("norm_cfg, threads, sizes", [
-        # only rank 0 (value 0) has partners below the largest value: one chunk
-        ({"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True},
-         8, []),
-        # weights 1, 1/2, 1/3: the values 0, 1/3, 1/3 have partners, 1/2 none
-        ({"kind": "ultrametric", "prime": 3, "dim": 3}, 8, [3]),
-        ({"kind": "ultrametric", "prime": 2, "dim": 7}, 2, [2]),
-    ], ids=["graded", "ultrametric-3-3", "ultrametric-2-7"])
-    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, capsys, pool_sizes,
-                                                     norm_cfg, threads, sizes):
-        cfg = write_json(tmp_path / "n.json", norm_cfg)
-        assert main(["validate-norm", "--config", cfg]) == 0
-        one = capsys.readouterr().out
-        assert pool_sizes == []
-        assert main(["validate-norm", "--config", cfg, "--threads", str(threads)]) == 0
-        assert capsys.readouterr().out == one
-        assert pool_sizes == sizes
+    def test_run_starts_no_thread(self, tmp_path, capsys, monkeypatch):
+        # weights up to 7/8^6 keep every value below the selection thresholds
+        # at m = 5, so the chain passes; the triangle scan runs on 8 positions
+        weights = [f"{i}/262144" for i in range(1, 8)]
+        cfg = write_json(tmp_path / "run.json", {
+            "prime": 2, "dim": 7,
+            "norm": {"kind": "ultrametric", "prime": 2, "dim": 7, "weights": weights}})
+        scanned = []
+        scan = norms._triangle_scan
+        monkeypatch.setattr(norms, "_triangle_scan",
+                            lambda *args: scanned.append(len(args[-1])) or scan(*args))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
+        one, four = tmp_path / "one.json", tmp_path / "four.json"
+        assert main(["run", "--config", cfg, "--threads", "1", "--out", str(one)]) == 0
+        assert main(["run", "--config", cfg, "--threads", "4", "--out", str(four)]) == 0
+        assert scanned == [8, 8]
+        assert four.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize("steps", [2.5, True, "7", 0, 1e20])

@@ -347,10 +347,28 @@ def test_duality_matches_the_enumeration_oracles(spec):
         kernel[0] if kernel else None, not kernel, dual_rank == spec.dim, inter == {0})
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from(sorted(MAX_DIM)), data=st.data())
+def test_is_map_builds_the_base_spans_once(seed, p, data):
+    spec = random_topology(seed, p, data.draw(st.integers(1, MAX_DIM[p])))
+    calls = []
+    spans = duality._base_spans
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(duality, "_base_spans", lambda *args: calls.append(args) or spans(*args))
+        report = is_map(spec)
+    assert len(calls) == 1
+    kernel = brute_von_neumann_kernel(spec)
+    n_open, inter = brute_open_subgroups(spec)
+    assert report.kernel_basis == kernel
+    assert report.witness == (kernel[0] if kernel else None)
+    assert report.n_open_subgroups == n_open
+    assert report.is_map == (inter == {0}) == (not kernel)
+
+
 def test_route_three_reads_the_base_spans(monkeypatch):
     # a kernel route that wrongly claims separation is contradicted by route
     # three, which reads the spans of the base sets and not the kernel basis
-    monkeypatch.setattr(duality, "von_neumann_kernel", lambda spec, cap=None: ())
+    monkeypatch.setattr(duality, "_kernel_basis", lambda spans: ())
     with pytest.raises(InternalDisagreementError,
                        match="kernel True, dual rank False, open subgroups False"):
         is_map(span_e3_spec())
