@@ -477,6 +477,22 @@ class TestThreads:
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: threads must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize("norm_cfg, threads", [
+        ({"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True}, 8),
+        ({"kind": "ultrametric", "prime": 3, "dim": 3}, 8),
+        ({"kind": "ultrametric", "prime": 2, "dim": 7}, 2),
+    ], ids=["graded", "ultrametric-3-3", "ultrametric-2-7"])
+    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, capsys, monkeypatch,
+                                                     norm_cfg, threads):
+        # the validator scans its value table serially: --threads starts no
+        # worker at all, so never more than the chunks, and prints the same report
+        cfg = write_json(tmp_path / "n.json", norm_cfg)
+        assert main(["validate-norm", "--config", cfg]) == 0
+        one = capsys.readouterr().out
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
+        assert main(["validate-norm", "--config", cfg, "--threads", str(threads)]) == 0
+        assert capsys.readouterr().out == one
+
     def test_run_starts_no_thread(self, tmp_path, capsys, monkeypatch):
         # weights up to 7/8^6 keep every value below the selection thresholds
         # at m = 5, so the chain passes; the triangle scan runs on 8 positions
