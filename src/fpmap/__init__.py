@@ -14,7 +14,6 @@ from .errors import (
     InternalDisagreementError,
     InvalidNormError,
     NormBoundFailedError,
-    NotInSpanError,
 )
 from .fpcore import (
     GroupElement,

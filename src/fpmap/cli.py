@@ -23,7 +23,6 @@ from .errors import (
     InternalDisagreementError,
     InvalidNormError,
     NormBoundFailedError,
-    NotInSpanError,
 )
 from .extraction import boolean_counterexample, require_l
 from .fpcore import OrderedBasis, set_prime_cap
@@ -244,12 +243,7 @@ def cmd_run(args) -> int:
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     report = run_pipeline(cfg)
-    text = report.to_canonical_json(include_timings=args.include_timings)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json_dict(include_timings=args.include_timings), cfg.out)
     for stage, seconds in report.timings.items():
         print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
@@ -451,10 +445,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", None) is not None:
             require_threads(args.threads)
         return args.func(args)
-    except (InputError, NotInSpanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

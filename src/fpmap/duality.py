@@ -30,6 +30,7 @@ from .fpcore import (
     _rref,
     as_prime,
     rank,
+    rank_digits,
 )
 from .norms import Norm, norm_from_config
 
@@ -206,12 +207,6 @@ def topology_from_config(cfg, *, cap: int | None = None) -> TopologySpec:
     raise InputError(f"unknown topology kind {kind!r}")
 
 
-def _coeff_rows(ranks, p: int, dim: int) -> list[list[int]]:
-    """Coefficient vector of each rank, the coefficient of e_1 first."""
-    return (np.asarray(ranks, dtype=np.int64)[:, None]
-            // p ** np.arange(dim - 1, -1, -1) % p).tolist()
-
-
 def _annihilator_basis(rows, p: int, dim: int) -> tuple[GroupElement, ...]:
     """Reduced-echelon basis of the common kernel of the given coefficient
     rows (reduced in place), via the null space of their matrix."""
@@ -249,7 +244,7 @@ def _base_spans(spec: TopologySpec, cap: int | None):
             span = tr.extend_span(span, tr.element_of(gens[-1]))
             w[span] = True
         inter &= w
-        anns.append(_annihilator_basis(_coeff_rows(gens, p, d), p, d))
+        anns.append(_annihilator_basis(rank_digits(gens, p, d).tolist(), p, d))
         dual[tr.span_ranks(anns[-1])] = True
     return tr, inter, dual, anns
 
@@ -260,7 +255,7 @@ def continuous_characters(spec: TopologySpec, *, cap: int | None = None) -> list
     Continuity into a discrete target is exactly that kernel containment;
     the trivial character always qualifies and comes first.
     """
-    rows = _coeff_rows(np.flatnonzero(_base_spans(spec, cap)[2]), spec.prime.p, spec.dim)
+    rows = rank_digits(np.flatnonzero(_base_spans(spec, cap)[2]), spec.prime.p, spec.dim).tolist()
     return [Character(spec.prime, tuple(row)) for row in rows]
 
 
@@ -289,7 +284,7 @@ def _kernel_basis(spans) -> tuple[GroupElement, ...]:
     tr, inter, _, anns = spans
     p, d = tr.prime.p, tr.dim
     basis = _annihilator_basis(
-        _coeff_rows([tr.rank_of(a) for ann in anns for a in ann], p, d), p, d)
+        rank_digits([tr.rank_of(a) for ann in anns for a in ann], p, d).tolist(), p, d)
     _assert_same_subgroup(frozenset(np.flatnonzero(inter).tolist()), basis, tr)
     return basis
 
@@ -398,8 +393,7 @@ class CoarserReport:
             "prime": self.prime.p,
             "m": self.m,
             "tables": {
-                str(t): {",".join(map(str, F)): text[id(v)]
-                         for F, v in sorted(tab.items(), key=lambda kv: (len(kv[0]), kv[0]))}
+                str(t): {",".join(map(str, F)): text[id(v)] for F, v in tab.items()}
                 for t, tab in enumerate(self.tables, start=1)
             },
             "violations": list(self.violations),

@@ -9,10 +9,6 @@ class InputError(FpmapError, ValueError):
     """Malformed or inconsistent input: mismatched primes, bad indices, bad config."""
 
 
-class NotInSpanError(FpmapError):
-    """The element is not a combination of the given basis."""
-
-
 class CapExceededError(FpmapError):
     """An enumeration or matching would exceed its configured size cap."""
 

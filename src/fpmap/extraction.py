@@ -352,15 +352,15 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     member_nums = [int(vals[p ** (m - 1 - i)]) for i in range(m)]
     member_norms = [Fraction(v, den) for v in member_nums]
 
-    def digit(i: int, words: int = p ** m) -> np.ndarray:
-        return np.arange(words) // p ** (m - 1 - i) % p
-
     violations: list[dict] = []
     # vw < 1/(4p)^l, divided through so that no entry is multiplied
     small = vals[1:] <= (den - 1) // (4 * p) ** l
     large = [i for i in range(m) if member_norms[i] >= eps]
-    touched = sum((digit(i)[1:] != 0 for i in large), np.zeros(p ** m - 1, dtype=bool))
-    for row in (np.flatnonzero(small & touched) + 1).tolist():
+    # the words whose digit i, the coefficient of member i, is nonzero
+    touched = np.zeros(p ** m, dtype=bool)
+    for i in large:
+        touched.reshape(p ** i, p, -1)[:, 1:] = True
+    for row in (np.flatnonzero(small & touched[1:]) + 1).tolist():
         coeffs, w = span_word(members, row)
         for i in large:
             if coeffs[i]:
@@ -374,6 +374,7 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
                     "eps": jsonio.frac_to_str(eps),
                     "delta": jsonio.frac_to_str(delta),
                 })
+    neg = Truncation(p, m, cap=cap).neg_perm  # word rank -> the rank of its negation
     for s in range(l, m):
         budget = p * sum(member_nums[s:m])
         tail_budget = Fraction(budget, den)
@@ -386,7 +387,7 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
                 "bound": jsonio.frac_to_str(bound),
             })
         # the tails over members s..m-1 are the first p^(m-s) rows
-        negated = sum(-digit(i, p ** (m - s)) % p * p ** (m - 1 - i) for i in range(s, m))
+        negated = neg[:p ** (m - s)]
         for row in (np.flatnonzero(vals[negated[1:]] > budget) + 1).tolist():
             coeffs, tail = span_word(members[s:], row)
             violations.append({

@@ -360,12 +360,22 @@ def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
         yield sum((multiples[j][lam] for j, lam in enumerate(vec) if lam), zero)
 
 
+def word_digits(row: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of ``row``, most significant first: the
+    coefficients of word ``row`` of a span of k elements."""
+    return tuple(row // p ** (k - 1 - j) % p for j in range(k))
+
+
+def rank_digits(ranks, p: int, k: int) -> np.ndarray:
+    """word_digits of each of the given ranks, as an (n, k) int64 array."""
+    return np.asarray(ranks, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+
+
 def span_word(elems: Sequence[GroupElement], row: int) -> tuple[tuple[int, ...], GroupElement]:
     """Coefficients and element of word ``row`` of span(elems), in enumerate_span
     order: the coefficient of elems[0] is the row's most significant digit."""
     prime = elems[0].prime
-    k = len(elems)
-    coeffs = tuple(row // prime.p ** (k - 1 - j) % prime.p for j in range(k))
+    coeffs = word_digits(row, prime.p, len(elems))
     return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
 
 
@@ -405,16 +415,6 @@ def _word_layout(p: int, dim: int, top: np.ndarray) -> WordLayout:
     return WordLayout(top, support, strip)
 
 
-def _digit_table(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-p digits of 0..p^k-1 and the weights that map them back.
-
-    Returns the (p^k, k) int64 digit vectors, most significant digit first,
-    and the weights p^(k-1), ..., 1.
-    """
-    weights = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    return (np.arange(p ** k, dtype=np.int64)[:, None] // weights) % p, weights
-
-
 class Truncation:
     """Dense view of span(e_1..e_dim): elements indexed by lexicographic rank.
 
@@ -450,16 +450,16 @@ class Truncation:
     def _half_digits(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(p^lo, high digits, high weights, low digits, low weights).
 
-        The high weights carry the factor p^lo, so a high-half row already
-        holds the high part of the full rank. dim = 1 leaves the high half
-        with one empty digit vector.
+        The weights are the full rank's, p^(dim-1) .. 1, split between the
+        halves, so a high-half row already holds the high part of the rank.
+        dim = 1 leaves the high half with one empty digit vector.
         """
         if self._halves is None:
             p, d = self.prime.p, self.dim
             lo = (d + 1) // 2
-            high, high_w = _digit_table(p, d - lo)
-            low, low_w = _digit_table(p, lo)
-            self._halves = (p ** lo, high, high_w * p ** lo, low, low_w)
+            w = p ** np.arange(d - 1, -1, -1)
+            self._halves = (p ** lo, rank_digits(np.arange(p ** (d - lo)), p, d - lo), w[:d - lo],
+                            rank_digits(np.arange(p ** lo), p, lo), w[d - lo:])
         return self._halves
 
     @property
@@ -509,13 +509,8 @@ class Truncation:
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:
             raise InputError(f"rank {r} out of range for truncation of size {self.size}")
-        p, d = self.prime.p, self.dim
-        items = []
-        for i in range(1, d + 1):
-            c = (r // p ** (d - i)) % p
-            if c:
-                items.append((i, c))
-        return GroupElement(self.prime, tuple(items))
+        digits = word_digits(r, self.prime.p, self.dim)
+        return GroupElement(self.prime, tuple((i, c) for i, c in enumerate(digits, 1) if c))
 
     def _half_rows(self, r: int) -> tuple[int, np.ndarray, np.ndarray]:
         """(p^lo, high-half row, low-half row) of rank r, for p != 2.

@@ -27,6 +27,7 @@ from .fpcore import (
     as_prime,
     running_ranks,
     span_word,
+    word_digits,
 )
 from .norms import Norm
 
@@ -192,7 +193,7 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
         elem = tr.element_of(int(words[row]))
         steps.append(ReductionStep(
             index=n + 1,
-            coeffs=_digits(row, p, n + 1),
+            coeffs=word_digits(row, p, n + 1),
             element=elem,
             norm_value=Fraction(int(best), den),
             tie_count=int((cand == best).sum()),
@@ -207,12 +208,6 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
         reduced=OrderedBasis(basis.prime, tuple(reduced)),
         steps=tuple(steps),
     )
-
-
-def _digits(row: int, p: int, k: int) -> tuple[int, ...]:
-    """The k base-p digits of row, most significant first: the coefficients
-    of word ``row`` of a span of k elements."""
-    return tuple(row // p ** (k - 1 - j) % p for j in range(k))
 
 
 def _layout(norm: Norm, d: int) -> WordLayout:
@@ -372,7 +367,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
                     continue
                 bad = np.flatnonzero((targets == j) & (vw <= limit))
                 for row, value in zip(words[bad].tolist(), vw[bad].tolist()):
-                    coeffs = _digits(row, p, d)
+                    coeffs = word_digits(row, p, d)
                     found.append((int(lay.support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
                                   [c for c in coeffs if c], k, mu, row, value, vt, factor))
     violations = [{

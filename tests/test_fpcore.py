@@ -2,7 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_rank_row, is_independent_oracle
@@ -15,7 +15,9 @@ from fpmap.fpcore import (
     enumerate_span,
     is_independent,
     rank,
+    rank_digits,
     solve_in_span,
+    word_digits,
 )
 
 
@@ -243,6 +245,28 @@ class TestTruncation:
                 brute_rank_row(tr, r, 1, positions)
         assert tr.neg_perm[positions].tolist() == \
             [brute_rank_row(tr, g, -1, [0])[0] for g in positions]
+
+    @given(p=st.sampled_from([2, 3, 5, 7, 97]), k=st.integers(0, 6),
+           raw=st.lists(st.integers(0, 10 ** 12), max_size=20))
+    @example(p=97, k=0, raw=[0, 5])  # the empty high half of a dim-1 truncation
+    @example(p=97, k=1, raw=[0, 1, 96])
+    @example(p=2, k=1, raw=[0, 1])
+    @settings(max_examples=80, deadline=None)
+    def test_digit_codec(self, p, k, raw):
+        assume(p ** k <= 10 ** 6)
+        ranks = [r % p ** k for r in raw]
+        table = rank_digits(ranks, p, k)
+        assert table.shape == (len(ranks), k) and table.dtype == np.int64
+        tr = Truncation(p, k) if k else None
+        for r, row in zip(ranks, table.tolist()):
+            digits = word_digits(r, p, k)
+            assert tuple(row) == digits
+            assert all(0 <= c < p for c in digits)
+            assert sum(c * p ** (k - 1 - j) for j, c in enumerate(digits)) == r
+            if tr is not None:
+                g = tr.element_of(r)
+                assert g.items == tuple((i, c) for i, c in enumerate(digits, 1) if c)
+                assert tr.rank_of(g) == r
 
     def test_out_of_range_rejected(self):
         tr = Truncation(2, 2)
