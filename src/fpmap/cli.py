@@ -26,7 +26,7 @@ from .errors import (
 )
 from .extraction import boolean_counterexample, require_l
 from .fpcore import OrderedBasis, set_prime_cap
-from .norms import require_threads, validate_axioms
+from .norms import validate_axioms
 from .pipeline import RunConfig, RunReport, run_pipeline
 from .reduction import (
     check_member_word_bound,
@@ -83,7 +83,7 @@ def _env_caps() -> dict:
     return {k: v for k, v in caps.items() if v is not None}
 
 
-def _run_config(args, doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
+def _run_config(doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
     """The RunConfig of one subcommand, with the environment's caps applied.
 
     doc is a run config, or with norm_only a bare norm descriptor: its prime
@@ -123,12 +123,12 @@ def _emit_stage(cfg: RunConfig, name: str, out: str | None) -> int:
 
 
 def cmd_validate_norm(args) -> int:
-    cfg = _run_config(args, _load_json(args.config), norm_only=True)
+    cfg = _run_config(_load_json(args.config), norm_only=True)
     return _emit_stage(cfg, "axioms", args.out)
 
 
 def cmd_reduce(args) -> int:
-    cfg = _run_config(args, _load_json(args.config), norm_only=True)
+    cfg = _run_config(_load_json(args.config), norm_only=True)
     report = _run_through(cfg, "reduction")
     _emit({"norm": cfg.norm_descriptor, "reduced": report.stages["reduction"]}, args.out)
     return EXIT_PASS
@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
         doc, norm_cfg = None, _load_json(args.config)
     else:
         raise InputError("pass --config or --reduced")
-    cfg = _run_config(args, norm_cfg, norm_only=True)
+    cfg = _run_config(norm_cfg, norm_only=True)
     norm = cfg.build_norm()
     validate_axioms(norm, cap=cfg.enum_cap)
     if doc is None:
@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _run_config(args, _load_json(args.config), norm_only=True, m=args.length)
+    cfg = _run_config(_load_json(args.config), norm_only=True, m=args.length)
     stages = _run_through(cfg, "family").stages
     _emit({"selection": stages["selection"], "family": stages["family"]}, args.out)
     return EXIT_PASS
@@ -197,17 +197,16 @@ def cmd_extract(args) -> int:
 def cmd_modulus(args) -> int:
     # m >= 1 and l are checked before the chain runs; m's upper bound, the
     # family length the selection reaches, by the modulus stage
-    if args.m < 1:
-        raise InputError(f"m must be a positive integer, got {args.m}")
+    jsonio.require_int(args.m, "m", low=1)
     require_l(args.l, args.m)
-    cfg = _run_config(args, _load_json(args.config), norm_only=True, l=args.l, m=args.m)
+    cfg = _run_config(_load_json(args.config), norm_only=True, l=args.l, m=args.m)
     return _emit_stage(cfg, "modulus", args.out)
 
 
 def cmd_duality(args) -> int:
     doc = _load_json(args.spec)
     if args.check == "coarser":
-        cfg = _run_config(args, doc)
+        cfg = _run_config(doc)
         if args.prime is not None and cfg.prime.p != args.prime:
             raise InputError(f"--prime {args.prime} does not match the config's {cfg.prime.p}")
         if args.dim is not None and cfg.dim != args.dim:
@@ -239,7 +238,7 @@ def cmd_demo_boolean(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _run_config(args, _load_json(args.config))
+    cfg = _run_config(_load_json(args.config))
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     report = run_pipeline(cfg)
@@ -443,7 +442,7 @@ def main(argv=None) -> int:
     prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
         if getattr(args, "threads", None) is not None:
-            require_threads(args.threads)
+            jsonio.require_int(args.threads, "threads", low=1)
         return args.func(args)
     except (InputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

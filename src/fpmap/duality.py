@@ -28,6 +28,7 @@ from .fpcore import (
     Prime,
     Truncation,
     _rref,
+    _same_prime,
     as_prime,
     rank,
     rank_digits,
@@ -51,7 +52,7 @@ class Character:
             raise InputError("a character needs at least one coefficient")
         p = self.prime.p
         for c in self.coeffs:
-            if not isinstance(c, int) or not 0 <= c < p:
+            if not jsonio.is_int(c) or not 0 <= c < p:
                 raise InputError(f"coefficients must be integers in [0, {p}), got {c!r}")
 
     @classmethod
@@ -73,8 +74,7 @@ class Character:
         return not any(self.coeffs)
 
     def __call__(self, g: GroupElement) -> int:
-        if g.prime != self.prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {self.prime.p}")
+        _same_prime(g.prime.p, self.prime.p)
         if g.max_index > self.dim:
             raise InputError(f"index {g.max_index} outside a dual vector of length {self.dim}")
         return sum(self.coeffs[i - 1] * c for i, c in g.items) % self.prime.p
@@ -160,6 +160,7 @@ class TopologySpec:
 def random_topology(seed: int, p, dim: int, *, cap: int | None = None) -> TopologySpec:
     """Seeded base of one to three sets, each a random subgroup or a random
     subset containing zero. Same seed, same spec."""
+    jsonio.require_int(seed, "seed")
     prime = as_prime(p)
     tr = Truncation(prime, dim, cap=cap)
     rng = Random(seed)
@@ -416,8 +417,7 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
         raise InputError(f"m = {m} exceeds the family length {len(family.members)}")
     p = norm.prime.p
     for g in family.members:
-        if g.prime != norm.prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {p}")
+        _same_prime(g.prime.p, p)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if p ** m > cap:
         raise CapExceededError(f"{p}^{m} span combinations exceed the cap {cap}")

@@ -6,7 +6,7 @@ class FpmapError(Exception):
 
 
 class InputError(FpmapError, ValueError):
-    """Malformed or inconsistent input: mismatched primes, bad indices, bad config."""
+    """Malformed or inconsistent input: primes that differ, bad indices, bad config."""
 
 
 class CapExceededError(FpmapError):

@@ -29,6 +29,7 @@ from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
     Truncation,
+    _same_prime,
     is_independent,
     solve_in_span,
     span_word,
@@ -67,8 +68,8 @@ def _top_positions(ranks: np.ndarray, tr: Truncation, reduced: ReducedBasis) -> 
     For the standard original the coordinates are the rank itself; otherwise
     they are read from one inverse of the original's span ranks, where a
     rank outside that span reads as rank 1, of max_index dim."""
-    if ranks.size and tr.prime != reduced.prime:
-        raise InputError(f"mismatched primes: {tr.prime.p} vs {reduced.prime.p}")
+    if ranks.size:
+        _same_prime(tr.prime.p, reduced.prime.p)
     p, k = tr.prime.p, len(reduced)
     coords = ranks
     if ranks.size and not all(g.items == ((n, 1),) for n, g in enumerate(reduced.original, start=1)):
@@ -268,8 +269,7 @@ def extract_independent_family(seq: NullSequence, reduced: ReducedBasis,
     that bound cannot come from valid inputs, so it raises NormBoundFailed.
     """
     p = norm.prime.p
-    if seq.prime_p != p:
-        raise InputError(f"mismatched primes: {seq.prime_p} vs {p}")
+    _same_prime(seq.prime_p, p)
     members = []
     norms = []
     for n, k in enumerate(seq.maxes, start=1):
@@ -457,8 +457,7 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
     p = norm.prime.p
     n = len(xs)
     for x in xs:
-        if x.prime != norm.prime:
-            raise InputError(f"mismatched primes: {x.prime.p} vs {p}")
+        _same_prime(x.prime.p, p)
     grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
 
     if exponents is not None:

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InputError
+from .jsonio import is_int, require_int
 
 DEFAULT_PRIME_CAP = 97
 DEFAULT_ENUM_CAP = 10_000_000
@@ -26,9 +27,7 @@ _prime_cap = DEFAULT_PRIME_CAP
 def set_prime_cap(cap: int) -> None:
     """Raise or lower the largest admissible prime (process-wide)."""
     global _prime_cap
-    if not isinstance(cap, int) or cap < 2:
-        raise InputError(f"prime cap must be an integer >= 2, got {cap!r}")
-    _prime_cap = cap
+    _prime_cap = require_int(cap, "prime cap", low=2)
 
 
 def _is_prime(n: int) -> bool:
@@ -49,8 +48,7 @@ class Prime:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise InputError(f"prime must be an integer, got {self.p!r}")
+        require_int(self.p, "prime")
         if self.p < 2 or self.p > _prime_cap:
             raise InputError(f"prime must lie in [2, {_prime_cap}], got {self.p}")
         if not _is_prime(self.p):
@@ -77,11 +75,11 @@ class GroupElement:
         p = self.prime.p
         last = 0
         for idx, c in self.items:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+            if not is_int(idx) or idx < 1:
                 raise InputError(f"indices must be positive integers, got {idx!r}")
             if idx <= last:
                 raise InputError("items must be sorted by strictly increasing index")
-            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= p - 1:
+            if not is_int(c) or not 1 <= c <= p - 1:
                 raise InputError(f"coefficient {c!r} at index {idx} is not reduced mod {p}")
             last = idx
 
@@ -92,9 +90,9 @@ class GroupElement:
         pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for idx, c in pairs:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+            if not is_int(idx) or idx < 1:
                 raise InputError(f"indices must be positive integers, got {idx!r}")
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise InputError(f"coefficient at index {idx} must be an integer, got {c!r}")
             acc[idx] = (acc.get(idx, 0) + c) % prime.p
         items = tuple(sorted((i, c) for i, c in acc.items() if c))
@@ -129,49 +127,21 @@ class GroupElement:
         return not self.items
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        _same_prime(self, other)
-        p = self.prime.p
-        out = []
-        a, b = self.items, other.items
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ia, ca = a[i]
-            ib, cb = b[j]
-            if ia < ib:
-                out.append((ia, ca))
-                i += 1
-            elif ib < ia:
-                out.append((ib, cb))
-                j += 1
-            else:
-                c = (ca + cb) % p
-                if c:
-                    out.append((ia, c))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return GroupElement(self.prime, tuple(out))
+        _same_prime(self.prime.p, other.prime.p)
+        return GroupElement.make(self.prime, self.items + other.items)
 
     def __neg__(self) -> "GroupElement":
-        p = self.prime.p
-        return GroupElement(self.prime, tuple((i, p - c) for i, c in self.items))
+        return self.smul(-1)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def smul(self, k: int) -> "GroupElement":
         """Scalar multiple k*g with k reduced mod p."""
-        k %= self.prime.p
-        if k == 0:
-            return GroupElement(self.prime, ())
-        if k == 1:
-            return self
-        p = self.prime.p
-        return GroupElement(self.prime, tuple((i, (c * k) % p) for i, c in self.items))
+        return GroupElement.make(self.prime, [(i, c * k) for i, c in self.items])
 
     def __rmul__(self, k: int) -> "GroupElement":
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             return NotImplemented
         return self.smul(k)
 
@@ -181,9 +151,10 @@ class GroupElement:
         return " + ".join(f"e{i}" if c == 1 else f"{c}*e{i}" for i, c in self.items)
 
 
-def _same_prime(x: GroupElement, y: GroupElement) -> None:
-    if x.prime != y.prime:
-        raise InputError(f"mismatched primes: {x.prime.p} vs {y.prime.p}")
+def _same_prime(a: int, b: int) -> None:
+    """Refuse two different primes, given by their values."""
+    if a != b:
+        raise InputError(f"mismatched primes: {a} vs {b}")
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -231,8 +202,7 @@ def running_ranks(elems: Iterable[GroupElement], p=None) -> list[int]:
     pivots: dict[int, dict[int, int]] = {}
     out = []
     for g in elems:
-        if g.prime != prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
+        _same_prime(g.prime.p, q)
         v = dict(g.items)
         while v:
             lead = min(v)
@@ -266,7 +236,7 @@ def solve_in_span(g: GroupElement, elems: Sequence[GroupElement]) -> tuple[int, 
     """
     elems = tuple(elems)
     for e in elems:
-        _same_prime(g, e)
+        _same_prime(g.prime.p, e.prime.p)
     p = g.prime.p
     span_indices = sorted({i for e in elems for i in e.support})
     if any(i not in set(span_indices) for i in g.support):
@@ -298,8 +268,7 @@ class OrderedBasis:
 
     def __post_init__(self):
         for g in self.elems:
-            if g.prime != self.prime:
-                raise InputError(f"mismatched primes: {g.prime.p} vs {self.prime.p}")
+            _same_prime(g.prime.p, self.prime.p)
             if g.is_zero():
                 raise InputError("basis elements must be nonzero")
         if rank(self.elems, self.prime) != len(self.elems):
@@ -308,8 +277,7 @@ class OrderedBasis:
     @classmethod
     def standard(cls, p, dim: int) -> "OrderedBasis":
         prime = as_prime(p)
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError(f"dimension must be a positive integer, got {dim!r}")
+        require_int(dim, "dimension", low=1)
         return cls(prime, tuple(GroupElement.unit(prime, i) for i in range(1, dim + 1)))
 
     def __len__(self):
@@ -347,10 +315,9 @@ def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
         yield GroupElement.zero(prime)
         return
     prime = elems[0].prime
-    for g in elems:
-        if g.prime != prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {prime.p}")
     p = prime.p
+    for g in elems:
+        _same_prime(g.prime.p, p)
     total = p ** len(elems)
     if total > cap:
         raise CapExceededError(f"span of {len(elems)} elements has {total} members, above cap {cap}")
@@ -432,14 +399,17 @@ class Truncation:
 
     def __init__(self, p, dim: int, *, cap: int | None = None):
         self.prime = as_prime(p)
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError(f"dimension must be a positive integer, got {dim!r}")
+        require_int(dim, "dimension", low=1)
         cap = DEFAULT_ENUM_CAP if cap is None else cap
-        size = self.prime.p ** dim
-        if size > cap:
+        p = self.prime.p
+        # p ** dim > cap once dim passes cap.bit_length(), so such a dim is
+        # refused before the power is formed. The message writes p^dim past
+        # 14000 bits: str() writes no int of more than 4300 digits
+        if dim > cap.bit_length() or p ** dim > cap:
+            size = f"{p}^{dim}" if dim * p.bit_length() > 14_000 else p ** dim
             raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
         self.dim = dim
-        self.size = size
+        self.size = p ** dim
         self._identity = None
         self._halves = None
         self._neg_perm = None
@@ -472,8 +442,7 @@ class Truncation:
         return self._neg_perm
 
     def rank_of(self, g: GroupElement) -> int:
-        if g.prime != self.prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {self.prime.p}")
+        _same_prime(g.prime.p, self.prime.p)
         if g.max_index > self.dim:
             raise InputError(f"index {g.max_index} outside truncation of dimension {self.dim}")
         p, d = self.prime.p, self.dim

@@ -25,7 +25,7 @@ def pair_from_str(text) -> tuple[int, int]:
     """(numerator, denominator) of a rational literal, the denominator
     positive but the pair not reduced: frac_from_str without the Fraction,
     with the same checks and messages."""
-    if isinstance(text, int) and not isinstance(text, bool):
+    if is_int(text):
         return text, 1
     if not isinstance(text, str):
         raise InputError(f"expected a rational as 'num/den' string, got {text!r}")
@@ -112,6 +112,30 @@ def _emit(obj, newline: str, parts: list[str]) -> None:
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(obj))
+
+
+def is_int(value) -> bool:
+    """The one test of an integer field: an int that is not a bool, since
+    JSON true and false parse to bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(value, what: str, *, low: int | None = None) -> int:
+    """value when it is an integer (is_int) of at least ``low``; otherwise
+    "<what> must be an integer, got <value>", with "a positive integer" for
+    low 1 and "an integer >= <low>" for any other bound."""
+    if is_int(value) and (low is None or value >= low):
+        return value
+    kind = ("an integer" if low is None else "a positive integer" if low == 1
+            else f"an integer >= {low}")
+    raise InputError(f"{what} must be {kind}, got {value!r}")
+
+
+def require_flag(value, what: str) -> bool:
+    """value when it is a JSON true or false."""
+    if not isinstance(value, bool):
+        raise InputError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def require_list(value, *, what="array"):

@@ -36,6 +36,7 @@ from .fpcore import (
     DEFAULT_MATCHING_CAP,
     GroupElement,
     Truncation,
+    _same_prime,
     as_prime,
     enumerate_span,
 )
@@ -46,7 +47,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _as_fraction(value, what: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if jsonio.is_int(value):
         return Fraction(value)
     raise InputError(f"{what} must be an exact rational (Fraction or int), got {value!r}")
 
@@ -86,7 +87,7 @@ class PointedMetricSpace:
         n = len(matrix)
         if n < 1:
             raise InputError("metric space needs at least one point")
-        if not isinstance(basepoint, int) or isinstance(basepoint, bool) or not 0 <= basepoint < n:
+        if not jsonio.is_int(basepoint) or not 0 <= basepoint < n:
             raise InputError(f"basepoint {basepoint!r} out of range for {n} points")
         pairs = []
         for r in matrix:
@@ -146,7 +147,7 @@ def graev_norm(space: PointedMetricSpace, points: Iterable[int],
     """
     pts = sorted(set(points))
     for x in pts:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < space.n_points:
+        if not jsonio.is_int(x) or not 0 <= x < space.n_points:
             raise InputError(f"point index {x!r} out of range")
         if x == space.basepoint:
             raise InputError("the basepoint cannot appear in a norm argument")
@@ -294,12 +295,6 @@ def _drawn_cost(tr: Truncation, seed, choices: int, bound: int, numerators,
     return CostFunction.from_numerators(tr, nums.astype(_storage(int(nums.max()))), den // g)
 
 
-def _require_steps(steps) -> None:
-    """A cost's grid size must be a positive integer (a JSON true is not one)."""
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise InputError(f"steps must be a positive integer, got {steps!r}")
-
-
 def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
                 cap: int | None = None) -> CostFunction:
     """Deterministic pseudorandom cost with values on a grid in [low, high].
@@ -308,11 +303,12 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
     so every value of one cost shares a denominator. Negation symmetry holds
     because the pair {g, -g} is assigned from a single draw.
     """
+    jsonio.require_int(seed, "seed")
     low = _as_fraction(low, "low")
     high = _as_fraction(high, "high")
     if not 0 < low <= high:
         raise InputError(f"need 0 < low <= high, got {low} and {high}")
-    _require_steps(steps)
+    jsonio.require_int(steps, "steps", low=1)
     tr = Truncation(as_prime(p), dim, cap=cap)
     # over the common denominator L of low and high, draw k has the value
     # (lo * steps + (hi - lo) * k) / (L * steps)
@@ -334,7 +330,8 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     a chain of strictly increasing leading indices of any length up to dim,
     with every value already below 1/(4p)^dim.
     """
-    _require_steps(steps)
+    jsonio.require_int(seed, "seed")
+    jsonio.require_int(steps, "steps", low=1)
     tr = Truncation(as_prime(p), dim, cap=cap)
     # with width = K/(2 dim), draw j at leading index k has the value
     # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)
@@ -347,6 +344,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
 def random_metric_space(seed: int, n_points: int, low, high, *, basepoint: int = 0,
                         steps: int = 60) -> PointedMetricSpace:
     """Seeded random metric space; raw entries land in [low, high] before repair."""
+    jsonio.require_int(seed, "seed")
     low = _as_fraction(low, "low")
     high = _as_fraction(high, "high")
     if not 0 < low <= high:
@@ -376,9 +374,7 @@ class Norm:
 
     def __init__(self, p, dim: int):
         self.prime = as_prime(p)
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise InputError(f"dimension must be a positive integer, got {dim!r}")
-        self.dim = dim
+        self.dim = jsonio.require_int(dim, "dimension", low=1)
         self._axiom_report: AxiomReport | None = None
         self._tr: Truncation | None = None
         self._table: tuple[np.ndarray, int] | None = None
@@ -393,8 +389,7 @@ class Norm:
         return self._axiom_report
 
     def _check(self, g: GroupElement) -> None:
-        if g.prime != self.prime:
-            raise InputError(f"mismatched primes: {g.prime.p} vs {self.prime.p}")
+        _same_prime(g.prime.p, self.prime.p)
         if g.max_index > self.dim:
             raise InputError(
                 f"index {g.max_index} outside the norm's truncation (dim {self.dim})")
@@ -495,6 +490,7 @@ class UltrametricProductNorm(Norm):
     def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None,
                  *, cap: int | None = None):
         super().__init__(p, dim)
+        self._tr = Truncation(self.prime, dim, cap=cap)
         if weights is None:
             ws = tuple(Fraction(1, i) for i in range(1, dim + 1))
         else:
@@ -504,7 +500,6 @@ class UltrametricProductNorm(Norm):
             if any(w <= 0 for w in ws):
                 raise InputError("weights must be positive")
         self.weights = ws
-        self._tr = Truncation(self.prime, dim, cap=cap)
         # every weight is the value of its unit, so the weights' scaling is
         # the table's; putting e_i in front of the words over e_(i+1)..e_dim
         # keeps the values of coefficient 0 and raises the others to >= w_i
@@ -585,7 +580,8 @@ class GraevBooleanNorm(Norm):
             raise InputError("need at least one non-basepoint point")
         super().__init__(2, space.n_points - 1)
         self.space = space
-        self.matching_cap = DEFAULT_MATCHING_CAP if matching_cap is None else matching_cap
+        self.matching_cap = (DEFAULT_MATCHING_CAP if matching_cap is None else
+                             jsonio.require_int(matching_cap, "matching cap", low=1))
         self._points = space.nonbase
         if self.dim <= self.matching_cap:
             self._tr = Truncation(self.prime, self.dim, cap=cap)
@@ -654,14 +650,6 @@ class AxiomReport:
             "ok": self.ok,
             "violations": list(self.violations),
         }
-
-
-def require_threads(threads) -> None:
-    """Refuse a thread count that is not a positive integer (a JSON true is
-    not one). Configs, the CLI and validate_axioms accept the count and check
-    it so, but every check runs on the calling thread whatever it is."""
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise InputError(f"threads must be a positive integer, got {threads!r}")
 
 
 def _generator_ranks(p: int, dim: int) -> list[int]:
@@ -754,12 +742,12 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     Violations are listed by (g, h) ranks, g <= h. The check reads the
     norm's own table and builds none: a Graev norm wider than its matching
     cap, which has no table, raises its matching cap error after the
-    enumeration cap is checked. ``threads`` is checked as require_threads
-    checks it and changes nothing: everything runs on the calling thread.
+    enumeration cap is checked. ``threads`` must be a positive integer and
+    changes nothing: everything runs on the calling thread.
     The report is cached on the norm object so downstream operations can
     require a clean validation.
     """
-    require_threads(threads)
+    jsonio.require_int(threads, "threads", low=1)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     size = norm.prime.p ** norm.dim
     if size > cap:
@@ -875,7 +863,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
                             ["low", "high", "steps", "graded"],
                             what="cost_completion config")
         steps = cfg.get("steps", 60)
-        if cfg.get("graded", False):
+        if jsonio.require_flag(cfg.get("graded", False), "graded"):
             if "low" in cfg or "high" in cfg:
                 raise InputError("graded cost_completion configs fix their own value range")
             cost = graded_cost(cfg["seed"], cfg["prime"], cfg["dim"], steps=steps, cap=cap)
@@ -889,8 +877,10 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
     if kind == "graev_boolean":
         jsonio.require_keys(cfg, ["kind", "space"], ["prime", "dim", "matching_cap"],
                             what="graev_boolean config")
-        if cfg.get("prime", 2) != 2:
+        if jsonio.require_int(cfg.get("prime", 2), "prime") != 2:
             raise InputError("graev_boolean norms require prime 2")
+        if "dim" in cfg:
+            jsonio.require_int(cfg["dim"], "dimension", low=1)
         sp = cfg["space"]
         jsonio.require_keys(sp, ["basepoint", "dist"], [], what="metric space")
         matrix = [[jsonio.pair_from_str(x)

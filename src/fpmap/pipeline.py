@@ -30,7 +30,7 @@ from .extraction import (
     select_null_subsequence,
 )
 from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, Prime, as_prime
-from .norms import norm_from_config, require_threads, validate_axioms
+from .norms import norm_from_config, validate_axioms
 from .reduction import (
     check_member_word_bound,
     check_pair_domination,
@@ -49,11 +49,6 @@ STAGE_KEYS = (
     "modulus",
     "coarser",
 )
-
-
-def _is_int(value) -> bool:
-    """An integer config field: a JSON true or false is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -82,27 +77,22 @@ class RunConfig:
                             ["limits", "caps", "threads", "out"],
                             what="run config")
         prime = as_prime(cfg["prime"])
-        dim = cfg["dim"]
-        if not _is_int(dim) or dim < 1:
-            raise InputError(f"dim must be a positive integer, got {dim!r}")
+        dim = jsonio.require_int(cfg["dim"], "dim", low=1)
         limits = jsonio.require_keys(cfg.get("limits", {}), [],
                                      ["max_tuple", "l", "m"], what="limits")
-        max_tuple = limits.get("max_tuple", 4)
         l = limits.get("l", 1)
         m = limits.get("m", min(dim, 5))
-        if not (_is_int(l) and _is_int(m) and 1 <= l <= m <= dim):
+        if not (jsonio.is_int(l) and jsonio.is_int(m) and 1 <= l <= m <= dim):
             raise InputError(f"limits need 1 <= l <= m <= dim, got l={l!r}, m={m!r}")
-        if not _is_int(max_tuple) or max_tuple < 1:
-            raise InputError(f"max_tuple must be a positive integer, got {max_tuple!r}")
+        max_tuple = jsonio.require_int(limits.get("max_tuple", 4), "max_tuple", low=1)
         caps = jsonio.require_keys(cfg.get("caps", {}), [],
                                    ["enum", "matching"], what="caps")
-        enum_cap = caps.get("enum", DEFAULT_ENUM_CAP)
+        enum_cap = jsonio.require_int(caps.get("enum", DEFAULT_ENUM_CAP), "enum cap", low=1)
         matching_cap = caps.get("matching")
-        if not _is_int(enum_cap) or enum_cap < 1:
-            raise InputError(f"enum cap must be a positive integer, got {enum_cap!r}")
-        if matching_cap is not None and (not _is_int(matching_cap) or matching_cap < 1):
-            raise InputError(f"matching cap must be a positive integer, got {matching_cap!r}")
-        require_threads(cfg.get("threads", 1))  # accepted and checked, but ignored
+        if matching_cap is not None:
+            jsonio.require_int(matching_cap, "matching cap", low=1)
+        # accepted and checked, but ignored
+        jsonio.require_int(cfg.get("threads", 1), "threads", low=1)
         out = cfg.get("out")
         if out is not None and not isinstance(out, str):
             raise InputError(f"out must be a path string, got {out!r}")

@@ -24,6 +24,7 @@ from .fpcore import (
     OrderedBasis,
     Truncation,
     WordLayout,
+    _same_prime,
     as_prime,
     running_ranks,
     span_word,
@@ -50,8 +51,10 @@ class ReductionStep:
     runner_up_gap: Fraction | None
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise InputError(f"step index must be a positive integer, got {self.index!r}")
+        jsonio.require_int(self.index, "step index", low=1)
+        jsonio.require_int(self.tie_count, "tie_count", low=1)
+        for c in self.coeffs:
+            jsonio.require_int(c, f"step {self.index} coefficient")
         if len(self.coeffs) != self.index:
             raise InputError(
                 f"step {self.index} must record {self.index} coefficients, "
@@ -152,11 +155,6 @@ def _require_validated(norm: Norm) -> None:
         raise InvalidNormError("the norm failed axiom validation; see its axiom_report")
 
 
-def _require_max_tuple(max_tuple: int | None) -> None:
-    if max_tuple is not None and (not isinstance(max_tuple, int) or max_tuple < 1):
-        raise InputError(f"max_tuple must be a positive integer, got {max_tuple!r}")
-
-
 def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> ReducedBasis:
     """Rewrite the basis so element n is a minimum-norm combination over slot n.
 
@@ -169,8 +167,7 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
     """
     _require_validated(norm)
     p = basis.prime.p
-    if norm.prime != basis.prime:
-        raise InputError(f"mismatched primes: {basis.prime.p} vs {norm.prime.p}")
+    _same_prime(p, norm.prime.p)
     d = len(basis)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if p ** d * (p - 1) > cap:
@@ -260,7 +257,8 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     is nonzero; a zero top coefficient is the same statement for a shorter
     tuple.
     """
-    _require_max_tuple(max_tuple)
+    if max_tuple is not None:
+        jsonio.require_int(max_tuple, "max_tuple", low=1)
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
@@ -316,7 +314,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     for p > 3 a middle scalar genuinely needs it. Reports the worst observed
     slack-normalized ratio per k.
     """
-    _require_max_tuple(max_tuple)
+    jsonio.require_int(max_tuple, "max_tuple", low=1)
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)

@@ -51,6 +51,24 @@ class TestGroupElement:
         assert (3 * g).is_zero()
         assert (-1 * g).items == (-g).items
 
+    @given(p=st.sampled_from([2, 3, 5, 7, 97]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_is_coefficientwise_mod_p(self, p, data):
+        # +, unary - and smul all go through make; each must agree with the
+        # coefficient vectors added, negated and scaled mod p
+        vectors = st.dictionaries(st.integers(1, 8), st.integers(-3 * p, 3 * p), max_size=8)
+        a = GroupElement.make(p, data.draw(vectors))
+        b = GroupElement.make(p, data.draw(vectors))
+        k = data.draw(st.sampled_from([0, 1, p - 1]) | st.integers(-5 * p, -1))
+        indices = range(1, 9)
+        assert [(a + b).coeff(i) for i in indices] == [
+            (a.coeff(i) + b.coeff(i)) % p for i in indices]
+        assert [(-a).coeff(i) for i in indices] == [-a.coeff(i) % p for i in indices]
+        assert [(k * a).coeff(i) for i in indices] == [k * a.coeff(i) % p for i in indices]
+        assert a.smul(k) == k * a
+        assert (a + (-a)).is_zero()
+        assert a - b == a + (-b)
+
     def test_support_and_max_index(self):
         g = e(3, (2, 2), (5, 1))
         assert g.support == (2, 5)

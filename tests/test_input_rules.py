@@ -1,0 +1,191 @@
+"""One rule for every integer field and flag the CLI reads.
+
+An integer field takes a JSON integer (true and false are not integers),
+and a field that must be positive refuses 0; a flag takes true or false.
+Every other value exits 2 with one ``error:`` line, whichever document
+kind and subcommand reads it. A dim whose truncation is too large exits 3
+before anything of that size is formed.
+"""
+
+import copy
+import json
+
+import pytest
+
+from fpmap.cli import main
+from fpmap.fpcore import OrderedBasis
+from fpmap.norms import UltrametricProductNorm, validate_axioms
+from fpmap.reduction import reduce_basis
+
+ULTRAMETRIC = {"kind": "ultrametric", "prime": 3, "dim": 2}
+
+NORMS = {
+    "ultrametric": ULTRAMETRIC,
+    "table": {"kind": "table", "prime": 2, "dim": 1,
+              "entries": [{"element": [[1, 1]], "value": "1/2"}]},
+    "seeded": {"kind": "cost_completion", "prime": 3, "dim": 2, "seed": 0,
+               "low": "1/2", "high": "1", "steps": 4},
+    "graded": {"kind": "cost_completion", "prime": 3, "dim": 2, "seed": 0,
+               "graded": True, "steps": 4},
+    "costs": {"kind": "cost_completion", "prime": 2, "dim": 1,
+              "costs": [{"element": [[1, 1]], "value": "1/2"}]},
+    "graev": {"kind": "graev_boolean", "prime": 2, "dim": 2, "matching_cap": 4,
+              "space": {"basepoint": 0,
+                        "dist": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}},
+}
+
+TOPOLOGIES = {
+    "elements": {"kind": "elements", "prime": 3, "dim": 2, "base": [[[[1, 1]]]]},
+    "balls": {"kind": "balls", "norm": ULTRAMETRIC, "radii": ["1/2"]},
+    "seeded": {"kind": "seeded", "prime": 3, "dim": 2, "seed": 0},
+}
+
+RUN = {"prime": 2, "dim": 4,
+       "norm": {"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True},
+       "limits": {"max_tuple": 2, "l": 1, "m": 4},
+       "caps": {"enum": 1000, "matching": 4}, "threads": 1}
+
+
+def reduced_doc():
+    norm = UltrametricProductNorm(3, 2)
+    validate_axioms(norm)
+    reduced = reduce_basis(OrderedBasis.standard(3, 2), norm)
+    return {"norm": ULTRAMETRIC, "reduced": reduced.to_json_dict()}
+
+
+# (document, subcommand, path to an integer field, must it be positive)
+PAIR = ((0, True), (1, False))  # [index, coefficient]: the index is positive
+INTEGER_FIELDS = (
+    [("run", RUN, ["run"], (key,), True) for key in ("prime", "dim", "threads")]
+    + [("run", RUN, ["run"], ("limits", key), True) for key in ("max_tuple", "l", "m")]
+    + [("run", RUN, ["run"], ("caps", key), True) for key in ("enum", "matching")]
+    + [(f"norm-{name}", doc, ["validate-norm"], (key,), True)
+       for name, doc in NORMS.items() for key in ("prime", "dim")]
+    + [(f"norm-{name}", NORMS[name], ["validate-norm"], (key,), False)
+       for name, key in (("seeded", "seed"), ("graded", "seed"))]
+    + [(f"norm-{name}", NORMS[name], ["validate-norm"], ("steps",), True)
+       for name in ("seeded", "graded")]
+    + [(f"norm-{name}", NORMS[name], ["validate-norm"], (key, 0, "element", 0, j), positive)
+       for name, key in (("table", "entries"), ("costs", "costs")) for j, positive in PAIR]
+    + [("norm-graev", NORMS["graev"], ["validate-norm"], ("matching_cap",), True),
+       ("norm-graev", NORMS["graev"], ["validate-norm"], ("space", "basepoint"), False)]
+    + [("topology-elements", TOPOLOGIES["elements"], ["duality"], (key,), True)
+       for key in ("prime", "dim")]
+    + [("topology-elements", TOPOLOGIES["elements"], ["duality"], ("base", 0, 0, 0, j), positive)
+       for j, positive in PAIR]
+    + [("topology-balls", TOPOLOGIES["balls"], ["duality"], ("norm", key), True)
+       for key in ("prime", "dim")]
+    + [("topology-seeded", TOPOLOGIES["seeded"], ["duality"], (key,), True)
+       for key in ("prime", "dim")]
+    + [("topology-seeded", TOPOLOGIES["seeded"], ["duality"], ("seed",), False)]
+    + [("reduced", None, ["verify"], path, positive) for path, positive in (
+        (("norm", "dim"), True),
+        (("reduced", "prime"), True),
+        (("reduced", "steps", 0, "index"), True),
+        (("reduced", "steps", 0, "tie_count"), True),
+        (("reduced", "steps", 1, "coeffs", 0), False),
+        *((("reduced", key, 0, 0, j), positive)
+          for key in ("original", "reduced") for j, positive in PAIR),
+        *((("reduced", "steps", 0, "element", 0, j), positive) for j, positive in PAIR),
+    )]
+)
+
+NOT_INTEGERS = (True, "1", 1.5, [], {})
+NOT_FLAGS = (1, 0, "true", "false", 1.5, [], {}, None)
+
+
+def argv_for(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    option = {"validate-norm": "--config", "run": "--config", "duality": "--spec",
+              "verify": "--reduced"}[command[0]]
+    return [*command, option, str(path)]
+
+
+def with_value(doc, path, value):
+    doc = copy.deepcopy(reduced_doc() if doc is None else doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def assert_input_error(tmp_path, capsys, command, doc):
+    assert main(argv_for(tmp_path, command, doc)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, command", [
+    pytest.param(RUN, ["run"], id="run"),
+    *(pytest.param(d, ["validate-norm"], id=f"norm-{k}") for k, d in NORMS.items()),
+    *(pytest.param(d, ["duality"], id=f"topology-{k}") for k, d in TOPOLOGIES.items()),
+    pytest.param(None, ["verify"], id="reduced"),
+])
+def test_every_base_document_is_valid(tmp_path, capsys, doc, command):
+    doc = reduced_doc() if doc is None else doc
+    assert main(argv_for(tmp_path, command, doc)) == 0
+    # run writes its stage timings to stderr, and nothing else
+    assert all(line.startswith("timing ") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "doc, command, path, value",
+    [pytest.param(doc, command, path, value,
+                  id=f"{name}-{'.'.join(map(str, path))}-{json.dumps(value)}")
+     for name, doc, command, path, positive in INTEGER_FIELDS
+     for value in NOT_INTEGERS + ((0,) if positive else ())])
+def test_integer_fields_refuse_non_integers(tmp_path, capsys, doc, command, path, value):
+    assert_input_error(tmp_path, capsys, command, with_value(doc, path, value))
+
+
+@pytest.mark.parametrize("value", NOT_FLAGS, ids=json.dumps)
+def test_graded_flag_takes_only_true_or_false(tmp_path, capsys, value):
+    doc = with_value(NORMS["graded"], ("graded",), value)
+    assert main(argv_for(tmp_path, ["validate-norm"], doc)) == 2
+    assert capsys.readouterr().err == f"error: graded must be true or false, got {value!r}\n"
+    assert main(argv_for(tmp_path, ["validate-norm"], dict(NORMS["seeded"], graded=False))) == 0
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # each of these ran into a traceback (exit 1) or was silently accepted
+    (["run"], dict(RUN, dim=2, limits={}, caps={},
+                   norm=with_value(NORMS["graev"], ("matching_cap",), "5")),
+     "error: matching cap must be a positive integer, got '5'\n"),
+    (["validate-norm"], with_value(NORMS["seeded"], ("seed",), []),
+     "error: seed must be an integer, got []\n"),
+    (["duality"], with_value(TOPOLOGIES["seeded"], ("seed",), []),
+     "error: seed must be an integer, got []\n"),
+    (["verify"], with_value(None, ("reduced", "steps", 0, "coeffs"), ["a"]),
+     "error: step 1 coefficient must be an integer, got 'a'\n"),
+    (["duality"], with_value(TOPOLOGIES["elements"], ("dim",), True),
+     "error: dimension must be a positive integer, got True\n"),
+    (["validate-norm"], with_value(NORMS["graded"], ("graded",), "false"),
+     "error: graded must be true or false, got 'false'\n"),
+], ids=["graev-matching-cap", "cost-seed", "topology-seed", "step-coeffs", "topology-dim",
+        "graded-string"])
+def test_inputs_that_escaped_the_rule(tmp_path, capsys, command, doc, message):
+    assert main(argv_for(tmp_path, command, doc)) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("dim", [100_000, 2 ** 70], ids=["1e5", "2^70"])
+@pytest.mark.parametrize("name", ["graded", "seeded", "ultrametric"])
+def test_oversized_dim_exits_three_before_forming_the_size(tmp_path, capsys, name, dim):
+    # the size is written p^dim: 2^100000 has more digits than str() writes,
+    # and 2^(2^70) cannot be formed at all
+    doc = dict(NORMS[name], prime=2, dim=dim)
+    assert main(argv_for(tmp_path, ["validate-norm"], doc)) == 3
+    assert capsys.readouterr().err == (
+        f"error: stage build: truncation has 2^{dim} elements, above cap 10000000\n")
+
+
+def test_oversized_dim_keeps_the_printed_size(tmp_path, capsys):
+    # past cap.bit_length() the cap is refused unformed, but a size that
+    # prints is still written out
+    doc = dict(ULTRAMETRIC, prime=2, dim=40)
+    assert main(argv_for(tmp_path, ["validate-norm"], doc)) == 3
+    assert capsys.readouterr().err == (
+        f"error: stage build: truncation has {2 ** 40} elements, above cap 10000000\n")
