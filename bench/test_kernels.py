@@ -81,7 +81,8 @@ def test_sub_rank_row(benchmark, p, dim):
 
 @pytest.mark.parametrize("p, dim", SHAPES)
 def test_neg_perm(benchmark, p, dim):
-    # a fresh truncation per round, so the lazily cached permutation is rebuilt
+    # a fresh Truncation per round, not the per-process one fpcore.truncation
+    # shares, so the permutation and its half-digit tables are rebuilt
     benchmark(lambda: Truncation(p, dim).neg_perm)
 
 
@@ -195,7 +196,8 @@ def test_value_order(benchmark, p, dim):
 
 @pytest.mark.parametrize("p, dim", [(2, 16), (5, 6)])
 def test_word_layout(benchmark, p, dim):
-    # a fresh truncation per round, so the lazily kept layout is rebuilt
+    # a fresh Truncation per round, not the per-process one fpcore.truncation
+    # shares, so the layout and its top are rebuilt
     benchmark(lambda: Truncation(p, dim).layout)
 
 

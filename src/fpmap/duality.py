@@ -32,6 +32,7 @@ from .fpcore import (
     as_prime,
     rank,
     rank_digits,
+    truncation,
 )
 from .norms import Norm, norm_from_config
 
@@ -119,7 +120,7 @@ class TopologySpec:
     def from_elements(cls, p, dim: int, sets, *, cap: int | None = None) -> "TopologySpec":
         """Base sets given as iterables of GroupElement; zero is added."""
         prime = as_prime(p)
-        tr = Truncation(prime, dim, cap=cap)
+        tr = truncation(prime, dim, cap=cap)
         members = []
         for elems in sets:
             ranks = {0}
@@ -131,19 +132,19 @@ class TopologySpec:
     @classmethod
     def from_balls(cls, norm: Norm, radii, *, cap: int | None = None) -> "TopologySpec":
         """Base sets {g : eval(g) < r} for each positive radius r."""
-        tr = Truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
+        tr = truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
         radii = [Fraction(raw) for raw in radii]
         for r in radii:
             if r <= 0:
                 raise InputError(f"ball radius must be positive, got {r}")
-        vals, den = norm.values_of(np.arange(tr.size))
+        vals, den = norm.values_of(tr.identity)
         # vals / den < r, divided through so that no entry is multiplied
         members = [frozenset(np.flatnonzero(vals <= (r.numerator * den - 1) // r.denominator)
                              .tolist()) for r in radii]
         return cls(norm.prime, norm.dim, tuple(members))
 
     def element_sets(self, *, cap: int | None = None) -> tuple[tuple[GroupElement, ...], ...]:
-        tr = Truncation(self.prime, self.dim, cap=cap)
+        tr = truncation(self.prime, self.dim, cap=cap)
         return tuple(
             tuple(tr.element_of(r) for r in sorted(u)) for u in self.members)
 
@@ -162,7 +163,7 @@ def random_topology(seed: int, p, dim: int, *, cap: int | None = None) -> Topolo
     subset containing zero. Same seed, same spec."""
     jsonio.require_int(seed, "seed")
     prime = as_prime(p)
-    tr = Truncation(prime, dim, cap=cap)
+    tr = truncation(prime, dim, cap=cap)
     rng = Random(seed)
     members = []
     for _ in range(rng.randrange(1, 4)):
@@ -233,7 +234,7 @@ def _base_spans(spec: TopologySpec, cap: int | None):
     at most dim span extensions; ann(W_U) is the null space of those
     generators, and the continuous dual is the union of the ann(W_U)."""
     p, d = spec.prime.p, spec.dim
-    tr = Truncation(spec.prime, d, cap=cap)
+    tr = truncation(spec.prime, d, cap=cap)
     inter, dual = np.ones(tr.size, dtype=bool), np.zeros(tr.size, dtype=bool)
     anns = []
     for u in spec.members:

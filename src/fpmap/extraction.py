@@ -33,6 +33,7 @@ from .fpcore import (
     is_independent,
     solve_in_span,
     span_word,
+    truncation,
 )
 from .norms import GraevBooleanNorm, Norm, PointedMetricSpace, value_order
 from .reduction import ReducedBasis
@@ -137,13 +138,10 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
     has value row r of the norm's table, so no rank row is needed, and a
     validated norm already holds this order (read-only) from
     validate_axioms."""
-    size = norm.prime.p ** norm.dim
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if size > cap:
-        raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
+    tr = truncation(norm.prime, norm.dim, cap=cap)
     if norm._order is not None:
         return norm._order
-    return value_order(norm.values_of(np.arange(size))[0])
+    return value_order(norm.values_of(tr.identity)[0])
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -179,19 +177,24 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
         ranks = seq
     nums, den = norm.values_of(ranks)
     maxes = _top_positions(ranks, tr, reduced)
-    # small[s][i]: candidate i has a top position and a value below
-    # 1/(4p)^(s+1), divided through so that no entry is multiplied
-    small = [(maxes >= 1) & (nums <= (den - 1) // (4 * p) ** (s + 1)) for s in range(length)]
+    # every slot's candidates have a top position and a value below 1/(4p): only
+    # they are kept, as a slice when they are one run, as in a value-sorted seq.
+    # small[s][i]: kept i is below 1/(4p)^(s+1), divided through (none multiplied)
+    ok = (maxes >= 1) & (nums <= (den - 1) // (4 * p))
+    lo, hi = (int(ok.argmax()), ok.size - int(ok[::-1].argmax())) if ok.any() else (0, 0)
+    keep = slice(lo, hi) if ok[lo:hi].all() else np.flatnonzero(ok)
+    ranks, nums, maxes = ranks[keep], nums[keep], maxes[keep]
+    small = [nums <= (den - 1) // (4 * p) ** (s + 1) for s in range(length)]
 
     # feas[s][i]: slots s..length-1 can be filled starting by taking index i.
     # later[i]: largest top position among feasible starts of slot s + 1 at
     # >= i, which is what slot s needs to know to continue the chain (a start
     # at i itself cannot exceed maxes[i]).
-    feas = [None] * length
-    later = None
+    feas, later = [None] * length, None
     for s in reversed(range(length)):
         feas[s] = small[s] if later is None else small[s] & (later > maxes)
-        later = np.maximum.accumulate(np.where(feas[s], maxes, 0)[::-1])[::-1]
+        later = (maxes * feas[s])[::-1].copy()  # accumulate is fastest when contiguous
+        later = np.maximum.accumulate(later, out=later)[::-1]
 
     if not feas[0].any():
         achievable = _achievable_length(small, maxes)
@@ -203,11 +206,9 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
             f"the {constraint} constraint",
             achievable_length=achievable, failed_slot=failed, constraint=constraint)
 
-    chosen: list[int] = []
-    last_max = 0
-    pos = 0
+    chosen, last_max, pos = [], 0, 0
     for s in range(length):
-        i = pos + int(np.flatnonzero(feas[s][pos:] & (maxes[pos:] > last_max))[0])
+        i = pos + int((feas[s][pos:] & (maxes[pos:] > last_max)).argmax())
         chosen.append(i)
         last_max = maxes[i]
         pos = i + 1
@@ -374,7 +375,7 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
                     "eps": jsonio.frac_to_str(eps),
                     "delta": jsonio.frac_to_str(delta),
                 })
-    neg = Truncation(p, m, cap=cap).neg_perm  # word rank -> the rank of its negation
+    neg = truncation(p, m, cap=cap).neg_perm  # word rank -> the rank of its negation
     for s in range(l, m):
         budget = p * sum(member_nums[s:m])
         tail_budget = Fraction(budget, den)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_MATCHING_CAP = 12
 
 _prime_cap = DEFAULT_PRIME_CAP
+_SHARED_SLOTS = 4  # the (p, dim) pairs whose truncation and standard basis are kept
 
 
 def set_prime_cap(cap: int) -> None:
@@ -95,8 +97,9 @@ class GroupElement:
             if not is_int(c):
                 raise InputError(f"coefficient at index {idx} must be an integer, got {c!r}")
             acc[idx] = (acc.get(idx, 0) + c) % prime.p
-        items = tuple(sorted((i, c) for i, c in acc.items() if c))
-        return cls(prime, items)
+        g = object.__new__(cls)  # sorted, reduced and nonzero: not checked again
+        g.__dict__.update(prime=prime, items=tuple(sorted((i, c) for i, c in acc.items() if c)))
+        return g
 
     @classmethod
     def zero(cls, p) -> "GroupElement":
@@ -276,9 +279,8 @@ class OrderedBasis:
 
     @classmethod
     def standard(cls, p, dim: int) -> "OrderedBasis":
-        prime = as_prime(p)
-        require_int(dim, "dimension", low=1)
-        return cls(prime, tuple(GroupElement.unit(prime, i) for i in range(1, dim + 1)))
+        """e_1..e_dim, shared per process like truncation's tables."""
+        return _standard_basis(as_prime(p).p, require_int(dim, "dimension", low=1))
 
     def __len__(self):
         return len(self.elems)
@@ -290,11 +292,14 @@ class OrderedBasis:
         return self.elems[n]
 
 
+@lru_cache(maxsize=_SHARED_SLOTS)
+def _standard_basis(p: int, dim: int) -> OrderedBasis:
+    return OrderedBasis(as_prime(p), tuple(GroupElement.unit(p, i) for i in range(1, dim + 1)))
+
+
 def is_independent(elems: Iterable[GroupElement], p=None) -> bool:
     """Fast independence check: rank equals cardinality."""
     elems = tuple(elems)
-    if not elems:
-        return True
     return rank(elems, p) == len(elems)
 
 
@@ -377,9 +382,29 @@ def _word_layout(p: int, dim: int, top: np.ndarray) -> WordLayout:
         q = np.empty((n, p), dtype=rank_type)
         q[:, 0], q[:, 1:] = strip * p, np.arange(0, n * p, p, dtype=rank_type)[:, None]
         support, strip = s.ravel(), q.ravel()
-    for a in (support, strip):
-        a.flags.writeable = False
-    return WordLayout(top, support, strip)
+    return WordLayout(top, _read_only(support), _read_only(strip))
+
+
+def _require_size(p: int, dim, cap: int | None) -> int:
+    """p ** dim, once dim is a positive integer and p ** dim <= cap."""
+    require_int(dim, "dimension", low=1)
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    # p ** dim > cap once dim passes cap.bit_length(), so such a dim is
+    # refused before the power is formed. The message writes p^dim past
+    # 14000 bits: str() writes no int of more than 4300 digits
+    if dim > cap.bit_length() or p ** dim > cap:
+        size = f"{p}^{dim}" if dim * p.bit_length() > 14_000 else p ** dim
+        raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
+    return p ** dim
+
+
+def truncation(p, dim: int, *, cap: int | None = None) -> "Truncation":
+    """The process's shared Truncation of F_p^dim, once p (under the prime
+    cap now in force), dim and the size (under ``cap``) pass the checks the
+    constructor makes; the last _SHARED_SLOTS pairs asked for are kept."""
+    prime = as_prime(p)
+    _require_size(prime.p, dim, cap)
+    return _shared_truncation(prime.p, dim)
 
 
 class Truncation:
@@ -394,52 +419,63 @@ class Truncation:
     dim - lo digits and low the last lo. Each half keeps its p^k digit vectors
     and the weights that turn them back into a rank, so a row is the outer sum
     of one row over the high halves and one over the low halves, and no
-    (size, dim) table of coefficient vectors is ever built.
+    (size, dim) table of coefficient vectors is ever built. Every table is
+    read-only, built on first use and depends on (p, dim) alone, and the span
+    memo is keyed by its elements: truncation() shares one per (p, dim).
     """
 
     def __init__(self, p, dim: int, *, cap: int | None = None):
         self.prime = as_prime(p)
-        require_int(dim, "dimension", low=1)
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        p = self.prime.p
-        # p ** dim > cap once dim passes cap.bit_length(), so such a dim is
-        # refused before the power is formed. The message writes p^dim past
-        # 14000 bits: str() writes no int of more than 4300 digits
-        if dim > cap.bit_length() or p ** dim > cap:
-            size = f"{p}^{dim}" if dim * p.bit_length() > 14_000 else p ** dim
-            raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
+        self.size = _require_size(self.prime.p, dim, cap)
         self.dim = dim
-        self.size = p ** dim
-        self._identity = None
-        self._halves = None
-        self._neg_perm = None
-        self._top = None  # the layout's top, which max_indices builds alone
-        self._layout = None
+        self._words: dict[int, np.ndarray] = {}  # words_within(t) by t < dim
         self._span = None  # (element tuple, its span ranks): the last span built
 
-    def _half_digits(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def _halves(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(p^lo, high digits, high weights, low digits, low weights).
 
         The weights are the full rank's, p^(dim-1) .. 1, split between the
         halves, so a high-half row already holds the high part of the rank.
         dim = 1 leaves the high half with one empty digit vector.
         """
-        if self._halves is None:
-            p, d = self.prime.p, self.dim
-            lo = (d + 1) // 2
-            w = p ** np.arange(d - 1, -1, -1)
-            self._halves = (p ** lo, rank_digits(np.arange(p ** (d - lo)), p, d - lo), w[:d - lo],
-                            rank_digits(np.arange(p ** lo), p, lo), w[d - lo:])
-        return self._halves
+        p, d = self.prime.p, self.dim
+        lo = (d + 1) // 2
+        w = p ** np.arange(d - 1, -1, -1)
+        return (p ** lo, *map(_read_only, (rank_digits(np.arange(p ** (d - lo)), p, d - lo),
+                                          w[:d - lo], rank_digits(np.arange(p ** lo), p, lo),
+                                          w[d - lo:])))
 
-    @property
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The int64 ranks 0..size-1, read-only."""
+        return _read_only(np.arange(self.size, dtype=np.int64))
+
+    @cached_property
     def neg_perm(self) -> np.ndarray:
-        """neg_perm[r] is the rank of the negation of rank r."""
-        if self._neg_perm is None:
-            p = self.prime.p
-            _, high, high_w, low, low_w = self._half_digits()
-            self._neg_perm = np.add.outer((-high % p) @ high_w, (-low % p) @ low_w).ravel()
-        return self._neg_perm
+        """neg_perm[r] is the rank of the negation of rank r; for p = 2, the
+        identity itself."""
+        p = self.prime.p
+        if p == 2:
+            return self.identity
+        _, high, high_w, low, low_w = self._halves
+        return _read_only(np.add.outer((-high % p) @ high_w, (-low % p) @ low_w).ravel())
+
+    @cached_property
+    def neg_firsts(self) -> np.ndarray:
+        """The nonzero ranks r with neg_perm[r] >= r, increasing: the
+        smaller rank of each pair {g, -g} of nonzero elements."""
+        if self.prime.p == 2:
+            return self.identity[1:]
+        return _read_only(np.flatnonzero(self.neg_perm >= self.identity)[1:])
+
+    def words_within(self, t: int) -> np.ndarray:
+        """The nonzero ranks of support at most t, increasing, read-only."""
+        if t >= self.dim:
+            return self.identity[1:]
+        if t not in self._words:
+            self._words[t] = _read_only(np.flatnonzero(self.layout.support <= t)[1:])
+        return self._words[t]
 
     def rank_of(self, g: GroupElement) -> int:
         _same_prime(g.prime.p, self.prime.p)
@@ -451,29 +487,26 @@ class Truncation:
             r += c * p ** (d - i)
         return r
 
-    @property
+    @cached_property
     def layout(self) -> WordLayout:
         """The truncation's WordLayout, built on first use."""
-        if self._layout is None:
-            self._layout = _word_layout(self.prime.p, self.dim, self._tops())
-        return self._layout
+        return _word_layout(self.prime.p, self.dim, self._top)
 
-    def _tops(self) -> np.ndarray:
+    @cached_property
+    def _top(self) -> np.ndarray:
         """The layout's int8 ``top`` alone, in dim strided passes: a nonzero
         rank that ends in exactly j zero digits has top dim - j."""
-        if self._top is None:
-            p, d = self.prime.p, self.dim
-            self._top = np.full(p ** d, d, dtype=np.int8)
-            for j in range(1, d):
-                self._top[::p ** j] = d - j
-            self._top[0] = 0
-            self._top.flags.writeable = False
-        return self._top
+        p, d = self.prime.p, self.dim
+        top = np.full(p ** d, d, dtype=np.int8)
+        for j in range(1, d):
+            top[::p ** j] = d - j
+        top[0] = 0
+        return _read_only(top)
 
     def max_indices(self, ranks: np.ndarray) -> np.ndarray:
         """max_index of element_of(r) for each of the given ranks, without
         building one: a read of the layout's int8 ``top``, built alone."""
-        return self._tops()[ranks]
+        return self._top[ranks]
 
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:
@@ -489,18 +522,15 @@ class Truncation:
         high_row[q // p^lo] + low_row[q % p^lo].
         """
         p = self.prime.p
-        base, high, high_w, low, low_w = self._half_digits()
+        base, high, high_w, low, low_w = self._halves
         row_high = ((high + high[r // base]) % p) @ high_w
         row_low = ((low + low[r % base]) % p) @ low_w
         return base, row_high, row_low
 
     def add_rank_row(self, r: int) -> np.ndarray:
         """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
-        if self.prime.p == 2:
-            if self._identity is None:  # a fresh arange per row costs a page-faulted map
-                self._identity = np.arange(self.size, dtype=np.int64)
-                self._identity.flags.writeable = False
-            return np.bitwise_xor(self._identity, np.int64(r))
+        if self.prime.p == 2:  # a fresh arange per row would cost a page-faulted map
+            return np.bitwise_xor(self.identity, np.int64(r))
         _, row_high, row_low = self._half_rows(r)
         return np.add.outer(row_high, row_low).ravel()
 
@@ -518,12 +548,15 @@ class Truncation:
 
     def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
         """Ranks of span(elems + [g]) from the ranks of span(elems), both in
-        enumerate_span order: the words so far plus c * g, c = 1..p-1,
-        computed only at those words. For p != 2, g's half rows are built
-        once and each layer steps every word's two halves, as indices into
-        the half tables, by one gather each. The span of no elements has the
-        ranks [0]."""
+        enumerate_span order: the words so far plus c * g, c = 1..p-1, computed
+        only at those words. For p != 2, words with no index from g's first on
+        take c * g without a carry (a reduction meeting the next unit); else g's
+        half rows are built once and each layer steps every word's two halves,
+        by one gather each. The span of no elements has the ranks [0]."""
         p, r = self.prime.p, self.rank_of(g)
+        if p != 2 and g.items and int(self._top[ranks].max(initial=0)) < g.items[0][0]:
+            steps = [sum(c * a % p * p ** (self.dim - i) for i, a in g.items) for c in range(p)]
+            return (ranks[:, None] + np.array(steps, dtype=np.int64)).ravel()
         out = np.empty((ranks.size, p), dtype=np.int64)
         out[:, 0] = ranks
         if p == 2:
@@ -541,16 +574,26 @@ class Truncation:
         """Ranks of the p^k words of span(elems), in enumerate_span order, as a
         read-only array. The last element tuple asked for is remembered, so
         the scans that read one span in turn share a single build."""
-        key = tuple(elems)
-        if self._span is None or self._span[0] != key:
+        key, last = tuple(elems), self._span
+        if last is None or last[0] != key:
             ranks = np.zeros(1, dtype=np.int64)
             for g in key:
                 ranks = self.extend_span(ranks, g)
-            self.remember_span(key, ranks)
-        return self._span[1]
+            last = self.remember_span(key, ranks)
+        return last[1]
 
-    def remember_span(self, elems: Sequence[GroupElement], ranks: np.ndarray) -> None:
+    def remember_span(self, elems: Sequence[GroupElement], ranks: np.ndarray) -> tuple:
         """Keep ``ranks``, the span ranks of elems built elsewhere, as the
-        last span; it becomes read-only."""
-        ranks.flags.writeable = False
-        self._span = (tuple(elems), ranks)
+        last span, read-only; returns the memo (elements, ranks)."""
+        self._span = (tuple(elems), _read_only(ranks))
+        return self._span
+
+
+@lru_cache(maxsize=_SHARED_SLOTS)
+def _shared_truncation(p: int, dim: int) -> Truncation:
+    return Truncation(p, dim, cap=p ** dim)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

@@ -32,13 +32,13 @@ import numpy as np
 from . import jsonio
 from .errors import CapExceededError, InputError
 from .fpcore import (
-    DEFAULT_ENUM_CAP,
     DEFAULT_MATCHING_CAP,
     GroupElement,
     Truncation,
     _same_prime,
     as_prime,
     enumerate_span,
+    truncation,
 )
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -151,7 +151,8 @@ def graev_norm(space: PointedMetricSpace, points: Iterable[int],
             raise InputError(f"point index {x!r} out of range")
         if x == space.basepoint:
             raise InputError("the basepoint cannot appear in a norm argument")
-    cap = DEFAULT_MATCHING_CAP if matching_cap is None else matching_cap
+    cap = (DEFAULT_MATCHING_CAP if matching_cap is None else
+           jsonio.require_int(matching_cap, "matching cap", low=1))
     if len(pts) > cap:
         raise CapExceededError(f"{len(pts)} points exceed the matching cap {cap}")
     dist = space.nums
@@ -188,7 +189,7 @@ class CostFunction:
 
     def __init__(self, p, dim: int, values_by_rank: Sequence[Fraction | None],
                  *, cap: int | None = None):
-        tr = Truncation(as_prime(p), dim, cap=cap)
+        tr = truncation(p, dim, cap=cap)
         if len(values_by_rank) != tr.size:
             raise InputError(f"cost table must have {tr.size} entries, got {len(values_by_rank)}")
         vals = [Fraction(0)]
@@ -228,7 +229,7 @@ class CostFunction:
     def from_pairs(cls, p, dim: int, pairs: Iterable[tuple[GroupElement, Fraction]],
                    *, cap: int | None = None) -> "CostFunction":
         prime = as_prime(p)
-        tr = Truncation(prime, dim, cap=cap)
+        tr = truncation(prime, dim, cap=cap)
         vals: list[Fraction | None] = [None] * tr.size
         for g, v in pairs:
             r = tr.rank_of(g)
@@ -283,8 +284,7 @@ def _drawn_cost(tr: Truncation, seed, choices: int, bound: int, numerators,
     Dividing the numerators and den by their gcd leaves den the least common
     denominator, and the numerators are stored as _scaled stores them.
     """
-    neg = tr.neg_perm
-    firsts = np.flatnonzero(neg >= np.arange(tr.size))[1:]
+    neg, firsts = tr.neg_perm, tr.neg_firsts
     draws = _randrange_draws(seed, choices, firsts.size).astype(_storage(bound, 1), copy=False)
     raw = numerators(firsts, draws)
     nums = np.zeros(tr.size, dtype=raw.dtype)
@@ -309,7 +309,7 @@ def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
     if not 0 < low <= high:
         raise InputError(f"need 0 < low <= high, got {low} and {high}")
     jsonio.require_int(steps, "steps", low=1)
-    tr = Truncation(as_prime(p), dim, cap=cap)
+    tr = truncation(p, dim, cap=cap)
     # over the common denominator L of low and high, draw k has the value
     # (lo * steps + (hi - lo) * k) / (L * steps)
     L = math.lcm(low.denominator, high.denominator)
@@ -332,7 +332,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     """
     jsonio.require_int(seed, "seed")
     jsonio.require_int(steps, "steps", low=1)
-    tr = Truncation(as_prime(p), dim, cap=cap)
+    tr = truncation(p, dim, cap=cap)
     # with width = K/(2 dim), draw j at leading index k has the value
     # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)
     return _drawn_cost(
@@ -349,8 +349,9 @@ def random_metric_space(seed: int, n_points: int, low, high, *, basepoint: int =
     high = _as_fraction(high, "high")
     if not 0 < low <= high:
         raise InputError(f"need 0 < low <= high, got {low} and {high}")
-    if n_points < 1:
+    if jsonio.require_int(n_points, "n_points") < 1:
         raise InputError("need at least one point")
+    jsonio.require_int(steps, "steps", low=1)
     rng = Random(seed)
     span = high - low
     rows = [[Fraction(0)] * n_points for _ in range(n_points)]
@@ -457,7 +458,7 @@ class TableNorm(Norm):
     def __init__(self, p, dim: int, entries: Iterable[tuple[GroupElement, Fraction]],
                  *, cap: int | None = None):
         super().__init__(p, dim)
-        self._tr = Truncation(self.prime, dim, cap=cap)
+        self._tr = truncation(self.prime, dim, cap=cap)
         vals: list[Fraction | None] = [None] * self._tr.size
         for g, v in entries:
             r = self._tr.rank_of(g)
@@ -490,7 +491,7 @@ class UltrametricProductNorm(Norm):
     def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None,
                  *, cap: int | None = None):
         super().__init__(p, dim)
-        self._tr = Truncation(self.prime, dim, cap=cap)
+        self._tr = truncation(self.prime, dim, cap=cap)
         if weights is None:
             ws = tuple(Fraction(1, i) for i in range(1, dim + 1))
         else:
@@ -584,7 +585,7 @@ class GraevBooleanNorm(Norm):
                              jsonio.require_int(matching_cap, "matching cap", low=1))
         self._points = space.nonbase
         if self.dim <= self.matching_cap:
-            self._tr = Truncation(self.prime, self.dim, cap=cap)
+            self._tr = truncation(self.prime, self.dim, cap=cap)
             self._table = self._dense_values()
 
     def point_of_index(self, i: int) -> int:
@@ -652,24 +653,14 @@ class AxiomReport:
         }
 
 
-def _generator_ranks(p: int, dim: int) -> list[int]:
-    """The nonzero ranks of support at most 2: d(p-1) singletons a*p^i and
-    C(d, 2)(p-1)^2 pairs a*p^i + b*p^j. The set is closed under negation."""
-    units = [[a * p ** i for a in range(1, p)] for i in range(dim)]
-    pairs = [x + y for i in range(dim) for j in range(i + 1, dim)
-             for x in units[i] for y in units[j]]
-    return [x for row in units for x in row] + pairs
-
-
 def _is_own_completion(tr: Truncation, nums: np.ndarray) -> bool:
     """Whether N(g) = min over e in E of N(g - e) + N(e) for every nonzero
-    rank g, E as _generator_ranks gives it: one gathered row and one
-    np.minimum per generator, in the storage of ``nums`` (each sum adds two
-    of its entries)."""
-    ranks = np.arange(tr.size)
+    rank g, E the nonzero ranks of support at most 2, which are closed under
+    negation: one gathered row and one np.minimum per generator, in the
+    storage of ``nums`` (each sum adds two of its entries)."""
     best = None
-    for e in _generator_ranks(tr.prime.p, tr.dim):
-        rows = np.bitwise_xor(ranks, e) if tr.prime.p == 2 else tr.sub_rank_row(e)
+    for e in tr.words_within(2).tolist():
+        rows = np.bitwise_xor(tr.identity, e) if tr.prime.p == 2 else tr.sub_rank_row(e)
         via_e = nums[rows] + nums[e]
         best = via_e if best is None else np.minimum(best, via_e, out=best)
     return bool((best[1:] == nums[1:]).all())
@@ -748,12 +739,9 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     require a clean validation.
     """
     jsonio.require_int(threads, "threads", low=1)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    size = norm.prime.p ** norm.dim
-    if size > cap:
-        raise CapExceededError(f"truncation has {size} elements, above cap {cap}")
+    tr = truncation(norm.prime, norm.dim, cap=cap)
+    size = tr.size
     nums, den = norm._values()
-    tr = norm._tr
     violations: list[dict] = []
 
     ser = [None] * size  # element serializations, built lazily
@@ -771,8 +759,8 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     for r in np.flatnonzero(~axiom1).tolist():
         violations.append({"axiom": 1, "element": pairs_of(r), "value": value(r)})
 
-    neg = tr.neg_perm
-    for r in np.flatnonzero((neg >= np.arange(size)) & (nums != nums[neg])).tolist():
+    neg, firsts = tr.neg_perm, tr.neg_firsts  # rank 0 is its own negation
+    for r in firsts[nums[firsts] != nums[neg[firsts]]].tolist():
         violations.append({
             "axiom": 2,
             "element": pairs_of(r),
@@ -786,7 +774,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     sorted_nums = nums[order]
     ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
     # ends[i] - i never grows with i, so the positions with partners come first
-    reach = ends - np.arange(size)
+    reach = ends - tr.identity
     n_pos = int(np.count_nonzero(reach > 0))
     p, d = tr.prime.p, tr.dim
     n_gens = d * (p - 1) + math.comb(d, 2) * (p - 1) ** 2  # |E|

@@ -23,11 +23,11 @@ from .fpcore import (
     GroupElement,
     OrderedBasis,
     Truncation,
-    WordLayout,
     _same_prime,
     as_prime,
     running_ranks,
     span_word,
+    truncation,
     word_digits,
 )
 from .norms import Norm
@@ -207,11 +207,11 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
     )
 
 
-def _layout(norm: Norm, d: int) -> WordLayout:
-    """The word layout of the p^d rows of a span of d elements: the norm's
-    own truncation's when d is its dim."""
+def _rows(norm: Norm, d: int) -> Truncation:
+    """The truncation whose ranks are the p^d rows of a span of d elements:
+    the norm's own when d is its dim."""
     tr = norm.truncation
-    return tr.layout if tr.dim == d else Truncation(tr.prime, d).layout
+    return tr if tr.dim == d else truncation(tr.prime, d)
 
 
 @dataclass(frozen=True)
@@ -267,11 +267,11 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
         raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
     elems = reduced.reduced.elems
     vals, den = norm.span_values(elems)
-    lay = _layout(norm, d)
+    rows = _rows(norm, d)
     # the nonzero rows within the tuple bound, and the top of each; every
     # top j has a word, its unit row, whose value starts the minimum
-    words = np.flatnonzero(lay.support <= (d if max_tuple is None else max_tuple))[1:]
-    tops, vw = lay.top[words], vals[words]
+    words = rows.words_within(d if max_tuple is None else max_tuple)
+    tops, vw = rows.max_indices(words), vals[words]
     top_values = vals[[0] + [p ** (d - j) for j in range(1, d + 1)]]
     smallest = top_values.copy()
     np.minimum.at(smallest, tops, vw)
@@ -280,7 +280,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     violations = []
     for row in words[top_values[tops] > vw].tolist():
         coeffs, w = span_word(elems, row)
-        top = int(lay.top[row])
+        top = int(rows.max_indices(row))
         violations.append({
             "check": "max-term-minimality",
             "coeffs": list(coeffs),
@@ -329,8 +329,8 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     # is stripped to rank 0, of top 0, which is no target. Only the values
     # of the words and of the terms mu * reduced[j - 1] are gathered.
     elems = reduced.reduced.elems
-    lay = _layout(norm, d)
-    words = np.flatnonzero(lay.support <= max_tuple)[1:]
+    rows = _rows(norm, d)
+    lay, words = rows.layout, rows.words_within(max_tuple)
     checked = p * int(lay.support[words].sum())
     vw, den = norm.span_values(elems, words)
     terms = norm.span_values(elems, [mu * p ** (d - j) for j in range(1, d + 1)

@@ -34,7 +34,6 @@ from fpmap.norms import (
     GraevBooleanNorm,
     TableNorm,
     UltrametricProductNorm,
-    _generator_ranks,
     _is_own_completion,
     graded_cost,
     random_cost,
@@ -105,7 +104,7 @@ def generator_cost_norm(seed, p, dim):
     any p."""
     tr = Truncation(p, dim)
     rng = Random(seed)
-    gens = set(_generator_ranks(p, dim))
+    gens = set(tr.words_within(2).tolist())
     neg = tr.neg_perm
     values = [None] + [F(2 * dim + 1)] * (tr.size - 1)
     for r in sorted(gens):
@@ -133,7 +132,7 @@ class TestGenerators:
     @pytest.mark.parametrize("p, dim", [(2, 1), (2, 11), (3, 1), (3, 5), (5, 4)])
     def test_supports_of_one_and_two_closed_under_negation(self, p, dim):
         tr = Truncation(p, dim)
-        gens = _generator_ranks(p, dim)
+        gens = tr.words_within(2).tolist()
         expected = [r for r in range(1, tr.size) if 1 <= len(tr.element_of(r).support) <= 2]
         assert sorted(gens) == expected
         assert len(gens) == dim * (p - 1) + dim * (dim - 1) // 2 * (p - 1) ** 2
@@ -286,7 +285,8 @@ class TestRefutations:
         validate_axioms(norm)
         nums = norm._table[0]
         ranks = np.arange(2 ** 8)
-        assert all((nums[ranks ^ e] <= nums + nums[e]).all() for e in _generator_ranks(2, 8))
+        gens = Truncation(2, 8).words_within(2).tolist()
+        assert all((nums[ranks ^ e] <= nums + nums[e]).all() for e in gens)
         report, log = check(norm)
         assert log["verdicts"] == [False]
         assert (7, 14, 9) in report_triangles(report, norm._tr)

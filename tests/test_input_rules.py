@@ -13,8 +13,9 @@ import json
 import pytest
 
 from fpmap.cli import main
+from fpmap.errors import InputError
 from fpmap.fpcore import OrderedBasis
-from fpmap.norms import UltrametricProductNorm, validate_axioms
+from fpmap.norms import UltrametricProductNorm, graev_norm, random_metric_space, validate_axioms
 from fpmap.reduction import reduce_basis
 
 ULTRAMETRIC = {"kind": "ultrametric", "prime": 3, "dim": 2}
@@ -189,3 +190,27 @@ def test_oversized_dim_keeps_the_printed_size(tmp_path, capsys):
     assert main(argv_for(tmp_path, ["validate-norm"], doc)) == 3
     assert capsys.readouterr().err == (
         f"error: stage build: truncation has {2 ** 40} elements, above cap 10000000\n")
+
+
+LIBRARY_INTEGERS = {
+    # argument: (call with the value, message for a non-integer, for 0)
+    "graev_norm-matching_cap": (
+        lambda v: graev_norm(random_metric_space(1, 4, 1, 2), [1], matching_cap=v),
+        "matching cap must be a positive integer, got {!r}", None),
+    "random_metric_space-n_points": (
+        lambda v: random_metric_space(1, v, 1, 2),
+        "n_points must be an integer, got {!r}", "need at least one point"),
+    "random_metric_space-steps": (
+        lambda v: random_metric_space(1, 4, 1, 2, steps=v),
+        "steps must be a positive integer, got {!r}", None),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS + (0,), ids=json.dumps)
+@pytest.mark.parametrize("name", sorted(LIBRARY_INTEGERS))
+def test_library_integer_arguments_take_the_rule(name, value):
+    # matching_cap="5" raised TypeError, and n_points=True built a space
+    call, message, zero = LIBRARY_INTEGERS[name]
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == (zero if value == 0 and zero else message.format(value))

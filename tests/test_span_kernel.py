@@ -236,6 +236,23 @@ def test_span_ranks_match_enumerate_span(p, dim, data):
     assert tr.span_ranks(elems).tolist() == [tr.rank_of(w) for w in enumerate_span(elems)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), dim=st.integers(2, 5), data=st.data())
+def test_extending_past_the_last_index_adds_ranks(p, dim, data):
+    # a span of elements over e_1..e_k grown by g: with g past e_k the ranks
+    # are added without a carry, and with g reaching back to e_k or below the
+    # half rows take over; both must give the enumerate_span ranks
+    tr = Truncation(p, dim)
+    k = data.draw(st.integers(1, dim - 1))
+    elems = [tr.element_of(data.draw(st.integers(0, p ** k - 1)) * p ** (dim - k))
+             for _ in range(data.draw(st.integers(0, 2)))]
+    first = data.draw(st.integers(1, dim))
+    g = GroupElement.make(p, [(i, data.draw(st.integers(0, p - 1)) if i > first else 1)
+                              for i in range(first, dim + 1)])
+    ranks = tr.span_ranks(elems)
+    assert tr.extend_span(ranks, g).tolist() == [tr.rank_of(w) for w in enumerate_span(elems + [g])]
+
+
 def test_span_ranks_skip_the_digit_table():
     tr = Truncation(97, 3)
     a = GroupElement.make(97, [(1, 5), (3, 96)])
@@ -338,6 +355,27 @@ def test_rank_candidates_out_of_range():
     for bad in ([0, 9], [-1]):
         with pytest.raises(InputError, match="candidate ranks must lie in 0..8"):
             select_null_subsequence(np.array(bad, dtype=np.int64), norm, reduced, 1)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(p=st.sampled_from([2, 3]), dim=st.integers(1, 3), data=st.data())
+def test_selection_over_values_around_the_thresholds(p, dim, data):
+    # each value sits just below, at or just above some 1/(4p)^n, or at 1,
+    # so the candidates of the first slot are a scattered part of the
+    # sequence and chains run out by either constraint
+    near = [F(1, (4 * p) ** n) + F(k, (4 * p) ** (dim + 3))
+            for n in range(1, dim + 2) for k in (-1, 0, 1)] + [F(1)]
+    tr = Truncation(p, dim)
+    values = [data.draw(st.sampled_from(near)) for _ in range(1, tr.size)]
+    norm = TableNorm(p, dim, [(tr.element_of(r), v) for r, v in enumerate(values, 1)])
+    rng = Random(data.draw(st.integers(0, 10 ** 6)))
+    span = norm_sorted_span(norm)
+    ranks = np.array(rng.sample(span.tolist(), rng.randrange(span.size + 1)), dtype=np.int64)
+    length = data.draw(st.integers(1, dim + 1))
+    for basis in (OrderedBasis.standard(p, dim), random_basis(p, dim, rng)):
+        for seq in (span, ranks):
+            same_selection([tr.element_of(r) for r in seq.tolist()], norm, planted(basis, norm),
+                           length, ranks=seq)
 
 
 def test_selection_without_a_table_and_outside_the_span():
