@@ -31,6 +31,7 @@ from .fpcore import (
     Truncation,
     _same_prime,
     is_independent,
+    require_size,
     solve_in_span,
     span_word,
     truncation,
@@ -138,10 +139,10 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
     has value row r of the norm's table, so no rank row is needed, and a
     validated norm already holds this order (read-only) from
     validate_axioms."""
-    tr = truncation(norm.prime, norm.dim, cap=cap)
+    require_size(norm.prime.p, norm.dim, cap)
     if norm._order is not None:
         return norm._order
-    return value_order(norm.values_of(tr.identity)[0])
+    return value_order(norm.values_of(norm.truncation.identity)[0])
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -177,14 +178,14 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
         ranks = seq
     nums, den = norm.values_of(ranks)
     maxes = _top_positions(ranks, tr, reduced)
-    # every slot's candidates have a top position and a value below 1/(4p): only
-    # they are kept, as a slice when they are one run, as in a value-sorted seq.
-    # small[s][i]: kept i is below 1/(4p)^(s+1), divided through (none multiplied)
+    # every slot's candidates have a top position and a value below 1/(4p), so
+    # only the run from the first such index to the last is kept (all of it in
+    # a value-sorted seq). small[s][i]: kept i has a top position and a value
+    # below 1/(4p)^(s+1), divided through so that no entry is multiplied
     ok = (maxes >= 1) & (nums <= (den - 1) // (4 * p))
     lo, hi = (int(ok.argmax()), ok.size - int(ok[::-1].argmax())) if ok.any() else (0, 0)
-    keep = slice(lo, hi) if ok[lo:hi].all() else np.flatnonzero(ok)
-    ranks, nums, maxes = ranks[keep], nums[keep], maxes[keep]
-    small = [nums <= (den - 1) // (4 * p) ** (s + 1) for s in range(length)]
+    ranks, nums, maxes, ok = ranks[lo:hi], nums[lo:hi], maxes[lo:hi], ok[lo:hi]
+    small = [ok & (nums <= (den - 1) // (4 * p) ** (s + 1)) for s in range(length)]
 
     # feas[s][i]: slots s..length-1 can be filled starting by taking index i.
     # later[i]: largest top position among feasible starts of slot s + 1 at

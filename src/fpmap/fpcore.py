@@ -24,6 +24,7 @@ DEFAULT_MATCHING_CAP = 12
 
 _prime_cap = DEFAULT_PRIME_CAP
 _SHARED_SLOTS = 4  # the (p, dim) pairs whose truncation and standard basis are kept
+_SHARED_MAX_SIZE = 1 << 16  # larger truncations are not kept: their tables go with their owner
 
 
 def set_prime_cap(cap: int) -> None:
@@ -385,7 +386,7 @@ def _word_layout(p: int, dim: int, top: np.ndarray) -> WordLayout:
     return WordLayout(top, _read_only(support), _read_only(strip))
 
 
-def _require_size(p: int, dim, cap: int | None) -> int:
+def require_size(p: int, dim, cap: int | None) -> int:
     """p ** dim, once dim is a positive integer and p ** dim <= cap."""
     require_int(dim, "dimension", low=1)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
@@ -401,9 +402,12 @@ def _require_size(p: int, dim, cap: int | None) -> int:
 def truncation(p, dim: int, *, cap: int | None = None) -> "Truncation":
     """The process's shared Truncation of F_p^dim, once p (under the prime
     cap now in force), dim and the size (under ``cap``) pass the checks the
-    constructor makes; the last _SHARED_SLOTS pairs asked for are kept."""
+    constructor makes; the last _SHARED_SLOTS pairs asked for are kept. A
+    truncation of more than _SHARED_MAX_SIZE elements is built fresh."""
     prime = as_prime(p)
-    _require_size(prime.p, dim, cap)
+    size = require_size(prime.p, dim, cap)
+    if size > _SHARED_MAX_SIZE:
+        return Truncation(prime, dim, cap=size)
     return _shared_truncation(prime.p, dim)
 
 
@@ -421,12 +425,12 @@ class Truncation:
     of one row over the high halves and one over the low halves, and no
     (size, dim) table of coefficient vectors is ever built. Every table is
     read-only, built on first use and depends on (p, dim) alone, and the span
-    memo is keyed by its elements: truncation() shares one per (p, dim).
+    memo is keyed by its elements: truncation() shares one per small (p, dim).
     """
 
     def __init__(self, p, dim: int, *, cap: int | None = None):
         self.prime = as_prime(p)
-        self.size = _require_size(self.prime.p, dim, cap)
+        self.size = require_size(self.prime.p, dim, cap)
         self.dim = dim
         self._words: dict[int, np.ndarray] = {}  # words_within(t) by t < dim
         self._span = None  # (element tuple, its span ranks): the last span built

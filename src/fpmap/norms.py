@@ -38,6 +38,7 @@ from .fpcore import (
     _same_prime,
     as_prime,
     enumerate_span,
+    require_size,
     truncation,
 )
 
@@ -739,9 +740,9 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     require a clean validation.
     """
     jsonio.require_int(threads, "threads", low=1)
-    tr = truncation(norm.prime, norm.dim, cap=cap)
-    size = tr.size
+    size = require_size(norm.prime.p, norm.dim, cap)
     nums, den = norm._values()
+    tr = norm._tr
     violations: list[dict] = []
 
     ser = [None] * size  # element serializations, built lazily

@@ -17,6 +17,7 @@ import pytest
 from fpmap import fpcore
 from fpmap.cli import main
 from fpmap.errors import CapExceededError, InputError
+from fpmap.extraction import norm_sorted_span
 from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, set_prime_cap, truncation
 from fpmap.norms import CostCompletionNorm, graded_cost, validate_axioms
 from fpmap.reduction import check_member_word_bound, reduce_basis, verify_reduced_properties
@@ -163,6 +164,23 @@ def test_the_cache_keeps_a_few_pairs():
     assert fpcore._shared_truncation.cache_info().currsize == fpcore._SHARED_SLOTS
     again = truncation(2, 3)  # evicted, so built anew, with equal tables
     assert again is not first and again.neg_perm.tolist() == first.neg_perm.tolist()
+
+
+def test_a_large_truncation_goes_with_its_norm(monkeypatch):
+    # past _SHARED_MAX_SIZE every call builds afresh and the cache keeps nothing,
+    # so the tables a norm and its checks build are freed with the norm
+    fpcore._shared_truncation.cache_clear()
+    p, dim = 2, fpcore._SHARED_MAX_SIZE.bit_length()
+    assert truncation(p, dim) is not truncation(p, dim)
+    norm = CostCompletionNorm(graded_cost(1, p, dim))
+    built, init = [], Truncation.__init__
+    monkeypatch.setattr(Truncation, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    # the checks read the norm's own truncation and build none
+    assert validate_axioms(norm).ok and norm_sorted_span(norm) is norm._order
+    assert built == [] and fpcore._shared_truncation.cache_info().currsize == 0
+    with pytest.raises(CapExceededError, match=f"truncation has {2 ** dim} elements"):
+        truncation(p, dim, cap=2 ** dim - 1)
 
 
 def test_the_span_memo_serves_two_norms():
