@@ -140,9 +140,7 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
     validated norm already holds this order (read-only) from
     validate_axioms."""
     require_size(norm.prime.p, norm.dim, cap)
-    if norm._order is not None:
-        return norm._order
-    return value_order(norm.values_of(norm.truncation.identity)[0])
+    return norm._order if norm._order is not None else value_order(norm._values()[0])
 
 
 def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
@@ -178,10 +176,9 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
         ranks = seq
     nums, den = norm.values_of(ranks)
     maxes = _top_positions(ranks, tr, reduced)
-    # every slot's candidates have a top position and a value below 1/(4p), so
-    # only the run from the first such index to the last is kept (all of it in
-    # a value-sorted seq). small[s][i]: kept i has a top position and a value
-    # below 1/(4p)^(s+1), divided through so that no entry is multiplied
+    # every slot's candidates have a top position and a value below 1/(4p); only the
+    # window from the first to the last of those is kept (all of a value-sorted seq).
+    # small[s][i]: kept i is such a candidate below 1/(4p)^(s+1), divided through
     ok = (maxes >= 1) & (nums <= (den - 1) // (4 * p))
     lo, hi = (int(ok.argmax()), ok.size - int(ok[::-1].argmax())) if ok.any() else (0, 0)
     ranks, nums, maxes, ok = ranks[lo:hi], nums[lo:hi], maxes[lo:hi], ok[lo:hi]

@@ -400,14 +400,12 @@ def require_size(p: int, dim, cap: int | None) -> int:
 
 
 def truncation(p, dim: int, *, cap: int | None = None) -> "Truncation":
-    """The process's shared Truncation of F_p^dim, once p (under the prime
-    cap now in force), dim and the size (under ``cap``) pass the checks the
-    constructor makes; the last _SHARED_SLOTS pairs asked for are kept. A
-    truncation of more than _SHARED_MAX_SIZE elements is built fresh."""
+    """The Truncation of F_p^dim once p (under the prime cap now in force), dim
+    and the size (under ``cap``) pass the constructor's checks; one of at most
+    _SHARED_MAX_SIZE elements is shared, for the last _SHARED_SLOTS pairs."""
     prime = as_prime(p)
-    size = require_size(prime.p, dim, cap)
-    if size > _SHARED_MAX_SIZE:
-        return Truncation(prime, dim, cap=size)
+    if require_size(prime.p, dim, cap) > _SHARED_MAX_SIZE:
+        return Truncation(prime, dim, cap=cap)
     return _shared_truncation(prime.p, dim)
 
 
@@ -424,8 +422,7 @@ class Truncation:
     and the weights that turn them back into a rank, so a row is the outer sum
     of one row over the high halves and one over the low halves, and no
     (size, dim) table of coefficient vectors is ever built. Every table is
-    read-only, built on first use and depends on (p, dim) alone, and the span
-    memo is keyed by its elements: truncation() shares one per small (p, dim).
+    read-only, built on first use and depends on (p, dim) alone.
     """
 
     def __init__(self, p, dim: int, *, cap: int | None = None):

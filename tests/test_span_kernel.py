@@ -378,6 +378,19 @@ def test_selection_over_values_around_the_thresholds(p, dim, data):
                            length, ranks=seq)
 
 
+def test_zero_between_the_first_slot_candidates_is_no_candidate():
+    # 0 has no top position, so inside the window of first-slot candidates it
+    # must not count as small for slot 2, which only the threshold blocks
+    norm = TableNorm(2, 2, [(GroupElement.make(2, items), F(1, 9))
+                            for items in ([(1, 1)], [(2, 1)], [(1, 1), (2, 1)])])
+    tr, reduced = norm.truncation, planted(OrderedBasis.standard(2, 2), norm)
+    ranks = np.array([2, 0, 1], dtype=np.int64)
+    same_selection([tr.element_of(r) for r in ranks.tolist()], norm, reduced, 2, ranks=ranks)
+    with pytest.raises(ExhaustedError) as info:
+        select_null_subsequence(ranks, norm, reduced, 2)
+    assert (info.value.failed_slot, info.value.constraint) == (2, "threshold")
+
+
 def test_selection_without_a_table_and_outside_the_span():
     # selection on a norm not yet validated; a shorter reduced basis leaves
     # e3 and e4 outside its span
