@@ -30,13 +30,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from fpmap.duality import (  # noqa: E402
     TopologySpec,
     is_map,
-    product_coarser_check,
     random_topology,
     von_neumann_kernel,
 )
 from fpmap.extraction import (  # noqa: E402
     IndependentFamily,
     norm_sorted_span,
+    product_coarser_check,
     select_null_subsequence,
 )
 from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, rank, running_ranks  # noqa: E402

@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 
 from . import fpcore, jsonio
-from .duality import is_map, topology_from_config, von_neumann_kernel
 from .errors import (
     CapExceededError,
     ExhaustedError,
@@ -24,8 +23,8 @@ from .errors import (
     InvalidNormError,
     NormBoundFailedError,
 )
-from .extraction import boolean_counterexample, require_l
-from .fpcore import OrderedBasis, set_prime_cap
+from .extraction import require_l
+from .fpcore import OrderedBasis, Prime, set_prime_cap
 from .norms import validate_axioms
 from .pipeline import RunConfig, RunReport, run_pipeline
 from .reduction import (
@@ -203,21 +202,25 @@ def cmd_modulus(args) -> int:
     return _emit_stage(cfg, "modulus", args.out)
 
 
+def _cross_check(args, whose: str, prime: Prime, dim: int) -> None:
+    """--prime and --dim, when given, must match the prime and dim of whose."""
+    if args.prime is not None and prime.p != args.prime:
+        raise InputError(f"--prime {args.prime} does not match the {whose}'s {prime.p}")
+    if args.dim is not None and dim != args.dim:
+        raise InputError(f"--dim {args.dim} does not match the {whose}'s {dim}")
+
+
 def cmd_duality(args) -> int:
     doc = _load_json(args.spec)
     if args.check == "coarser":
         cfg = _run_config(doc)
-        if args.prime is not None and cfg.prime.p != args.prime:
-            raise InputError(f"--prime {args.prime} does not match the config's {cfg.prime.p}")
-        if args.dim is not None and cfg.dim != args.dim:
-            raise InputError(f"--dim {args.dim} does not match the config's {cfg.dim}")
+        _cross_check(args, "config", cfg.prime, cfg.dim)
         return _emit_stage(cfg, "coarser", args.out)
+    # the topology checks are not on the run chain, so their module loads here
+    from .duality import is_map, topology_from_config, von_neumann_kernel
     enum_cap = _env_caps().get("enum_cap")
     spec = topology_from_config(doc, cap=enum_cap)
-    if args.prime is not None and spec.prime.p != args.prime:
-        raise InputError(f"--prime {args.prime} does not match the spec's {spec.prime.p}")
-    if args.dim is not None and spec.dim != args.dim:
-        raise InputError(f"--dim {args.dim} does not match the spec's {spec.dim}")
+    _cross_check(args, "spec", spec.prime, spec.dim)
     if args.check == "kernel":
         basis = von_neumann_kernel(spec, cap=enum_cap)
         _emit({
@@ -232,6 +235,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_demo_boolean(args) -> int:
+    from .duality import boolean_counterexample
     report = boolean_counterexample(args.points, search_depth=args.depth)
     _emit(report.to_json_dict(), args.out)
     return EXIT_PASS

@@ -9,19 +9,21 @@ separate points is linear algebra on at most dim generators per base set.
 The separation verdict is computed three independent ways (kernel of the
 continuous dual, rank of the continuous dual, intersection of the W_U) and
 the routes must agree; a mismatch raises InternalDisagreement because it
-can only mean a bug, never mathematics.
+can only mean a bug, never mathematics. boolean_counterexample is the
+convergent-sequence case where no epsilon/delta certificate exists.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 import numpy as np
 
 from . import jsonio
 from .errors import CapExceededError, InputError, InternalDisagreementError
-from .extraction import IndependentFamily
+from .extraction import threshold
 from .fpcore import (
     DEFAULT_ENUM_CAP,
     GroupElement,
@@ -34,7 +36,7 @@ from .fpcore import (
     rank_digits,
     truncation,
 )
-from .norms import Norm, norm_from_config
+from .norms import GraevBooleanNorm, Norm, PointedMetricSpace, norm_from_config
 
 
 @dataclass(frozen=True)
@@ -362,93 +364,172 @@ def is_map(spec: TopologySpec, *, cap: int | None = None) -> MapReport:
 
 
 @dataclass(frozen=True)
-class CoarserReport:
-    """Per-F minimum norms over growing prefixes of a family.
+class CertificateResult:
+    """Largest working grid delta for an epsilon, or a concrete counterexample."""
 
-    tables[t-1] maps each nonempty F of positions within the first t members
-    to delta_F = min norm over span combinations touching F. A positive
-    delta_F puts the norm ball of that radius inside the product-topology
-    neighborhood {w : lambda_i = 0 for all i in F}.
-    """
-
-    prime: Prime
-    m: int
-    tables: tuple[dict, ...]
-    violations: tuple[dict, ...]
+    eps: Fraction
+    grid: tuple[Fraction, ...]
+    delta: Fraction | None
+    min_bad_value: Fraction | None
+    witness: dict | None
     combos_checked: int
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def table(self, m_prime: int) -> dict:
-        if not 1 <= m_prime <= self.m:
-            raise InputError(f"no table for prefix length {m_prime}")
-        return self.tables[m_prime - 1]
+    def is_counterexample(self) -> bool:
+        return self.delta is None
 
     def to_json_dict(self) -> dict:
-        # product_coarser_check shares one Fraction per distinct value, and a
-        # Fraction hashes slower than it formats, so they are told apart by id
-        distinct = {id(v): v for tab in self.tables for v in tab.values()}
-        text = {k: jsonio.frac_to_str(v) for k, v in distinct.items()}
         return {
-            "prime": self.prime.p,
-            "m": self.m,
-            "tables": {
-                str(t): {",".join(map(str, F)): text[id(v)] for F, v in tab.items()}
-                for t, tab in enumerate(self.tables, start=1)
-            },
-            "violations": list(self.violations),
+            "eps": jsonio.frac_to_str(self.eps),
+            "grid": [jsonio.frac_to_str(x) for x in self.grid],
+            "delta": None if self.delta is None else jsonio.frac_to_str(self.delta),
+            "min_bad_value": (None if self.min_bad_value is None
+                              else jsonio.frac_to_str(self.min_bad_value)),
+            "witness": self.witness,
+            "counterexample": self.is_counterexample,
             "combos_checked": self.combos_checked,
         }
 
 
-def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
-                          cap: int | None = None) -> CoarserReport:
-    """delta_F tables certifying the product topology is coarser.
+def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
+                              search_depth: int = 3, max_terms: int | None = None,
+                              cap: int | None = None) -> CertificateResult:
+    """Direct check of the small-word-forces-small-terms definition.
 
-    For every prefix length t <= m and every nonempty F of positions in
-    1..t: delta_F is the minimum norm over nonzero span combinations whose
-    support meets F. Values must be positive; zeros are reported as
-    violations (they mean the family was dependent or the norm degenerate).
+    A combination is "bad" when one of its used terms k_i * x_i already has
+    norm >= eps; delta works iff every bad combination has norm >= delta.
+    Returns the largest grid value 1/(4p)^j (j = 1..search_depth) below the
+    smallest bad-combination norm, or the witness of the smallest bad
+    combination when even the finest grid value fails.
+
+    With ``exponents`` fixed, only that single combination is examined;
+    otherwise all exponent vectors with at most ``max_terms`` nonzero entries
+    are enumerated.
     """
-    if m < 1:
-        raise InputError(f"m must be positive, got {m}")
-    if m > len(family.members):
-        raise InputError(f"m = {m} exceeds the family length {len(family.members)}")
+    xs = list(xs)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise InputError(f"eps must be positive, got {eps}")
+    if search_depth < 1:
+        raise InputError(f"search_depth must be at least 1, got {search_depth}")
     p = norm.prime.p
-    for g in family.members:
-        _same_prime(g.prime.p, p)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if p ** m > cap:
-        raise CapExceededError(f"{p}^{m} span combinations exceed the cap {cap}")
+    n = len(xs)
+    for x in xs:
+        _same_prime(x.prime.p, p)
+    grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
 
-    tables = []
-    violations = []
-    vals, den = norm.span_values(family.members[:m])
-    for t in range(1, m + 1):
-        # the span of the first t members is every p^(m-t)-th row; the words
-        # meeting F are the union over i in F of the words using member i, so
-        # delta_F is the least mu_i over F, mu_i the least value of a word
-        # with a nonzero digit i
-        prefix = vals[::p ** (m - t)]
-        mu = {i: int(prefix.reshape(p ** (i - 1), p, p ** (t - i))[:, 1:].min())
-              for i in range(1, t + 1)}
-        # one Fraction per distinct mu_i, shared by every F that takes it;
-        # the sign test reads the numerator
-        fracs = {v: Fraction(v, den) for v in mu.values()}
-        table = {}
-        for size in range(1, t + 1):
-            for F in combinations(range(1, t + 1), size):
-                low = min(mu[i] for i in F)
-                table[F] = fracs[low]
-                if low <= 0:
-                    violations.append({
-                        "check": "coarser",
-                        "span": t,
-                        "F": list(F),
-                        "value": jsonio.frac_to_str(fracs[low]),
-                    })
-        tables.append(table)
-    return CoarserReport(norm.prime, m, tuple(tables), tuple(violations),
-                         sum(p ** t - 1 for t in range(1, m + 1)))
+    if exponents is not None:
+        exponents = [k % p for k in exponents]
+        if len(exponents) != n:
+            raise InputError(f"need {n} exponents, got {len(exponents)}")
+        combos = [tuple(exponents)]
+    else:
+        limit = n if max_terms is None else min(max_terms, n)
+        est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
+        capv = DEFAULT_ENUM_CAP if cap is None else cap
+        if est > capv:
+            raise CapExceededError(
+                f"certificate scan needs ~{est} combinations, above cap {capv}")
+        combos = _exponent_vectors(n, p, limit)
+
+    terms: dict[tuple[int, int], tuple[GroupElement, Fraction]] = {}
+
+    def term(i: int, k: int) -> tuple[GroupElement, Fraction]:
+        """k * xs[i] and its value, each term evaluated once."""
+        if (i, k) not in terms:
+            g = xs[i].smul(k)
+            terms[i, k] = g, norm.eval(g)
+        return terms[i, k]
+
+    min_bad = None
+    witness = None
+    checked = 0
+    for vec in combos:
+        support = [i for i, k in enumerate(vec) if k]
+        if not support:
+            continue
+        checked += 1
+        bad_term = next((i for i in support if term(i, vec[i])[1] >= eps), None)
+        if bad_term is None:
+            continue
+        w = sum((term(i, vec[i])[0] for i in support), GroupElement.zero(norm.prime))
+        vw = norm.eval(w)
+        if min_bad is None or vw < min_bad:
+            min_bad = vw
+            witness = {
+                "exponents": list(vec),
+                "w": jsonio.element_to_pairs(w),
+                "term_index": bad_term + 1,
+                "value_w": jsonio.frac_to_str(vw),
+                "value_term": jsonio.frac_to_str(term(bad_term, vec[bad_term])[1]),
+            }
+    if min_bad is None:
+        return CertificateResult(eps, grid, grid[0], None, None, checked)
+    for g in grid:
+        if g <= min_bad:
+            return CertificateResult(eps, grid, g, min_bad, witness, checked)
+    return CertificateResult(eps, grid, None, min_bad, witness, checked)
+
+
+def _exponent_vectors(n: int, p: int, max_terms: int):
+    for t in range(1, max_terms + 1):
+        for idxs in itertools.combinations(range(n), t):
+            for vals in itertools.product(range(1, p), repeat=t):
+                vec = [0] * n
+                for j, v in zip(idxs, vals):
+                    vec[j] = v
+                yield tuple(vec)
+
+
+@dataclass(frozen=True)
+class BooleanWitnessReport:
+    """Shrinking pair norms against bounded singleton norms on a line space."""
+
+    n_points: int
+    entries: tuple[dict, ...]
+    certificate: CertificateResult
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_points": self.n_points,
+            "entries": list(self.entries),
+            "certificate": self.certificate.to_json_dict(),
+        }
+
+
+def convergent_line_space(n_points: int) -> PointedMetricSpace:
+    """Basepoint 0, the point x = 1, and y_n = 1 + 1/n for n = 1..n_points."""
+    if n_points < 2:
+        raise InputError(f"need at least 2 points, got {n_points}")
+    pts = [Fraction(0), Fraction(1)] + [1 + Fraction(1, k) for k in range(1, n_points + 1)]
+    rows = [[abs(a - b) for b in pts] for a in pts]
+    return PointedMetricSpace(rows)
+
+
+def boolean_counterexample(n_points: int, *, search_depth: int = 3) -> BooleanWitnessReport:
+    """The convergent-sequence obstruction: pairs {x, y_n} get arbitrarily small.
+
+    Every single generator keeps norm >= 1, yet the two-element subsets
+    {x, y_n} have norm 1/n, so no delta can force both members of a small
+    word below eps = 1/2. The certificate run makes that failure explicit.
+    """
+    space = convergent_line_space(n_points)
+    norm = GraevBooleanNorm(space)
+    x = GroupElement.unit(2, 1)
+    entries = []
+    for k in range(1, n_points + 1):
+        y = GroupElement.unit(2, k + 1)
+        pair = x + y
+        v_pair = norm.eval(pair)
+        v_x = norm.eval(x)
+        entries.append({
+            "n": k,
+            "pair": jsonio.element_to_pairs(pair),
+            "value_pair": jsonio.frac_to_str(v_pair),
+            "value_x": jsonio.frac_to_str(v_x),
+            "ratio": jsonio.frac_to_str(v_x / v_pair),
+        })
+    xs = [GroupElement.unit(2, i) for i in range(1, n_points + 2)]
+    cert = epsilon_delta_certificate(xs, norm, Fraction(1, 2),
+                                     search_depth=search_depth, max_terms=2)
+    return BooleanWitnessReport(n_points, tuple(entries), cert)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import jsonio
-from .duality import product_coarser_check
 from .errors import (
     CapExceededError,
     ExhaustedError,
@@ -27,6 +26,7 @@ from .extraction import (
     extract_independent_family,
     independence_modulus,
     norm_sorted_span,
+    product_coarser_check,
     select_null_subsequence,
 )
 from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, Prime, as_prime
@@ -182,18 +182,18 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     cap = cfg.enum_cap
 
     def run_stage(name, fn):
-        """fn's result, timed and recorded; None for a stage not asked for."""
+        """fn's result, timed with its document; None for a stage not asked for."""
         if name not in wanted:
             return None
         t0 = perf_counter()
         try:
             result = fn()
+            if name in docs:
+                docs[name] = result.to_json_dict()
         except CapExceededError as exc:
             raise CapExceededError(f"stage {name}: {exc}") from exc
         finally:
             timings[name] = perf_counter() - t0
-        if name in docs:
-            docs[name] = result.to_json_dict()
         return result
 
     def failed(*reports):

@@ -24,9 +24,10 @@ from random import Random
 import numpy as np
 
 from fpmap import jsonio
-from fpmap.duality import Character, CoarserReport
+from fpmap.duality import Character
 from fpmap.errors import CapExceededError, ExhaustedError, InputError
 from fpmap.extraction import (
+    CoarserReport,
     IndependentFamily,
     ModulusReport,
     NullSequence,

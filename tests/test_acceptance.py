@@ -13,35 +13,31 @@ from itertools import combinations, product
 import pytest
 
 from oracles import brute_graev
-from fpmap import (
-    CostCompletionNorm,
-    GraevBooleanNorm,
-    GroupElement,
-    OrderedBasis,
-    RunConfig,
-    Truncation,
-    UltrametricProductNorm,
-    as_prime,
-    boolean_counterexample,
-    check_member_word_bound,
-    check_pair_domination,
-    enumerate_span,
+from fpmap.duality import TopologySpec, boolean_counterexample, is_map, random_topology
+from fpmap.extraction import (
     extract_independent_family,
-    graded_cost,
     independence_modulus,
-    is_map,
     norm_sorted_span,
     product_coarser_check,
-    random_metric_space,
-    random_topology,
-    reduce_basis,
-    run_pipeline,
     select_null_subsequence,
     threshold,
+)
+from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, as_prime, enumerate_span
+from fpmap.norms import (
+    CostCompletionNorm,
+    GraevBooleanNorm,
+    UltrametricProductNorm,
+    graded_cost,
+    random_metric_space,
     validate_axioms,
+)
+from fpmap.pipeline import RunConfig, run_pipeline
+from fpmap.reduction import (
+    check_member_word_bound,
+    check_pair_domination,
+    reduce_basis,
     verify_reduced_properties,
 )
-from fpmap.duality import TopologySpec
 
 CORPUS = [(i, 2 if i % 2 == 0 else 3, 4 + (i // 2) % 3) for i in range(100)]
 

@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_coarser, brute_graded_cost, brute_random_cost
-from fpmap import duality, extraction, fpcore
-from fpmap.duality import product_coarser_check
-from fpmap.extraction import IndependentFamily, norm_sorted_span
+from fpmap import extraction, fpcore
+from fpmap.extraction import IndependentFamily, norm_sorted_span, product_coarser_check
 from fpmap.fpcore import OrderedBasis, Truncation
 from fpmap.norms import (
     _INT64_MAX,
@@ -182,7 +181,7 @@ def test_coarser_tables_build_one_fraction_per_distinct_value(monkeypatch):
     members = reduce_basis(OrderedBasis.standard(5, 5), norm).reduced.elems
     family = IndependentFamily(members, tuple(range(1, 6)), tuple(map(norm.eval, members)), None)
     want = brute_coarser(family, norm, 5).to_json_dict()
-    made = counting(monkeypatch, duality, "Fraction")
+    made = counting(monkeypatch, extraction, "Fraction")
     report = product_coarser_check(family, norm, 5)
     assert len(made) <= 1 + 2 + 3 + 4 + 5  # the 57 sets F share them
     assert report.to_json_dict() == want

@@ -13,8 +13,8 @@ import pytest
 
 from fpmap import jsonio, pipeline
 from fpmap.cli import main
+from fpmap.duality import convergent_line_space
 from fpmap.errors import CapExceededError, InputError
-from fpmap.extraction import convergent_line_space
 from fpmap.fpcore import OrderedBasis, Truncation
 from fpmap.norms import CostCompletionNorm, graded_cost, validate_axioms
 from fpmap.reduction import check_member_word_bound, reduce_basis, verify_reduced_properties

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from fpmap.cli import main, render_report
-from fpmap.extraction import convergent_line_space
+from fpmap.duality import convergent_line_space
 from fpmap.fpcore import GroupElement, Prime, Truncation
 from fpmap.norms import random_metric_space
 from fpmap import jsonio, norms
@@ -351,6 +351,24 @@ class TestDuality:
         assert main(["duality", "--check", "map", "--spec", self.topo(tmp_path),
                      "--prime", "3"]) == 2
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["map", "kernel", "coarser"])
+    def test_cross_check_messages(self, tmp_path, capsys, check):
+        # coarser reads a run config, map and kernel a topology spec
+        if check == "coarser":
+            spec, whose, dim = write_json(tmp_path / "run.json", graded_run_cfg()), "config", 4
+        else:
+            spec, whose, dim = self.topo(tmp_path), "spec", 3
+        argv = ["duality", "--check", check, "--spec", spec]
+        assert main(argv + ["--prime", "3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --prime 3 does not match the {whose}'s 2\n")
+        assert main(argv + ["--dim", "7"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --dim 7 does not match the {whose}'s {dim}\n")
+        assert main(argv + ["--prime", "2", "--dim", str(dim)]) == 0
 
     # sha256 of the stdout of each check, captured from the enumeration over
     # every dual vector that the span linear algebra replaced

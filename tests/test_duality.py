@@ -14,13 +14,11 @@ from oracles import (
 from fpmap import duality
 from fpmap.duality import (
     Character,
-    CoarserReport,
     MapReport,
     TopologySpec,
     _assert_same_subgroup,
     continuous_characters,
     is_map,
-    product_coarser_check,
     random_topology,
     topology_from_config,
     von_neumann_kernel,
@@ -34,6 +32,7 @@ from fpmap.extraction import (
     IndependentFamily,
     extract_independent_family,
     norm_sorted_span,
+    product_coarser_check,
     select_null_subsequence,
 )
 from fpmap.fpcore import GroupElement, OrderedBasis, Truncation

@@ -3,6 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import is_independent_oracle
+from fpmap.duality import (
+    BooleanWitnessReport,
+    boolean_counterexample,
+    convergent_line_space,
+    epsilon_delta_certificate,
+)
 from fpmap.errors import ExhaustedError, InputError, NormBoundFailedError
 from fpmap.fpcore import (
     GroupElement,
@@ -10,11 +16,7 @@ from fpmap.fpcore import (
     Truncation,
 )
 from fpmap.extraction import (
-    BooleanWitnessReport,
     NullSequence,
-    boolean_counterexample,
-    convergent_line_space,
-    epsilon_delta_certificate,
     extract_independent_family,
     independence_modulus,
     norm_sorted_span,

@@ -1,10 +1,12 @@
 """End-to-end runs: config parsing, stage wiring, verdicts, canonical bytes."""
 
+import time
+
 import pytest
 
-from fpmap import jsonio
+from fpmap import extraction, jsonio, norms
+from fpmap.duality import convergent_line_space
 from fpmap.errors import CapExceededError, InputError
-from fpmap.extraction import convergent_line_space
 from fpmap.fpcore import GroupElement, Truncation
 from fpmap.pipeline import STAGE_KEYS, RunConfig, run_from_json_dict
 
@@ -168,6 +170,19 @@ class TestRunPipeline:
         assert list(doc["timings"]) == ["build", *STAGE_KEYS]
         assert all(isinstance(v, float) for v in doc["timings"].values())
         assert rep.to_canonical_json() != rep.to_canonical_json(include_timings=True)
+
+    @pytest.mark.parametrize("stage, report_cls", [("axioms", norms.AxiomReport),
+                                                   ("coarser", extraction.CoarserReport)])
+    def test_a_stage_is_timed_with_its_document(self, monkeypatch, stage, report_cls):
+        original = report_cls.to_json_dict
+
+        def slow(report):
+            time.sleep(0.02)
+            return original(report)
+
+        monkeypatch.setattr(report_cls, "to_json_dict", slow)
+        rep = run_from_json_dict(graded_cfg())
+        assert rep.timings[stage] >= 0.02
 
     def test_canonical_bytes_stable(self):
         text1 = run_from_json_dict(graded_cfg()).to_canonical_json()

@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from oracles import brute_coarser, brute_member_word_bound, brute_rank, row_scan_triangles
 from fpmap import jsonio
 from fpmap.cli import main
-from fpmap.duality import product_coarser_check
 from fpmap.errors import CapExceededError, InputError
-from fpmap.extraction import IndependentFamily, independence_modulus
+from fpmap.extraction import IndependentFamily, independence_modulus, product_coarser_check
 from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,

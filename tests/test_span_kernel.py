@@ -25,12 +25,12 @@ from oracles import (
     brute_select_null_subsequence,
     brute_ultrametric_values,
 )
-from fpmap.duality import product_coarser_check
 from fpmap.errors import ExhaustedError, InputError
 from fpmap.extraction import (
     IndependentFamily,
     independence_modulus,
     norm_sorted_span,
+    product_coarser_check,
     reduced_max_position,
     select_null_subsequence,
 )
