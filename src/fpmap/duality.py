@@ -73,21 +73,11 @@ class Character:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def is_trivial(self) -> bool:
-        return not any(self.coeffs)
-
     def __call__(self, g: GroupElement) -> int:
         _same_prime(g.prime.p, self.prime.p)
         if g.max_index > self.dim:
             raise InputError(f"index {g.max_index} outside a dual vector of length {self.dim}")
         return sum(self.coeffs[i - 1] * c for i, c in g.items) % self.prime.p
-
-    def zero_ranks(self, tr: Truncation) -> frozenset[int]:
-        """Ranks of the kernel within the given truncation."""
-        if tr.prime != self.prime or tr.dim != self.dim:
-            raise InputError("truncation does not match the character")
-        basis = _annihilator_basis([list(self.coeffs)], self.prime.p, self.dim)
-        return frozenset(tr.span_ranks(basis).tolist())
 
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.coeffs)}

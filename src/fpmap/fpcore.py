@@ -8,10 +8,9 @@ arithmetic with deterministic tie-breaking (leftmost column, lowest row pivot).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -304,35 +303,6 @@ def is_independent(elems: Iterable[GroupElement], p=None) -> bool:
     return rank(elems, p) == len(elems)
 
 
-def enumerate_span(elems, *, cap: int | None = None) -> Iterator[GroupElement]:
-    """All p^n combinations of the given elements, in lexicographic coefficient order.
-
-    The first element yielded is zero, the last has every coefficient p-1.
-    """
-    prime = None
-    if isinstance(elems, OrderedBasis):
-        prime = elems.prime
-        elems = elems.elems
-    elems = tuple(elems)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if not elems:
-        if prime is None:
-            raise InputError("cannot enumerate the span of an empty element list")
-        yield GroupElement.zero(prime)
-        return
-    prime = elems[0].prime
-    p = prime.p
-    for g in elems:
-        _same_prime(g.prime.p, p)
-    total = p ** len(elems)
-    if total > cap:
-        raise CapExceededError(f"span of {len(elems)} elements has {total} members, above cap {cap}")
-    multiples = [[e.smul(k) for k in range(p)] for e in elems]
-    zero = GroupElement.zero(prime)
-    for vec in itertools.product(range(p), repeat=len(elems)):
-        yield sum((multiples[j][lam] for j, lam in enumerate(vec) if lam), zero)
-
-
 def word_digits(row: int, p: int, k: int) -> tuple[int, ...]:
     """The k base-p digits of ``row``, most significant first: the
     coefficients of word ``row`` of a span of k elements."""
@@ -345,8 +315,8 @@ def rank_digits(ranks, p: int, k: int) -> np.ndarray:
 
 
 def span_word(elems: Sequence[GroupElement], row: int) -> tuple[tuple[int, ...], GroupElement]:
-    """Coefficients and element of word ``row`` of span(elems), in enumerate_span
-    order: the coefficient of elems[0] is the row's most significant digit."""
+    """Coefficients and element of word ``row`` of span(elems): the row's
+    base-p digits, the coefficient of elems[0] most significant."""
     prime = elems[0].prime
     coeffs = word_digits(row, prime.p, len(elems))
     return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
@@ -413,8 +383,8 @@ class Truncation:
     """Dense view of span(e_1..e_dim): elements indexed by lexicographic rank.
 
     Rank r corresponds to the coefficient vector given by the base-p digits of
-    r with the coefficient of e_1 most significant, matching enumerate_span
-    order on the standard basis.
+    r with the coefficient of e_1 most significant, so rank r is span_word r
+    of the standard basis.
 
     For p != 2 the rank rows work on two halves of the digits: with
     lo = ceil(dim/2), rank r = high * p^lo + low, where high holds the first
@@ -528,12 +498,14 @@ class Truncation:
         row_low = ((low + low[r % base]) % p) @ low_w
         return base, row_high, row_low
 
-    def add_rank_row(self, r: int) -> np.ndarray:
-        """Ranks of (g + element_of(r)) for every rank g, as one vectorized row."""
+    def add_rank_row(self, r: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Ranks of (g + element_of(r)) for every rank g, as one vectorized row,
+        written into ``out`` (int64, size entries) when it is given."""
         if self.prime.p == 2:  # a fresh arange per row would cost a page-faulted map
-            return np.bitwise_xor(self.identity, np.int64(r))
+            return np.bitwise_xor(self.identity, np.int64(r), out=out)
         _, row_high, row_low = self._half_rows(r)
-        return np.add.outer(row_high, row_low).ravel()
+        grid = None if out is None else out.reshape(row_high.size, row_low.size)
+        return np.add.outer(row_high, row_low, out=grid).ravel()
 
     def add_ranks(self, r: int, ranks: np.ndarray) -> np.ndarray:
         """Ranks of (element_of(q) + element_of(r)) for the given ranks q only:
@@ -543,13 +515,14 @@ class Truncation:
         base, row_high, row_low = self._half_rows(r)
         return row_high[ranks // base] + row_low[ranks % base]
 
-    def sub_rank_row(self, r: int) -> np.ndarray:
-        """Ranks of (g - element_of(r)) for every rank g."""
-        return self.add_rank_row(int(self.neg_perm[r]))
+    def sub_rank_row(self, r: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Ranks of (g - element_of(r)) for every rank g, into ``out`` as
+        add_rank_row writes it."""
+        return self.add_rank_row(int(self.neg_perm[r]), out)
 
     def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
         """Ranks of span(elems + [g]) from the ranks of span(elems), both in
-        enumerate_span order: the words so far plus c * g, c = 1..p-1, computed
+        span_word order: the words so far plus c * g, c = 1..p-1, computed
         only at those words. For p != 2, words with no index from g's first on
         take c * g without a carry (a reduction meeting the next unit); else g's
         half rows are built once and each layer steps every word's two halves,
@@ -572,7 +545,7 @@ class Truncation:
         return out.ravel()
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
-        """Ranks of the p^k words of span(elems), in enumerate_span order, as a
+        """Ranks of the p^k words of span(elems), in span_word order, as a
         read-only array. The last element tuple asked for is remembered, so
         the scans that read one span in turn share a single build."""
         key, last = tuple(elems), self._span

@@ -10,7 +10,7 @@ element. Each norm's dense value table is such a vector too, indexed by rank,
 and every norm builds it at construction: a Graev norm by one integer DP over
 all subsets, when its points fit the matching cap. Norm.eval, span_values and
 values_of (by rank) read values from it; a Graev norm wider than its matching
-cap has no table, and evaluates eval and span_values word by word.
+cap has no table, evaluates eval word by word, and refuses every other read.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -37,7 +37,6 @@ from .fpcore import (
     Truncation,
     _same_prime,
     as_prime,
-    enumerate_span,
     require_size,
     truncation,
 )
@@ -367,10 +366,9 @@ class Norm:
 
     ``_table`` holds the dense values (numerators by rank of ``_tr``, one
     denominator), built at construction. Only a Graev norm wider than its
-    matching cap has none; it implements ``_eval``, which eval and
-    span_values call word by word, and every other reader of the table
-    raises its matching cap error. validate_axioms keeps the ranks in
-    (value, rank) order as ``_order``."""
+    matching cap has none; it implements ``_eval``, which eval calls word by
+    word, and every other reader of the table raises its matching cap error.
+    validate_axioms keeps the ranks in (value, rank) order as ``_order``."""
 
     kind = "abstract"
 
@@ -381,10 +379,6 @@ class Norm:
         self._tr: Truncation | None = None
         self._table: tuple[np.ndarray, int] | None = None
         self._order: np.ndarray | None = None  # the table's stable argsort
-
-    @property
-    def is_validated(self) -> bool:
-        return self._axiom_report is not None and self._axiom_report.ok
 
     @property
     def axiom_report(self) -> "AxiomReport | None":
@@ -405,16 +399,14 @@ class Norm:
 
     def span_values(self, elems: Sequence[GroupElement],
                     rows: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """Exact values of the p^k words of span(elems), in enumerate_span order:
+        """Exact values of the p^k words of span(elems) in span_word order:
         numerators as _scaled stores them, over one denominator. The value of
         c * elems[j] sits at row c * p^(k-1-j). Given ``rows``, only the
-        values of those rows are gathered."""
+        values of those rows are gathered. A norm without a table raises as
+        _values does."""
         for g in elems:
             self._check(g)
-        if self._table is None:
-            vals, den = _scaled([self._eval(w) for w in enumerate_span(elems)])
-            return vals if rows is None else vals[rows], den
-        nums, den = self._table
+        nums, den = self._values()
         ranks = self._tr.span_ranks(elems)
         return nums[ranks if rows is None else ranks[rows]], den
 
@@ -543,6 +535,12 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     one more edge, of weight >= w_min. Settled distances never exceed d, so
     the largest unsettled distance is the largest distance. A cost whose
     values all lie in [c, 2c], such as a graded one, builds no row at all.
+
+    ``unsettled`` is dist with every settled rank at inf, so a step takes
+    one argmin. The first row allocates the rank row, its gathered costs and
+    the settled ranks, and every row is written into them: a size-long
+    temporary per row can cost a fresh page-faulted map each time, since
+    glibc may hand such blocks back to the system between rows.
     """
     size = tr.size
     # weight 0 at rank 0 makes each self-loop a relaxation that changes nothing
@@ -550,14 +548,22 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     inf = int(w.max()) + 1
     w_min = int(w[1:].min())
     dist = w.copy()
-    done = np.zeros(size, dtype=bool)
-    done[0] = True
-    for _ in range(size - 1):
-        u = int(np.where(done, inf, dist).argmin())
+    unsettled = w.copy()
+    unsettled[0] = inf
+    settled = None
+    for k in range(1, size):
+        u = int(unsettled.argmin())
         if int(dist[u]) + w_min >= int(dist.max()):
             break
-        done[u] = True
-        np.minimum(dist, dist[u] + w[tr.sub_rank_row(u)], out=dist)
+        if settled is None:
+            row, via, settled = np.empty(size, np.int64), np.empty_like(w), np.zeros(size, np.int64)
+        settled[k] = u
+        # every rank is in range; the default mode="raise" buffers ``out``
+        np.take(w, tr.sub_rank_row(u, row), out=via, mode="clip")
+        via += dist[u]
+        np.minimum(dist, via, out=dist)
+        np.minimum(unsettled, via, out=unsettled)
+        unsettled[settled[:k + 1]] = inf  # no settled rank is relaxed again
     return dist, den
 
 
@@ -588,10 +594,6 @@ class GraevBooleanNorm(Norm):
         if self.dim <= self.matching_cap:
             self._tr = truncation(self.prime, self.dim, cap=cap)
             self._table = self._dense_values()
-
-    def point_of_index(self, i: int) -> int:
-        """Metric-space point index carried by group index i."""
-        return self._points[i - 1]
 
     def _eval(self, g: GroupElement) -> Fraction:
         return graev_norm(self.space, [self._points[i - 1] for i in g.support],

@@ -149,9 +149,6 @@ class RunReport:
             "timings": dict(self.timings) if include_timings else None,
         }
 
-    def to_canonical_json(self, *, include_timings: bool = False) -> str:
-        return jsonio.canonical_dumps(self.to_json_dict(include_timings=include_timings))
-
 
 def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     """Build the norm, then run the given stages and the stages they read from.
@@ -246,7 +243,3 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
         error=error,
         timings=timings,
     )
-
-
-def run_from_json_dict(cfg: dict) -> RunReport:
-    return run_pipeline(RunConfig.from_json_dict(cfg))

@@ -40,8 +40,8 @@ from fpmap.fpcore import (
     OrderedBasis,
     Truncation,
     _rref,
+    _same_prime,
     as_prime,
-    enumerate_span,
     solve_in_span,
     span_word,
 )
@@ -72,6 +72,37 @@ def brute_rank(elems, p=None):
             row[col[i]] = c
         rows.append(row)
     return len(_rref(rows, prime.p)[1])
+
+
+def enumerate_span(elems, *, cap: int | None = None):
+    """All p^n combinations of the given elements, in lexicographic coefficient order.
+
+    The first element yielded is zero, the last has every coefficient p-1.
+    Word by word, one GroupElement sum each: the reference for the order and
+    the words of Truncation.span_ranks.
+    """
+    prime = None
+    if isinstance(elems, OrderedBasis):
+        prime = elems.prime
+        elems = elems.elems
+    elems = tuple(elems)
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if not elems:
+        if prime is None:
+            raise InputError("cannot enumerate the span of an empty element list")
+        yield GroupElement.zero(prime)
+        return
+    prime = elems[0].prime
+    p = prime.p
+    for g in elems:
+        _same_prime(g.prime.p, p)
+    total = p ** len(elems)
+    if total > cap:
+        raise CapExceededError(f"span of {len(elems)} elements has {total} members, above cap {cap}")
+    multiples = [[e.smul(k) for k in range(p)] for e in elems]
+    zero = GroupElement.zero(prime)
+    for vec in itertools.product(range(p), repeat=len(elems)):
+        yield sum((multiples[j][lam] for j, lam in enumerate(vec) if lam), zero)
 
 
 def is_independent_oracle(elems, *, cap: int | None = None) -> bool:

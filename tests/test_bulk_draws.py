@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_coarser, brute_graded_cost, brute_random_cost
-from fpmap import extraction, fpcore
+from fpmap import extraction, fpcore, jsonio
 from fpmap.extraction import IndependentFamily, norm_sorted_span, product_coarser_check
 from fpmap.fpcore import OrderedBasis, Truncation
 from fpmap.norms import (
@@ -193,7 +193,7 @@ def test_a_run_builds_each_threshold_once_per_stage(monkeypatch):
            "norm": {"kind": "cost_completion", "prime": 5, "dim": 5, "seed": 0, "graded": True}}
     report = run_pipeline(RunConfig.from_json_dict(cfg))
     assert report.ok
-    report.to_canonical_json()
+    jsonio.canonical_dumps(report.to_json_dict())
     # selection builds thresholds 1..m, and the family and the report read
     # them; the modulus builds its delta (l = 1) and one bound per split
     assert sorted(made) == sorted([(5, n) for n in range(1, 6)] + [(5, 1)] +

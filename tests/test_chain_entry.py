@@ -232,8 +232,9 @@ class TestStageSubsets:
 
     def test_full_run_equals_the_default(self):
         cfg = self.cfg()
-        assert (pipeline.run_pipeline(cfg, stages=pipeline.STAGE_KEYS).to_canonical_json()
-                == pipeline.run_pipeline(cfg).to_canonical_json())
+        full = pipeline.run_pipeline(cfg, stages=pipeline.STAGE_KEYS).to_json_dict()
+        assert jsonio.canonical_dumps(full) == jsonio.canonical_dumps(
+            pipeline.run_pipeline(cfg).to_json_dict())
 
     def test_bare_descriptor_takes_prime_and_dim_from_the_norm(self):
         norm = {"kind": "graev_boolean", "space": convergent_line_space(2).to_json_dict()}
@@ -267,7 +268,7 @@ class TestBuildTiming:
         cfg = pipeline.RunConfig.from_json_dict(RUN_CONFIGS["graded-p2-d4"])
         report = pipeline.run_pipeline(cfg)
         assert "build" in report.timings
-        assert '"build"' not in report.to_canonical_json()
+        assert '"build"' not in jsonio.canonical_dumps(report.to_json_dict())
 
     def test_build_cap_errors_name_the_stage(self):
         cfg = pipeline.RunConfig.from_json_dict(dict(RUN_CONFIGS["graded-p2-d4"],

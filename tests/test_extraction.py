@@ -258,20 +258,22 @@ class TestIndependenceModulus:
                 assert report.ok, report.violations[:2]
 
     def test_planted_violation(self):
-        space = convergent_line_space(100)
+        # ten points keep the Graev norm within its matching cap, so it has
+        # the value table the modulus reads; {x, y_10} has norm 1/10 < 1/8
+        space = convergent_line_space(10)
         norm = GraevBooleanNorm(space)
         validate_axioms_small = norm  # no axiom run needed; modulus does not gate
-        tiny1 = e(2, (99, 1), (100, 1))    # {y_98, y_99}
-        tiny2 = e(2, (100, 1), (101, 1))   # {y_99, y_100}
+        tiny1 = e(2, (9, 1), (10, 1))    # {y_8, y_9}
+        tiny2 = e(2, (10, 1), (11, 1))   # {y_9, y_10}
         source = NullSequence(
             2, (tiny1, tiny2),
             (norm.eval(tiny1), norm.eval(tiny2)),
-            (100, 101))
+            (10, 11))
         from fpmap.extraction import IndependentFamily
         fam = IndependentFamily(
-            members=(e(2, (1, 1)), e(2, (101, 1))),
-            indices=(1, 101),
-            norms=(norm.eval(e(2, (1, 1))), norm.eval(e(2, (101, 1)))),
+            members=(e(2, (1, 1)), e(2, (11, 1))),
+            indices=(1, 11),
+            norms=(norm.eval(e(2, (1, 1))), norm.eval(e(2, (11, 1)))),
             source=source)
         report = independence_modulus(fam, norm, 1, 2)
         assert not report.ok
@@ -279,7 +281,7 @@ class TestIndependenceModulus:
         assert "modulus" in kinds
         assert "split-sum" in kinds
         flagged = [v for v in report.violations if v["check"] == "modulus"]
-        assert flagged[0]["value_w"] == "1/100"
+        assert flagged[0]["value_w"] == "1/10"
 
     def test_parameter_validation(self):
         norm = spaced_weights_norm()

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_rank_row, is_independent_oracle
+from oracles import brute_rank_row, enumerate_span, is_independent_oracle
 from fpmap.errors import CapExceededError, InputError
 from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,
     Prime,
     Truncation,
-    enumerate_span,
     is_independent,
     rank,
     rank_digits,

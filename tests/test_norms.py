@@ -13,10 +13,11 @@ from oracles import (
     brute_cost_completion,
     brute_graev,
     brute_ultrametric_values,
+    enumerate_span,
 )
 from fpmap import jsonio
-from fpmap.errors import CapExceededError, InputError
-from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, enumerate_span
+from fpmap.errors import CapExceededError, InputError, InvalidNormError
+from fpmap.fpcore import GroupElement, OrderedBasis, Truncation
 from fpmap.norms import (
     _INT64_MAX,
     _scaled,
@@ -32,6 +33,7 @@ from fpmap.norms import (
     random_metric_space,
     validate_axioms,
 )
+from fpmap.reduction import _require_validated
 
 
 def e(p, *pairs):
@@ -352,7 +354,7 @@ class TestValidateAxioms:
         assert report.ok
         assert report.elements_checked == 27
         assert report.pairs_checked == 27 * 28 // 2
-        assert norm.is_validated
+        _require_validated(norm)
         assert norm.axiom_report is report
 
     def test_cost_completion_always_passes(self):
@@ -365,7 +367,8 @@ class TestValidateAxioms:
         report = validate_axioms(norm)
         assert not report.ok
         assert report.violations[0]["axiom"] == 1
-        assert not norm.is_validated
+        with pytest.raises(InvalidNormError, match="failed axiom validation"):
+            _require_validated(norm)
 
     def test_nonzero_value_at_zero_flagged(self):
         norm = table_from_values(2, 1, {0: F(1), 1: F(1)})
@@ -502,7 +505,7 @@ def graev_table_and_reference(space):
     validate_axioms(norm)
     assert norm._table is table
     words = enumerate_span(OrderedBasis.standard(2, norm.dim))
-    ref = _scaled([graev_norm(space, [norm.point_of_index(i) for i in w.support])
+    ref = _scaled([graev_norm(space, [space.nonbase[i - 1] for i in w.support])
                    for w in words])
     return table, ref
 
@@ -592,9 +595,20 @@ class TestGraevTable:
         wide = GraevBooleanNorm(space, matching_cap=4, cap=31)
         assert wide._table is None
         assert wide.eval(GroupElement.make(2, [(1, 1), (3, 1)])) == \
-            graev_norm(space, [wide.point_of_index(1), wide.point_of_index(3)])
+            graev_norm(space, [space.nonbase[0], space.nonbase[2]])
         with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
             wide.values_of(np.arange(4))
+
+    def test_a_wide_norm_evaluates_words_and_refuses_spans(self):
+        # eval is the only read of a Graev norm without a table: its spans
+        # raise the matching cap error that values_of raises
+        space = random_metric_space(3, 7, F(1), F(3))  # dimension 6
+        wide = GraevBooleanNorm(space, matching_cap=4)
+        x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 6)
+        assert wide.eval(x + y) == graev_norm(space, [space.nonbase[i - 1] for i in (1, 4, 6)])
+        for rows in (None, [1, 3]):
+            with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
+                wide.span_values([x, y], rows)
 
 
 class TestNormFromConfig:

@@ -8,7 +8,7 @@ from fpmap import extraction, jsonio, norms
 from fpmap.duality import convergent_line_space
 from fpmap.errors import CapExceededError, InputError
 from fpmap.fpcore import GroupElement, Truncation
-from fpmap.pipeline import STAGE_KEYS, RunConfig, run_from_json_dict
+from fpmap.pipeline import STAGE_KEYS, RunConfig, run_pipeline
 
 
 def graded_cfg(seed=0, p=2, dim=4, **extra):
@@ -140,14 +140,14 @@ class TestRunConfig:
 
 class TestRunPipeline:
     def test_graded_run_passes(self):
-        rep = run_from_json_dict(graded_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(graded_cfg()))
         assert rep.verdict == "pass"
         assert rep.ok
         assert rep.error is None
         assert all(rep.stages[k] is not None for k in STAGE_KEYS)
 
     def test_stage_payloads(self):
-        rep = run_from_json_dict(graded_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(graded_cfg()))
         assert rep.stages["selection"]["maxes"] == [1, 2, 3, 4]
         assert rep.stages["family"]["indices"] == [1, 2, 3, 4]
         assert rep.stages["modulus"]["l"] == 1
@@ -158,18 +158,18 @@ class TestRunPipeline:
 
     def test_report_document_shape(self):
         cfg = graded_cfg()
-        doc = run_from_json_dict(cfg).to_json_dict()
+        doc = run_pipeline(RunConfig.from_json_dict(cfg)).to_json_dict()
         assert set(doc) == {"config", "stages", "verdict", "error", "timings"}
         assert list(doc["stages"]) == list(STAGE_KEYS)
         assert doc["config"] == cfg
         assert doc["timings"] is None
 
     def test_timings_are_opt_in(self):
-        rep = run_from_json_dict(graded_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(graded_cfg()))
         doc = rep.to_json_dict(include_timings=True)
         assert list(doc["timings"]) == ["build", *STAGE_KEYS]
         assert all(isinstance(v, float) for v in doc["timings"].values())
-        assert rep.to_canonical_json() != rep.to_canonical_json(include_timings=True)
+        assert jsonio.canonical_dumps(doc) != jsonio.canonical_dumps(rep.to_json_dict())
 
     @pytest.mark.parametrize("stage, report_cls", [("axioms", norms.AxiomReport),
                                                    ("coarser", extraction.CoarserReport)])
@@ -181,22 +181,22 @@ class TestRunPipeline:
             return original(report)
 
         monkeypatch.setattr(report_cls, "to_json_dict", slow)
-        rep = run_from_json_dict(graded_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(graded_cfg()))
         assert rep.timings[stage] >= 0.02
 
     def test_canonical_bytes_stable(self):
-        text1 = run_from_json_dict(graded_cfg()).to_canonical_json()
-        text2 = run_from_json_dict(graded_cfg()).to_canonical_json()
-        assert text1 == text2
+        doc1 = run_pipeline(RunConfig.from_json_dict(graded_cfg())).to_json_dict()
+        doc2 = run_pipeline(RunConfig.from_json_dict(graded_cfg())).to_json_dict()
+        assert jsonio.canonical_dumps(doc1) == jsonio.canonical_dumps(doc2)
 
     def test_canonical_bytes_thread_invariant(self):
         # threads is accepted and ignored, and stays out of the echo
-        text1 = run_from_json_dict(graded_cfg()).to_canonical_json()
-        text2 = run_from_json_dict(graded_cfg(threads=2)).to_canonical_json()
-        assert text1 == text2
+        doc1 = run_pipeline(RunConfig.from_json_dict(graded_cfg())).to_json_dict()
+        doc2 = run_pipeline(RunConfig.from_json_dict(graded_cfg(threads=2))).to_json_dict()
+        assert jsonio.canonical_dumps(doc1) == jsonio.canonical_dumps(doc2)
 
     def test_axiom_violation_halts_chain(self):
-        rep = run_from_json_dict(violating_table_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(violating_table_cfg()))
         assert rep.verdict == "fail"
         assert rep.error is None
         assert rep.stages["axioms"]["violations"]
@@ -204,7 +204,7 @@ class TestRunPipeline:
             assert rep.stages[key] is None
 
     def test_exhausted_selection_reported_not_raised(self):
-        rep = run_from_json_dict(uniform_band_cfg())
+        rep = run_pipeline(RunConfig.from_json_dict(uniform_band_cfg()))
         assert rep.verdict == "fail"
         assert rep.error == {
             "stage": "selection",
@@ -223,7 +223,7 @@ class TestRunPipeline:
 
     def test_enum_cap_enforced(self):
         with pytest.raises(CapExceededError, match="cap 5"):
-            run_from_json_dict(graded_cfg(caps={"enum": 5}))
+            run_pipeline(RunConfig.from_json_dict(graded_cfg(caps={"enum": 5})))
 
     def test_matching_cap_overflow_names_stage(self):
         space = convergent_line_space(2)
@@ -236,10 +236,11 @@ class TestRunPipeline:
             "limits": {"m": 3},
         }
         with pytest.raises(CapExceededError, match="stage axioms:"):
-            run_from_json_dict(cfg)
+            run_pipeline(RunConfig.from_json_dict(cfg))
 
     def test_limits_reach_the_checkers(self):
-        rep = run_from_json_dict(graded_cfg(limits={"max_tuple": 2, "l": 2, "m": 3}))
+        cfg = graded_cfg(limits={"max_tuple": 2, "l": 2, "m": 3})
+        rep = run_pipeline(RunConfig.from_json_dict(cfg))
         assert rep.verdict == "pass"
         assert rep.stages["modulus"]["l"] == 2
         assert rep.stages["modulus"]["m"] == 3

@@ -6,7 +6,12 @@ give exactly what the full loops in tests/oracles.py give: the same distances,
 and the same triangle violations in the same (g, h) order.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -34,6 +39,32 @@ from fpmap.norms import (
 NARROW = (F(1, 10000019), F(1, 9999991))
 WIDE = (F(1, 100), F(1))
 
+# seed-0 WIDE costs: the rows the loop builds and the sha256 of its
+# distances' bytes and denominator, as the loop that allocated size-long
+# temporaries per row gave them
+WIDE_SEED0 = [
+    (2, 16, 1253, "9335345e802c771acdbc5bfd0be63f2a860ea851cd6f4230af0282c7861f4b25"),
+    (3, 10, 1136, "300020c5c534476aa1ee62eedae5651691aed498e943e2290a26b26e1863aa14"),
+    (5, 7, 1089, "b4c5d8aadee31331b90a66055f9028407a62751901e4cd06f86e6621a5fcbb2c"),
+]
+
+# rows and their minor page faults around one completion, in a new interpreter:
+# this process has freed arrays of every size already, and glibc's choice to
+# map a fresh size-long block per row depends on that history
+FAULTS_SCRIPT = """
+import resource
+from fractions import Fraction as F
+from fpmap.fpcore import Truncation
+from fpmap.norms import _shortest_path_values, random_cost
+cost = random_cost(0, 2, 16, F(1, 100), F(1))
+rows = []
+row = Truncation.sub_rank_row
+Truncation.sub_rank_row = lambda self, r, *args: rows.append(r) or row(self, r, *args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_shortest_path_values(cost.truncation, cost)
+print(len(rows), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
 
 @pytest.fixture
 def rows(monkeypatch):
@@ -41,9 +72,9 @@ def rows(monkeypatch):
     calls = []
     original = Truncation.sub_rank_row
 
-    def counting(self, r):
+    def counting(self, r, *args):
         calls.append(r)
-        return original(self, r)
+        return original(self, r, *args)
 
     monkeypatch.setattr(Truncation, "sub_rank_row", counting)
     return calls
@@ -118,6 +149,38 @@ class TestDijkstraEarlyStop:
         cost = random_cost(5, 3, 2, low * big, high * big)
         assert _shortest_path_values(cost.truncation, cost)[0].dtype == object
         completion_matches_oracles(cost)
+
+    @pytest.mark.parametrize("scale, dtype", [(1, np.int64), (1 << 70, object)],
+                             ids=["int64", "object"])
+    @pytest.mark.parametrize("p, dim, n_rows", [(2, 5, 26), (3, 3, 14), (5, 2, 14)])
+    def test_each_rank_is_settled_once(self, rows, p, dim, n_rows, scale, dtype):
+        # the seed-p WIDE cost scaled by 2^70 keeps the rows and takes Python ints
+        cost = random_cost(p, p, dim, WIDE[0] * scale, WIDE[1] * scale)
+        completion_matches_oracles(cost)
+        rows.clear()
+        assert _shortest_path_values(cost.truncation, cost)[0].dtype == dtype
+        assert len(rows) == len(set(rows)) == n_rows
+        assert 0 not in rows
+
+    @pytest.mark.parametrize("p, dim, n_rows, digest", WIDE_SEED0,
+                             ids=[f"p{p}-d{d}" for p, d, _, _ in WIDE_SEED0])
+    def test_wide_seed0_costs_keep_their_rows_and_distances(self, rows, p, dim, n_rows, digest):
+        cost = random_cost(0, p, dim, *WIDE)
+        dist, den = _shortest_path_values(cost.truncation, cost)
+        assert len(rows) == len(set(rows)) == n_rows
+        assert hashlib.sha256(dist.tobytes() + str(den).encode()).hexdigest() == digest
+
+    def test_rows_are_written_into_buffers(self):
+        # about 224 faults a row when every row maps fresh size-long temporaries
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+        done = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        n_rows, faults = map(int, done.stdout.split())
+        assert n_rows == 1253
+        assert faults <= 8 * n_rows
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

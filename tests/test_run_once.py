@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_coarser, brute_member_word_bound, brute_rank, row_scan_triangles
+from oracles import (
+    brute_coarser,
+    brute_member_word_bound,
+    brute_rank,
+    enumerate_span,
+    row_scan_triangles,
+)
 from fpmap import jsonio
 from fpmap.cli import main
 from fpmap.errors import CapExceededError, InputError
@@ -26,7 +32,6 @@ from fpmap.fpcore import (
     OrderedBasis,
     Truncation,
     as_prime,
-    enumerate_span,
     rank,
     running_ranks,
 )

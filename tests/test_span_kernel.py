@@ -24,6 +24,7 @@ from oracles import (
     brute_reduced_properties,
     brute_select_null_subsequence,
     brute_ultrametric_values,
+    enumerate_span,
 )
 from fpmap.errors import ExhaustedError, InputError
 from fpmap.extraction import (
@@ -39,7 +40,6 @@ from fpmap.fpcore import (
     OrderedBasis,
     Truncation,
     as_prime,
-    enumerate_span,
     rank,
 )
 from fpmap.norms import (
