@@ -42,8 +42,14 @@ EXIT_CAP = 3
 
 
 def _load_json(path: str):
+    """The document at path. A file that does not decode as JSON in UTF-8,
+    holds an integer past the int digit limit or nests too deep for the
+    parser is malformed input."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid JSON: {exc}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -68,20 +74,6 @@ def _env_int(name: str) -> int | None:
     return value
 
 
-def _env_caps() -> dict:
-    """The cap overrides set in the environment, by RunConfig field.
-
-    FPMAP_PRIME_CAP is not a run-config cap; it is applied here, for this
-    call only (see main).
-    """
-    prime_cap = _env_int("FPMAP_PRIME_CAP")
-    if prime_cap is not None:
-        set_prime_cap(prime_cap)
-    caps = {"enum_cap": _env_int("FPMAP_ENUM_CAP"),
-            "matching_cap": _env_int("FPMAP_MATCHING_CAP")}
-    return {k: v for k, v in caps.items() if v is not None}
-
-
 def _run_config(doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
     """The RunConfig of one subcommand, with the environment's caps applied.
 
@@ -91,13 +83,16 @@ def _run_config(doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunC
     config's caps, which beat a matching_cap inside the norm descriptor. The
     environment's caps bound work only, so they go into the RunConfig fields
     and never into cfg.raw, whose echo stays the file's document.
+    FPMAP_PRIME_CAP is not a run-config cap: it is set first, so that it
+    holds while the config parses, and for this call only (see main).
     """
-    env = _env_caps()  # first: FPMAP_PRIME_CAP holds while the config parses
-    if norm_only:
-        cfg = RunConfig(None, None, doc, l=l, m=m)
-    else:
-        cfg = RunConfig.from_json_dict(doc)
-    return replace(cfg, **env)
+    prime_cap = _env_int("FPMAP_PRIME_CAP")
+    if prime_cap is not None:
+        set_prime_cap(prime_cap)
+    env = {"enum_cap": _env_int("FPMAP_ENUM_CAP"),
+           "matching_cap": _env_int("FPMAP_MATCHING_CAP")}
+    cfg = RunConfig(None, None, doc, l=l, m=m) if norm_only else RunConfig.from_json_dict(doc)
+    return replace(cfg, **{k: v for k, v in env.items() if v is not None})
 
 
 def _run_through(cfg: RunConfig, name: str) -> RunReport:
@@ -218,18 +213,22 @@ def cmd_duality(args) -> int:
         return _emit_stage(cfg, "coarser", args.out)
     # the topology checks are not on the run chain, so their module loads here
     from .duality import is_map, topology_from_config, von_neumann_kernel
-    enum_cap = _env_caps().get("enum_cap")
-    spec = topology_from_config(doc, cap=enum_cap)
+    # a balls spec's norm descriptor takes the caps as validate-norm's does
+    has_norm = isinstance(doc, dict) and "norm" in doc
+    cfg = _run_config(doc["norm"] if has_norm else None, norm_only=True)
+    if has_norm:
+        doc = dict(doc, norm=cfg.norm_descriptor)
+    spec = topology_from_config(doc, cap=cfg.enum_cap)
     _cross_check(args, "spec", spec.prime, spec.dim)
     if args.check == "kernel":
-        basis = von_neumann_kernel(spec, cap=enum_cap)
+        basis = von_neumann_kernel(spec, cap=cfg.enum_cap)
         _emit({
             "prime": spec.prime.p,
             "dim": spec.dim,
             "kernel_basis": [jsonio.element_to_pairs(g) for g in basis],
         }, args.out)
         return EXIT_PASS
-    report = is_map(spec, cap=enum_cap)
+    report = is_map(spec, cap=cfg.enum_cap)
     _emit(report.to_json_dict(), args.out)
     return EXIT_PASS
 
@@ -261,15 +260,15 @@ def _violation_lines(violations, limit=10):
 
 def render_report(doc: dict) -> str:
     """Human-readable view of a RunReport JSON document."""
-    lines = [f"verdict: {doc.get('verdict', '?')}"]
-    cfg = doc.get("config", {})
+    lines = [f"verdict: {doc['verdict']}"]
+    cfg = doc["config"]
     norm_kind = cfg.get("norm", {}).get("kind", "?")
     lines.append(f"config: prime={cfg.get('prime', '?')} dim={cfg.get('dim', '?')} "
                  f"norm={norm_kind} limits={cfg.get('limits', {})}")
-    if doc.get("error"):
+    if doc["error"]:
         err = doc["error"]
         lines.append(f"stopped at stage {err.get('stage')}: {err.get('message')}")
-    stages = doc.get("stages", {})
+    stages = doc["stages"]
 
     ax = stages.get("axioms")
     if ax is None:
@@ -342,16 +341,23 @@ def render_report(doc: dict) -> str:
             lines.append(f"    delta F={{{F}}}: {v}")
         lines.extend(_violation_lines(coarser["violations"]))
 
-    if doc.get("timings"):
+    if doc["timings"]:
         for stage, t in doc["timings"].items():
             lines.append(f"timing {stage}: {t:.3f}s")
     return "\n".join(lines) + "\n"
 
 
 def cmd_report(args) -> int:
-    doc = _load_json(args.input)
-    sys.stdout.write(render_report(doc))
-    return EXIT_PASS if doc.get("verdict") == "pass" else EXIT_VIOLATIONS
+    doc = jsonio.require_keys(_load_json(args.input),
+                              ["config", "stages", "verdict", "error", "timings"],
+                              what="run report")
+    try:
+        text = render_report(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a field the view reads is missing or of the wrong JSON type
+        raise InputError(f"malformed run report: {exc!r}") from None
+    sys.stdout.write(text)
+    return EXIT_PASS if doc["verdict"] == "pass" else EXIT_VIOLATIONS
 
 
 def _add_threads(sub):
@@ -448,11 +454,8 @@ def main(argv=None) -> int:
         if getattr(args, "threads", None) is not None:
             jsonio.require_int(args.threads, "threads", low=1)
         return args.func(args)
-    except (InputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

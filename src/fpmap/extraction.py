@@ -145,24 +145,24 @@ def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
     return norm._order if norm._order is not None else value_order(norm._values()[0])
 
 
-def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
+def select_null_subsequence(ranks: np.ndarray, norm: Norm, reduced: ReducedBasis,
                             length: int) -> NullSequence:
     """Earliest subsequence meeting the thresholds with strictly rising maxes.
 
     "Earliest" is lexicographic on the chosen index tuple: the first slot
     takes the lowest usable position from which the remaining slots can still
     be filled, then the second, and so on. When no qualifying subsequence of
-    the requested length exists anywhere in seq, raises Exhausted carrying
+    the requested length exists among the candidates, raises Exhausted carrying
     the longest achievable length and the constraint that blocks the next
     slot ("threshold" when no candidate is small enough, "max-progression"
     when small candidates exist but never with a rising top position).
 
-    seq is an int64 array of ranks of the norm's truncation, as
-    norm_sorted_span returns, or an iterable of elements, which Norm.ranks_of
-    turns into ranks once. Values are gathered by one Norm.values_of call and
-    compared as integers; top positions are max_index arithmetic on the
-    coordinates over the original basis, which for the standard original
-    are the ranks themselves. Only the chosen terms are built as elements.
+    The candidates are ``ranks``, an int64 array of ranks of the norm's
+    truncation as norm_sorted_span returns it. Values are gathered by one
+    Norm.values_of call and compared as integers; top positions are max_index
+    arithmetic on the coordinates over the original basis, which for the
+    standard original are the ranks themselves. Only the chosen terms are
+    built as elements.
     """
     if length < 0:
         raise InputError(f"requested length must be nonnegative, got {length}")
@@ -170,16 +170,12 @@ def select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
     if length == 0:
         return NullSequence(p, (), (), ())
     tr = norm.truncation
-    if not isinstance(seq, np.ndarray):
-        ranks = norm.ranks_of(seq)
-    elif seq.size and not 0 <= seq.min() <= seq.max() < tr.size:
+    if ranks.size and not 0 <= ranks.min() <= ranks.max() < tr.size:
         raise InputError(f"candidate ranks must lie in 0..{tr.size - 1}")
-    else:
-        ranks = seq
     nums, den = norm.values_of(ranks)
     maxes = _top_positions(ranks, tr, reduced)
     # every slot's candidates have a top position and a value below 1/(4p); only the
-    # window from the first to the last of those is kept (all of a value-sorted seq).
+    # window from the first to the last of those is kept (all of a value-sorted span).
     # small[s][i]: kept i is such a candidate below 1/(4p)^(s+1), divided through
     ok = (maxes >= 1) & (nums <= (den - 1) // (4 * p))
     lo, hi = (int(ok.argmax()), ok.size - int(ok[::-1].argmax())) if ok.any() else (0, 0)

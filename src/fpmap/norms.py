@@ -246,9 +246,6 @@ class CostFunction:
             raise InputError("the zero element has no cost")
         return Fraction(int(self.nums[r]), self.den)
 
-    def value(self, g: GroupElement) -> Fraction:
-        return self.value_of_rank(self.truncation.rank_of(g))
-
 
 _DRAW_BLOCK = 1 << 20  # 32-bit words per getrandbits call: 4 MB
 
@@ -391,8 +388,9 @@ class Norm:
                 f"index {g.max_index} outside the norm's truncation (dim {self.dim})")
 
     def eval(self, g: GroupElement) -> Fraction:
-        self._check(g)
+        """The value of g; with a table, Truncation.rank_of checks g."""
         if self._table is None:
+            self._check(g)
             return self._eval(g)
         nums, den = self._table
         return Fraction(int(nums[self._tr.rank_of(g)]), den)
@@ -403,9 +401,7 @@ class Norm:
         numerators as _scaled stores them, over one denominator. The value of
         c * elems[j] sits at row c * p^(k-1-j). Given ``rows``, only the
         values of those rows are gathered. A norm without a table raises as
-        _values does."""
-        for g in elems:
-            self._check(g)
+        _values does; Truncation.rank_of checks the elements."""
         nums, den = self._values()
         ranks = self._tr.span_ranks(elems)
         return nums[ranks if rows is None else ranks[rows]], den
@@ -425,16 +421,6 @@ class Norm:
         raises as _values does."""
         self._values()
         return self._tr
-
-    def ranks_of(self, elems: Iterable[GroupElement]) -> np.ndarray:
-        """int64 ranks in the truncation of the given elements, each checked
-        against the norm as eval checks it."""
-        tr = self.truncation
-        ranks = []
-        for g in elems:
-            self._check(g)
-            ranks.append(tr.rank_of(g))
-        return np.array(ranks, dtype=np.int64)
 
     def values_of(self, ranks: np.ndarray) -> tuple[np.ndarray, int]:
         """Exact values of the elements of the given ranks, numerators as

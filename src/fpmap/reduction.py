@@ -11,7 +11,7 @@ basis elements are dominated by mixed pairs (pair-domination).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,15 +78,14 @@ class ReductionStep:
 class ReducedBasis:
     """The reduced basis together with the original and the per-step records.
 
-    Prefix spans agree: span(reduced[:n]) = span(original[:n]) for every n.
-    ``prefix_ranks[n-1]`` is the rank of reduced[:n] + original[:n], all n
-    from one elimination over reduced[0], original[0], reduced[1], ...
+    Prefix spans agree: span(reduced[:n]) = span(original[:n]) for every n,
+    checked as rank(reduced[:n] + original[:n]) = n, all n from one
+    elimination over reduced[0], original[0], reduced[1], ...
     """
 
     original: OrderedBasis
     reduced: OrderedBasis
     steps: tuple[ReductionStep, ...]
-    prefix_ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.original) != len(self.reduced) or len(self.steps) != len(self.reduced):
@@ -99,9 +98,7 @@ class ReducedBasis:
             if step.element != self.reduced[n - 1]:
                 raise InputError(f"step {n} element does not match the reduced basis")
         interleaved = [g for pair in zip(self.reduced, self.original) for g in pair]
-        ranks = tuple(running_ranks(interleaved, self.original.prime)[1::2])
-        object.__setattr__(self, "prefix_ranks", ranks)
-        for n, r in enumerate(ranks, start=1):
+        for n, r in enumerate(running_ranks(interleaved, self.original.prime)[1::2], start=1):
             if r != n:
                 raise InputError(f"prefix spans of length {n} differ")
 

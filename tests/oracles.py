@@ -662,6 +662,13 @@ def brute_coarser(family: IndependentFamily, norm: Norm, m: int, *,
     return CoarserReport(norm.prime, m, tuple(tables), tuple(violations), combos)
 
 
+def candidate_ranks(norm: Norm, elems) -> np.ndarray:
+    """The int64 ranks of elems in the norm's truncation, each checked by
+    Truncation.rank_of: the candidates select_null_subsequence takes."""
+    tr = norm.truncation
+    return np.array([tr.rank_of(g) for g in elems], dtype=np.int64)
+
+
 def brute_select_null_subsequence(seq, norm: Norm, reduced: ReducedBasis,
                                   length: int) -> NullSequence:
     """select_null_subsequence with one eval and one reduced_max_position solve

@@ -132,6 +132,27 @@ class TestInputAndCapExits:
         assert main(["validate-norm", "--config", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b'{"kind": "ultra\xffmetric", "prime": 2, "dim": 2}',
+        b'{"kind": "ultrametric", "prime": ' + b"7" * 5000 + b', "dim": 2}',
+        b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["not-utf-8", "5000-digit-int", "200000-deep-array"])
+    def test_undecodable_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert main(["validate-norm", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_out_under_a_regular_file_exits_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "n.json", {"kind": "ultrametric", "prime": 2, "dim": 2})
+        assert main(["validate-norm", "--config", cfg, "--out", f"{cfg}/out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert err.count("\n") == 1
+
     def test_non_prime(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "n.json",
                          {"kind": "ultrametric", "prime": 6, "dim": 3})
@@ -287,6 +308,22 @@ class TestReduceVerify:
         assert "unknown limit" in capsys.readouterr().err
         assert main(["verify", "--config", cfg, "--limits", "n=x"]) == 2
 
+    @pytest.mark.parametrize("lemma", ["props", "1", "2", "all"])
+    def test_reduced_basis_past_the_norms_dim_exits_two(self, tmp_path, capsys, lemma):
+        # every checker reads the norm's table, whose rank_of refuses index 3
+        cfg = write_json(tmp_path / "n.json", {"kind": "ultrametric", "prime": 3, "dim": 2})
+        red = tmp_path / "red.json"
+        assert main(["reduce", "--config", cfg, "--out", str(red)]) == 0
+        doc = json.loads(red.read_text())
+        for key in ("original", "reduced"):
+            doc["reduced"][key][1] = [[3, 1]]
+        doc["reduced"]["steps"][1]["element"] = [[3, 1]]
+        argv = ["verify", "--reduced", write_json(red, doc), "--lemma", lemma]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: index 3 outside truncation of dimension 2\n")
+
     def test_verify_needs_a_source(self, capsys):
         assert main(["verify"]) == 2
         assert "--config or --reduced" in capsys.readouterr().err
@@ -346,6 +383,22 @@ class TestDuality:
                           {"kind": "balls", "norm": norm, "radii": ["2"]})
         assert main(["duality", "--check", "map", "--spec", spec]) == 3
         assert capsys.readouterr().err == "error: 5 points exceed the matching cap 4\n"
+
+    @pytest.mark.parametrize("check", ["map", "kernel"])
+    def test_matching_cap_env_reaches_a_balls_norm(self, tmp_path, monkeypatch, capsys, check):
+        # a 4-point Graev norm past FPMAP_MATCHING_CAP=2 exits 3, as
+        # validate-norm does on the same norm
+        norm = {"kind": "graev_boolean", "space": random_metric_space(1, 5, 1, 3).to_json_dict()}
+        spec = write_json(tmp_path / "balls.json",
+                          {"kind": "balls", "norm": norm, "radii": ["2"]})
+        monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
+        assert main(["duality", "--check", check, "--spec", spec]) == 3
+        assert capsys.readouterr().err == "error: 3 points exceed the matching cap 2\n"
+        assert main(["validate-norm", "--config", write_json(tmp_path / "n.json", norm)]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage axioms: 3 points exceed the matching cap 2\n")
+        monkeypatch.setenv("FPMAP_MATCHING_CAP", "4")
+        assert main(["duality", "--check", check, "--spec", spec]) == 0
 
     def test_prime_cross_check(self, tmp_path, capsys):
         assert main(["duality", "--check", "map", "--spec", self.topo(tmp_path),
@@ -446,6 +499,34 @@ class TestDemoAndReport:
         text = capsys.readouterr().out
         assert "verdict: fail" in text
         assert "reduction: (not run)" in text
+
+    @pytest.mark.parametrize("doc, err", [
+        ([], "run report must be a JSON object, got list"),
+        ({"stages": {"axioms": {}}},
+         "run report is missing required key(s): config, verdict, error, timings"),
+    ], ids=["array", "stages-only"])
+    def test_report_refuses_a_document_that_is_not_a_run_report(self, tmp_path, capsys,
+                                                                  doc, err):
+        assert main(["report", write_json(tmp_path / "doc.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("stage, value, err", [
+        ("axioms", {}, "KeyError('elements_checked')"),
+        ("modulus", {"l": 1}, "KeyError('m')"),
+        ("coarser", [], "TypeError('list indices must be integers or slices, not str')"),
+    ])
+    def test_report_refuses_a_stage_the_view_cannot_read(self, tmp_path, capsys,
+                                                          stage, value, err):
+        cfg = write_json(tmp_path / "run.json", graded_run_cfg())
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        doc["stages"][stage] = value
+        assert main(["report", write_json(out, doc)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: malformed run report: {err}\n")
 
     def test_render_report_shows_error(self):
         doc = {

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import is_independent_oracle
+from oracles import candidate_ranks, is_independent_oracle
 from fpmap.duality import (
     BooleanWitnessReport,
     boolean_counterexample,
@@ -65,7 +65,7 @@ class TestSelectNullSubsequence:
         norm = spaced_weights_norm()
         red = reduced_for(norm)
         seq = [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))]
-        out = select_null_subsequence(seq, norm, red, 3)
+        out = select_null_subsequence(candidate_ranks(norm, seq), norm, red, 3)
         assert out.terms == tuple(seq)
         assert out.maxes == (3, 5, 9)
         assert out.norms == (F(1, 10), F(1, 100), F(1, 1000))
@@ -75,7 +75,7 @@ class TestSelectNullSubsequence:
         validate_axioms(norm)
         red = reduced_for(norm)
         with pytest.raises(ExhaustedError) as info:
-            select_null_subsequence([e(2, (1, 1))], norm, red, 1)
+            select_null_subsequence(candidate_ranks(norm, [e(2, (1, 1))]), norm, red, 1)
         assert info.value.achievable_length == 0
         assert info.value.failed_slot == 1
         assert info.value.constraint == "threshold"
@@ -87,7 +87,7 @@ class TestSelectNullSubsequence:
         # both candidates have top position 3 and tiny norms
         seq = [e(2, (3, 1)), e(2, (1, 1), (3, 1))]
         with pytest.raises(ExhaustedError) as info:
-            select_null_subsequence(seq, norm, red, 2)
+            select_null_subsequence(candidate_ranks(norm, seq), norm, red, 2)
         assert info.value.achievable_length == 1
         assert info.value.failed_slot == 2
         assert info.value.constraint == "max-progression"
@@ -95,7 +95,7 @@ class TestSelectNullSubsequence:
     def test_empty_request(self):
         norm = spaced_weights_norm()
         red = reduced_for(norm)
-        out = select_null_subsequence([], norm, red, 0)
+        out = select_null_subsequence(candidate_ranks(norm, []), norm, red, 0)
         assert len(out) == 0
 
     def test_lookahead_skips_dead_end(self):
@@ -110,7 +110,7 @@ class TestSelectNullSubsequence:
         red = reduced_for(norm)
         assert red.reduced[4] == e(2, (2, 1), (5, 1))
         seq = [e(2, (5, 1)), e(2, (3, 1)), e(2, (2, 1), (5, 1))]
-        out = select_null_subsequence(seq, norm, red, 2)
+        out = select_null_subsequence(candidate_ranks(norm, seq), norm, red, 2)
         assert out.terms == (e(2, (3, 1)), e(2, (2, 1), (5, 1)))
         assert out.maxes == (3, 5)
 
@@ -118,7 +118,7 @@ class TestSelectNullSubsequence:
         norm = spaced_weights_norm()
         red = reduced_for(norm)
         seq = [GroupElement.zero(2), e(2, (3, 1))]
-        out = select_null_subsequence(seq, norm, red, 1)
+        out = select_null_subsequence(candidate_ranks(norm, seq), norm, red, 1)
         assert out.terms == (e(2, (3, 1)),)
 
     def test_sorted_span_feeds_selection(self):
@@ -188,7 +188,7 @@ class TestExtractIndependentFamily:
         norm = spaced_weights_norm()
         red = reduced_for(norm)
         seq = select_null_subsequence(
-            [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))], norm, red, 3)
+            candidate_ranks(norm, [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))]), norm, red, 3)
         fam = extract_independent_family(seq, red, norm)
         assert fam.indices == (3, 5, 9)
         assert fam.members == (e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1)))
@@ -198,7 +198,7 @@ class TestExtractIndependentFamily:
     def test_singleton(self):
         norm = spaced_weights_norm()
         red = reduced_for(norm)
-        seq = select_null_subsequence([e(2, (3, 1))], norm, red, 1)
+        seq = select_null_subsequence(candidate_ranks(norm, [e(2, (3, 1))]), norm, red, 1)
         fam = extract_independent_family(seq, red, norm)
         assert len(fam) == 1
 
@@ -225,7 +225,8 @@ class TestExtractIndependentFamily:
         # the honest reduction has no trouble with the same sequence
         red = reduce_basis(basis, norm)
         fam = extract_independent_family(
-            select_null_subsequence([e(2, (1, 1), (2, 1))], norm, red, 1), red, norm)
+            select_null_subsequence(candidate_ranks(norm, [e(2, (1, 1), (2, 1))]), norm, red, 1),
+            red, norm)
         assert fam.members == (e(2, (1, 1), (2, 1)),)
 
 
@@ -234,7 +235,7 @@ class TestIndependenceModulus:
         norm = spaced_weights_norm()
         red = reduced_for(norm)
         seq = select_null_subsequence(
-            [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))], norm, red, 3)
+            candidate_ranks(norm, [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))]), norm, red, 3)
         fam = extract_independent_family(seq, red, norm)
         report = independence_modulus(fam, norm, 1, 3)
         assert report.ok
@@ -286,7 +287,7 @@ class TestIndependenceModulus:
     def test_parameter_validation(self):
         norm = spaced_weights_norm()
         red = reduced_for(norm)
-        seq = select_null_subsequence([e(2, (3, 1))], norm, red, 1)
+        seq = select_null_subsequence(candidate_ranks(norm, [e(2, (3, 1))]), norm, red, 1)
         fam = extract_independent_family(seq, red, norm)
         with pytest.raises(InputError):
             independence_modulus(fam, norm, 0, 1)
@@ -325,7 +326,7 @@ class TestEpsilonDeltaCertificate:
         norm = spaced_weights_norm()
         red = reduced_for(norm)
         seq = select_null_subsequence(
-            [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))], norm, red, 3)
+            candidate_ranks(norm, [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))]), norm, red, 3)
         fam = extract_independent_family(seq, red, norm)
         for l in (1, 2, 3):
             cert = epsilon_delta_certificate(

@@ -148,7 +148,9 @@ class TestPrefixRanks:
                                                  UltrametricProductNorm(5, 4))):
             expected = tuple(brute_rank(reduced.reduced.elems[:n] + reduced.original.elems[:n])
                              for n in range(1, len(reduced) + 1))
-            assert reduced.prefix_ranks == expected == (1, 2, 3, 4)
+            interleaved = [g for pair in zip(reduced.reduced, reduced.original) for g in pair]
+            prefix_ranks = tuple(running_ranks(interleaved, reduced.prime)[1::2])
+            assert prefix_ranks == expected == (1, 2, 3, 4)
 
     def test_broken_prefix_from_json_is_rejected(self):
         doc = self.reduced().to_json_dict()

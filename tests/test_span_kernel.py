@@ -24,6 +24,7 @@ from oracles import (
     brute_reduced_properties,
     brute_select_null_subsequence,
     brute_ultrametric_values,
+    candidate_ranks,
     enumerate_span,
 )
 from fpmap.errors import ExhaustedError, InputError
@@ -264,25 +265,23 @@ def test_span_ranks_skip_the_digit_table():
     assert rank([a, b]) == 2 and len(set(ranks.tolist())) == 97 ** 2
 
 
-def same_selection(seq, norm, reduced, length, ranks=None):
-    """select_null_subsequence and the per-candidate loop agree, down to the
-    ExhaustedError fields and the error raised for a candidate outside the span.
-    Given the ranks of seq too, selection over them must agree as well."""
-    inputs = [seq] if ranks is None else [seq, ranks]
+def same_selection(seq, norm, reduced, length):
+    """select_null_subsequence over the ranks of seq and the per-candidate
+    loop over its elements agree, down to the ExhaustedError fields and the
+    error raised for a candidate outside the span."""
+    ranks = candidate_ranks(norm, seq)
     try:
         want = brute_select_null_subsequence(seq, norm, reduced, length)
     except (ExhaustedError, InputError) as exc:
-        for candidates in inputs:
-            with pytest.raises(type(exc)) as info:
-                select_null_subsequence(candidates, norm, reduced, length)
-            assert str(info.value) == str(exc)
-            if isinstance(exc, ExhaustedError):
-                got = info.value
-                assert ((got.achievable_length, got.failed_slot, got.constraint)
-                        == (exc.achievable_length, exc.failed_slot, exc.constraint))
+        with pytest.raises(type(exc)) as info:
+            select_null_subsequence(ranks, norm, reduced, length)
+        assert str(info.value) == str(exc)
+        if isinstance(exc, ExhaustedError):
+            got = info.value
+            assert ((got.achievable_length, got.failed_slot, got.constraint)
+                    == (exc.achievable_length, exc.failed_slot, exc.constraint))
         return
-    for candidates in inputs:
-        assert select_null_subsequence(candidates, norm, reduced, length) == want
+    assert select_null_subsequence(ranks, norm, reduced, length) == want
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -317,7 +316,7 @@ def test_rank_space_selection_matches_per_candidate_loop(norm, data):
     for reduced in (standard, other):
         for ranks in (span, subset):
             elems = [tr.element_of(r) for r in ranks.tolist()]
-            same_selection(elems, norm, reduced, length, ranks=ranks)
+            same_selection(elems, norm, reduced, length)
 
 
 def random_dense_basis(p, dim, k, rng):
@@ -345,7 +344,7 @@ def test_selection_on_a_random_original_at_dim_10():
         for ranks in (inside, span):
             for length in (1, 4, k, k + 1):
                 same_selection([tr.element_of(r) for r in ranks.tolist()], norm, reduced,
-                               length, ranks=ranks)
+                               length)
 
 
 def test_rank_candidates_out_of_range():
@@ -375,7 +374,7 @@ def test_selection_over_values_around_the_thresholds(p, dim, data):
     for basis in (OrderedBasis.standard(p, dim), random_basis(p, dim, rng)):
         for seq in (span, ranks):
             same_selection([tr.element_of(r) for r in seq.tolist()], norm, planted(basis, norm),
-                           length, ranks=seq)
+                           length)
 
 
 def test_zero_between_the_first_slot_candidates_is_no_candidate():
@@ -385,7 +384,7 @@ def test_zero_between_the_first_slot_candidates_is_no_candidate():
                             for items in ([(1, 1)], [(2, 1)], [(1, 1), (2, 1)])])
     tr, reduced = norm.truncation, planted(OrderedBasis.standard(2, 2), norm)
     ranks = np.array([2, 0, 1], dtype=np.int64)
-    same_selection([tr.element_of(r) for r in ranks.tolist()], norm, reduced, 2, ranks=ranks)
+    same_selection([tr.element_of(r) for r in ranks.tolist()], norm, reduced, 2)
     with pytest.raises(ExhaustedError) as info:
         select_null_subsequence(ranks, norm, reduced, 2)
     assert (info.value.failed_slot, info.value.constraint) == (2, "threshold")
@@ -406,9 +405,9 @@ def test_selection_without_a_table_and_outside_the_span():
     same_selection(elems[:4], norm, short, 2)
     same_selection(elems, norm, short, 2)
     # e3 is the first candidate outside, one index past the reduced basis
-    same_selection(elems[2:4], norm, short, 1, ranks=np.array([2, 3]))
+    same_selection(elems[2:4], norm, short, 1)
     with pytest.raises(InputError, match="is not in the span of the reduced basis"):
-        select_null_subsequence([elems[1], elems[2]], norm, short, 1)
+        select_null_subsequence(candidate_ranks(norm, [elems[1], elems[2]]), norm, short, 1)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
