@@ -156,16 +156,14 @@ def cmd_verify(args) -> int:
     norm = cfg.build_norm()
     validate_axioms(norm, cap=cfg.enum_cap)
     if doc is None:
-        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm,
-                               cap=cfg.enum_cap)
+        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
     else:
         reduced = reduced_basis_from_json(doc["reduced"])
     max_tuple = _parse_limits(args.limits).get("n", 4)
     docs = {"properties": None, "member_word_bound": None, "pair_domination": None}
     bad = False
     if args.lemma in ("props", "all"):
-        report = verify_reduced_properties(reduced, norm, max_tuple=max_tuple,
-                                           cap=cfg.enum_cap)
+        report = verify_reduced_properties(reduced, norm, max_tuple=max_tuple)
         docs["properties"] = report.to_json_dict()
         bad = bad or not report.ok
     if args.lemma in ("1", "all"):

@@ -20,14 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from . import jsonio
-from .errors import (
-    CapExceededError,
-    ExhaustedError,
-    InputError,
-    NormBoundFailedError,
-)
+from .errors import ExhaustedError, InputError, NormBoundFailedError
 from .fpcore import (
-    DEFAULT_ENUM_CAP,
     GroupElement,
     Prime,
     Truncation,
@@ -35,8 +29,8 @@ from .fpcore import (
     is_independent,
     require_size,
     solve_in_span,
-    span_word,
     truncation,
+    word_digits,
 )
 from .norms import Norm, value_order
 from .reduction import ReducedBasis
@@ -135,13 +129,12 @@ class NullSequence:
         }
 
 
-def norm_sorted_span(norm: Norm, *, cap: int | None = None) -> np.ndarray:
+def norm_sorted_span(norm: Norm) -> np.ndarray:
     """The int64 ranks of the whole truncation ordered by (norm value, rank):
     the canonical finite stand-in for a sequence converging to zero. Rank r
     has value row r of the norm's table, so no rank row is needed, and a
     validated norm already holds this order (read-only) from
-    validate_axioms."""
-    require_size(norm.prime.p, norm.dim, cap)
+    validate_axioms. The table was built under the enum cap."""
     return norm._order if norm._order is not None else value_order(norm._values()[0])
 
 
@@ -334,18 +327,22 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     Additionally, for every split point s in l..m-1, the negated tail of any
     word is bounded by p times the summed tail member norms, and that sum
     stays below 1/(4p)^s.
+
+    The family may be dependent and longer than the norm's dim, so its p^m
+    words are checked against ``cap`` here, by the truncation of F_p^m whose
+    negation table the split checks read.
     """
     p = norm.prime.p
     if not 1 <= m <= len(family):
         raise InputError(f"m must be in 1..{len(family)}, got {m}")
     require_l(l, m)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if p ** m > cap:
-        raise CapExceededError(f"modulus scan needs {p ** m} words, above cap {cap}")
+    neg = truncation(p, m, cap=cap).neg_perm  # word rank -> the rank of its negation
     eps = Fraction(1, 2 ** (l - 1))
     delta = threshold(p, l)
     members = family.members[:m]
-    vals, den = norm.span_values(members)
+    tr = norm.truncation
+    span = tr.span_ranks(members)
+    vals, den = norm.values_of(span)
     member_nums = [int(vals[p ** (m - 1 - i)]) for i in range(m)]
     member_norms = [Fraction(v, den) for v in member_nums]
 
@@ -358,20 +355,19 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
     for i in large:
         touched.reshape(p ** i, p, -1)[:, 1:] = True
     for row in (np.flatnonzero(small & touched[1:]) + 1).tolist():
-        coeffs, w = span_word(members, row)
+        coeffs = word_digits(row, p, m)
         for i in large:
             if coeffs[i]:
                 violations.append({
                     "check": "modulus",
                     "coeffs": list(coeffs),
-                    "w": jsonio.element_to_pairs(w),
+                    "w": jsonio.element_to_pairs(tr.element_of(int(span[row]))),
                     "member_index": i + 1,
                     "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
                     "value_member": jsonio.frac_to_str(member_norms[i]),
                     "eps": jsonio.frac_to_str(eps),
                     "delta": jsonio.frac_to_str(delta),
                 })
-    neg = truncation(p, m, cap=cap).neg_perm  # word rank -> the rank of its negation
     for s in range(l, m):
         budget = p * sum(member_nums[s:m])
         tail_budget = Fraction(budget, den)
@@ -386,12 +382,11 @@ def independence_modulus(family: IndependentFamily, norm: Norm, l: int, m: int,
         # the tails over members s..m-1 are the first p^(m-s) rows
         negated = neg[:p ** (m - s)]
         for row in (np.flatnonzero(vals[negated[1:]] > budget) + 1).tolist():
-            coeffs, tail = span_word(members[s:], row)
             violations.append({
                 "check": "split-combo",
                 "split": s,
-                "coeffs": list(coeffs),
-                "tail": jsonio.element_to_pairs(tail),
+                "coeffs": list(word_digits(row, p, m - s)),
+                "tail": jsonio.element_to_pairs(tr.element_of(int(span[row]))),
                 "value_negated_tail": jsonio.frac_to_str(Fraction(int(vals[negated[row]]), den)),
                 "tail_budget": jsonio.frac_to_str(tail_budget),
             })
@@ -452,6 +447,8 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
     1..t: delta_F is the minimum norm over nonzero span combinations whose
     support meets F. Values must be positive; zeros are reported as
     violations (they mean the family was dependent or the norm degenerate).
+    As in independence_modulus, the family's p^m words are checked against
+    ``cap`` here.
     """
     if m < 1:
         raise InputError(f"m must be positive, got {m}")
@@ -460,9 +457,7 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
     p = norm.prime.p
     for g in family.members:
         _same_prime(g.prime.p, p)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if p ** m > cap:
-        raise CapExceededError(f"{p}^{m} span combinations exceed the cap {cap}")
+    require_size(p, m, cap)
 
     tables = []
     violations = []

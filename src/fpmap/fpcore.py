@@ -305,21 +305,14 @@ def is_independent(elems: Iterable[GroupElement], p=None) -> bool:
 
 def word_digits(row: int, p: int, k: int) -> tuple[int, ...]:
     """The k base-p digits of ``row``, most significant first: the
-    coefficients of word ``row`` of a span of k elements."""
+    coefficients of word ``row`` of a span of k elements, that of the first
+    element most significant (word order)."""
     return tuple(row // p ** (k - 1 - j) % p for j in range(k))
 
 
 def rank_digits(ranks, p: int, k: int) -> np.ndarray:
     """word_digits of each of the given ranks, as an (n, k) int64 array."""
     return np.asarray(ranks, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
-
-
-def span_word(elems: Sequence[GroupElement], row: int) -> tuple[tuple[int, ...], GroupElement]:
-    """Coefficients and element of word ``row`` of span(elems): the row's
-    base-p digits, the coefficient of elems[0] most significant."""
-    prime = elems[0].prime
-    coeffs = word_digits(row, prime.p, len(elems))
-    return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
 
 
 @dataclass(frozen=True)
@@ -383,8 +376,8 @@ class Truncation:
     """Dense view of span(e_1..e_dim): elements indexed by lexicographic rank.
 
     Rank r corresponds to the coefficient vector given by the base-p digits of
-    r with the coefficient of e_1 most significant, so rank r is span_word r
-    of the standard basis.
+    r with the coefficient of e_1 most significant, so rank r is word r of
+    the standard basis.
 
     For p != 2 the rank rows work on two halves of the digits: with
     lo = ceil(dim/2), rank r = high * p^lo + low, where high holds the first
@@ -522,7 +515,7 @@ class Truncation:
 
     def extend_span(self, ranks: np.ndarray, g: GroupElement) -> np.ndarray:
         """Ranks of span(elems + [g]) from the ranks of span(elems), both in
-        span_word order: the words so far plus c * g, c = 1..p-1, computed
+        word order: the words so far plus c * g, c = 1..p-1, computed
         only at those words. For p != 2, words with no index from g's first on
         take c * g without a carry (a reduction meeting the next unit); else g's
         half rows are built once and each layer steps every word's two halves,
@@ -545,7 +538,7 @@ class Truncation:
         return out.ravel()
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
-        """Ranks of the p^k words of span(elems), in span_word order, as a
+        """Ranks of the p^k words of span(elems), in word order, as a
         read-only array. The last element tuple asked for is remembered, so
         the scans that read one span in turn share a single build."""
         key, last = tuple(elems), self._span

@@ -397,7 +397,7 @@ class Norm:
 
     def span_values(self, elems: Sequence[GroupElement],
                     rows: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """Exact values of the p^k words of span(elems) in span_word order:
+        """Exact values of the p^k words of span(elems) in word order:
         numerators as _scaled stores them, over one denominator. The value of
         c * elems[j] sits at row c * p^(k-1-j). Given ``rows``, only the
         values of those rows are gathered. A norm without a table raises as
@@ -733,10 +733,10 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     tr = norm._tr
     violations: list[dict] = []
 
-    ser = [None] * size  # element serializations, built lazily
+    ser = {}  # element serializations by rank, built for the violations only
 
     def pairs_of(r: int):
-        if ser[r] is None:
+        if r not in ser:
             ser[r] = jsonio.element_to_pairs(tr.element_of(r))
         return ser[r]
 

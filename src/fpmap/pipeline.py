@@ -158,7 +158,10 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     and a failed member norm bound stop the chain (later stages stay null,
     verdict "fail") but still produce a complete report. Checker violations
     only flip the verdict. The norm build is timed as "build" but has no
-    stage document.
+    stage document. The enum cap bounds the truncation when the norm is
+    built; it goes again only to the stages whose counts can pass that
+    size: the axiom pairs, the member bound, and the modulus and coarser
+    words of a family that may be longer than dim.
     """
     # every stage after axioms reads the reduced basis, modulus and coarser
     # read the family, and the family is extracted from the selection
@@ -202,10 +205,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
 
     if not bad:
         reduced = run_stage("reduction", lambda: reduce_basis(
-            OrderedBasis.standard(norm.prime, norm.dim), norm, cap=cap))
+            OrderedBasis.standard(norm.prime, norm.dim), norm))
         bad = failed(
-            run_stage("properties", lambda: verify_reduced_properties(
-                reduced, norm, cap=cap)),
+            run_stage("properties", lambda: verify_reduced_properties(reduced, norm)),
             run_stage("member_word_bound", lambda: check_member_word_bound(
                 reduced, norm, max_tuple=cfg.max_tuple, cap=cap)),
             run_stage("pair_domination", lambda: check_pair_domination(
@@ -213,7 +215,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
 
         try:
             seq = run_stage("selection", lambda: select_null_subsequence(
-                norm_sorted_span(norm, cap=cap), norm, reduced, cfg.m))
+                norm_sorted_span(norm), norm, reduced, cfg.m))
             family = run_stage("family", lambda: extract_independent_family(
                 seq, reduced, norm))
         except ExhaustedError as exc:

@@ -26,7 +26,6 @@ from .fpcore import (
     _same_prime,
     as_prime,
     running_ranks,
-    span_word,
     truncation,
     word_digits,
 )
@@ -152,7 +151,7 @@ def _require_validated(norm: Norm) -> None:
         raise InvalidNormError("the norm failed axiom validation; see its axiom_report")
 
 
-def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> ReducedBasis:
+def reduce_basis(basis: OrderedBasis, norm: Norm) -> ReducedBasis:
     """Rewrite the basis so element n is a minimum-norm combination over slot n.
 
     Element n is the argmin of the norm over all combinations of the first
@@ -161,16 +160,16 @@ def reduce_basis(basis: OrderedBasis, norm: Norm, *, cap: int | None = None) -> 
     output is fully deterministic. The nonzero multiple matters even in
     slot 1: the axioms allow N(2g) < N(g) once p > 3, and the later word
     floors need whichever multiple is cheapest.
+
+    Step n evaluates p^(n-1) * (p-1) candidates, p^d - 1 in all. The enum
+    cap bounds them when the norm's truncation is built: Truncation.rank_of
+    refuses an element past dim before it joins the span, so an independent
+    basis has d <= dim.
     """
     _require_validated(norm)
     p = basis.prime.p
     _same_prime(p, norm.prime.p)
     d = len(basis)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if p ** d * (p - 1) > cap:
-        raise CapExceededError(
-            f"reduction would evaluate up to {p ** d * (p - 1)} candidates, above cap {cap}")
-
     tr = norm.truncation
     reduced: list[GroupElement] = []
     steps = []
@@ -246,24 +245,22 @@ class LemmaReport:
 
 
 def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
-                              max_tuple: int | None = None,
-                              cap: int | None = None) -> LemmaReport:
+                              max_tuple: int | None = None) -> LemmaReport:
     """Exhaustive check that every word is at least as large as its top term.
 
     The word scan quantifies over coefficient vectors whose top coefficient
     is nonzero; a zero top coefficient is the same statement for a shorter
-    tuple.
+    tuple. Its p^d words are bounded as reduce_basis's candidates are, by
+    the enum cap the norm's truncation was built under.
     """
     if max_tuple is not None:
         jsonio.require_int(max_tuple, "max_tuple", low=1)
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if p ** d > cap:
-        raise CapExceededError(f"word scan needs {p ** d} evaluations, above cap {cap}")
-    elems = reduced.reduced.elems
-    vals, den = norm.span_values(elems)
+    tr = norm.truncation
+    span = tr.span_ranks(reduced.reduced.elems)
+    vals, den = norm.values_of(span)
     rows = _rows(norm, d)
     # the nonzero rows within the tuple bound, and the top of each; every
     # top j has a word, its unit row, whose value starts the minimum
@@ -276,12 +273,11 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     ratios = [Fraction(int(top_values[j]), int(smallest[j])) for j in range(1, d + 1)]
     violations = []
     for row in words[top_values[tops] > vw].tolist():
-        coeffs, w = span_word(elems, row)
         top = int(rows.max_indices(row))
         violations.append({
             "check": "max-term-minimality",
-            "coeffs": list(coeffs),
-            "w": jsonio.element_to_pairs(w),
+            "coeffs": list(word_digits(row, p, d)),
+            "w": jsonio.element_to_pairs(tr.element_of(int(span[row]))),
             "top_index": top,
             "value_top": jsonio.frac_to_str(Fraction(int(top_values[top]), den)),
             "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),

@@ -43,7 +43,7 @@ from fpmap.fpcore import (
     _same_prime,
     as_prime,
     solve_in_span,
-    span_word,
+    word_digits,
 )
 from fpmap.norms import CostFunction, Norm, _as_fraction, _scaled
 from fpmap.reduction import (
@@ -52,6 +52,15 @@ from fpmap.reduction import (
     ReductionStep,
     _require_validated,
 )
+
+
+def span_word(elems, row):
+    """Coefficients and element of word ``row`` of span(elems), built by
+    scalar multiples and sums of the elements: the row's base-p digits,
+    the coefficient of elems[0] most significant."""
+    prime = elems[0].prime
+    coeffs = word_digits(row, prime.p, len(elems))
+    return coeffs, sum((g.smul(c) for g, c in zip(elems, coeffs)), GroupElement.zero(prime))
 
 
 def brute_rank(elems, p=None):

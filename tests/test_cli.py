@@ -243,6 +243,33 @@ class TestEnvOverrides:
         assert main(["validate-norm", "--config", cfg]) == 0
         assert Prime(5).p == 5
 
+    GRADED_5_3 = {"kind": "cost_completion", "prime": 5, "dim": 3, "seed": 0, "graded": True}
+
+    @pytest.mark.parametrize("args", [
+        ["reduce"], ["extract", "--length", "2"], ["modulus", "--l", "1", "--m", "2"],
+    ], ids=["reduce", "extract", "modulus"])
+    def test_an_enum_cap_at_the_size_reaches_past_the_reduction(self, tmp_path, monkeypatch,
+                                                                 capsys, args):
+        # 5^3 words fit a cap of 125; the reduction's 5^3 - 1 candidates need no
+        # check of their own, so the output is the default cap's
+        cfg = write_json(tmp_path / "n.json", self.GRADED_5_3)
+        runs = []
+        for cap in (None, "125"):
+            if cap is not None:
+                monkeypatch.setenv("FPMAP_ENUM_CAP", cap)
+            runs.append((main([args[0], "--config", cfg, *args[1:]]), capsys.readouterr()))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
+
+    def test_an_enum_cap_at_the_size_stops_the_member_bound(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the member bound counts (word, depth, scalar) triples, which can
+        # pass the size, so it keeps its own check
+        monkeypatch.setenv("FPMAP_ENUM_CAP", "125")
+        cfg = write_json(tmp_path / "run.json", {"prime": 5, "dim": 3, "norm": self.GRADED_5_3})
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage member_word_bound: bound scan needs ~1500 evaluations, above cap 125\n")
+
     def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
         space = convergent_line_space(2)
@@ -323,6 +350,19 @@ class TestReduceVerify:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: index 3 outside truncation of dimension 2\n")
+
+    def test_a_longer_basis_past_the_norms_dim_exits_two_under_a_cap_at_its_size(
+            self, tmp_path, monkeypatch, capsys):
+        # the basis's 3^3 words pass a cap of 9, but the norm's truncation
+        # refuses index 3 before any of them is formed
+        cfg = write_json(tmp_path / "n.json", {"kind": "ultrametric", "prime": 3, "dim": 3})
+        red = tmp_path / "red.json"
+        assert main(["reduce", "--config", cfg, "--out", str(red)]) == 0
+        doc = json.loads(red.read_text())
+        doc["norm"]["dim"] = 2
+        monkeypatch.setenv("FPMAP_ENUM_CAP", "9")
+        assert main(["verify", "--reduced", write_json(red, doc), "--lemma", "props"]) == 2
+        assert capsys.readouterr().err == "error: index 3 outside truncation of dimension 2\n"
 
     def test_verify_needs_a_source(self, capsys):
         assert main(["verify"]) == 2

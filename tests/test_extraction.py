@@ -9,17 +9,19 @@ from fpmap.duality import (
     convergent_line_space,
     epsilon_delta_certificate,
 )
-from fpmap.errors import ExhaustedError, InputError, NormBoundFailedError
+from fpmap.errors import CapExceededError, ExhaustedError, InputError, NormBoundFailedError
 from fpmap.fpcore import (
     GroupElement,
     OrderedBasis,
     Truncation,
 )
 from fpmap.extraction import (
+    IndependentFamily,
     NullSequence,
     extract_independent_family,
     independence_modulus,
     norm_sorted_span,
+    product_coarser_check,
     reduced_max_position,
     select_null_subsequence,
     threshold,
@@ -293,6 +295,36 @@ class TestIndependenceModulus:
             independence_modulus(fam, norm, 0, 1)
         with pytest.raises(InputError):
             independence_modulus(fam, norm, 1, 2)
+
+
+class TestFamilyWordCap:
+    """independence_modulus and product_coarser_check check the p^m words of
+    a family against their own cap: a family may be dependent and longer
+    than the norm's dim, so the norm's truncation does not bound them."""
+
+    FAMILIES = {
+        "standard p=2": (2, 3, [(1,), (2,), (3,)]),
+        "standard p=3": (3, 2, [(1,), (2,)]),
+        "dependent, past dim": (2, 3, [(1,), (2,), (3,), (1, 2), (2, 3)]),
+        "repeated, past dim": (3, 2, [(1,), (1, 2), (1,)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_cap_admits_exactly_the_family_words(self, name):
+        p, dim, supports = self.FAMILIES[name]
+        norm = UltrametricProductNorm(p, dim)
+        validate_axioms(norm)
+        members = tuple(e(p, *[(i, 1) for i in s]) for s in supports)
+        fam = IndependentFamily(members, tuple(range(1, len(members) + 1)),
+                                tuple(map(norm.eval, members)), None)
+        m = len(members)
+        words = p ** m
+        for check in (lambda cap: independence_modulus(fam, norm, 1, m, cap=cap),
+                      lambda cap: product_coarser_check(fam, norm, m, cap=cap)):
+            with pytest.raises(CapExceededError,
+                               match=f"^truncation has {words} elements, above cap {words - 1}$"):
+                check(words - 1)
+            assert check(words).to_json_dict() == check(None).to_json_dict()
 
 
 class TestEpsilonDeltaCertificate:

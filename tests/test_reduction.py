@@ -131,17 +131,24 @@ class TestReduceBasis:
         with pytest.raises(InvalidNormError, match="failed"):
             reduce_basis(OrderedBasis.standard(2, 2), norm)
 
-    def test_cap(self):
-        norm = UltrametricProductNorm(2, 10)
-        validate_axioms(norm)
-        with pytest.raises(CapExceededError):
-            reduce_basis(OrderedBasis.standard(2, 10), norm, cap=100)
-
     def test_mismatched_prime(self):
         norm = skew_table_norm()
         basis = OrderedBasis.standard(3, 2)
         with pytest.raises(InputError, match="mismatched primes"):
             reduce_basis(basis, norm)
+
+    def test_a_basis_past_the_norms_dim_is_refused(self):
+        # the enum cap bounds the norm's truncation, and the truncation
+        # refuses e4 before its p^4 words are formed
+        norm = UltrametricProductNorm(2, 3)
+        validate_axioms(norm)
+        basis = OrderedBasis.standard(2, 4)
+        with pytest.raises(InputError, match="^index 4 outside truncation of dimension 3$"):
+            reduce_basis(basis, norm)
+        steps = tuple(ReductionStep(n, (0,) * (n - 1) + (1,), g, F(1), 1, None)
+                      for n, g in enumerate(basis, start=1))
+        with pytest.raises(InputError, match="^index 4 outside truncation of dimension 3$"):
+            verify_reduced_properties(ReducedBasis(basis, basis, steps), norm)
 
 
 class TestReducedBasisType:
