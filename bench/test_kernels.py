@@ -134,7 +134,7 @@ def test_triangle_scan(benchmark, make_norm):
 @pytest.fixture(scope="module", params=[_graded, _graev], ids=["graded-5-5", "graev-2-11"])
 def reduced_norm(request):
     norm = request.param()
-    validate_axioms(norm)  # a Graev norm gets its value table here
+    validate_axioms(norm)  # reduce_basis reads only a validated norm
     return norm, reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
 
 
@@ -147,8 +147,10 @@ def test_span_ranks(benchmark, reduced_norm):
 
 
 def test_span_values(benchmark, reduced_norm):
+    # the span's ranks (from the memo) and one gather from the table
     norm, reduced = reduced_norm
-    benchmark(norm.span_values, reduced.reduced.elems)
+    benchmark(lambda elems: norm.values_of(norm.truncation.span_ranks(elems)),
+              reduced.reduced.elems)
 
 
 def test_running_ranks(benchmark):
@@ -231,7 +233,7 @@ def test_graev_build(benchmark):
 def test_graev_table(benchmark):
     # p=2, dim 11: the table the norm builds at construction, all 2048 subsets at once
     norm = _graev()
-    benchmark(norm._dense_values)
+    benchmark(norm._dense_values, norm._points[::-1])
 
 
 def test_ultrametric_table(benchmark):

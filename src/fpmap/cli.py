@@ -32,6 +32,7 @@ from .reduction import (
     check_pair_domination,
     reduce_basis,
     reduced_basis_from_json,
+    require_member_bound_scan,
     verify_reduced_properties,
 )
 
@@ -154,12 +155,16 @@ def cmd_verify(args) -> int:
         raise InputError("pass --config or --reduced")
     cfg = _run_config(norm_cfg, norm_only=True)
     norm = cfg.build_norm()
-    validate_axioms(norm, cap=cfg.enum_cap)
-    if doc is None:
-        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
-    else:
-        reduced = reduced_basis_from_json(doc["reduced"])
+    # all input is read, and the member bound's size checked, before the
+    # axioms and the reduction run
+    reduced = None if doc is None else reduced_basis_from_json(doc["reduced"])
     max_tuple = _parse_limits(args.limits).get("n", 4)
+    if args.lemma in ("1", "all"):
+        require_member_bound_scan(norm.prime.p, norm.dim if reduced is None else len(reduced),
+                                  max_tuple, cfg.enum_cap)
+    validate_axioms(norm, cap=cfg.enum_cap)
+    if reduced is None:
+        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
     docs = {"properties": None, "member_word_bound": None, "pair_domination": None}
     bad = False
     if args.lemma in ("props", "all"):
@@ -233,7 +238,9 @@ def cmd_duality(args) -> int:
 
 def cmd_demo_boolean(args) -> int:
     from .duality import boolean_counterexample
-    report = boolean_counterexample(args.points, search_depth=args.depth)
+    cfg = _run_config(None, norm_only=True)
+    report = boolean_counterexample(args.points, search_depth=args.depth,
+                                    matching_cap=cfg.matching_cap, cap=cfg.enum_cap)
     _emit(report.to_json_dict(), args.out)
     return EXIT_PASS
 

@@ -381,8 +381,8 @@ class CertificateResult:
         }
 
 
-def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
-                              search_depth: int = 3, max_terms: int | None = None,
+def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
+                              max_terms: int | None = None,
                               cap: int | None = None) -> CertificateResult:
     """Direct check of the small-word-forces-small-terms definition.
 
@@ -390,11 +390,8 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
     norm >= eps; delta works iff every bad combination has norm >= delta.
     Returns the largest grid value 1/(4p)^j (j = 1..search_depth) below the
     smallest bad-combination norm, or the witness of the smallest bad
-    combination when even the finest grid value fails.
-
-    With ``exponents`` fixed, only that single combination is examined;
-    otherwise all exponent vectors with at most ``max_terms`` nonzero entries
-    are enumerated.
+    combination when even the finest grid value fails. Every exponent vector
+    with at most ``max_terms`` nonzero entries is enumerated, under ``cap``.
     """
     xs = list(xs)
     eps = Fraction(eps)
@@ -408,19 +405,11 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
         _same_prime(x.prime.p, p)
     grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
 
-    if exponents is not None:
-        exponents = [k % p for k in exponents]
-        if len(exponents) != n:
-            raise InputError(f"need {n} exponents, got {len(exponents)}")
-        combos = [tuple(exponents)]
-    else:
-        limit = n if max_terms is None else min(max_terms, n)
-        est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
-        capv = DEFAULT_ENUM_CAP if cap is None else cap
-        if est > capv:
-            raise CapExceededError(
-                f"certificate scan needs ~{est} combinations, above cap {capv}")
-        combos = _exponent_vectors(n, p, limit)
+    limit = n if max_terms is None else min(max_terms, n)
+    est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
+    capv = DEFAULT_ENUM_CAP if cap is None else cap
+    if est > capv:
+        raise CapExceededError(f"certificate scan needs ~{est} combinations, above cap {capv}")
 
     terms: dict[tuple[int, int], tuple[GroupElement, Fraction]] = {}
 
@@ -434,7 +423,7 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, exponents=None,
     min_bad = None
     witness = None
     checked = 0
-    for vec in combos:
+    for vec in _exponent_vectors(n, p, limit):
         support = [i for i, k in enumerate(vec) if k]
         if not support:
             continue
@@ -496,15 +485,18 @@ def convergent_line_space(n_points: int) -> PointedMetricSpace:
     return PointedMetricSpace(rows)
 
 
-def boolean_counterexample(n_points: int, *, search_depth: int = 3) -> BooleanWitnessReport:
+def boolean_counterexample(n_points: int, *, search_depth: int = 3,
+                           matching_cap: int | None = None,
+                           cap: int | None = None) -> BooleanWitnessReport:
     """The convergent-sequence obstruction: pairs {x, y_n} get arbitrarily small.
 
     Every single generator keeps norm >= 1, yet the two-element subsets
     {x, y_n} have norm 1/n, so no delta can force both members of a small
     word below eps = 1/2. The certificate run makes that failure explicit.
+    The caps go to the Graev norm and, the enum cap, to the certificate.
     """
     space = convergent_line_space(n_points)
-    norm = GraevBooleanNorm(space)
+    norm = GraevBooleanNorm(space, matching_cap=matching_cap, cap=cap)
     x = GroupElement.unit(2, 1)
     entries = []
     for k in range(1, n_points + 1):
@@ -521,5 +513,5 @@ def boolean_counterexample(n_points: int, *, search_depth: int = 3) -> BooleanWi
         })
     xs = [GroupElement.unit(2, i) for i in range(1, n_points + 2)]
     cert = epsilon_delta_certificate(xs, norm, Fraction(1, 2),
-                                     search_depth=search_depth, max_terms=2)
+                                     search_depth=search_depth, max_terms=2, cap=cap)
     return BooleanWitnessReport(n_points, tuple(entries), cert)

@@ -461,7 +461,7 @@ def product_coarser_check(family: IndependentFamily, norm: Norm, m: int, *,
 
     tables = []
     violations = []
-    vals, den = norm.span_values(family.members[:m])
+    vals, den = norm.values_of(norm.truncation.span_ranks(family.members[:m]))
     for t in range(1, m + 1):
         # the span of the first t members is every p^(m-t)-th row; the words
         # meeting F are the union over i in F of the words using member i, so

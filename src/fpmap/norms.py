@@ -8,9 +8,10 @@ vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
 element. Each norm's dense value table is such a vector too, indexed by rank,
 and every norm builds it at construction: a Graev norm by one integer DP over
-all subsets, when its points fit the matching cap. Norm.eval, span_values and
-values_of (by rank) read values from it; a Graev norm wider than its matching
-cap has no table, evaluates eval word by word, and refuses every other read.
+all subsets, when its points fit the matching cap. Norm.eval and values_of (by
+rank) read values from it; a Graev norm wider than its matching cap has no
+table, runs the same DP on the points of each word eval is given, and refuses
+every other read.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -136,81 +137,17 @@ class PointedMetricSpace:
         }
 
 
-def graev_norm(space: PointedMetricSpace, points: Iterable[int],
-               *, matching_cap: int | None = None) -> Fraction:
-    """Minimum total cost of covering ``points`` by pairs and singletons.
-
-    A pair {x, y} costs dist(x, y); a singleton {x} costs dist(x, basepoint).
-    Computed by a memoized dynamic program over subsets on the space's
-    integer numerators; the recursion fixes the lowest remaining point and
-    either pairs it or leaves it alone.
-    """
-    pts = sorted(set(points))
-    for x in pts:
-        if not jsonio.is_int(x) or not 0 <= x < space.n_points:
-            raise InputError(f"point index {x!r} out of range")
-        if x == space.basepoint:
-            raise InputError("the basepoint cannot appear in a norm argument")
-    cap = (DEFAULT_MATCHING_CAP if matching_cap is None else
-           jsonio.require_int(matching_cap, "matching cap", low=1))
-    if len(pts) > cap:
-        raise CapExceededError(f"{len(pts)} points exceed the matching cap {cap}")
-    dist = space.nums
-    base = space.basepoint
-    memo: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
-        value = int(dist[pts[low], base]) + best(rest)
-        m = rest
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            alt = int(dist[pts[low], pts[j]]) + best(rest & ~(1 << j))
-            if alt < value:
-                value = alt
-        memo[mask] = value
-        return value
-
-    return Fraction(best((1 << len(pts)) - 1), space.den)
-
-
 class CostFunction:
     """A symmetric positive cost on the nonzero elements of a truncation.
 
     ``nums`` and ``den`` hold the values as _scaled stores them: integer
-    numerators by rank over their least common denominator, with nums[0] = 0
-    for the zero element, which takes no cost.
+    numerators by rank of ``tr`` over their least common denominator, with
+    nums[0] = 0 for the zero element, which takes no cost. Every cost is
+    built here, once its values are positive and symmetric under negation;
+    each check reports its first offending rank.
     """
 
-    def __init__(self, p, dim: int, values_by_rank: Sequence[Fraction | None],
-                 *, cap: int | None = None):
-        tr = truncation(p, dim, cap=cap)
-        if len(values_by_rank) != tr.size:
-            raise InputError(f"cost table must have {tr.size} entries, got {len(values_by_rank)}")
-        vals = [Fraction(0)]
-        for r in range(1, tr.size):
-            v = values_by_rank[r]
-            if v is None:
-                raise InputError(f"cost missing for element of rank {r}")
-            vals.append(_as_fraction(v, "cost value"))
-        self._adopt(tr, *_scaled(vals))
-
-    @classmethod
-    def from_numerators(cls, tr: Truncation, nums: np.ndarray, den: int) -> "CostFunction":
-        """The cost with value nums[r] / den at rank r, (nums, den) as _scaled
-        stores them and nums[0] = 0."""
-        cost = cls.__new__(cls)
-        cost._adopt(tr, nums, den)
-        return cost
-
-    def _adopt(self, tr: Truncation, nums: np.ndarray, den: int) -> None:
-        """Take the values once they are positive and symmetric under negation;
-        each check reports its first offending rank."""
+    def __init__(self, tr: Truncation, nums: np.ndarray, den: int):
         bad = np.flatnonzero(nums[1:] <= 0)
         if bad.size:
             r = int(bad[0]) + 1
@@ -228,9 +165,8 @@ class CostFunction:
     @classmethod
     def from_pairs(cls, p, dim: int, pairs: Iterable[tuple[GroupElement, Fraction]],
                    *, cap: int | None = None) -> "CostFunction":
-        prime = as_prime(p)
-        tr = truncation(prime, dim, cap=cap)
-        vals: list[Fraction | None] = [None] * tr.size
+        tr = truncation(p, dim, cap=cap)
+        vals: list[Fraction | None] = [Fraction(0)] + [None] * (tr.size - 1)
         for g, v in pairs:
             r = tr.rank_of(g)
             if r == 0:
@@ -239,7 +175,9 @@ class CostFunction:
             if vals[r] is not None and vals[r] != v:
                 raise InputError(f"conflicting cost entries for {g!r}")
             vals[r] = v
-        return cls(prime, dim, vals, cap=cap)
+        if None in vals:
+            raise InputError(f"cost missing for element of rank {vals.index(None)}")
+        return cls(tr, *_scaled(vals))
 
     def value_of_rank(self, r: int) -> Fraction:
         if r == 0:
@@ -289,7 +227,7 @@ def _drawn_cost(tr: Truncation, seed, choices: int, bound: int, numerators,
     nums[neg[firsts]] = raw
     g = math.gcd(den, int(np.gcd.reduce(raw)))
     nums //= g
-    return CostFunction.from_numerators(tr, nums.astype(_storage(int(nums.max()))), den // g)
+    return CostFunction(tr, nums.astype(_storage(int(nums.max()))), den // g)
 
 
 def random_cost(seed: int, p, dim: int, low, high, *, steps: int = 60,
@@ -395,17 +333,6 @@ class Norm:
         nums, den = self._table
         return Fraction(int(nums[self._tr.rank_of(g)]), den)
 
-    def span_values(self, elems: Sequence[GroupElement],
-                    rows: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """Exact values of the p^k words of span(elems) in word order:
-        numerators as _scaled stores them, over one denominator. The value of
-        c * elems[j] sits at row c * p^(k-1-j). Given ``rows``, only the
-        values of those rows are gathered. A norm without a table raises as
-        _values does; Truncation.rank_of checks the elements."""
-        nums, den = self._values()
-        ranks = self._tr.span_ranks(elems)
-        return nums[ranks if rows is None else ranks[rows]], den
-
     def _values(self) -> tuple[np.ndarray, int]:
         """The value table; only a Graev norm wider than its matching cap has
         none, and the first word over the cap in rank order has cap + 1
@@ -424,7 +351,9 @@ class Norm:
 
     def values_of(self, ranks: np.ndarray) -> tuple[np.ndarray, int]:
         """Exact values of the elements of the given ranks, numerators as
-        _scaled stores them over one denominator: one gather from the table."""
+        _scaled stores them over one denominator: one gather from the table.
+        The values of span(elems) in word order are those of
+        truncation.span_ranks(elems); c * elems[j] sits at row c * p^(k-1-j)."""
         nums, den = self._values()
         return nums[ranks], den
 
@@ -558,12 +487,12 @@ class GraevBooleanNorm(Norm):
 
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
-    minimum pair/singleton cover cost. When every subset fits the matching
-    cap (dim <= matching_cap), the whole table is built at construction by
-    one integer DP over all 2^dim subsets, under the enumeration cap ``cap``.
-    A wider space builds no table and may be large: each evaluation runs
-    graev_norm on its subset, which the matching cap bounds, and
-    validate_axioms refuses it with the matching cap error.
+    minimum pair/singleton cover cost, which _dense_values computes. When
+    every subset fits the matching cap (dim <= matching_cap), the whole
+    table is built at construction, under the enumeration cap ``cap``. A
+    wider space builds no table and may be large: each evaluation covers
+    its own subset, which the matching cap bounds, and validate_axioms
+    refuses it with the matching cap error.
     """
 
     kind = "graev_boolean"
@@ -579,40 +508,45 @@ class GraevBooleanNorm(Norm):
         self._points = space.nonbase
         if self.dim <= self.matching_cap:
             self._tr = truncation(self.prime, self.dim, cap=cap)
-            self._table = self._dense_values()
+            # bit b of a rank carries group index dim - b
+            self._table = self._dense_values(self._points[::-1])
 
     def _eval(self, g: GroupElement) -> Fraction:
-        return graev_norm(self.space, [self._points[i - 1] for i in g.support],
-                          matching_cap=self.matching_cap)
+        pts = [self._points[i - 1] for i in g.support]
+        if len(pts) > self.matching_cap:
+            raise CapExceededError(
+                f"{len(pts)} points exceed the matching cap {self.matching_cap}")
+        nums, den = self._dense_values(pts)
+        return Fraction(int(nums[-1]), den)
 
-    def _dense_values(self) -> tuple[np.ndarray, int]:
-        """graev_norm of every subset at once, on distances scaled to integers.
+    def _dense_values(self, pts: Sequence[int]) -> tuple[np.ndarray, int]:
+        """The cover cost of every subset of ``pts``, by mask: bit b of a
+        mask stands for pts[b]. One integer DP on their rows of the space's
+        distances.
 
-        Bit b of a rank carries group index dim - b. The masks whose lowest set
-        bit is b are taken together, for b from dim - 1 down to 0: the point at
-        b is left alone or paired with a point at a higher bit c, and both
-        leave a mask whose lowest bit is above b. Every value and candidate sum
-        is at most dim times the largest distance, which picks the DP storage.
-        Every distance is itself a value (a singleton, or by the triangle
-        inequality a pair), so the space's denominator, the least common one
-        of the distances, is already the least one of the values.
+        The masks whose lowest set bit is b are taken together, for b from
+        len(pts) - 1 down to 0: the point at b is left alone or paired with a
+        point at a higher bit c, and both leave a mask whose lowest bit is
+        above b. Every value and candidate sum is at most len(pts) times the
+        largest distance read, which picks the DP storage. Every distance is
+        itself a value (a singleton, or by the triangle inequality a pair),
+        so the space's denominator, the least common one of all distances,
+        is the least one of the table when pts are all non-basepoint points.
         """
-        d = self.dim
-        base = self.space.basepoint
-        dist, den = self.space.nums, self.space.den
-        pts = [self._points[d - 1 - b] for b in range(d)]
-        val = np.zeros(2 ** d, dtype=_storage(int(dist.max()), d))
+        d = len(pts)
+        # column d is the basepoint
+        dist = self.space.nums[np.ix_(pts, [*pts, self.space.basepoint])]
+        val = np.zeros(2 ** d, dtype=_storage(int(dist.max(initial=0)), d))
         for b in reversed(range(d)):
             step = 2 ** (b + 1)
             rest = val[::step]  # the masks without b: every subset of the higher bits
-            best = rest + int(dist[pts[b], base])
+            best = rest + int(dist[b, d])
             for c in range(b + 1, d):
                 half = 2 ** (c - b - 1)
                 with_c = best.reshape(-1, 2, half)[:, 1]
-                np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[pts[b], pts[c]]),
-                           out=with_c)
+                np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[b, c]), out=with_c)
             val[2 ** b::step] = best
-        return val.astype(_storage(int(val.max()))), den
+        return val.astype(_storage(int(val.max()))), self.space.den
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .reduction import (
     check_member_word_bound,
     check_pair_domination,
     reduce_basis,
+    require_member_bound_scan,
     verify_reduced_properties,
 )
 
@@ -160,8 +161,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     only flip the verdict. The norm build is timed as "build" but has no
     stage document. The enum cap bounds the truncation when the norm is
     built; it goes again only to the stages whose counts can pass that
-    size: the axiom pairs, the member bound, and the modulus and coarser
-    words of a family that may be longer than dim.
+    size: the axiom pairs, the member bound (whose estimate is checked
+    right after the build), and the modulus and coarser words of a family
+    that may be longer than dim.
     """
     # every stage after axioms reads the reduced basis, modulus and coarser
     # read the family, and the family is extracted from the selection
@@ -200,6 +202,13 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
         return any(r is not None and not r.ok for r in reports)
 
     norm = run_stage("build", cfg.build_norm)
+    if "member_word_bound" in wanted:
+        # the scan's size is known from the norm's shape, so an input over
+        # the cap stops before the axioms and the reduction run
+        try:
+            require_member_bound_scan(norm.prime.p, norm.dim, cfg.max_tuple, cap)
+        except CapExceededError as exc:
+            raise CapExceededError(f"stage member_word_bound: {exc}") from exc
     axioms = run_stage("axioms", lambda: validate_axioms(norm, cap=cap))
     bad = not axioms.ok
 

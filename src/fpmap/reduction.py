@@ -295,6 +295,17 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     )
 
 
+def require_member_bound_scan(p: int, d: int, max_tuple: int, cap: int | None) -> None:
+    """Refuse a member-bound scan over d reduced elements of prime p whose
+    (word, depth, scalar) triples pass the enum cap. The count needs no norm
+    values, so a caller can check it before the axioms and the reduction."""
+    count_est = sum(
+        math.comb(d, n) * (p - 1) ** n * n * p for n in range(1, min(d, max_tuple) + 1))
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if count_est > cap:
+        raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
+
+
 def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
                             max_tuple: int = 6, cap: int | None = None) -> LemmaReport:
     """Members of a word are bounded:
@@ -311,23 +322,19 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
-    count_est = sum(
-        math.comb(d, n) * (p - 1) ** n * n * p for n in range(1, min(d, max_tuple) + 1))
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if count_est > cap:
-        raise CapExceededError(f"bound scan needs ~{count_est} evaluations, above cap {cap}")
+    require_member_bound_scan(p, d, max_tuple, cap)
 
     # a word is a row whose support has 1..max_tuple indices; its target at
     # depth k is the top of its k-th strip, and a word with k terms or fewer
     # is stripped to rank 0, of top 0, which is no target. Only the values
     # of the words and of the terms mu * reduced[j - 1] are gathered.
-    elems = reduced.reduced.elems
     rows = _rows(norm, d)
     lay, words = rows.layout, rows.words_within(max_tuple)
     checked = p * int(lay.support[words].sum())
-    vw, den = norm.span_values(elems, words)
-    terms = norm.span_values(elems, [mu * p ** (d - j) for j in range(1, d + 1)
-                                     for mu in range(p)])[0]
+    span = norm.truncation.span_ranks(reduced.reduced.elems)
+    vw, den = norm.values_of(span[words])
+    terms = norm.values_of(span[[mu * p ** (d - j) for j in range(1, d + 1)
+                                 for mu in range(p)]])[0]
     peak = vw.max()
     found = []
     # per k, the largest ratio vt / (slack * smallest) as an integer pair,
@@ -388,7 +395,7 @@ def check_pair_domination(reduced: ReducedBasis, norm: Norm) -> LemmaReport:
     _require_validated(norm)
     p = reduced.prime.p
     d = len(reduced)
-    vals, den = norm.span_values(reduced.reduced.elems)
+    vals, den = norm.values_of(norm.truncation.span_ranks(reduced.reduced.elems))
     violations: list[dict] = []
     # the largest ratio vb / vc as an integer pair, compared by
     # cross-multiplication; one Fraction is built at the end

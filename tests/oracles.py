@@ -5,8 +5,8 @@ package (a dense reduced row-echelon form per rank instead of one sparse
 forward elimination, full partition enumeration instead of subset DP, edge
 relaxation to a fixpoint instead of Dijkstra, nested loops instead of
 vectorized rows, one Fraction per rank instead of integer cost numerators,
-word scans that build and evaluate every word instead of reading
-Norm.span_values, duality by a dot product of every dual vector with every
+word scans that build and evaluate every word instead of reading the
+span's ranks from the value table, duality by a dot product of every dual vector with every
 element instead of linear algebra on the spans of the base sets, the
 reduction checkers with one digit pass per index instead of the word
 layout, and the metric repair on Fractions instead of integers), or the
@@ -194,7 +194,7 @@ def brute_random_cost(seed, p, dim, low, high, *, steps=60, cap=None):
         v = low + span * Fraction(rng.randrange(steps + 1), steps)
         vals[r] = v
         vals[neg[r]] = v
-    return CostFunction(prime, dim, vals, cap=cap)
+    return CostFunction(tr, *_scaled([Fraction(0)] + vals[1:]))
 
 
 def brute_graded_cost(seed, p, dim, *, steps=60, cap=None):
@@ -217,7 +217,7 @@ def brute_graded_cost(seed, p, dim, *, steps=60, cap=None):
         v = band_low + width * Fraction(rng.randrange(steps), steps)
         vals[r] = v
         vals[neg[r]] = v
-    return CostFunction(prime, dim, vals, cap=cap)
+    return CostFunction(tr, *_scaled([Fraction(0)] + vals[1:]))
 
 
 def brute_rank_row(tr, r, sign, positions=None):
@@ -860,7 +860,7 @@ def per_index_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     d = len(reduced)
     violations: list[dict] = []
     elems = reduced.reduced.elems
-    vals, den = norm.span_values(elems)
+    vals, den = norm.values_of(norm.truncation.span_ranks(elems))
     rows = np.arange(p ** d)
     top = np.full(rows.size, -1)
     support = np.zeros(rows.size, dtype=np.int64)
@@ -905,7 +905,7 @@ def per_index_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     p = reduced.prime.p
     d = len(reduced)
     elems = reduced.reduced.elems
-    vals, den = norm.span_values(elems)
+    vals, den = norm.values_of(norm.truncation.span_ranks(elems))
     rows = np.arange(p ** d)
     used = [rows // p ** (d - 1 - j) % p != 0 for j in range(d)]
     support = sum(used, np.zeros(rows.size, dtype=np.int64))

@@ -35,6 +35,7 @@ from fpmap.norms import (
     TableNorm,
     UltrametricProductNorm,
     _is_own_completion,
+    _scaled,
     graded_cost,
     random_cost,
     random_metric_space,
@@ -110,7 +111,7 @@ def generator_cost_norm(seed, p, dim):
     for r in sorted(gens):
         if values[r] == F(2 * dim + 1):
             values[r] = values[int(neg[r])] = F(rng.randint(10, 20), 10)
-    return CostCompletionNorm(CostFunction(p, dim, values))
+    return CostCompletionNorm(CostFunction(tr, *_scaled([F(0)] + values[1:])))
 
 
 def l1_values(p, dim):

@@ -178,17 +178,25 @@ class TestInputAndCapExits:
         assert capsys.readouterr().err == (
             "error: stage build: truncation has 32 elements, above cap 31\n")
 
-    @pytest.mark.parametrize("caps, err", [
+    @pytest.mark.parametrize("caps, max_tuple, err", [
         # within its matching cap the norm builds its table, so the enum cap
         # stops stage build, as for the ultrametric norm
-        ({"enum": 31, "matching": 5}, "stage build: truncation has 32 elements, above cap 31"),
+        ({"enum": 31, "matching": 5}, 4,
+         "stage build: truncation has 32 elements, above cap 31"),
         # past it the norm has no table, and validate_axioms refuses it
-        ({"matching": 4}, "stage axioms: 5 points exceed the matching cap 4"),
-        # after checking the enum cap
-        ({"enum": 31, "matching": 4}, "stage axioms: truncation has 32 elements, above cap 31"),
-    ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps"])
-    def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, caps, err):
-        run = {"prime": 2, "dim": 5, "caps": caps,
+        ({"matching": 4}, 4, "stage axioms: 5 points exceed the matching cap 4"),
+        # after checking the enum cap; one-index words keep the member
+        # bound's estimate (10 triples) under it
+        ({"enum": 31, "matching": 4}, 1,
+         "stage axioms: truncation has 32 elements, above cap 31"),
+        # words of up to 4 indices take 150 triples, checked right after the build
+        ({"enum": 31, "matching": 4}, 4,
+         "stage member_word_bound: bound scan needs ~150 evaluations, above cap 31"),
+    ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps",
+            "member-bound-before-axioms"])
+    def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, caps,
+                                                           max_tuple, err):
+        run = {"prime": 2, "dim": 5, "caps": caps, "limits": {"max_tuple": max_tuple},
                "norm": {"kind": "graev_boolean",
                         "space": random_metric_space(1, 6, 1, 3).to_json_dict()}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
@@ -269,6 +277,28 @@ class TestEnvOverrides:
         assert main(["run", "--config", cfg]) == 3
         assert capsys.readouterr().err == (
             "error: stage member_word_bound: bound scan needs ~1500 evaluations, above cap 125\n")
+
+    @pytest.mark.parametrize("command, err", [
+        (["run"], "error: stage member_word_bound: bound scan needs ~8 evaluations, "
+                  "above cap 4\n"),
+        (["verify"], "error: bound scan needs ~8 evaluations, above cap 4\n"),
+    ], ids=["run", "verify"])
+    def test_the_member_bound_estimate_comes_before_the_axioms(self, tmp_path, monkeypatch,
+                                                              capsys, command, err):
+        # a norm that fails its axioms stopped the chain (exit 1) before the
+        # member bound was reached; its estimate is now checked right after
+        # the build, while validate-norm, which does not scan it, still exits 1
+        monkeypatch.setenv("FPMAP_ENUM_CAP", "4")
+        norm = violating_table_norm()
+        doc = {"prime": 2, "dim": 2, "norm": norm} if command == ["run"] else norm
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert main([*command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == err
+        assert main(["validate-norm", "--config", write_json(tmp_path / "n.json", norm)]) == 1
+        # malformed input still exits 2 first
+        assert main([*command, "--config", write_json(tmp_path / "bad.json",
+                                                       dict(doc, extra=1))]) == 2
+        assert main(["verify", "--config", cfg, "--limits", "m=1"]) == 2
 
     def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
@@ -513,6 +543,27 @@ class TestDemoAndReport:
         # pin the word-by-word evaluation and epsilon_delta_certificate
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "caddc192176f444d22a13396ba75249edd88159fff97eef23773b05bbdb1a328"
+
+    @pytest.mark.parametrize("env, err", [
+        ({"FPMAP_ENUM_CAP": "4"}, "error: truncation has 64 elements, above cap 4\n"),
+        ({"FPMAP_MATCHING_CAP": "1"}, "error: 2 points exceed the matching cap 1\n"),
+    ], ids=["enum", "matching"])
+    def test_demo_boolean_takes_the_environment_caps(self, monkeypatch, capsys, env, err):
+        # 5 points make a 6-point Graev norm: within the default matching cap
+        # its table is built under the enum cap, past a matching cap of 1 its
+        # first pair is refused
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["demo-boolean", "--points", "5"]) == 3
+        assert capsys.readouterr().err == err
+
+    def test_demo_boolean_at_the_default_caps(self, monkeypatch, capsys):
+        runs = []
+        for env in ({}, {"FPMAP_ENUM_CAP": "10000000", "FPMAP_MATCHING_CAP": "12"}):
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            runs.append((main(["demo-boolean", "--points", "12"]), capsys.readouterr()))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
     def test_demo_boolean_bad_points(self, capsys):
         assert main(["demo-boolean", "--points", "1"]) == 2

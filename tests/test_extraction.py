@@ -336,13 +336,15 @@ class TestEpsilonDeltaCertificate:
         assert cert.witness is None
         assert cert.combos_checked == 1
 
-    def test_fixed_exponents(self):
+    def test_two_terms_witness(self):
         norm = spaced_weights_norm()
-        cert = epsilon_delta_certificate(
-            [e(2, (3, 1)), e(2, (5, 1))], norm, F(1, 20), exponents=[1, 1])
-        # the only combination has norm 1/10 and its first term is too big
+        cert = epsilon_delta_certificate([e(2, (3, 1)), e(2, (5, 1))], norm, F(1, 20))
+        # every bad combination uses the first term, of norm 1/10; the first
+        # of them in enumeration order, that term alone, is the witness
+        assert cert.combos_checked == 3
         assert cert.min_bad_value == F(1, 10)
         assert cert.delta == F(1, 64)
+        assert cert.witness["exponents"] == [1, 0]
         assert cert.witness["term_index"] == 1
 
     def test_monotone_in_eps(self):

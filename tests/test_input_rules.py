@@ -15,7 +15,12 @@ import pytest
 from fpmap.cli import main
 from fpmap.errors import InputError
 from fpmap.fpcore import OrderedBasis
-from fpmap.norms import UltrametricProductNorm, graev_norm, random_metric_space, validate_axioms
+from fpmap.norms import (
+    GraevBooleanNorm,
+    UltrametricProductNorm,
+    random_metric_space,
+    validate_axioms,
+)
 from fpmap.reduction import reduce_basis
 
 ULTRAMETRIC = {"kind": "ultrametric", "prime": 3, "dim": 2}
@@ -194,8 +199,9 @@ def test_oversized_dim_keeps_the_printed_size(tmp_path, capsys):
 
 LIBRARY_INTEGERS = {
     # argument: (call with the value, message for a non-integer, for 0)
+    # a Graev norm's matching cap
     "graev_norm-matching_cap": (
-        lambda v: graev_norm(random_metric_space(1, 4, 1, 2), [1], matching_cap=v),
+        lambda v: GraevBooleanNorm(random_metric_space(1, 4, 1, 2), matching_cap=v),
         "matching cap must be a positive integer, got {!r}", None),
     "random_metric_space-n_points": (
         lambda v: random_metric_space(1, v, 1, 2),

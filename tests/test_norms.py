@@ -27,7 +27,6 @@ from fpmap.norms import (
     PointedMetricSpace,
     TableNorm,
     UltrametricProductNorm,
-    graev_norm,
     norm_from_config,
     random_cost,
     random_metric_space,
@@ -113,7 +112,16 @@ class TestPointedMetricSpace:
             PointedMetricSpace([[0]], basepoint=3)
 
 
+def graev_word(space, points):
+    """The element of the Boolean group over ``space`` whose support is the
+    group indices of ``points``."""
+    return GroupElement.make(2, [(space.nonbase.index(x) + 1, 1) for x in points])
+
+
 class TestGraevNorm:
+    """Cover values read through GraevBooleanNorm.eval, from its table and
+    word by word past the matching cap, against brute_graev."""
+
     def test_pair_beats_singletons(self):
         # frozen by hand: pairing costs 3/5, the two singletons cost 1 + 3/2
         sp = PointedMetricSpace([
@@ -121,49 +129,89 @@ class TestGraevNorm:
             [1, 0, F(3, 5)],
             [F(3, 2), F(3, 5), 0],
         ])
-        assert graev_norm(sp, [1, 2]) == F(3, 5)
+        assert GraevBooleanNorm(sp).eval(graev_word(sp, [1, 2])) == F(3, 5)
 
     def test_singleton(self):
         sp = PointedMetricSpace([[0, F(7, 4)], [F(7, 4), 0]])
-        assert graev_norm(sp, [1]) == F(7, 4)
+        assert GraevBooleanNorm(sp).eval(graev_word(sp, [1])) == F(7, 4)
 
     def test_empty_set_is_zero(self):
-        sp = PointedMetricSpace([[0, 1], [1, 0]])
-        assert graev_norm(sp, []) == 0
+        sp = random_metric_space(1, 4, F(1), F(2))
+        for cap in (1, 3):
+            assert GraevBooleanNorm(sp, matching_cap=cap).eval(GroupElement.zero(2)) == 0
 
     def test_basepoint_not_allowed(self):
+        # one group index per non-basepoint point: index 2 of a two-point
+        # space would be the basepoint, and no norm takes it
         sp = PointedMetricSpace([[0, 1], [1, 0]])
-        with pytest.raises(InputError):
-            graev_norm(sp, [0])
+        with pytest.raises(InputError, match="^index 2 outside truncation of dimension 1$"):
+            GraevBooleanNorm(sp).eval(e(2, (2, 1)))
+        wide = GraevBooleanNorm(random_metric_space(1, 3, F(1), F(2)), matching_cap=1)
+        with pytest.raises(InputError, match=r"^index 3 outside the norm's truncation \(dim 2\)$"):
+            wide.eval(e(2, (3, 1)))
 
     def test_matching_cap(self):
         sp = random_metric_space(5, 16, F(1), F(2))
-        with pytest.raises(CapExceededError):
-            graev_norm(sp, list(range(1, 15)), matching_cap=12)
+        norm = GraevBooleanNorm(sp, matching_cap=12)
+        assert norm.eval(graev_word(sp, range(1, 13))) == brute_graev(sp, range(1, 13))
+        with pytest.raises(CapExceededError, match="^14 points exceed the matching cap 12$"):
+            norm.eval(graev_word(sp, range(1, 15)))
 
     @given(st.integers(0, 500), st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
     def test_matches_partition_enumeration(self, seed, npts):
         sp = random_metric_space(seed, npts, F(1, 3), F(5, 2))
         pts = [i for i in sp.nonbase if (seed >> i) & 1] or list(sp.nonbase)
-        assert graev_norm(sp, pts) == brute_graev(sp, pts)
+        for cap in (len(pts), npts - 1):
+            assert GraevBooleanNorm(sp, matching_cap=cap).eval(graev_word(sp, pts)) == \
+                brute_graev(sp, pts)
+
+    @given(dim=st.integers(2, 9), seed=st.integers(0, 10 ** 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_path_matches_partition_enumeration(self, dim, seed, data):
+        # a norm past its matching cap covers each word's own points; distances
+        # near 2^70 put the space and the DP on Python ints
+        low, high = data.draw(st.sampled_from([(F(1, 7), F(3)), (2 ** 70, 2 ** 70 + 10 ** 6),
+                                               (1, 2 ** 70)]))
+        space = random_metric_space(seed, dim + 1, low, high,
+                                    basepoint=data.draw(st.integers(0, dim)))
+        cap = data.draw(st.integers(1, dim - 1))
+        wide = GraevBooleanNorm(space, matching_cap=cap)
+        assert wide._table is None
+        pts = data.draw(st.lists(st.sampled_from(space.nonbase), max_size=cap, unique=True))
+        assert wide.eval(graev_word(space, pts)) == brute_graev(space, pts)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_word_path_matches_the_table(self, dim):
+        # every word within the smaller cap, big distances on the last dims
+        high = F(5, 2) if dim < 6 else 2 ** 70
+        space = random_metric_space(dim, dim + 1, F(1, 3), high, basepoint=dim % 3)
+        table, wide = GraevBooleanNorm(space), GraevBooleanNorm(space, matching_cap=dim - 1)
+        tr = Truncation(2, dim)
+        for r in range(tr.size - 1):  # the last rank is the one word of dim points
+            w = tr.element_of(r)
+            assert wide.eval(w) == table.eval(w)
 
 
 class TestCostFunction:
+    """Every cost is built by CostFunction(tr, nums, den), which pins the
+    positivity and negation checks; from_pairs adds coverage."""
+
     def test_requires_full_coverage(self):
-        with pytest.raises(InputError, match="cost missing"):
+        with pytest.raises(InputError, match="^cost missing for element of rank 1$"):
             CostFunction.from_pairs(2, 2, [(e(2, (1, 1)), F(1))])
 
     def test_requires_positive(self):
-        tr = Truncation(2, 1)
-        with pytest.raises(InputError, match="positive"):
-            CostFunction(2, 1, [None, F(0)])
-        assert tr.size == 2
+        with pytest.raises(InputError, match="^cost values must be positive, got 0 at rank 1$"):
+            CostFunction(Truncation(2, 1), np.array([0, 0]), 1)
+        with pytest.raises(InputError, match="^cost values must be positive, got -1/2 at rank 3$"):
+            CostFunction.from_pairs(2, 2, [(e(2, (1, 1)), F(1)), (e(2, (2, 1)), F(1)),
+                                           (e(2, (1, 1), (2, 1)), F(-1, 2))])
 
     def test_requires_negation_symmetry(self):
         # over F_3 the elements e1 and 2e1 are negatives of each other
-        with pytest.raises(InputError, match="c\\(g\\) = c\\(-g\\)"):
-            CostFunction(3, 1, [None, F(1), F(2)])
+        with pytest.raises(InputError, match=r"^cost must satisfy c\(g\) = c\(-g\); differs at rank 1$"):
+            CostFunction(Truncation(3, 1), np.array([0, 1, 2]), 1)
 
     def test_random_cost_is_deterministic_and_symmetric(self):
         a = random_cost(7, 3, 3, F(1, 10), F(1, 2))
@@ -499,13 +547,13 @@ class TestGraevBooleanNorm:
 
 def graev_table_and_reference(space):
     """The table the norm builds at construction, and _scaled of one
-    graev_norm per word in rank order; validate_axioms keeps that table."""
+    brute_graev per word in rank order; validate_axioms keeps that table."""
     norm = GraevBooleanNorm(space)
     table = norm._table
     validate_axioms(norm)
     assert norm._table is table
     words = enumerate_span(OrderedBasis.standard(2, norm.dim))
-    ref = _scaled([graev_norm(space, [space.nonbase[i - 1] for i in w.support])
+    ref = _scaled([brute_graev(space, [space.nonbase[i - 1] for i in w.support])
                    for w in words])
     return table, ref
 
@@ -525,7 +573,7 @@ def far_base_space(n_near, base_dist):
 
 
 class TestGraevTable:
-    """GraevBooleanNorm's one-DP value table against graev_norm word by word."""
+    """GraevBooleanNorm's one-DP value table against brute_graev word by word."""
 
     @given(dim=st.integers(1, 8), seed=st.integers(0, 10 ** 6), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -595,20 +643,22 @@ class TestGraevTable:
         wide = GraevBooleanNorm(space, matching_cap=4, cap=31)
         assert wide._table is None
         assert wide.eval(GroupElement.make(2, [(1, 1), (3, 1)])) == \
-            graev_norm(space, [space.nonbase[0], space.nonbase[2]])
+            brute_graev(space, [space.nonbase[0], space.nonbase[2]])
         with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
             wide.values_of(np.arange(4))
 
     def test_a_wide_norm_evaluates_words_and_refuses_spans(self):
-        # eval is the only read of a Graev norm without a table: its spans
-        # raise the matching cap error that values_of raises
+        # eval is the only read of a Graev norm without a table: the ranks of
+        # a span come from its truncation, which raises the matching cap
+        # error that values_of raises
         space = random_metric_space(3, 7, F(1), F(3))  # dimension 6
         wide = GraevBooleanNorm(space, matching_cap=4)
         x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 6)
-        assert wide.eval(x + y) == graev_norm(space, [space.nonbase[i - 1] for i in (1, 4, 6)])
-        for rows in (None, [1, 3]):
+        assert wide.eval(x + y) == brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 6)])
+        for read in (lambda: wide.truncation.span_ranks([x, y]),
+                     lambda: wide.values_of(np.arange(4))):
             with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
-                wide.span_values([x, y], rows)
+                read()
 
 
 class TestNormFromConfig:

@@ -101,21 +101,21 @@ class TestArrayChecks:
         nums[[5, 7]] = 0
         assert tr.neg_perm[[4, 5]].tolist() == [8, 7]
         with pytest.raises(InputError, match=r"positive, got -1/3 at rank 4$"):
-            CostFunction.from_numerators(tr, nums, 6)
+            CostFunction(tr, nums, 6)
 
     def test_first_asymmetric_rank(self):
         tr = Truncation(3, 2)
         nums = np.arange(9, dtype=np.int64)
         # ranks 1 and 2 are e2 and 2 e2, negatives of each other
         with pytest.raises(InputError, match=r"c\(-g\); differs at rank 1$"):
-            CostFunction.from_numerators(tr, nums, 1)
+            CostFunction(tr, nums, 1)
 
     def test_object_storage_checks(self):
         tr = Truncation(2, 2)
         big = 2 ** 80
         nums = np.array([0, big, big, -big], dtype=object)
         with pytest.raises(InputError, match=f"got {-big} at rank 3"):
-            CostFunction.from_numerators(tr, nums, 1)
+            CostFunction(tr, nums, 1)
 
 
 @pytest.mark.parametrize("p, dim", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])

@@ -191,6 +191,6 @@ def test_the_span_memo_serves_two_norms():
     x, y = GroupElement.make(3, [(1, 1), (2, 2)]), GroupElement.unit(3, 3)
     want = [tr.rank_of(x.smul(i) + y.smul(j)) for i in range(3) for j in range(3)]
     for norm in (a, b, a):
-        vals, den = norm.span_values([x, y])
+        vals, den = norm.values_of(norm.truncation.span_ranks([x, y]))
         assert tr.span_ranks([x, y]).tolist() == want
         assert vals.tolist() == norm._table[0][want].tolist()

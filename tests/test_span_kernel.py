@@ -1,6 +1,6 @@
 """The span kernel against the nested-loop word scans in tests/oracles.py.
 
-Norm.span_values and Truncation.span_ranks replace every hand-built word
+Norm.values_of over Truncation.span_ranks replaces every hand-built word
 loop; each ported scan must give the same report, violation lists included,
 as the loop it replaced. Null-subsequence selection reads candidate values
 from the same tables and top positions without a solve, against the
@@ -221,11 +221,15 @@ def test_table_and_generic_routes_agree():
     tr = Truncation(3, 4)
     elems = [tr.element_of(rng.randrange(tr.size)) for _ in range(3)]
     ref = brute_ultrametric_values(3, norm.weights)
-    values = as_fractions(norm.span_values(elems))
+
+    def span_values(elems):
+        return as_fractions(norm.values_of(norm.truncation.span_ranks(elems)))
+
+    values = span_values(elems)
     assert values == [ref[tr.rank_of(w)] for w in enumerate_span(elems)]
     validate_axioms(norm)
-    assert as_fractions(norm.span_values(elems)) == values
-    assert as_fractions(norm.span_values(OrderedBasis.standard(3, 4).elems)) == ref
+    assert span_values(elems) == values
+    assert span_values(OrderedBasis.standard(3, 4).elems) == ref
 
 
 @settings(max_examples=60, deadline=None)
