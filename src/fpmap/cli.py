@@ -160,8 +160,8 @@ def cmd_verify(args) -> int:
     reduced = None if doc is None else reduced_basis_from_json(doc["reduced"])
     max_tuple = _parse_limits(args.limits).get("n", 4)
     if args.lemma in ("1", "all"):
-        require_member_bound_scan(norm.prime.p, norm.dim if reduced is None else len(reduced),
-                                  max_tuple, cfg.enum_cap)
+        shape = (norm.prime.p, norm.dim) if reduced is None else (reduced.prime.p, len(reduced))
+        require_member_bound_scan(*shape, max_tuple, cfg.enum_cap)
     validate_axioms(norm, cap=cfg.enum_cap)
     if reduced is None:
         reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)

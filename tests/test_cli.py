@@ -294,11 +294,13 @@ class TestEnvOverrides:
         cfg = write_json(tmp_path / "c.json", doc)
         assert main([*command, "--config", cfg]) == 3
         assert capsys.readouterr().err == err
-        assert main(["validate-norm", "--config", write_json(tmp_path / "n.json", norm)]) == 1
+        norm_cfg = write_json(tmp_path / "n.json", norm)
+        assert main(["validate-norm", "--config", norm_cfg]) == 1
         # malformed input still exits 2 first
         assert main([*command, "--config", write_json(tmp_path / "bad.json",
                                                        dict(doc, extra=1))]) == 2
-        assert main(["verify", "--config", cfg, "--limits", "m=1"]) == 2
+        assert main(["verify", "--config", norm_cfg, "--limits", "m=1"]) == 2
+        assert capsys.readouterr().err.endswith("error: unknown limit 'm=1'; expected n=<int>\n")
 
     def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
