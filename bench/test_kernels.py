@@ -7,7 +7,7 @@ value-table DP and the ultrametric table build, of the norm-sorted span
 and null-subsequence selection, on the standard original and a dense one,
 of duality: is_map on two ultrametric balls (test_is_map_balls) and the
 von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded),
-of the word layout build, of the reduction, the properties check and
+of the support and strip build, of the reduction, the properties check and
 the Graev norm build from a config on the Graev d=11 kernel norm, and of
 the seeded cost draws and the value order at larger sizes
 (test_cost_draws, test_value_order).
@@ -199,8 +199,12 @@ def test_value_order(benchmark, p, dim):
 @pytest.mark.parametrize("p, dim", [(2, 16), (5, 6)])
 def test_word_layout(benchmark, p, dim):
     # a fresh Truncation per round, not the per-process one fpcore.truncation
-    # shares, so the layout and its top are rebuilt
-    benchmark(lambda: Truncation(p, dim).layout)
+    # shares, so its support and strip are rebuilt
+    def build():
+        tr = Truncation(p, dim)
+        return tr.support, tr.strip
+
+    benchmark(build)
 
 
 def _validated_graev():
@@ -279,7 +283,7 @@ def test_selection_on_a_dense_original(benchmark):
     ranks = norm_sorted_span(norm)
 
     def cold():
-        norm.truncation._span = None
+        norm.truncation.span_ranks(())
         return (ranks, norm, reduced, 5), {}
 
     benchmark.pedantic(select_null_subsequence, setup=cold, rounds=50)

@@ -249,11 +249,18 @@ def cmd_run(args) -> int:
     cfg = _run_config(_load_json(args.config))
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    report = run_pipeline(cfg)
+    try:
+        report = run_pipeline(cfg)
+    except CapExceededError as exc:  # a run stopped on a cap prints the stages it timed
+        sys.stderr.writelines(line + "\n" for line in _timing_lines(exc.timings or {}))
+        raise
     _emit(report.to_json_dict(include_timings=args.include_timings), cfg.out)
-    for stage, seconds in report.timings.items():
-        print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
+    sys.stderr.writelines(line + "\n" for line in _timing_lines(report.timings))
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
+
+
+def _timing_lines(timings: dict) -> list[str]:
+    return [f"timing {stage}: {seconds:.3f}s" for stage, seconds in timings.items()]
 
 
 def _violation_lines(violations, limit=10):
@@ -346,9 +353,7 @@ def render_report(doc: dict) -> str:
             lines.append(f"    delta F={{{F}}}: {v}")
         lines.extend(_violation_lines(coarser["violations"]))
 
-    if doc["timings"]:
-        for stage, t in doc["timings"].items():
-            lines.append(f"timing {stage}: {t:.3f}s")
+    lines += _timing_lines(doc["timings"] or {})
     return "\n".join(lines) + "\n"
 
 

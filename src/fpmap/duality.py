@@ -231,12 +231,10 @@ def _base_spans(spec: TopologySpec, cap: int | None):
     anns = []
     for u in spec.members:
         u = np.sort(np.fromiter(u, dtype=np.int64, count=len(u)))
-        w = np.zeros(tr.size, dtype=bool)
-        span, gens = np.zeros(1, dtype=np.int64), []
+        w, gens = np.zeros(tr.size, dtype=bool), []
         while (u := u[~w[u]]).size:
-            gens.append(int(u[0]))
-            span = tr.extend_span(span, tr.element_of(gens[-1]))
-            w[span] = True
+            gens.append(int(u[0]))  # the span memo adds only this generator
+            w[tr.span_ranks([tr.element_of(r) for r in gens])] = True
         inter &= w
         anns.append(_annihilator_basis(rank_digits(gens, p, d).tolist(), p, d))
         dual[tr.span_ranks(anns[-1])] = True

@@ -12,6 +12,8 @@ class InputError(FpmapError, ValueError):
 class CapExceededError(FpmapError):
     """An enumeration or matching would exceed its configured size cap."""
 
+    timings: dict | None = None  # the stage timings a run took, when run_pipeline raises it
+
 
 class InvalidNormError(FpmapError):
     """The norm was not validated, or its validation found violations."""

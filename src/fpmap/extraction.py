@@ -75,7 +75,7 @@ def _top_positions(ranks: np.ndarray, tr: Truncation, reduced: ReducedBasis) -> 
         coords = np.ones(tr.size, dtype=np.int64)
         coords[span] = np.arange(span.size) * p ** (tr.dim - k)
         coords = coords[ranks]
-    maxes = tr.max_indices(coords)
+    maxes = tr.top[coords]
     outside = np.flatnonzero(maxes > k)
     if outside.size:
         g = tr.element_of(int(ranks[outside[0]]))

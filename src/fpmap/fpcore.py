@@ -315,40 +315,6 @@ def rank_digits(ranks, p: int, k: int) -> np.ndarray:
     return np.asarray(ranks, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
-@dataclass(frozen=True)
-class WordLayout:
-    """Per-rank digit statistics of a truncation, as read-only arrays.
-
-    ``top[r]`` is the max_index of element_of(r) (0 for rank 0), ``support[r]``
-    its number of nonzero coefficients, and ``strip[r]`` the rank with its
-    top term removed, so the k-th strip of r has r's k-th term from the top
-    as its top. top and support are int8; strip has the truncation's rank
-    dtype (int32 up to 2^31 elements).
-    """
-
-    top: np.ndarray
-    support: np.ndarray
-    strip: np.ndarray
-
-
-def _word_layout(p: int, dim: int, top: np.ndarray) -> WordLayout:
-    """The layout of p^dim ranks around their ``top``, the rest built one
-    trailing digit at a time: rank q * p + c of dimension i carries the
-    digits of rank q of dimension i - 1 and then c at index i, so c != 0
-    makes q * p the strip, and c = 0 strips q's top digit. O(size) in all."""
-    rank_type = np.int32 if p ** dim <= 2 ** 31 else np.int64
-    support = np.zeros(1, dtype=np.int8)
-    strip = np.zeros(1, dtype=rank_type)
-    for i in range(1, dim + 1):
-        n = support.size
-        s = np.empty((n, p), dtype=np.int8)
-        s[:, 0], s[:, 1:] = support, support[:, None] + 1
-        q = np.empty((n, p), dtype=rank_type)
-        q[:, 0], q[:, 1:] = strip * p, np.arange(0, n * p, p, dtype=rank_type)[:, None]
-        support, strip = s.ravel(), q.ravel()
-    return WordLayout(top, _read_only(support), _read_only(strip))
-
-
 def require_size(p: int, dim, cap: int | None) -> int:
     """p ** dim, once dim is a positive integer and p ** dim <= cap."""
     require_int(dim, "dimension", low=1)
@@ -392,8 +358,7 @@ class Truncation:
         self.prime = as_prime(p)
         self.size = require_size(self.prime.p, dim, cap)
         self.dim = dim
-        self._words: dict[int, np.ndarray] = {}  # words_within(t) by t < dim
-        self._span = None  # (element tuple, its span ranks): the last span built
+        self._span = (), _read_only(np.zeros(1, dtype=np.int64))  # (elements, ranks) last built
 
     @cached_property
     def _halves(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -437,9 +402,7 @@ class Truncation:
         """The nonzero ranks of support at most t, increasing, read-only."""
         if t >= self.dim:
             return self.identity[1:]
-        if t not in self._words:
-            self._words[t] = _read_only(np.flatnonzero(self.layout.support <= t)[1:])
-        return self._words[t]
+        return _read_only(np.flatnonzero(self.support <= t)[1:])
 
     def rank_of(self, g: GroupElement) -> int:
         _same_prime(g.prime.p, self.prime.p)
@@ -452,14 +415,9 @@ class Truncation:
         return r
 
     @cached_property
-    def layout(self) -> WordLayout:
-        """The truncation's WordLayout, built on first use."""
-        return _word_layout(self.prime.p, self.dim, self._top)
-
-    @cached_property
-    def _top(self) -> np.ndarray:
-        """The layout's int8 ``top`` alone, in dim strided passes: a nonzero
-        rank that ends in exactly j zero digits has top dim - j."""
+    def top(self) -> np.ndarray:
+        """top[r], int8, is the max_index of element_of(r) (0 for rank 0): a
+        nonzero rank that ends in exactly j zero digits has top dim - j."""
         p, d = self.prime.p, self.dim
         top = np.full(p ** d, d, dtype=np.int8)
         for j in range(1, d):
@@ -467,10 +425,26 @@ class Truncation:
         top[0] = 0
         return _read_only(top)
 
-    def max_indices(self, ranks: np.ndarray) -> np.ndarray:
-        """max_index of element_of(r) for each of the given ranks, without
-        building one: a read of the layout's int8 ``top``, built alone."""
-        return self._top[ranks]
+    @cached_property
+    def support(self) -> np.ndarray:
+        """support[r], int8, is the number of nonzero coefficients of
+        element_of(r): the outer sum of those of its two halves."""
+        high, low = (np.count_nonzero(h, axis=1).astype(np.int8) for h in self._halves[1::2])
+        return _read_only(np.add.outer(high, low).ravel())
+
+    @cached_property
+    def strip(self) -> np.ndarray:
+        """strip[r] is rank r without its top term, so the k-th strip of r has
+        r's k-th term from the top as its top; int32 up to 2^31 elements. Rank
+        q * p + c has the strip q * p for c != 0, and q's strip times p for c = 0."""
+        p = self.prime.p
+        rank_type = np.int32 if self.size <= 2 ** 31 else np.int64
+        strip = np.zeros(1, dtype=rank_type)
+        for _ in range(self.dim):
+            q = np.empty((strip.size, p), dtype=rank_type)
+            q[:, 0], q[:, 1:] = strip * p, np.arange(0, strip.size * p, p, dtype=rank_type)[:, None]
+            strip = q.ravel()
+        return _read_only(strip)
 
     def element_of(self, r: int) -> GroupElement:
         if not 0 <= r < self.size:
@@ -521,7 +495,7 @@ class Truncation:
         half rows are built once and each layer steps every word's two halves,
         by one gather each. The span of no elements has the ranks [0]."""
         p, r = self.prime.p, self.rank_of(g)
-        if p != 2 and g.items and int(self._top[ranks].max(initial=0)) < g.items[0][0]:
+        if p != 2 and g.items and int(self.top[ranks].max(initial=0)) < g.items[0][0]:
             steps = [sum(c * a % p * p ** (self.dim - i) for i, a in g.items) for c in range(p)]
             return (ranks[:, None] + np.array(steps, dtype=np.int64)).ravel()
         out = np.empty((ranks.size, p), dtype=np.int64)
@@ -539,21 +513,18 @@ class Truncation:
 
     def span_ranks(self, elems: Sequence[GroupElement]) -> np.ndarray:
         """Ranks of the p^k words of span(elems), in word order, as a
-        read-only array. The last element tuple asked for is remembered, so
-        the scans that read one span in turn share a single build."""
-        key, last = tuple(elems), self._span
-        if last is None or last[0] != key:
-            ranks = np.zeros(1, dtype=np.int64)
-            for g in key:
-                ranks = self.extend_span(ranks, g)
-            last = self.remember_span(key, ranks)
-        return last[1]
-
-    def remember_span(self, elems: Sequence[GroupElement], ranks: np.ndarray) -> tuple:
-        """Keep ``ranks``, the span ranks of elems built elsewhere, as the
-        last span, read-only; returns the memo (elements, ranks)."""
-        self._span = (tuple(elems), _read_only(ranks))
-        return self._span
+        read-only array. The last element tuple asked for is remembered with
+        its ranks, and a tuple that begins with it extends only its tail, so
+        the scans that read one span in turn share a single build and a basis
+        grown one element at a time extends its span once a step."""
+        key = tuple(elems)
+        last, ranks = self._span
+        if key[:len(last)] != last:
+            last, ranks = (), np.zeros(1, dtype=np.int64)
+        for g in key[len(last):]:
+            ranks = self.extend_span(ranks, g)
+        self._span = key, _read_only(ranks)
+        return ranks
 
 
 @lru_cache(maxsize=_SHARED_SLOTS)

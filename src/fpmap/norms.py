@@ -272,7 +272,7 @@ def graded_cost(seed: int, p, dim: int, *, steps: int = 60,
     # K/2 + (k-1) width + width j/steps = ((dim-1+k) steps + j) / (2 dim steps (4p)^dim)
     return _drawn_cost(
         tr, seed, steps, 2 * dim * steps,
-        lambda firsts, j: (tr.max_indices(firsts).astype(j.dtype) + dim - 1) * steps + j,
+        lambda firsts, j: (tr.top[firsts].astype(j.dtype) + dim - 1) * steps + j,
         2 * dim * steps * (4 * tr.prime.p) ** dim)
 
 
@@ -583,8 +583,7 @@ def _is_own_completion(tr: Truncation, nums: np.ndarray) -> bool:
     storage of ``nums`` (each sum adds two of its entries)."""
     best = None
     for e in tr.words_within(2).tolist():
-        rows = np.bitwise_xor(tr.identity, e) if tr.prime.p == 2 else tr.sub_rank_row(e)
-        via_e = nums[rows] + nums[e]
+        via_e = nums[tr.sub_rank_row(e)] + nums[e]
         best = via_e if best is None else np.minimum(best, via_e, out=best)
     return bool((best[1:] == nums[1:]).all())
 

@@ -183,6 +183,12 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
     echo = {k: v for k, v in cfg.raw.items() if k not in ("threads", "out")}
     cap = cfg.enum_cap
 
+    def stopped(name, exc):
+        """exc with its stage named, carrying the timings taken so far."""
+        err = CapExceededError(f"stage {name}: {exc}")
+        err.timings = timings
+        return err
+
     def run_stage(name, fn):
         """fn's result, timed with its document; None for a stage not asked for."""
         if name not in wanted:
@@ -193,7 +199,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
             if name in docs:
                 docs[name] = result.to_json_dict()
         except CapExceededError as exc:
-            raise CapExceededError(f"stage {name}: {exc}") from exc
+            raise stopped(name, exc) from exc
         finally:
             timings[name] = perf_counter() - t0
         return result
@@ -208,7 +214,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
         try:
             require_member_bound_scan(norm.prime.p, norm.dim, cfg.max_tuple, cap)
         except CapExceededError as exc:
-            raise CapExceededError(f"stage member_word_bound: {exc}") from exc
+            raise stopped("member_word_bound", exc) from exc
     axioms = run_stage("axioms", lambda: validate_axioms(norm, cap=cap))
     bad = not axioms.ok
 

@@ -173,10 +173,10 @@ def reduce_basis(basis: OrderedBasis, norm: Norm) -> ReducedBasis:
     tr = norm.truncation
     reduced: list[GroupElement] = []
     steps = []
-    ranks = np.zeros(1, dtype=np.int64)  # span(reduced), grown by one element per step
     for n in range(d):
-        # candidates: the rows whose incoming coefficient (last digit) is nonzero
-        words = tr.extend_span(ranks, basis[n])
+        # candidates: the rows whose incoming coefficient (last digit) is
+        # nonzero; the span memo adds only the element the last step found
+        words = tr.extend_span(tr.span_ranks(reduced), basis[n])
         vals, den = norm.values_of(words)
         cand = vals.reshape(-1, p)[:, 1:].ravel()
         i = int(np.argmin(cand))
@@ -193,9 +193,7 @@ def reduce_basis(basis: OrderedBasis, norm: Norm) -> ReducedBasis:
             runner_up_gap=None if not above.size else Fraction(int(above.min() - best), den),
         ))
         reduced.append(elem)
-        ranks = tr.extend_span(ranks, elem)
-    # the checkers read this span next
-    tr.remember_span(reduced, ranks)
+    tr.span_ranks(reduced)  # the checkers read this span next
     return ReducedBasis(
         original=basis,
         reduced=OrderedBasis(basis.prime, tuple(reduced)),
@@ -265,7 +263,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     # the nonzero rows within the tuple bound, and the top of each; every
     # top j has a word, its unit row, whose value starts the minimum
     words = rows.words_within(d if max_tuple is None else max_tuple)
-    tops, vw = rows.max_indices(words), vals[words]
+    tops, vw = rows.top[words], vals[words]
     top_values = vals[[0] + [p ** (d - j) for j in range(1, d + 1)]]
     smallest = top_values.copy()
     np.minimum.at(smallest, tops, vw)
@@ -273,7 +271,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     ratios = [Fraction(int(top_values[j]), int(smallest[j])) for j in range(1, d + 1)]
     violations = []
     for row in words[top_values[tops] > vw].tolist():
-        top = int(rows.max_indices(row))
+        top = int(rows.top[row])
         violations.append({
             "check": "max-term-minimality",
             "coeffs": list(word_digits(row, p, d)),
@@ -329,8 +327,8 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     # is stripped to rank 0, of top 0, which is no target. Only the values
     # of the words and of the terms mu * reduced[j - 1] are gathered.
     rows = _rows(norm, d)
-    lay, words = rows.layout, rows.words_within(max_tuple)
-    checked = p * int(lay.support[words].sum())
+    words = rows.words_within(max_tuple)
+    checked = p * int(rows.support[words].sum())
     span = norm.truncation.span_ranks(reduced.reduced.elems)
     vw, den = norm.values_of(span[words])
     terms = norm.values_of(span[[mu * p ** (d - j) for j in range(1, d + 1)
@@ -343,8 +341,8 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
     stripped = words
     for k in range(min(d, max_tuple)):
         if k:
-            stripped = lay.strip[stripped]
-        targets = lay.top[stripped]
+            stripped = rows.strip[stripped]
+        targets = rows.top[stripped]
         # every target j in 1..d-k has a word at depth k, so each of their
         # minima is one of its values
         least = np.full(d + 1, peak, dtype=vw.dtype)
@@ -366,7 +364,7 @@ def check_member_word_bound(reduced: ReducedBasis, norm: Norm, *,
                 bad = np.flatnonzero((targets == j) & (vw <= limit))
                 for row, value in zip(words[bad].tolist(), vw[bad].tolist()):
                     coeffs = word_digits(row, p, d)
-                    found.append((int(lay.support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
+                    found.append((int(rows.support[row]), [i + 1 for i, c in enumerate(coeffs) if c],
                                   [c for c in coeffs if c], k, mu, row, value, vt, factor))
     violations = [{
         "check": "member-word-bound",

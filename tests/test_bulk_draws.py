@@ -5,7 +5,7 @@ Twister word stream below 2^32 choices, and value_order sorts packed
 (value, rank) keys instead of a stable argsort. Both rest on details of
 CPython and numpy (getrandbits' word order, the floor modulo of negative
 keys), so each is compared with the call it replaces on every Python the
-tests run on. Also here: the graded cost build that reads only the layout's
+tests run on. Also here: the graded cost build that reads only the truncation's
 top, and the Fractions and thresholds a run builds.
 """
 
@@ -104,9 +104,8 @@ class TestSeededCosts:
         norm = norm_from_config({"kind": "cost_completion", "prime": 3, "dim": 5,
                                  "seed": 0, "graded": True})
         tr = norm.truncation
-        assert "_top" in vars(tr) and "layout" not in vars(tr)
-        top = tr._top
-        assert tr.layout.top is top  # the layout takes the top built for the draw
+        assert "top" in vars(tr) and not {"support", "strip"} & set(vars(tr))
+        top = tr.top
         assert top.tolist() == [tr.element_of(r).max_index for r in range(tr.size)]
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 violations or negative findings, 2 bad input,
 import gc
 import hashlib
 import json
+import re
 import threading
 
 import pytest
@@ -42,6 +43,14 @@ def violating_table_norm():
         entries.append({"element": jsonio.element_to_pairs(tr.element_of(r)),
                         "value": value})
     return {"kind": "table", "prime": 2, "dim": 2, "entries": entries}
+
+
+def stopped_run(capsys):
+    """(the stages of its timing lines, its last line) of the stderr of a
+    command that exits on a cap: a run prints the stages it timed first."""
+    *timed, last = capsys.readouterr().err.splitlines()
+    assert all(re.fullmatch(r"timing \w+: \d+\.\d{3}s", line) for line in timed)
+    return [line.split()[1].rstrip(":") for line in timed], last
 
 
 def stdout_doc(capsys):
@@ -175,32 +184,33 @@ class TestInputAndCapExits:
         run = {"prime": 2, "dim": 5, "caps": {"enum": 31},
                "norm": {"kind": "ultrametric", "prime": 2, "dim": 5}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
-        assert capsys.readouterr().err == (
-            "error: stage build: truncation has 32 elements, above cap 31\n")
+        assert stopped_run(capsys) == (
+            ["build"], "error: stage build: truncation has 32 elements, above cap 31")
 
-    @pytest.mark.parametrize("caps, max_tuple, err", [
+    @pytest.mark.parametrize("caps, max_tuple, timed, err", [
         # within its matching cap the norm builds its table, so the enum cap
         # stops stage build, as for the ultrametric norm
-        ({"enum": 31, "matching": 5}, 4,
+        ({"enum": 31, "matching": 5}, 4, ["build"],
          "stage build: truncation has 32 elements, above cap 31"),
         # past it the norm has no table, and validate_axioms refuses it
-        ({"matching": 4}, 4, "stage axioms: 5 points exceed the matching cap 4"),
+        ({"matching": 4}, 4, ["build", "axioms"],
+         "stage axioms: 5 points exceed the matching cap 4"),
         # after checking the enum cap; one-index words keep the member
         # bound's estimate (10 triples) under it
-        ({"enum": 31, "matching": 4}, 1,
+        ({"enum": 31, "matching": 4}, 1, ["build", "axioms"],
          "stage axioms: truncation has 32 elements, above cap 31"),
         # words of up to 4 indices take 150 triples, checked right after the build
-        ({"enum": 31, "matching": 4}, 4,
+        ({"enum": 31, "matching": 4}, 4, ["build"],
          "stage member_word_bound: bound scan needs ~150 evaluations, above cap 31"),
     ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps",
             "member-bound-before-axioms"])
     def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, caps,
-                                                           max_tuple, err):
+                                                           max_tuple, timed, err):
         run = {"prime": 2, "dim": 5, "caps": caps, "limits": {"max_tuple": max_tuple},
                "norm": {"kind": "graev_boolean",
                         "space": random_metric_space(1, 6, 1, 3).to_json_dict()}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
-        assert capsys.readouterr().err == f"error: {err}\n"
+        assert stopped_run(capsys) == (timed, f"error: {err}")
 
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
         # dim == cap validates; one point more exits 3 before any subset DP
@@ -214,7 +224,8 @@ class TestInputAndCapExits:
         run = {"prime": 2, "dim": 4, "caps": {"matching": 3},
                "norm": {"kind": "graev_boolean", "space": space(5)}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
-        assert capsys.readouterr().err == "error: stage axioms: 4 points exceed the matching cap 3\n"
+        assert stopped_run(capsys) == (
+            ["build", "axioms"], "error: stage axioms: 4 points exceed the matching cap 3")
 
 
 class TestEnvOverrides:
@@ -275,16 +286,17 @@ class TestEnvOverrides:
         monkeypatch.setenv("FPMAP_ENUM_CAP", "125")
         cfg = write_json(tmp_path / "run.json", {"prime": 5, "dim": 3, "norm": self.GRADED_5_3})
         assert main(["run", "--config", cfg]) == 3
-        assert capsys.readouterr().err == (
-            "error: stage member_word_bound: bound scan needs ~1500 evaluations, above cap 125\n")
+        assert stopped_run(capsys) == (
+            ["build"], "error: stage member_word_bound: bound scan needs ~1500 evaluations, "
+                       "above cap 125")
 
-    @pytest.mark.parametrize("command, err", [
-        (["run"], "error: stage member_word_bound: bound scan needs ~8 evaluations, "
-                  "above cap 4\n"),
-        (["verify"], "error: bound scan needs ~8 evaluations, above cap 4\n"),
+    @pytest.mark.parametrize("command, timed, err", [
+        (["run"], ["build"],
+         "error: stage member_word_bound: bound scan needs ~8 evaluations, above cap 4"),
+        (["verify"], [], "error: bound scan needs ~8 evaluations, above cap 4"),
     ], ids=["run", "verify"])
     def test_the_member_bound_estimate_comes_before_the_axioms(self, tmp_path, monkeypatch,
-                                                              capsys, command, err):
+                                                              capsys, command, timed, err):
         # a norm that fails its axioms stopped the chain (exit 1) before the
         # member bound was reached; its estimate is now checked right after
         # the build, while validate-norm, which does not scan it, still exits 1
@@ -293,7 +305,7 @@ class TestEnvOverrides:
         doc = {"prime": 2, "dim": 2, "norm": norm} if command == ["run"] else norm
         cfg = write_json(tmp_path / "c.json", doc)
         assert main([*command, "--config", cfg]) == 3
-        assert capsys.readouterr().err == err
+        assert stopped_run(capsys) == (timed, err)
         norm_cfg = write_json(tmp_path / "n.json", norm)
         assert main(["validate-norm", "--config", norm_cfg]) == 1
         # malformed input still exits 2 first

@@ -122,10 +122,10 @@ class TestArrayChecks:
 def test_max_indices_match_elements(p, dim):
     tr = Truncation(p, dim)
     want = [tr.element_of(r).max_index for r in range(tr.size)]
-    assert tr.max_indices(np.arange(tr.size)).tolist() == want
+    assert tr.top[np.arange(tr.size)].tolist() == want
     some = np.array([tr.size - 1, 0, p ** (dim - 1), 1, 0])
-    assert tr.max_indices(some).tolist() == [want[r] for r in some]
-    assert tr.max_indices(np.zeros(0, dtype=np.int64)).tolist() == []
+    assert tr.top[some].tolist() == [want[r] for r in some]
+    assert tr.top[np.zeros(0, dtype=np.int64)].tolist() == []
 
 
 @pytest.mark.parametrize("make", [

@@ -212,6 +212,40 @@ class TestSpanMemo:
         product_coarser_check(family, norm, 3)
         assert len(extensions) == 3
 
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_a_tuple_that_begins_with_the_last_extends_only_its_tail(self, p, data):
+        # a call sequence on one truncation: the remembered tuple grown by one
+        # or two elements, the same, a strict prefix, the same but for its
+        # last element, an unrelated tuple and the empty one
+        dim = longest = {2: 6, 3: 4, 5: 3}[p]
+        tr = Truncation(p, dim)
+        extended = []
+        extend = tr.extend_span
+        tr.extend_span = lambda ranks, g: extended.append(g) or extend(ranks, g)
+        element = st.integers(0, tr.size - 1).map(tr.element_of)
+        last = ()
+        moves = ["grow1", "grow2", "same", "prefix", "fork", "unrelated", "empty"]
+        for move in data.draw(st.lists(st.sampled_from(moves), min_size=1, max_size=10)):
+            if move.startswith("grow"):
+                n = min(int(move[-1]), longest - len(last))
+                new = last + tuple(data.draw(element) for _ in range(n))
+            elif move == "prefix" and last:
+                new = last[:data.draw(st.integers(0, len(last) - 1))]
+            elif move == "fork" and last:
+                new = last[:-1] + (data.draw(element.filter(lambda g: g != last[-1])),)
+            elif move == "unrelated":
+                new = tuple(data.draw(st.lists(element, max_size=longest)))
+            else:
+                new = () if move == "empty" else last
+            before = len(extended)
+            ranks = tr.span_ranks(list(new))
+            begins = new[:len(last)] == last
+            assert len(extended) - before == (len(new) - len(last) if begins else len(new))
+            assert not ranks.flags.writeable
+            assert ranks.tolist() == ([tr.rank_of(w) for w in enumerate_span(new)] if new else [0])
+            last = new
+
 
 def table_norm(p, dim, values):
     tr = Truncation(p, dim)

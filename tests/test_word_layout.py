@@ -1,8 +1,8 @@
 """The word layout and the checkers that read it, and the Graev distances as
 integers, against the references in tests/oracles.py.
 
-Truncation.layout gives each rank its top index, its support and its strip
-(the rank without its top term); verify_reduced_properties and
+Truncation.top, .support and .strip give each rank its top index, its
+support and its strip (the rank without its top term); verify_reduced_properties and
 check_member_word_bound read it instead of one digit pass per index, and
 must give the reports of the per-index loops they replaced. A metric space
 repairs its distances on integers and must store what _scaled makes of the
@@ -49,17 +49,16 @@ SHAPES = [(2, 1), (2, 7), (3, 5), (5, 3), (7, 2)]
 @pytest.mark.parametrize("p, dim", SHAPES)
 def test_layout_matches_elements(p, dim):
     tr = Truncation(p, dim)
-    lay = tr.layout
-    assert lay is tr.layout  # built once per truncation
-    assert (lay.top.dtype, lay.support.dtype, lay.strip.dtype) == (np.int8, np.int8, np.int32)
-    for a in (lay.top, lay.support, lay.strip):
+    assert tr.support is tr.support and tr.strip is tr.strip  # built once per truncation
+    assert (tr.top.dtype, tr.support.dtype, tr.strip.dtype) == (np.int8, np.int8, np.int32)
+    for a in (tr.top, tr.support, tr.strip):
         assert a.size == tr.size and not a.flags.writeable
     for r in range(tr.size):
         g = tr.element_of(r)
-        assert lay.top[r] == g.max_index
-        assert lay.support[r] == len(g.items)
+        assert tr.top[r] == g.max_index
+        assert tr.support[r] == len(g.items)
         # the strip drops the term at the largest index, not the smallest
-        assert lay.strip[r] == tr.rank_of(GroupElement(g.prime, g.items[:-1]))
+        assert tr.strip[r] == tr.rank_of(GroupElement(g.prime, g.items[:-1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,15 +67,14 @@ def test_layout_strips_reach_every_term(p, data):
     # the k-th strip's top is the k-th index of the support from the top
     dim = data.draw(st.integers(1, {2: 10, 3: 6, 5: 4, 7: 3}[p]))
     tr = Truncation(p, dim)
-    lay = tr.layout
     r = data.draw(st.integers(0, tr.size - 1))
     support = tr.element_of(r).support
     tops, s = [], r
     while s:
-        tops.append(int(lay.top[s]))
-        s = int(lay.strip[s])
+        tops.append(int(tr.top[s]))
+        s = int(tr.strip[s])
     assert tops == list(reversed(support))
-    assert tr.max_indices(np.array([r, 0])).tolist() == [max(support, default=0), 0]
+    assert tr.top[np.array([r, 0])].tolist() == [max(support, default=0), 0]
 
 
 def planted(basis, norm):
@@ -175,7 +173,7 @@ def test_member_word_bound_peak_memory_stays_below_the_masks():
     norm = CostCompletionNorm(graded_cost(0, p, dim))
     validate_axioms(norm)
     reduced = reduce_basis(OrderedBasis.standard(p, dim), norm)
-    norm.truncation.layout  # noqa: B018  built outside the measurement
+    norm.truncation.support, norm.truncation.strip  # noqa: B018  built outside the measurement
     tracemalloc.start()
     try:
         report = check_member_word_bound(reduced, norm)
