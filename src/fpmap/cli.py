@@ -24,17 +24,9 @@ from .errors import (
     NormBoundFailedError,
 )
 from .extraction import require_l
-from .fpcore import OrderedBasis, Prime, set_prime_cap
-from .norms import validate_axioms
+from .fpcore import Prime, set_prime_cap
 from .pipeline import RunConfig, RunReport, run_pipeline
-from .reduction import (
-    check_member_word_bound,
-    check_pair_domination,
-    reduce_basis,
-    reduced_basis_from_json,
-    require_member_bound_scan,
-    verify_reduced_properties,
-)
+from .reduction import reduced_basis_from_json
 
 EXIT_PASS = 0
 EXIT_VIOLATIONS = 1
@@ -96,23 +88,23 @@ def _run_config(doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunC
     return replace(cfg, **{k: v for k, v in env.items() if v is not None})
 
 
-def _run_through(cfg: RunConfig, name: str) -> RunReport:
-    """One run_pipeline call on cfg that must reach stage name.
+def _run_through(cfg: RunConfig, stages: tuple, **kwargs) -> RunReport:
+    """One run_pipeline call on cfg, with kwargs, that must reach the stages.
 
     A selection or norm-bound error, or an axiom failure that stopped the
-    chain before that stage, is raised as the finding it is.
+    chain before them, is raised as the finding it is.
     """
-    report = run_pipeline(cfg, stages=(name,))
+    report = run_pipeline(cfg, stages, **kwargs)
     if report.error is not None:
         finding = ExhaustedError if report.error["kind"] == "exhausted" else NormBoundFailedError
         raise finding(report.error["message"])
-    if report.stages[name] is None:
+    if report.stages[stages[-1]] is None:
         raise InvalidNormError("the norm failed axiom validation; see its axiom_report")
     return report
 
 
 def _emit_stage(cfg: RunConfig, name: str, out: str | None) -> int:
-    report = _run_through(cfg, name)
+    report = _run_through(cfg, (name,))
     _emit(report.stages[name], out)
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
@@ -124,69 +116,53 @@ def cmd_validate_norm(args) -> int:
 
 def cmd_reduce(args) -> int:
     cfg = _run_config(_load_json(args.config), norm_only=True)
-    report = _run_through(cfg, "reduction")
+    report = _run_through(cfg, ("reduction",))
     _emit({"norm": cfg.norm_descriptor, "reduced": report.stages["reduction"]}, args.out)
     return EXIT_PASS
 
 
-def _parse_limits(tokens) -> dict:
-    limits = {}
+def _parse_limits(tokens) -> int:
+    """The tuple bound n of verify's --limits tokens, 4 when none is given."""
+    n = 4
     for token in tokens or []:
         key, sep, value = token.partition("=")
         if not sep or key != "n":
             raise InputError(f"unknown limit {token!r}; expected n=<int>")
         try:
-            limits["n"] = int(value)
+            n = int(value)
         except ValueError:
             raise InputError(f"limit n must be an integer, got {value!r}") from None
-    return limits
+    return jsonio.require_int(n, "max_tuple", low=1)
+
+
+_LEMMA_STAGES = {"props": ("properties",), "1": ("member_word_bound",),
+                 "2": ("pair_domination",),
+                 "all": ("properties", "member_word_bound", "pair_domination")}
 
 
 def cmd_verify(args) -> int:
-    # verify calls the checkers itself: its properties check honours --limits
-    # n, while run's checks every tuple size
+    # all input is read before the norm is built; --limits n bounds the
+    # properties check too, where run's checks every tuple size
+    if bool(args.config) == bool(args.reduced):
+        raise InputError("pass --config or --reduced, not both")
     if args.reduced:
-        doc = _load_json(args.reduced)
-        jsonio.require_keys(doc, ["norm", "reduced"], [], what="reduce output")
+        doc = jsonio.require_keys(_load_json(args.reduced), ["norm", "reduced"], [],
+                                  what="reduce output")
         norm_cfg = doc["norm"]
-    elif args.config:
-        doc, norm_cfg = None, _load_json(args.config)
     else:
-        raise InputError("pass --config or --reduced")
+        doc, norm_cfg = None, _load_json(args.config)
     cfg = _run_config(norm_cfg, norm_only=True)
-    norm = cfg.build_norm()
-    # all input is read, and the member bound's size checked, before the
-    # axioms and the reduction run
     reduced = None if doc is None else reduced_basis_from_json(doc["reduced"])
-    max_tuple = _parse_limits(args.limits).get("n", 4)
-    if args.lemma in ("1", "all"):
-        shape = (norm.prime.p, norm.dim) if reduced is None else (reduced.prime.p, len(reduced))
-        require_member_bound_scan(*shape, max_tuple, cfg.enum_cap)
-    validate_axioms(norm, cap=cfg.enum_cap)
-    if reduced is None:
-        reduced = reduce_basis(OrderedBasis.standard(norm.prime, norm.dim), norm)
-    docs = {"properties": None, "member_word_bound": None, "pair_domination": None}
-    bad = False
-    if args.lemma in ("props", "all"):
-        report = verify_reduced_properties(reduced, norm, max_tuple=max_tuple)
-        docs["properties"] = report.to_json_dict()
-        bad = bad or not report.ok
-    if args.lemma in ("1", "all"):
-        report = check_member_word_bound(reduced, norm, max_tuple=max_tuple,
-                                         cap=cfg.enum_cap)
-        docs["member_word_bound"] = report.to_json_dict()
-        bad = bad or not report.ok
-    if args.lemma in ("2", "all"):
-        report = check_pair_domination(reduced, norm)
-        docs["pair_domination"] = report.to_json_dict()
-        bad = bad or not report.ok
-    _emit(docs, args.out)
-    return EXIT_VIOLATIONS if bad else EXIT_PASS
+    n = _parse_limits(args.limits)
+    report = _run_through(replace(cfg, max_tuple=n), _LEMMA_STAGES[args.lemma],
+                          reduced=reduced, properties_tuple=n)
+    _emit({k: report.stages[k] for k in _LEMMA_STAGES["all"]}, args.out)
+    return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
 
 def cmd_extract(args) -> int:
     cfg = _run_config(_load_json(args.config), norm_only=True, m=args.length)
-    stages = _run_through(cfg, "family").stages
+    stages = _run_through(cfg, ("family",)).stages
     _emit({"selection": stages["selection"], "family": stages["family"]}, args.out)
     return EXIT_PASS
 
@@ -400,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="run the reduction checkers")
     sub.add_argument("--config", help="path to a norm config JSON")
     sub.add_argument("--reduced", help="path to a reduce output JSON")
-    sub.add_argument("--lemma", choices=("props", "1", "2", "all"), default="all")
+    sub.add_argument("--lemma", choices=tuple(_LEMMA_STAGES), default="all")
     sub.add_argument("--limits", action="append", metavar="n=INT",
                      help="checker limits, e.g. n=4 for the tuple size")
     _add_threads(sub)

@@ -32,6 +32,7 @@ from .extraction import (
 from .fpcore import DEFAULT_ENUM_CAP, OrderedBasis, Prime, as_prime
 from .norms import norm_from_config, validate_axioms
 from .reduction import (
+    ReducedBasis,
     check_member_word_bound,
     check_pair_domination,
     reduce_basis,
@@ -151,11 +152,16 @@ class RunReport:
         }
 
 
-def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
+def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
+                 reduced: ReducedBasis | None = None,
+                 properties_tuple: int | None = None) -> RunReport:
     """Build the norm, then run the given stages and the stages they read from.
 
     Stages run in STAGE_KEYS order, axioms always; a stage that is neither
-    asked for nor read from stays null. Axiom failure, selection exhaustion,
+    asked for nor read from stays null. A given reduced basis stands in for
+    the reduction stage, which then stays null. properties_tuple bounds the
+    properties check's tuple size, every size when None; the member bound's
+    is cfg.max_tuple. Axiom failure, selection exhaustion,
     and a failed member norm bound stop the chain (later stages stay null,
     verdict "fail") but still produce a complete report. Checker violations
     only flip the verdict. The norm build is timed as "build" but has no
@@ -209,20 +215,23 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS) -> RunReport:
 
     norm = run_stage("build", cfg.build_norm)
     if "member_word_bound" in wanted:
-        # the scan's size is known from the norm's shape, so an input over
+        # the scan's size is known from the basis's shape, so an input over
         # the cap stops before the axioms and the reduction run
+        shape = (norm.prime.p, norm.dim) if reduced is None else (reduced.prime.p, len(reduced))
         try:
-            require_member_bound_scan(norm.prime.p, norm.dim, cfg.max_tuple, cap)
+            require_member_bound_scan(*shape, cfg.max_tuple, cap)
         except CapExceededError as exc:
             raise stopped("member_word_bound", exc) from exc
     axioms = run_stage("axioms", lambda: validate_axioms(norm, cap=cap))
     bad = not axioms.ok
 
     if not bad:
-        reduced = run_stage("reduction", lambda: reduce_basis(
-            OrderedBasis.standard(norm.prime, norm.dim), norm))
+        if reduced is None:
+            reduced = run_stage("reduction", lambda: reduce_basis(
+                OrderedBasis.standard(norm.prime, norm.dim), norm))
         bad = failed(
-            run_stage("properties", lambda: verify_reduced_properties(reduced, norm)),
+            run_stage("properties", lambda: verify_reduced_properties(
+                reduced, norm, max_tuple=properties_tuple)),
             run_stage("member_word_bound", lambda: check_member_word_bound(
                 reduced, norm, max_tuple=cfg.max_tuple, cap=cap)),
             run_stage("pair_domination", lambda: check_pair_domination(

@@ -1,7 +1,7 @@
 """One chain entry point: every chain subcommand is a stage subset of `run`.
 
-validate-norm, reduce, extract, modulus and duality --check coarser must
-print exactly the matching stage documents of one `fpmap run`, cap
+validate-norm, reduce, verify, extract, modulus and duality --check coarser
+must print exactly the matching stage documents of one `fpmap run`, cap
 overrides must take one precedence on every subcommand, and one run must
 call each stage function that the benchmark tracer patches exactly once.
 """
@@ -54,10 +54,19 @@ def test_subcommands_print_the_run_stage_documents(tmp_path, capsys, name):
     run = write_json(tmp_path / "run.json", run_cfg)
     norm = write_json(tmp_path / "norm.json", run_cfg["norm"])
     l, m = run_cfg["limits"]["l"], run_cfg["limits"]["m"]
+    red = str(tmp_path / "red.json")
+    assert main(["reduce", "--config", norm, "--out", red]) == 0
+    # dim <= 4, so run's properties check, over every tuple size, checks the
+    # words of verify's at its default n = 4; only the domain names the bound
+    checkers = {k: stages[k] for k in ("properties", "member_word_bound", "pair_domination")}
+    checkers["properties"] = dict(checkers["properties"], domain=checkers["properties"][
+        "domain"].replace("(all tuple sizes)", "(tuple sizes up to 4)"))
     cases = [
         (["validate-norm", "--config", norm], stages["axioms"]),
         (["reduce", "--config", norm],
          {"norm": run_cfg["norm"], "reduced": stages["reduction"]}),
+        (["verify", "--config", norm, "--limits", "n=4"], checkers),
+        (["verify", "--reduced", red], checkers),
         (["extract", "--config", norm, "--length", str(m)],
          {"selection": stages["selection"], "family": stages["family"]}),
         (["modulus", "--config", norm, "--l", str(l), "--m", str(m)], stages["modulus"]),
@@ -93,7 +102,8 @@ TRACED_NAMES = (
 )
 
 
-def test_one_run_calls_each_traced_stage_function_once(tmp_path, capsys, monkeypatch):
+def counted_calls(monkeypatch):
+    """The call count of each traced stage function, counted from now on."""
     calls = dict.fromkeys(TRACED_NAMES, 0)
 
     def counted(name, fn):
@@ -104,8 +114,29 @@ def test_one_run_calls_each_traced_stage_function_once(tmp_path, capsys, monkeyp
 
     for name in TRACED_NAMES:
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    return calls
+
+
+def test_one_run_calls_each_traced_stage_function_once(tmp_path, capsys, monkeypatch):
+    calls = counted_calls(monkeypatch)
     run_stages(tmp_path, capsys, RUN_CONFIGS["graded-p2-d4"])
     assert calls == dict.fromkeys(TRACED_NAMES, 1)
+
+
+def test_verify_calls_only_the_stage_functions_of_its_lemmas(tmp_path, monkeypatch):
+    norm = write_json(tmp_path / "norm.json", RUN_CONFIGS["graded-p2-d4"]["norm"])
+    red = str(tmp_path / "red.json")
+    assert main(["reduce", "--config", norm, "--out", red]) == 0
+    once = ("norm_from_config", "validate_axioms")
+    checkers = ("verify_reduced_properties", "check_member_word_bound", "check_pair_domination")
+    for argv, ran in (
+            # a given reduced basis stands in for the reduction
+            (["verify", "--reduced", red], once + checkers),
+            (["verify", "--config", norm, "--lemma", "2"],
+             once + ("reduce_basis", "check_pair_domination"))):
+        calls = counted_calls(monkeypatch)
+        assert main(argv) == 0
+        assert calls == {name: int(name in ran) for name in TRACED_NAMES}, argv
 
 
 def capped_graev(tmp_path):
@@ -194,13 +225,18 @@ class TestVacuousLimits:
         with pytest.raises(InputError, match="l must be in 1..2, got 3"):
             pipeline.run_pipeline(replace(cfg, l=3, m=2), stages=("modulus",))
 
-    @pytest.mark.parametrize("lemma", ["props", "1", "all"])
-    def test_verify_n_below_one_exits_two(self, tmp_path, capsys, lemma):
+    @pytest.mark.parametrize("lemma", ["props", "1", "2", "all"])
+    def test_verify_n_below_one_exits_two(self, tmp_path, capsys, monkeypatch, lemma):
+        # --lemma 2 reads no tuple bound, yet n = 0 is refused before the build
         argv = ["verify", "--config", self.graded_norm(tmp_path), "--lemma", lemma]
         assert main(argv + ["--limits", "n=1"]) == 0
         capsys.readouterr()
+        built = []
+        monkeypatch.setattr(pipeline, "norm_from_config",
+                            lambda *args, **kwargs: built.append(args))
         assert main(argv + ["--limits", "n=0"]) == 2
         assert capsys.readouterr().err == "error: max_tuple must be a positive integer, got 0\n"
+        assert built == []
 
     @pytest.mark.parametrize("checker", [verify_reduced_properties, check_member_word_bound])
     def test_checkers_reject_max_tuple_below_one(self, checker):
@@ -238,6 +274,21 @@ class TestStageSubsets:
         full = pipeline.run_pipeline(cfg, stages=pipeline.STAGE_KEYS).to_json_dict()
         assert jsonio.canonical_dumps(full) == jsonio.canonical_dumps(
             pipeline.run_pipeline(cfg).to_json_dict())
+
+    def test_a_given_reduced_basis_replaces_the_reduction_and_sets_the_estimate(self):
+        # two reduced elements of a p=3 dim 4 norm: their bound scan (~36
+        # triples) fits a cap at the truncation's 81 elements, the norm's
+        # dim 4 (~648) does not
+        cfg = pipeline.RunConfig(None, None, {"kind": "ultrametric", "prime": 3, "dim": 4},
+                                 enum_cap=81)
+        norm = cfg.build_norm()
+        validate_axioms(norm)
+        two = reduce_basis(OrderedBasis(norm.prime, OrderedBasis.standard(3, 4).elems[:2]), norm)
+        report = pipeline.run_pipeline(cfg, ("member_word_bound",), reduced=two)
+        assert report.stages["reduction"] is None and "reduction" not in report.timings
+        assert report.stages["member_word_bound"]["ok"]
+        with pytest.raises(CapExceededError, match="^stage member_word_bound: .* ~648 "):
+            pipeline.run_pipeline(cfg, ("member_word_bound",))
 
     def test_bare_descriptor_takes_prime_and_dim_from_the_norm(self):
         norm = {"kind": "graev_boolean", "space": convergent_line_space(2).to_json_dict()}

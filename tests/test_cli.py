@@ -293,7 +293,8 @@ class TestEnvOverrides:
     @pytest.mark.parametrize("command, timed, err", [
         (["run"], ["build"],
          "error: stage member_word_bound: bound scan needs ~8 evaluations, above cap 4"),
-        (["verify"], [], "error: bound scan needs ~8 evaluations, above cap 4"),
+        (["verify"], [],
+         "error: stage member_word_bound: bound scan needs ~8 evaluations, above cap 4"),
     ], ids=["run", "verify"])
     def test_the_member_bound_estimate_comes_before_the_axioms(self, tmp_path, monkeypatch,
                                                               capsys, command, timed, err):
@@ -411,6 +412,17 @@ class TestReduceVerify:
     def test_verify_needs_a_source(self, capsys):
         assert main(["verify"]) == 2
         assert "--config or --reduced" in capsys.readouterr().err
+
+    def test_verify_refuses_both_sources(self, tmp_path, capsys):
+        # both are refused, even where --config names no file
+        cfg = write_json(tmp_path / "n.json", {"kind": "ultrametric", "prime": 2, "dim": 3})
+        red = tmp_path / "red.json"
+        assert main(["reduce", "--config", cfg, "--out", str(red)]) == 0
+        for config in (cfg, str(tmp_path / "missing.json")):
+            assert main(["verify", "--config", config, "--reduced", str(red)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error: pass --config or --reduced, not both\n")
 
 
 class TestExtractModulus:
