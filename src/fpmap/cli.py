@@ -223,14 +223,12 @@ def cmd_demo_boolean(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _run_config(_load_json(args.config))
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
     try:
         report = run_pipeline(cfg)
     except CapExceededError as exc:  # a run stopped on a cap prints the stages it timed
         sys.stderr.writelines(line + "\n" for line in _timing_lines(exc.timings or {}))
         raise
-    _emit(report.to_json_dict(include_timings=args.include_timings), cfg.out)
+    _emit(report.to_json_dict(include_timings=args.include_timings), args.out)
     sys.stderr.writelines(line + "\n" for line in _timing_lines(report.timings))
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
@@ -346,15 +344,8 @@ def cmd_report(args) -> int:
     return EXIT_PASS if doc["verdict"] == "pass" else EXIT_VIOLATIONS
 
 
-def _add_threads(sub):
-    sub.add_argument("--threads", type=int,
-                     help="accepted and checked, but ignored: every check runs "
-                          "on one thread")
-
-
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a norm config JSON")
-    _add_threads(sub)
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -379,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lemma", choices=tuple(_LEMMA_STAGES), default="all")
     sub.add_argument("--limits", action="append", metavar="n=INT",
                      help="checker limits, e.g. n=4 for the tuple size")
-    _add_threads(sub)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_verify)
 
@@ -402,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", choices=("map", "kernel", "coarser"), default="map")
     sub.add_argument("--prime", type=int, help="cross-check the spec's prime")
     sub.add_argument("--dim", type=int, help="cross-check the spec's dimension")
-    _add_threads(sub)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_duality)
 
@@ -419,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("run", help="execute the full pipeline from a run config")
     sub.add_argument("--config", required=True, help="path to a run config JSON")
-    _add_threads(sub)
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--out")
     sub.add_argument("--include-timings", action="store_true",
                      help="embed wall-clock timings (breaks byte stability)")
     sub.set_defaults(func=cmd_run)
@@ -437,8 +425,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
     try:
-        if getattr(args, "threads", None) is not None:
-            jsonio.require_int(args.threads, "threads", low=1)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

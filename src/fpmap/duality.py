@@ -421,41 +421,34 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
     min_bad = None
     witness = None
     checked = 0
-    for vec in _exponent_vectors(n, p, limit):
-        support = [i for i, k in enumerate(vec) if k]
-        if not support:
-            continue
-        checked += 1
-        bad_term = next((i for i in support if term(i, vec[i])[1] >= eps), None)
-        if bad_term is None:
-            continue
-        w = sum((term(i, vec[i])[0] for i in support), GroupElement.zero(norm.prime))
-        vw = norm.eval(w)
-        if min_bad is None or vw < min_bad:
-            min_bad = vw
-            witness = {
-                "exponents": list(vec),
-                "w": jsonio.element_to_pairs(w),
-                "term_index": bad_term + 1,
-                "value_w": jsonio.frac_to_str(vw),
-                "value_term": jsonio.frac_to_str(term(bad_term, vec[bad_term])[1]),
-            }
+    for t in range(1, limit + 1):
+        for support in itertools.combinations(range(n), t):
+            for ks in itertools.product(range(1, p), repeat=t):
+                checked += 1
+                pairs = tuple(zip(support, ks))
+                bad = next(((i, k) for i, k in pairs if term(i, k)[1] >= eps), None)
+                if bad is None:
+                    continue
+                w = sum((term(i, k)[0] for i, k in pairs), GroupElement.zero(norm.prime))
+                vw = norm.eval(w)
+                if min_bad is None or vw < min_bad:
+                    min_bad = vw
+                    exponents = [0] * n
+                    for i, k in pairs:
+                        exponents[i] = k
+                    witness = {
+                        "exponents": exponents,
+                        "w": jsonio.element_to_pairs(w),
+                        "term_index": bad[0] + 1,
+                        "value_w": jsonio.frac_to_str(vw),
+                        "value_term": jsonio.frac_to_str(term(*bad)[1]),
+                    }
     if min_bad is None:
         return CertificateResult(eps, grid, grid[0], None, None, checked)
     for g in grid:
         if g <= min_bad:
             return CertificateResult(eps, grid, g, min_bad, witness, checked)
     return CertificateResult(eps, grid, None, min_bad, witness, checked)
-
-
-def _exponent_vectors(n: int, p: int, max_terms: int):
-    for t in range(1, max_terms + 1):
-        for idxs in itertools.combinations(range(n), t):
-            for vals in itertools.product(range(1, p), repeat=t):
-                vec = [0] * n
-                for j, v in zip(idxs, vals):
-                    vec[j] = v
-                yield tuple(vec)
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,12 @@ class RunConfig:
     m: int = 1
     enum_cap: int = DEFAULT_ENUM_CAP
     matching_cap: int | None = None
-    out: str | None = None
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_json_dict(cls, cfg: dict) -> "RunConfig":
         jsonio.require_keys(cfg, ["prime", "dim", "norm"],
-                            ["limits", "caps", "threads", "out"],
+                            ["limits", "caps", "threads"],
                             what="run config")
         prime = as_prime(cfg["prime"])
         dim = jsonio.require_int(cfg["dim"], "dim", low=1)
@@ -95,13 +94,10 @@ class RunConfig:
             jsonio.require_int(matching_cap, "matching cap", low=1)
         # accepted and checked, but ignored
         jsonio.require_int(cfg.get("threads", 1), "threads", low=1)
-        out = cfg.get("out")
-        if out is not None and not isinstance(out, str):
-            raise InputError(f"out must be a path string, got {out!r}")
         if not isinstance(cfg["norm"], dict):
             raise InputError("norm descriptor must be a JSON object")
         return cls(prime, dim, dict(cfg["norm"]), max_tuple, l, m,
-                   enum_cap, matching_cap, out, cfg)
+                   enum_cap, matching_cap, cfg)
 
     @property
     def norm_descriptor(self):
@@ -166,10 +162,10 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
     verdict "fail") but still produce a complete report. Checker violations
     only flip the verdict. The norm build is timed as "build" but has no
     stage document. The enum cap bounds the truncation when the norm is
-    built; it goes again only to the stages whose counts can pass that
-    size: the axiom pairs, the member bound (whose estimate is checked
-    right after the build), and the modulus and coarser words of a family
-    that may be longer than dim.
+    built, and the axiom check takes it again for the same element count.
+    Past those it goes only to the stages whose counts can pass that size:
+    the member bound (whose estimate is checked right after the build), and
+    the modulus and coarser words of a family that may be longer than dim.
     """
     # every stage after axioms reads the reduced basis, modulus and coarser
     # read the family, and the family is extracted from the selection
@@ -183,10 +179,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
     docs: dict = {k: None for k in STAGE_KEYS}
     timings: dict = {}
     error = None
-    # threads (accepted, but ignored) and out never change what a run
-    # computes, so they stay out of the echo to keep reports byte-identical
-    # across execution settings.
-    echo = {k: v for k, v in cfg.raw.items() if k not in ("threads", "out")}
+    # threads (accepted, but ignored) never changes what a run computes, so
+    # it stays out of the echo to keep reports byte-identical across it
+    echo = {k: v for k, v in cfg.raw.items() if k != "threads"}
     cap = cfg.enum_cap
 
     def stopped(name, exc):

@@ -262,7 +262,8 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
     rows = _rows(norm, d)
     # the nonzero rows within the tuple bound, and the top of each; every
     # top j has a word, its unit row, whose value starts the minimum
-    words = rows.words_within(d if max_tuple is None else max_tuple)
+    all_sizes = max_tuple is None or max_tuple >= d
+    words = rows.words_within(d if all_sizes else max_tuple)
     tops, vw = rows.top[words], vals[words]
     top_values = vals[[0] + [p ** (d - j) for j in range(1, d + 1)]]
     smallest = top_values.copy()
@@ -280,8 +281,7 @@ def verify_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
             "value_top": jsonio.frac_to_str(Fraction(int(top_values[top]), den)),
             "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
         })
-    tuple_note = ("all tuple sizes" if max_tuple is None
-                  else f"tuple sizes up to {max_tuple}")
+    tuple_note = "all tuple sizes" if all_sizes else f"tuple sizes up to {max_tuple}"
     return LemmaReport(
         inequality="max-term-minimality",
         domain=(f"all nonzero coefficient vectors over F_{p}^{d} ({tuple_note}); "

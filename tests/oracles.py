@@ -436,7 +436,7 @@ def brute_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
                 "value_top": jsonio.frac_to_str(vt),
                 "value_w": jsonio.frac_to_str(vw),
             })
-    tuple_note = ("all tuple sizes" if max_tuple is None
+    tuple_note = ("all tuple sizes" if max_tuple is None or max_tuple >= d
                   else f"tuple sizes up to {max_tuple}")
     return LemmaReport(
         inequality="max-term-minimality",
@@ -883,7 +883,7 @@ def per_index_reduced_properties(reduced: ReducedBasis, norm: Norm, *,
             "value_top": jsonio.frac_to_str(Fraction(int(top_values[top[row]]), den)),
             "value_w": jsonio.frac_to_str(Fraction(int(vals[row]), den)),
         })
-    tuple_note = ("all tuple sizes" if max_tuple is None
+    tuple_note = ("all tuple sizes" if max_tuple is None or max_tuple >= d
                   else f"tuple sizes up to {max_tuple}")
     return LemmaReport(
         inequality="max-term-minimality",

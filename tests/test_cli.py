@@ -79,8 +79,9 @@ class TestRun:
     def test_byte_identical_across_invocations(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", graded_run_cfg())
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        two = write_json(tmp_path / "run2.json", dict(graded_run_cfg(), threads=2))
         assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        assert main(["run", "--config", two, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_include_timings_embeds_floats(self, tmp_path):
@@ -662,7 +663,7 @@ class TestDemoAndReport:
 
 
 def threads_argv(tmp_path, case):
-    """A passing command line for each subcommand that takes --threads."""
+    """A passing command line for each subcommand that took --threads."""
     norm = write_json(tmp_path / "n.json",
                       {"kind": "cost_completion", "prime": 2, "dim": 4,
                        "seed": 0, "graded": True})
@@ -675,7 +676,6 @@ def threads_argv(tmp_path, case):
         "verify": ["verify", "--config", norm],
         "extract": ["extract", "--config", norm, "--length", "4"],
         "modulus": ["modulus", "--config", norm, "--l", "1", "--m", "4"],
-        # the map check never validates a norm, so only the CLI sees --threads
         "duality-map": ["duality", "--check", "map", "--spec", topo],
         "duality-coarser": ["duality", "--check", "coarser", "--spec", run],
         "run": ["run", "--config", run],
@@ -683,52 +683,63 @@ def threads_argv(tmp_path, case):
 
 
 class TestThreads:
-    @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("case", ["validate-norm", "reduce", "verify", "extract",
                                       "modulus", "duality-map", "duality-coarser", "run"])
-    def test_below_one_exits_two_on_every_subcommand(self, tmp_path, capsys, case, threads):
+    def test_threads_flag_exits_two_on_every_subcommand(self, tmp_path, capsys, case):
+        # no subcommand takes --threads, and a run config names no report
+        # file: --out alone does
         argv = threads_argv(tmp_path, case)
-        assert main(argv + ["--threads", threads]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
         err = capsys.readouterr().err
-        assert err == f"error: threads must be a positive integer, got {threads}\n"
-        assert main(argv + ["--threads", "2"]) == 0
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert err.endswith("error: unrecognized arguments: --threads 2\n")
+        assert main(argv) == 0
+        run = tmp_path / "run.json"
+        if str(run) in argv:
+            report = tmp_path / "report.json"
+            write_json(run, dict(graded_run_cfg(), out=str(report)))
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: run config has unknown key(s): out\n"
+            assert not report.exists()
 
     def test_config_threads_zero_has_the_same_message(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), threads=0))
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: threads must be a positive integer, got 0\n"
 
-    @pytest.mark.parametrize("norm_cfg, threads", [
-        ({"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True}, 8),
-        ({"kind": "ultrametric", "prime": 3, "dim": 3}, 8),
-        ({"kind": "ultrametric", "prime": 2, "dim": 7}, 2),
+    @pytest.mark.parametrize("norm_cfg", [
+        {"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True},
+        {"kind": "ultrametric", "prime": 3, "dim": 3},
+        {"kind": "ultrametric", "prime": 2, "dim": 7},
     ], ids=["graded", "ultrametric-3-3", "ultrametric-2-7"])
     def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, capsys, monkeypatch,
-                                                     norm_cfg, threads):
-        # the validator scans its value table serially: --threads starts no
-        # worker at all, so never more than the chunks, and prints the same report
+                                                     norm_cfg):
+        # the validator scans its value table serially: it starts no worker
+        # at all, so never more than the chunks, and prints the same report
         cfg = write_json(tmp_path / "n.json", norm_cfg)
         assert main(["validate-norm", "--config", cfg]) == 0
         one = capsys.readouterr().out
         monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
-        assert main(["validate-norm", "--config", cfg, "--threads", str(threads)]) == 0
+        assert main(["validate-norm", "--config", cfg]) == 0
         assert capsys.readouterr().out == one
 
     def test_run_starts_no_thread(self, tmp_path, capsys, monkeypatch):
         # weights up to 7/8^6 keep every value below the selection thresholds
         # at m = 5, so the chain passes; the triangle scan runs on 8 positions
         weights = [f"{i}/262144" for i in range(1, 8)]
-        cfg = write_json(tmp_path / "run.json", {
-            "prime": 2, "dim": 7,
-            "norm": {"kind": "ultrametric", "prime": 2, "dim": 7, "weights": weights}})
+        run = {"prime": 2, "dim": 7,
+               "norm": {"kind": "ultrametric", "prime": 2, "dim": 7, "weights": weights}}
         scanned = []
         scan = norms._triangle_scan
         monkeypatch.setattr(norms, "_triangle_scan",
                             lambda *args: scanned.append(len(args[-1])) or scan(*args))
         monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
         one, four = tmp_path / "one.json", tmp_path / "four.json"
-        assert main(["run", "--config", cfg, "--threads", "1", "--out", str(one)]) == 0
-        assert main(["run", "--config", cfg, "--threads", "4", "--out", str(four)]) == 0
+        for threads, out in ((1, one), (4, four)):
+            cfg = write_json(tmp_path / "run.json", dict(run, threads=threads))
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert scanned == [8, 8]
         assert four.read_bytes() == one.read_bytes()
 

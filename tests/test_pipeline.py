@@ -60,7 +60,6 @@ class TestRunConfig:
         assert cfg.max_tuple == 4
         assert cfg.l == 1
         assert cfg.m == 5
-        assert cfg.out is None
         assert cfg.matching_cap is None
 
     def test_m_default_caps_at_dim(self):
@@ -77,6 +76,9 @@ class TestRunConfig:
                 "norm": {"kind": "ultrametric", "prime": 2, "dim": 3},
                 "seed": 7,
             })
+        # the report path is the CLI's --out alone
+        with pytest.raises(InputError, match=r"run config has unknown key\(s\): out$"):
+            RunConfig.from_json_dict(graded_cfg(out="report.json"))
 
     def test_unknown_limits_key(self):
         with pytest.raises(InputError, match="unknown key"):
@@ -98,8 +100,6 @@ class TestRunConfig:
             RunConfig.from_json_dict(graded_cfg(threads=0))
         with pytest.raises(InputError, match="enum cap"):
             RunConfig.from_json_dict(graded_cfg(caps={"enum": -1}))
-        with pytest.raises(InputError, match="out"):
-            RunConfig.from_json_dict(graded_cfg(out=7))
         with pytest.raises(InputError, match="dim"):
             RunConfig.from_json_dict(graded_cfg(dim=0))
 

@@ -235,6 +235,12 @@ class TestVerifyReducedProperties:
         limited = verify_reduced_properties(red, norm, max_tuple=1)
         assert limited.checked < full.checked
         assert limited.checked == 2
+        assert "(tuple sizes up to 1)" in limited.domain
+        # a bound of at least d is no bound: the same document as None's
+        for n in (2, 5):
+            bounded = verify_reduced_properties(red, norm, max_tuple=n)
+            assert bounded.to_json_dict() == full.to_json_dict()
+        assert "(all tuple sizes)" in full.domain
 
 
 class TestMemberWordBound:
