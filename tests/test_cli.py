@@ -683,17 +683,19 @@ def threads_argv(tmp_path, case):
 
 
 class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("case", ["validate-norm", "reduce", "verify", "extract",
                                       "modulus", "duality-map", "duality-coarser", "run"])
-    def test_threads_flag_exits_two_on_every_subcommand(self, tmp_path, capsys, case):
-        # no subcommand takes --threads, and a run config names no report
-        # file: --out alone does
+    def test_below_one_exits_two_on_every_subcommand(self, tmp_path, capsys, case, threads):
+        # no subcommand takes --threads, whatever its value, and a run config
+        # names no report file: --out alone does
         argv = threads_argv(tmp_path, case)
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--threads", "2"])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2 and "Traceback" not in err
-        assert err.endswith("error: unrecognized arguments: --threads 2\n")
+        for value in (threads, "2"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", value])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and "Traceback" not in err
+            assert err.endswith(f"error: unrecognized arguments: --threads {value}\n")
         assert main(argv) == 0
         run = tmp_path / "run.json"
         if str(run) in argv:
