@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import fpcore, jsonio
+from . import jsonio
 from .errors import (
     CapExceededError,
     ExhaustedError,
@@ -24,7 +24,7 @@ from .errors import (
     NormBoundFailedError,
 )
 from .extraction import require_l
-from .fpcore import Prime, set_prime_cap
+from .fpcore import Prime
 from .pipeline import RunConfig, RunReport, run_pipeline
 from .reduction import reduced_basis_from_json
 
@@ -54,38 +54,32 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
+def _env_cap() -> int | None:
+    """FPMAP_ENUM_CAP, None when it is unset or empty."""
+    raw = os.environ.get("FPMAP_ENUM_CAP")
+    if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+        raise InputError(f"FPMAP_ENUM_CAP must be an integer, got {raw!r}") from None
     if value < 1:
-        raise InputError(f"{name} must be positive, got {value}")
+        raise InputError(f"FPMAP_ENUM_CAP must be positive, got {value}")
     return value
 
 
 def _run_config(doc, *, norm_only: bool = False, l: int = 1, m: int = 1) -> RunConfig:
-    """The RunConfig of one subcommand, with the environment's caps applied.
+    """The RunConfig of one subcommand, with FPMAP_ENUM_CAP applied.
 
     doc is a run config, or with norm_only a bare norm descriptor: its prime
     and dim are the norm's, and l and m are checked by the stages that use
-    them. Every subcommand takes one cap precedence: FPMAP_* beats the run
-    config's caps, which beat a matching_cap inside the norm descriptor. The
-    environment's caps bound work only, so they go into the RunConfig fields
-    and never into cfg.raw, whose echo stays the file's document.
-    FPMAP_PRIME_CAP is not a run-config cap: it is set first, so that it
-    holds while the config parses, and for this call only (see main).
+    them. FPMAP_ENUM_CAP beats the run config's caps.enum. It bounds work
+    only, so it goes into the RunConfig field and never into cfg.raw, whose
+    echo stays the file's document.
     """
-    prime_cap = _env_int("FPMAP_PRIME_CAP")
-    if prime_cap is not None:
-        set_prime_cap(prime_cap)
-    env = {"enum_cap": _env_int("FPMAP_ENUM_CAP"),
-           "matching_cap": _env_int("FPMAP_MATCHING_CAP")}
+    cap = _env_cap()
     cfg = RunConfig(None, None, doc, l=l, m=m) if norm_only else RunConfig.from_json_dict(doc)
-    return replace(cfg, **{k: v for k, v in env.items() if v is not None})
+    return cfg if cap is None else replace(cfg, enum_cap=cap)
 
 
 def _run_through(cfg: RunConfig, stages: tuple, **kwargs) -> RunReport:
@@ -117,7 +111,7 @@ def cmd_validate_norm(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _run_config(_load_json(args.config), norm_only=True)
     report = _run_through(cfg, ("reduction",))
-    _emit({"norm": cfg.norm_descriptor, "reduced": report.stages["reduction"]}, args.out)
+    _emit({"norm": cfg.norm_cfg, "reduced": report.stages["reduction"]}, args.out)
     return EXIT_PASS
 
 
@@ -192,31 +186,24 @@ def cmd_duality(args) -> int:
         return _emit_stage(cfg, "coarser", args.out)
     # the topology checks are not on the run chain, so their module loads here
     from .duality import is_map, topology_from_config, von_neumann_kernel
-    # a balls spec's norm descriptor takes the caps as validate-norm's does
-    has_norm = isinstance(doc, dict) and "norm" in doc
-    cfg = _run_config(doc["norm"] if has_norm else None, norm_only=True)
-    if has_norm:
-        doc = dict(doc, norm=cfg.norm_descriptor)
-    spec = topology_from_config(doc, cap=cfg.enum_cap)
+    spec = topology_from_config(doc, cap=_env_cap())
     _cross_check(args, "spec", spec.prime, spec.dim)
     if args.check == "kernel":
-        basis = von_neumann_kernel(spec, cap=cfg.enum_cap)
+        basis = von_neumann_kernel(spec)
         _emit({
             "prime": spec.prime.p,
             "dim": spec.dim,
             "kernel_basis": [jsonio.element_to_pairs(g) for g in basis],
         }, args.out)
         return EXIT_PASS
-    report = is_map(spec, cap=cfg.enum_cap)
+    report = is_map(spec)
     _emit(report.to_json_dict(), args.out)
     return EXIT_PASS
 
 
 def cmd_demo_boolean(args) -> int:
     from .duality import boolean_counterexample
-    cfg = _run_config(None, norm_only=True)
-    report = boolean_counterexample(args.points, search_depth=args.depth,
-                                    matching_cap=cfg.matching_cap, cap=cfg.enum_cap)
+    report = boolean_counterexample(args.points, search_depth=args.depth, cap=_env_cap())
     _emit(report.to_json_dict(), args.out)
     return EXIT_PASS
 
@@ -422,8 +409,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    prime_cap = fpcore._prime_cap  # FPMAP_PRIME_CAP holds for this call only
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage and error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except (InputError, OSError) as exc:
@@ -436,8 +425,6 @@ def main(argv=None) -> int:
             InvalidNormError) as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    finally:
-        set_prime_cap(prime_cap)
 
 
 if __name__ == "__main__":

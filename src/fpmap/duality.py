@@ -15,7 +15,7 @@ convergent-sequence case where no epsilon/delta certificate exists.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -90,22 +90,27 @@ class TopologySpec:
     Continuity of a character only ever consults base membership at zero, so
     a finite list of sets is the entire encoding. Every set contains rank 0:
     the constructors below add it where an input listing leaves it out, and
-    direct construction rejects sets that miss it.
+    direct construction rejects sets that miss it. Every constructor checks
+    the truncation against the enumeration cap ``cap`` and the spec keeps it
+    as ``tr``, so no read of the spec checks a cap again. Specs are equal by
+    (prime, dim, members).
     """
 
     prime: Prime
     dim: int
     members: tuple[frozenset[int], ...]
+    cap: InitVar[int | None] = None
+    tr: Truncation = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, cap):
+        object.__setattr__(self, "tr", truncation(self.prime, self.dim, cap=cap))
         if not self.members:
             raise InputError("a topology spec needs at least one base set")
-        size = self.prime.p ** self.dim
         for u in self.members:
             if 0 not in u:
                 raise InputError("every base set must contain zero")
             for r in u:
-                if not 0 <= r < size:
+                if not 0 <= r < self.tr.size:
                     raise InputError(f"rank {r} out of range for dimension {self.dim}")
 
     @classmethod
@@ -119,7 +124,7 @@ class TopologySpec:
             for g in elems:
                 ranks.add(tr.rank_of(g))
             members.append(frozenset(ranks))
-        return cls(prime, dim, tuple(members))
+        return cls(prime, dim, tuple(members), cap=cap)
 
     @classmethod
     def from_balls(cls, norm: Norm, radii, *, cap: int | None = None) -> "TopologySpec":
@@ -133,20 +138,19 @@ class TopologySpec:
         # vals / den < r, divided through so that no entry is multiplied
         members = [frozenset(np.flatnonzero(vals <= (r.numerator * den - 1) // r.denominator)
                              .tolist()) for r in radii]
-        return cls(norm.prime, norm.dim, tuple(members))
+        return cls(norm.prime, norm.dim, tuple(members), cap=cap)
 
-    def element_sets(self, *, cap: int | None = None) -> tuple[tuple[GroupElement, ...], ...]:
-        tr = truncation(self.prime, self.dim, cap=cap)
+    def element_sets(self) -> tuple[tuple[GroupElement, ...], ...]:
         return tuple(
-            tuple(tr.element_of(r) for r in sorted(u)) for u in self.members)
+            tuple(self.tr.element_of(r) for r in sorted(u)) for u in self.members)
 
-    def to_json_dict(self, *, cap: int | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "kind": "elements",
             "prime": self.prime.p,
             "dim": self.dim,
             "base": [[jsonio.element_to_pairs(g) for g in u]
-                     for u in self.element_sets(cap=cap)],
+                     for u in self.element_sets()],
         }
 
 
@@ -167,7 +171,7 @@ def random_topology(seed: int, p, dim: int, *, cap: int | None = None) -> Topolo
             extra = rng.sample(range(1, tr.size), k=rng.randrange(0, tr.size))
             ranks = frozenset({0, *extra})
         members.append(ranks)
-    return TopologySpec(prime, dim, tuple(members))
+    return TopologySpec(prime, dim, tuple(members), cap=cap)
 
 
 def topology_from_config(cfg, *, cap: int | None = None) -> TopologySpec:
@@ -218,15 +222,14 @@ def _annihilator_basis(rows, p: int, dim: int) -> tuple[GroupElement, ...]:
         for row in canon)
 
 
-def _base_spans(spec: TopologySpec, cap: int | None):
+def _base_spans(spec: TopologySpec):
     """(truncation, mask of the intersection of the W_U, mask of the
     continuous dual, a basis of ann(W_U) per base set U), W_U = span(U).
 
     W_U grows from the first rank of U outside the span so far, so it takes
     at most dim span extensions; ann(W_U) is the null space of those
     generators, and the continuous dual is the union of the ann(W_U)."""
-    p, d = spec.prime.p, spec.dim
-    tr = truncation(spec.prime, d, cap=cap)
+    p, d, tr = spec.prime.p, spec.dim, spec.tr
     inter, dual = np.ones(tr.size, dtype=bool), np.zeros(tr.size, dtype=bool)
     anns = []
     for u in spec.members:
@@ -241,13 +244,13 @@ def _base_spans(spec: TopologySpec, cap: int | None):
     return tr, inter, dual, anns
 
 
-def continuous_characters(spec: TopologySpec, *, cap: int | None = None) -> list[Character]:
+def continuous_characters(spec: TopologySpec) -> list[Character]:
     """All characters whose kernel contains some base set, in dual-rank order.
 
     Continuity into a discrete target is exactly that kernel containment;
     the trivial character always qualifies and comes first.
     """
-    rows = rank_digits(np.flatnonzero(_base_spans(spec, cap)[2]), spec.prime.p, spec.dim).tolist()
+    rows = rank_digits(np.flatnonzero(_base_spans(spec)[2]), spec.prime.p, spec.dim).tolist()
     return [Character(spec.prime, tuple(row)) for row in rows]
 
 
@@ -260,7 +263,7 @@ def _assert_same_subgroup(expected_ranks: frozenset[int],
             f"spans meet in {len(expected_ranks)}: the two routes disagree")
 
 
-def von_neumann_kernel(spec: TopologySpec, *, cap: int | None = None) -> tuple[GroupElement, ...]:
+def von_neumann_kernel(spec: TopologySpec) -> tuple[GroupElement, ...]:
     """Intersection of the kernels of all continuous characters, as a
     reduced-echelon basis (empty tuple for the trivial subgroup).
 
@@ -268,7 +271,7 @@ def von_neumann_kernel(spec: TopologySpec, *, cap: int | None = None) -> tuple[G
     of the stacked ann(W_U) bases, and the intersection of the W_U, which
     it equals by the double annihilator. Disagreement raises.
     """
-    return _kernel_basis(_base_spans(spec, cap))
+    return _kernel_basis(_base_spans(spec))
 
 
 def _kernel_basis(spans) -> tuple[GroupElement, ...]:
@@ -323,7 +326,7 @@ class MapReport:
         }
 
 
-def is_map(spec: TopologySpec, *, cap: int | None = None) -> MapReport:
+def is_map(spec: TopologySpec) -> MapReport:
     """Do the continuous characters separate points? Three routes, one verdict.
 
     Route one: the von Neumann kernel has an empty basis. Route two: the
@@ -331,7 +334,7 @@ def is_map(spec: TopologySpec, *, cap: int | None = None) -> MapReport:
     of the base sets intersect in zero alone, read from their rank masks.
     Any disagreement raises. Each open index-p subgroup is the kernel of
     one line of the continuous dual."""
-    spans = _base_spans(spec, cap)
+    spans = _base_spans(spec)
     _, inter, dual, anns = spans
     kernel_basis = _kernel_basis(spans)
     p, d = spec.prime.p, spec.dim
@@ -477,17 +480,16 @@ def convergent_line_space(n_points: int) -> PointedMetricSpace:
 
 
 def boolean_counterexample(n_points: int, *, search_depth: int = 3,
-                           matching_cap: int | None = None,
                            cap: int | None = None) -> BooleanWitnessReport:
     """The convergent-sequence obstruction: pairs {x, y_n} get arbitrarily small.
 
     Every single generator keeps norm >= 1, yet the two-element subsets
     {x, y_n} have norm 1/n, so no delta can force both members of a small
     word below eps = 1/2. The certificate run makes that failure explicit.
-    The caps go to the Graev norm and, the enum cap, to the certificate.
+    The enum cap goes to the Graev norm and to the certificate.
     """
     space = convergent_line_space(n_points)
-    norm = GraevBooleanNorm(space, matching_cap=matching_cap, cap=cap)
+    norm = GraevBooleanNorm(space, cap=cap)
     x = GroupElement.unit(2, 1)
     entries = []
     for k in range(1, n_points + 1):

@@ -10,7 +10,9 @@ class InputError(FpmapError, ValueError):
 
 
 class CapExceededError(FpmapError):
-    """An enumeration or matching would exceed its configured size cap."""
+    """A stage's work would pass a size cap: the enumeration cap, which a user
+    sets through caps.enum or FPMAP_ENUM_CAP, or the matching cap of a Graev
+    word's cover, fixed at 12 points."""
 
     timings: dict | None = None  # the stage timings a run took, when run_pipeline raises it
 

@@ -17,19 +17,12 @@ import numpy as np
 from .errors import CapExceededError, InputError
 from .jsonio import is_int, require_int
 
-DEFAULT_PRIME_CAP = 97
+PRIME_CAP = 97
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_MATCHING_CAP = 12
 
-_prime_cap = DEFAULT_PRIME_CAP
 _SHARED_SLOTS = 4  # the (p, dim) pairs whose truncation and standard basis are kept
 _SHARED_MAX_SIZE = 1 << 16  # larger truncations are not kept: their tables go with their owner
-
-
-def set_prime_cap(cap: int) -> None:
-    """Raise or lower the largest admissible prime (process-wide)."""
-    global _prime_cap
-    _prime_cap = require_int(cap, "prime cap", low=2)
 
 
 def _is_prime(n: int) -> bool:
@@ -51,8 +44,8 @@ class Prime:
 
     def __post_init__(self):
         require_int(self.p, "prime")
-        if self.p < 2 or self.p > _prime_cap:
-            raise InputError(f"prime must lie in [2, {_prime_cap}], got {self.p}")
+        if self.p < 2 or self.p > PRIME_CAP:
+            raise InputError(f"prime must lie in [2, {PRIME_CAP}], got {self.p}")
         if not _is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
 
@@ -329,7 +322,7 @@ def require_size(p: int, dim, cap: int | None) -> int:
 
 
 def truncation(p, dim: int, *, cap: int | None = None) -> "Truncation":
-    """The Truncation of F_p^dim once p (under the prime cap now in force), dim
+    """The Truncation of F_p^dim once p (at most PRIME_CAP), dim
     and the size (under ``cap``) pass the constructor's checks; one of at most
     _SHARED_MAX_SIZE elements is shared, for the last _SHARED_SLOTS pairs."""
     prime = as_prime(p)

@@ -492,7 +492,9 @@ class GraevBooleanNorm(Norm):
     table is built at construction, under the enumeration cap ``cap``. A
     wider space builds no table and may be large: each evaluation covers
     its own subset, which the matching cap bounds, and validate_axioms
-    refuses it with the matching cap error.
+    refuses it with the matching cap error. The matching cap is
+    DEFAULT_MATCHING_CAP; ``matching_cap`` lowers it only so that a test
+    can compare the word path with the table on one space.
     """
 
     kind = "graev_boolean"
@@ -730,13 +732,24 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     return report
 
 
+def _valued_elements(cfg: dict, key: str, what: str) -> list[tuple[GroupElement, Fraction]]:
+    """The (element, value) pairs of the list cfg[key] of {"element", "value"}
+    objects, each checked as a ``what``."""
+    pairs = []
+    for e in jsonio.require_list(cfg[key], what=key):
+        jsonio.require_keys(e, ["element", "value"], [], what=what)
+        pairs.append((jsonio.element_from_pairs(cfg["prime"], e["element"]),
+                      jsonio.frac_from_str(e["value"])))
+    return pairs
+
+
 def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
     """Build a norm from a JSON config document (strict keys, 'num/den' rationals)."""
     if not isinstance(cfg, dict):
         raise InputError(f"norm config must be a JSON object, got {type(cfg).__name__}")
     jsonio.require_keys(cfg, ["kind"],
                         ["prime", "dim", "weights", "entries", "seed", "low", "high",
-                         "steps", "graded", "costs", "space", "matching_cap"],
+                         "steps", "graded", "costs", "space"],
                         what="norm config")
     kind = cfg["kind"]
     if kind == "ultrametric":
@@ -750,24 +763,14 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
     if kind == "table":
         jsonio.require_keys(cfg, ["kind", "prime", "dim", "entries"], [],
                             what="table config")
-        p = cfg["prime"]
-        entries = []
-        for e in jsonio.require_list(cfg["entries"], what="entries"):
-            jsonio.require_keys(e, ["element", "value"], [], what="table entry")
-            entries.append((jsonio.element_from_pairs(p, e["element"]),
-                            jsonio.frac_from_str(e["value"])))
-        return TableNorm(p, cfg["dim"], entries, cap=cap)
+        entries = _valued_elements(cfg, "entries", "table entry")
+        return TableNorm(cfg["prime"], cfg["dim"], entries, cap=cap)
     if kind == "cost_completion":
         if "costs" in cfg:
             jsonio.require_keys(cfg, ["kind", "prime", "dim", "costs"], [],
                                 what="cost_completion config")
-            p = cfg["prime"]
-            pairs = []
-            for e in jsonio.require_list(cfg["costs"], what="costs"):
-                jsonio.require_keys(e, ["element", "value"], [], what="cost entry")
-                pairs.append((jsonio.element_from_pairs(p, e["element"]),
-                              jsonio.frac_from_str(e["value"])))
-            cost = CostFunction.from_pairs(p, cfg["dim"], pairs, cap=cap)
+            pairs = _valued_elements(cfg, "costs", "cost entry")
+            cost = CostFunction.from_pairs(cfg["prime"], cfg["dim"], pairs, cap=cap)
             return CostCompletionNorm(cost)
         jsonio.require_keys(cfg, ["kind", "prime", "dim", "seed"],
                             ["low", "high", "steps", "graded"],
@@ -785,7 +788,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
                            jsonio.frac_from_str(cfg["high"]), steps=steps, cap=cap)
         return CostCompletionNorm(cost)
     if kind == "graev_boolean":
-        jsonio.require_keys(cfg, ["kind", "space"], ["prime", "dim", "matching_cap"],
+        jsonio.require_keys(cfg, ["kind", "space"], ["prime", "dim"],
                             what="graev_boolean config")
         if jsonio.require_int(cfg.get("prime", 2), "prime") != 2:
             raise InputError("graev_boolean norms require prime 2")
@@ -797,7 +800,7 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
                    for x in jsonio.require_list(row, what="dist row")]
                   for row in jsonio.require_list(sp["dist"], what="dist")]
         space = PointedMetricSpace(matrix, basepoint=sp["basepoint"])
-        norm = GraevBooleanNorm(space, matching_cap=cfg.get("matching_cap"), cap=cap)
+        norm = GraevBooleanNorm(space, cap=cap)
         if "dim" in cfg and cfg["dim"] != norm.dim:
             raise InputError(f"space has {norm.dim} non-basepoint points, config says {cfg['dim']}")
         return norm

@@ -69,7 +69,6 @@ class RunConfig:
     l: int = 1
     m: int = 1
     enum_cap: int = DEFAULT_ENUM_CAP
-    matching_cap: int | None = None
     raw: dict = field(default_factory=dict)
 
     @classmethod
@@ -86,29 +85,16 @@ class RunConfig:
         if not (jsonio.is_int(l) and jsonio.is_int(m) and 1 <= l <= m <= dim):
             raise InputError(f"limits need 1 <= l <= m <= dim, got l={l!r}, m={m!r}")
         max_tuple = jsonio.require_int(limits.get("max_tuple", 4), "max_tuple", low=1)
-        caps = jsonio.require_keys(cfg.get("caps", {}), [],
-                                   ["enum", "matching"], what="caps")
+        caps = jsonio.require_keys(cfg.get("caps", {}), [], ["enum"], what="caps")
         enum_cap = jsonio.require_int(caps.get("enum", DEFAULT_ENUM_CAP), "enum cap", low=1)
-        matching_cap = caps.get("matching")
-        if matching_cap is not None:
-            jsonio.require_int(matching_cap, "matching cap", low=1)
         # accepted and checked, but ignored
         jsonio.require_int(cfg.get("threads", 1), "threads", low=1)
         if not isinstance(cfg["norm"], dict):
             raise InputError("norm descriptor must be a JSON object")
-        return cls(prime, dim, dict(cfg["norm"]), max_tuple, l, m,
-                   enum_cap, matching_cap, cfg)
-
-    @property
-    def norm_descriptor(self):
-        """norm_cfg with the run's matching cap, which beats the descriptor's own."""
-        if self.matching_cap is None or not isinstance(self.norm_cfg, dict) \
-                or self.norm_cfg.get("kind") != "graev_boolean":
-            return self.norm_cfg
-        return dict(self.norm_cfg, matching_cap=self.matching_cap)
+        return cls(prime, dim, dict(cfg["norm"]), max_tuple, l, m, enum_cap, cfg)
 
     def build_norm(self):
-        norm = norm_from_config(self.norm_descriptor, cap=self.enum_cap)
+        norm = norm_from_config(self.norm_cfg, cap=self.enum_cap)
         if self.prime is not None and norm.prime != self.prime:
             raise InputError(
                 f"config prime {self.prime.p} does not match the norm's {norm.prime.p}")

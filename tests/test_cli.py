@@ -14,9 +14,10 @@ import pytest
 
 from fpmap.cli import main, render_report
 from fpmap.duality import convergent_line_space
+from fpmap.errors import InputError
 from fpmap.fpcore import GroupElement, Prime, Truncation
 from fpmap.norms import random_metric_space
-from fpmap import jsonio, norms
+from fpmap import fpcore, jsonio, norms
 
 
 def write_json(path, doc):
@@ -51,6 +52,16 @@ def stopped_run(capsys):
     *timed, last = capsys.readouterr().err.splitlines()
     assert all(re.fullmatch(r"timing \w+: \d+\.\d{3}s", line) for line in timed)
     return [line.split()[1].rstrip(":") for line in timed], last
+
+
+def runs_under_env(monkeypatch, capsys, name, values, argv):
+    """(exit code, captured output) of argv without name set, then with name
+    set to each of values in turn."""
+    runs = [(main(argv), capsys.readouterr())]
+    for value in values:
+        monkeypatch.setenv(name, value)
+        runs.append((main(argv), capsys.readouterr()))
+    return runs
 
 
 def stdout_doc(capsys):
@@ -188,45 +199,45 @@ class TestInputAndCapExits:
         assert stopped_run(capsys) == (
             ["build"], "error: stage build: truncation has 32 elements, above cap 31")
 
-    @pytest.mark.parametrize("caps, max_tuple, timed, err", [
-        # within its matching cap the norm builds its table, so the enum cap
-        # stops stage build, as for the ultrametric norm
-        ({"enum": 31, "matching": 5}, 4, ["build"],
+    @pytest.mark.parametrize("dim, caps, max_tuple, timed, err", [
+        # within the matching cap of 12 points the norm builds its table, so
+        # the enum cap stops stage build, as for the ultrametric norm
+        (5, {"enum": 31}, 4, ["build"],
          "stage build: truncation has 32 elements, above cap 31"),
         # past it the norm has no table, and validate_axioms refuses it
-        ({"matching": 4}, 4, ["build", "axioms"],
-         "stage axioms: 5 points exceed the matching cap 4"),
+        (13, {}, 4, ["build", "axioms"],
+         "stage axioms: 13 points exceed the matching cap 12"),
         # after checking the enum cap; one-index words keep the member
-        # bound's estimate (10 triples) under it
-        ({"enum": 31, "matching": 4}, 1, ["build", "axioms"],
-         "stage axioms: truncation has 32 elements, above cap 31"),
-        # words of up to 4 indices take 150 triples, checked right after the build
-        ({"enum": 31, "matching": 4}, 4, ["build"],
-         "stage member_word_bound: bound scan needs ~150 evaluations, above cap 31"),
+        # bound's estimate (26 triples) under it
+        (13, {"enum": 31}, 1, ["build", "axioms"],
+         "stage axioms: truncation has 8192 elements, above cap 31"),
+        # words of up to 4 indices take 7774 triples, checked right after the build
+        (13, {"enum": 31}, 4, ["build"],
+         "stage member_word_bound: bound scan needs ~7774 evaluations, above cap 31"),
     ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps",
             "member-bound-before-axioms"])
-    def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, caps,
+    def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, dim, caps,
                                                            max_tuple, timed, err):
-        run = {"prime": 2, "dim": 5, "caps": caps, "limits": {"max_tuple": max_tuple},
+        run = {"prime": 2, "dim": dim, "caps": caps, "limits": {"max_tuple": max_tuple},
                "norm": {"kind": "graev_boolean",
-                        "space": random_metric_space(1, 6, 1, 3).to_json_dict()}}
+                        "space": random_metric_space(1, dim + 1, 1, 3).to_json_dict()}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
         assert stopped_run(capsys) == (timed, f"error: {err}")
 
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
-        # dim == cap validates; one point more exits 3 before any subset DP
+        # dim == 12, the matching cap, validates; one point more exits 3
+        # before any subset DP
         def space(n_points):
             return random_metric_space(1, n_points, 1, 3).to_json_dict()
 
-        for n_points, code in ((4, 0), (5, 3)):
-            norm = {"kind": "graev_boolean", "matching_cap": 3, "space": space(n_points)}
+        for n_points, code in ((13, 0), (14, 3)):
+            norm = {"kind": "graev_boolean", "space": space(n_points)}
             assert main(["validate-norm", "--config", write_json(tmp_path / "g.json", norm)]) == code
-        assert capsys.readouterr().err == "error: stage axioms: 4 points exceed the matching cap 3\n"
-        run = {"prime": 2, "dim": 4, "caps": {"matching": 3},
-               "norm": {"kind": "graev_boolean", "space": space(5)}}
+        assert capsys.readouterr().err == "error: stage axioms: 13 points exceed the matching cap 12\n"
+        run = {"prime": 2, "dim": 13, "norm": {"kind": "graev_boolean", "space": space(14)}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
         assert stopped_run(capsys) == (
-            ["build", "axioms"], "error: stage axioms: 4 points exceed the matching cap 3")
+            ["build", "axioms"], "error: stage axioms: 13 points exceed the matching cap 12")
 
 
 class TestEnvOverrides:
@@ -250,18 +261,24 @@ class TestEnvOverrides:
         assert main(["validate-norm", "--config", cfg]) == 2
         assert "FPMAP_ENUM_CAP" in capsys.readouterr().err
 
-    def test_prime_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPMAP_PRIME_CAP", "3")
+    def test_prime_cap_env(self, tmp_path, monkeypatch, capsys):
+        # the prime cap is the constant 97: FPMAP_PRIME_CAP is not read
         cfg = write_json(tmp_path / "n.json",
                          {"kind": "ultrametric", "prime": 5, "dim": 2})
-        assert main(["validate-norm", "--config", cfg]) == 2
+        first, *others = runs_under_env(monkeypatch, capsys, "FPMAP_PRIME_CAP", ["3", "x"],
+                                        ["validate-norm", "--config", cfg])
+        assert first[0] == 0 and others == [first, first]
 
-    def test_prime_cap_env_ends_with_the_call(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPMAP_PRIME_CAP", "3")
+    def test_prime_cap_env_ends_with_the_call(self, tmp_path, monkeypatch, capsys):
+        # nor does it raise the cap, in the call or after it
+        monkeypatch.setenv("FPMAP_PRIME_CAP", "200")
         cfg = write_json(tmp_path / "n.json",
-                         {"kind": "ultrametric", "prime": 2, "dim": 2})
-        assert main(["validate-norm", "--config", cfg]) == 0
-        assert Prime(5).p == 5
+                         {"kind": "ultrametric", "prime": 101, "dim": 1})
+        assert main(["validate-norm", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: prime must lie in [2, 97], got 101\n"
+        assert fpcore.PRIME_CAP == 97 and Prime(97).p == 97
+        with pytest.raises(InputError, match=r"prime must lie in \[2, 97\], got 101"):
+            Prime(101)
 
     GRADED_5_3 = {"kind": "cost_completion", "prime": 5, "dim": 3, "seed": 0, "graded": True}
 
@@ -316,12 +333,14 @@ class TestEnvOverrides:
         assert main(["verify", "--config", norm_cfg, "--limits", "m=1"]) == 2
         assert capsys.readouterr().err.endswith("error: unknown limit 'm=1'; expected n=<int>\n")
 
-    def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
+    def test_matching_cap_env_reaches_graev(self, tmp_path, monkeypatch, capsys):
+        # FPMAP_MATCHING_CAP is not read: the 3-point norm validates under any value
         space = convergent_line_space(2)
         cfg = write_json(tmp_path / "g.json",
                          {"kind": "graev_boolean", "space": space.to_json_dict()})
-        assert main(["validate-norm", "--config", cfg]) == 3
+        first, *others = runs_under_env(monkeypatch, capsys, "FPMAP_MATCHING_CAP", ["2", "x"],
+                                        ["validate-norm", "--config", cfg])
+        assert first[0] == 0 and others == [first, first]
 
 
 class TestValidateNorm:
@@ -473,29 +492,32 @@ class TestDuality:
         assert doc == {"dim": 3, "kernel_basis": [[[3, 1]]], "prime": 2}
 
     def test_balls_over_a_graev_norm_past_its_matching_cap(self, tmp_path, capsys):
-        # the wide norm has no value table, so the balls cannot be read
-        norm = {"kind": "graev_boolean", "matching_cap": 4,
-                "space": random_metric_space(1, 6, 1, 3).to_json_dict()}
+        # the 13-point norm has no value table, so the balls cannot be read
+        norm = {"kind": "graev_boolean",
+                "space": random_metric_space(1, 14, 1, 3).to_json_dict()}
         spec = write_json(tmp_path / "balls.json",
                           {"kind": "balls", "norm": norm, "radii": ["2"]})
         assert main(["duality", "--check", "map", "--spec", spec]) == 3
-        assert capsys.readouterr().err == "error: 5 points exceed the matching cap 4\n"
+        assert capsys.readouterr().err == "error: 13 points exceed the matching cap 12\n"
 
     @pytest.mark.parametrize("check", ["map", "kernel"])
     def test_matching_cap_env_reaches_a_balls_norm(self, tmp_path, monkeypatch, capsys, check):
-        # a 4-point Graev norm past FPMAP_MATCHING_CAP=2 exits 3, as
-        # validate-norm does on the same norm
+        # FPMAP_MATCHING_CAP is not read, and a balls spec's descriptor that
+        # names a matching cap exits 2 as validate-norm does on it
         norm = {"kind": "graev_boolean", "space": random_metric_space(1, 5, 1, 3).to_json_dict()}
         spec = write_json(tmp_path / "balls.json",
                           {"kind": "balls", "norm": norm, "radii": ["2"]})
-        monkeypatch.setenv("FPMAP_MATCHING_CAP", "2")
-        assert main(["duality", "--check", check, "--spec", spec]) == 3
-        assert capsys.readouterr().err == "error: 3 points exceed the matching cap 2\n"
-        assert main(["validate-norm", "--config", write_json(tmp_path / "n.json", norm)]) == 3
-        assert capsys.readouterr().err == (
-            "error: stage axioms: 3 points exceed the matching cap 2\n")
-        monkeypatch.setenv("FPMAP_MATCHING_CAP", "4")
-        assert main(["duality", "--check", check, "--spec", spec]) == 0
+        first, other = runs_under_env(monkeypatch, capsys, "FPMAP_MATCHING_CAP", ["2"],
+                                      ["duality", "--check", check, "--spec", spec])
+        assert first[0] == 0 and other == first
+        norm = dict(norm, matching_cap=4)
+        spec = write_json(tmp_path / "balls.json",
+                          {"kind": "balls", "norm": norm, "radii": ["2"]})
+        for argv in (["duality", "--check", check, "--spec", spec],
+                     ["validate-norm", "--config", write_json(tmp_path / "n.json", norm)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: norm config has unknown key(s): matching_cap\n")
 
     def test_prime_cross_check(self, tmp_path, capsys):
         assert main(["duality", "--check", "map", "--spec", self.topo(tmp_path),
@@ -571,22 +593,27 @@ class TestDemoAndReport:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "caddc192176f444d22a13396ba75249edd88159fff97eef23773b05bbdb1a328"
 
-    @pytest.mark.parametrize("env, err", [
-        ({"FPMAP_ENUM_CAP": "4"}, "error: truncation has 64 elements, above cap 4\n"),
-        ({"FPMAP_MATCHING_CAP": "1"}, "error: 2 points exceed the matching cap 1\n"),
+    @pytest.mark.parametrize("env, code, err", [
+        ({"FPMAP_ENUM_CAP": "4"}, 3, "error: truncation has 64 elements, above cap 4\n"),
+        ({"FPMAP_MATCHING_CAP": "1"}, 0, ""),
     ], ids=["enum", "matching"])
-    def test_demo_boolean_takes_the_environment_caps(self, monkeypatch, capsys, env, err):
-        # 5 points make a 6-point Graev norm: within the default matching cap
-        # its table is built under the enum cap, past a matching cap of 1 its
-        # first pair is refused
+    def test_demo_boolean_takes_the_environment_caps(self, monkeypatch, capsys, env, code,
+                                                     err):
+        # 5 points make a 6-point Graev norm: within the matching cap its
+        # table is built under the enum cap. FPMAP_MATCHING_CAP is not read,
+        # so it leaves the output as it is
+        assert main(["demo-boolean", "--points", "5"]) == 0
+        default = capsys.readouterr().out
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert main(["demo-boolean", "--points", "5"]) == 3
-        assert capsys.readouterr().err == err
+        assert main(["demo-boolean", "--points", "5"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ("" if code else default)
 
     def test_demo_boolean_at_the_default_caps(self, monkeypatch, capsys):
         runs = []
-        for env in ({}, {"FPMAP_ENUM_CAP": "10000000", "FPMAP_MATCHING_CAP": "12"}):
+        for env in ({}, {"FPMAP_ENUM_CAP": "10000000"}):
             for name, value in env.items():
                 monkeypatch.setenv(name, value)
             runs.append((main(["demo-boolean", "--points", "12"]), capsys.readouterr()))
@@ -682,19 +709,36 @@ def threads_argv(tmp_path, case):
     }[case]
 
 
+# command lines that argparse refuses before the flag is read, with the end
+# of the error line it prints
+ARGV_ERRORS = {
+    "missing-config": (["run"], "error: the following arguments are required: --config\n"),
+    "unknown-subcommand": (["prove"], "error: argument command: invalid choice: 'prove' "),
+}
+
+
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("case", ["validate-norm", "reduce", "verify", "extract",
-                                      "modulus", "duality-map", "duality-coarser", "run"])
+                                      "modulus", "duality-map", "duality-coarser", "run",
+                                      *ARGV_ERRORS])
     def test_below_one_exits_two_on_every_subcommand(self, tmp_path, capsys, case, threads):
         # no subcommand takes --threads, whatever its value, and a run config
-        # names no report file: --out alone does
+        # names no report file: --out alone does. main returns argparse's exit
+        # code, as it returns every other one, and prints no traceback
+        if case in ARGV_ERRORS:
+            argv, err = ARGV_ERRORS[case]
+            for args in (argv, argv + ["--threads", threads]):
+                assert main(args) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "Traceback" not in captured.err
+                assert err in captured.err and captured.err.startswith("usage: fpmap")
+            return
         argv = threads_argv(tmp_path, case)
         for value in (threads, "2"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--threads", value])
+            assert main(argv + ["--threads", value]) == 2
             err = capsys.readouterr().err
-            assert exc.value.code == 2 and "Traceback" not in err
+            assert "Traceback" not in err
             assert err.endswith(f"error: unrecognized arguments: --threads {value}\n")
         assert main(argv) == 0
         run = tmp_path / "run.json"
@@ -705,6 +749,10 @@ class TestThreads:
             assert main(argv) == 2
             assert capsys.readouterr().err == "error: run config has unknown key(s): out\n"
             assert not report.exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fpmap")
 
     def test_config_threads_zero_has_the_same_message(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), threads=0))

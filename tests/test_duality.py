@@ -11,7 +11,7 @@ from oracles import (
     brute_rank,
     brute_von_neumann_kernel,
 )
-from fpmap import duality
+from fpmap import duality, fpcore
 from fpmap.duality import (
     Character,
     MapReport,
@@ -36,7 +36,7 @@ from fpmap.extraction import (
     product_coarser_check,
     select_null_subsequence,
 )
-from fpmap.fpcore import GroupElement, OrderedBasis, Truncation
+from fpmap.fpcore import GroupElement, OrderedBasis, Prime, Truncation
 from fpmap.norms import (
     CostCompletionNorm,
     UltrametricProductNorm,
@@ -151,6 +151,37 @@ class TestTopologySpec:
         again = topology_from_config(spec.to_json_dict())
         assert again == spec
 
+    # p=2, dim 4: the truncation has 16 elements
+    CAPPED = {
+        "direct": lambda cap: TopologySpec(Prime(2), 4, (frozenset({0, 3}),), cap=cap),
+        "elements": lambda cap: TopologySpec.from_elements(2, 4, [[e(2, (4, 1))]], cap=cap),
+        "balls": lambda cap: TopologySpec.from_balls(UltrametricProductNorm(2, 4),
+                                                     [F(1, 3)], cap=cap),
+        "seeded": lambda cap: random_topology(3, 2, 4, cap=cap),
+        "config": lambda cap: topology_from_config(
+            {"kind": "balls", "norm": {"kind": "ultrametric", "prime": 2, "dim": 4},
+             "radii": ["1/3"]}, cap=cap),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAPPED))
+    def test_the_cap_is_checked_once_when_the_spec_is_built(self, monkeypatch, name):
+        with pytest.raises(CapExceededError, match="^truncation has 16 elements, above cap 15$"):
+            self.CAPPED[name](15)
+        spec = self.CAPPED[name](16)
+        assert spec.tr.size == 16
+        # equal by (prime, dim, members) to the spec under the default cap
+        default = self.CAPPED[name](None)
+        assert spec == default and hash(spec) == hash(default)
+        expected = (continuous_characters(default), von_neumann_kernel(default),
+                    is_map(default), default.element_sets(), default.to_json_dict())
+        # every read serves from the spec's truncation: none builds or checks one
+        def refuse(*args, **kwargs):
+            raise AssertionError("a read built a truncation")
+        monkeypatch.setattr(duality, "truncation", refuse)
+        monkeypatch.setattr(fpcore, "require_size", refuse)
+        assert (continuous_characters(spec), von_neumann_kernel(spec), is_map(spec),
+                spec.element_sets(), spec.to_json_dict()) == expected
+
     def test_balls_config(self):
         cfg = {
             "kind": "balls",
@@ -206,7 +237,10 @@ class TestContinuousCharacters:
         assert not any(chars[0].coeffs)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        # the spec checks the cap when it is built; the read takes none
+        with pytest.raises(CapExceededError, match="above cap 7"):
+            TopologySpec.from_elements(2, 3, [[]], cap=7)
+        with pytest.raises(TypeError):
             continuous_characters(discrete_spec(2, 3), cap=7)
 
 

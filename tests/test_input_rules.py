@@ -35,7 +35,7 @@ NORMS = {
                "graded": True, "steps": 4},
     "costs": {"kind": "cost_completion", "prime": 2, "dim": 1,
               "costs": [{"element": [[1, 1]], "value": "1/2"}]},
-    "graev": {"kind": "graev_boolean", "prime": 2, "dim": 2, "matching_cap": 4,
+    "graev": {"kind": "graev_boolean", "prime": 2, "dim": 2,
               "space": {"basepoint": 0,
                         "dist": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}},
 }
@@ -49,7 +49,7 @@ TOPOLOGIES = {
 RUN = {"prime": 2, "dim": 4,
        "norm": {"kind": "cost_completion", "prime": 2, "dim": 4, "seed": 0, "graded": True},
        "limits": {"max_tuple": 2, "l": 1, "m": 4},
-       "caps": {"enum": 1000, "matching": 4}, "threads": 1}
+       "caps": {"enum": 1000}, "threads": 1}
 
 
 def reduced_doc():
@@ -64,7 +64,7 @@ PAIR = ((0, True), (1, False))  # [index, coefficient]: the index is positive
 INTEGER_FIELDS = (
     [("run", RUN, ["run"], (key,), True) for key in ("prime", "dim", "threads")]
     + [("run", RUN, ["run"], ("limits", key), True) for key in ("max_tuple", "l", "m")]
-    + [("run", RUN, ["run"], ("caps", key), True) for key in ("enum", "matching")]
+    + [("run", RUN, ["run"], ("caps", "enum"), True)]
     + [(f"norm-{name}", doc, ["validate-norm"], (key,), True)
        for name, doc in NORMS.items() for key in ("prime", "dim")]
     + [(f"norm-{name}", NORMS[name], ["validate-norm"], (key,), False)
@@ -73,8 +73,7 @@ INTEGER_FIELDS = (
        for name in ("seeded", "graded")]
     + [(f"norm-{name}", NORMS[name], ["validate-norm"], (key, 0, "element", 0, j), positive)
        for name, key in (("table", "entries"), ("costs", "costs")) for j, positive in PAIR]
-    + [("norm-graev", NORMS["graev"], ["validate-norm"], ("matching_cap",), True),
-       ("norm-graev", NORMS["graev"], ["validate-norm"], ("space", "basepoint"), False)]
+    + [("norm-graev", NORMS["graev"], ["validate-norm"], ("space", "basepoint"), False)]
     + [("topology-elements", TOPOLOGIES["elements"], ["duality"], (key,), True)
        for key in ("prime", "dim")]
     + [("topology-elements", TOPOLOGIES["elements"], ["duality"], ("base", 0, 0, 0, j), positive)
@@ -94,6 +93,10 @@ INTEGER_FIELDS = (
           for key in ("original", "reduced") for j, positive in PAIR),
         *((("reduced", "steps", 0, "element", 0, j), positive) for j, positive in PAIR),
     )]
+    # the matching cap is a constant: its two keys exit 2 as unknown keys,
+    # whatever their value
+    + [("run", RUN, ["run"], ("caps", "matching"), True),
+       ("norm-graev", NORMS["graev"], ["validate-norm"], ("matching_cap",), True)]
 )
 
 NOT_INTEGERS = (True, "1", 1.5, [], {})
@@ -159,7 +162,7 @@ def test_graded_flag_takes_only_true_or_false(tmp_path, capsys, value):
     # each of these ran into a traceback (exit 1) or was silently accepted
     (["run"], dict(RUN, dim=2, limits={}, caps={},
                    norm=with_value(NORMS["graev"], ("matching_cap",), "5")),
-     "error: matching cap must be a positive integer, got '5'\n"),
+     "error: norm config has unknown key(s): matching_cap\n"),
     (["validate-norm"], with_value(NORMS["seeded"], ("seed",), []),
      "error: seed must be an integer, got []\n"),
     (["duality"], with_value(TOPOLOGIES["seeded"], ("seed",), []),
@@ -175,6 +178,26 @@ def test_graded_flag_takes_only_true_or_false(tmp_path, capsys, value):
 def test_inputs_that_escaped_the_rule(tmp_path, capsys, command, doc, message):
     assert main(argv_for(tmp_path, command, doc)) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command, doc, path, message", [
+    (["run"], RUN, ("caps", "matching"), "caps has unknown key(s): matching"),
+    (["duality", "--check", "coarser"], RUN, ("caps", "matching"),
+     "caps has unknown key(s): matching"),
+    (["run"], RUN, ("norm", "matching_cap"), "norm config has unknown key(s): matching_cap"),
+    (["validate-norm"], NORMS["graev"], ("matching_cap",),
+     "norm config has unknown key(s): matching_cap"),
+    (["duality"], dict(TOPOLOGIES["balls"], norm=NORMS["graev"]), ("norm", "matching_cap"),
+     "norm config has unknown key(s): matching_cap"),
+    (["verify"], None, ("norm", "matching_cap"), "norm config has unknown key(s): matching_cap"),
+], ids=["run-caps", "coarser-caps", "run-norm", "norm", "balls-norm", "reduced-norm"])
+def test_matching_cap_keys_are_unknown(tmp_path, capsys, command, doc, path, message):
+    # the matching cap is a constant, so a document that sets it exits 2,
+    # while the same document without the key passes
+    assert main(argv_for(tmp_path, command, reduced_doc() if doc is None else doc)) == 0
+    capsys.readouterr()
+    assert main(argv_for(tmp_path, command, with_value(doc, path, 12))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("dim", [100_000, 2 ** 70], ids=["1e5", "2^70"])

@@ -711,6 +711,10 @@ class TestNormFromConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(InputError, match="unknown key"):
             norm_from_config({"kind": "ultrametric", "prime": 2, "dim": 1, "extra": 1})
+        # the matching cap is a constant, not a descriptor key
+        with pytest.raises(InputError, match=r"norm config has unknown key\(s\): matching_cap$"):
+            norm_from_config({"kind": "graev_boolean", "matching_cap": 12, "space": {
+                "basepoint": 0, "dist": [["0/1", "1/1"], ["1/1", "0/1"]]}})
 
     def test_graev_boolean_wrong_prime(self):
         with pytest.raises(InputError, match="prime 2"):

@@ -7,7 +7,7 @@ import pytest
 from fpmap import extraction, jsonio, norms
 from fpmap.duality import convergent_line_space
 from fpmap.errors import CapExceededError, InputError
-from fpmap.fpcore import GroupElement, Truncation
+from fpmap.fpcore import DEFAULT_ENUM_CAP, GroupElement, Truncation
 from fpmap.pipeline import STAGE_KEYS, RunConfig, run_pipeline
 
 
@@ -60,7 +60,7 @@ class TestRunConfig:
         assert cfg.max_tuple == 4
         assert cfg.l == 1
         assert cfg.m == 5
-        assert cfg.matching_cap is None
+        assert cfg.enum_cap == DEFAULT_ENUM_CAP
 
     def test_m_default_caps_at_dim(self):
         cfg = RunConfig.from_json_dict({
@@ -87,6 +87,9 @@ class TestRunConfig:
     def test_unknown_caps_key(self):
         with pytest.raises(InputError, match="unknown key"):
             RunConfig.from_json_dict(graded_cfg(caps={"spam": 10}))
+        # the matching cap is a constant, not a run-config cap
+        with pytest.raises(InputError, match=r"caps has unknown key\(s\): matching$"):
+            RunConfig.from_json_dict(graded_cfg(caps={"enum": 100, "matching": 12}))
 
     @pytest.mark.parametrize("limits", [{"l": 3, "m": 2}, {"m": 9}, {"l": 0}])
     def test_limit_ordering_enforced(self, limits):
@@ -109,7 +112,9 @@ class TestRunConfig:
         ("limits", {"l": True}, "l <= m <= dim"),
         ("limits", {"m": True}, "l <= m <= dim"),
         ("caps", {"enum": True}, "enum cap"),
-        ("caps", {"matching": True}, "matching cap"),
+        # the matching cap is no integer field now, but an unknown key
+        pytest.param("caps", {"matching": True}, r"unknown key\(s\): matching$",
+                     id="caps-value5-matching cap"),
         ("threads", True, "threads"),
     ])
     def test_booleans_are_not_integers(self, field, value, match):
@@ -226,16 +231,17 @@ class TestRunPipeline:
             run_pipeline(RunConfig.from_json_dict(graded_cfg(caps={"enum": 5})))
 
     def test_matching_cap_overflow_names_stage(self):
-        space = convergent_line_space(2)
+        # 13 points pass the matching cap of 12
+        space = convergent_line_space(12)
         cfg = {
             "prime": 2,
-            "dim": 3,
-            "norm": {"kind": "graev_boolean", "prime": 2, "dim": 3,
+            "dim": 13,
+            "norm": {"kind": "graev_boolean", "prime": 2, "dim": 13,
                      "space": space.to_json_dict()},
-            "caps": {"matching": 2},
             "limits": {"m": 3},
         }
-        with pytest.raises(CapExceededError, match="stage axioms:"):
+        with pytest.raises(CapExceededError,
+                           match="^stage axioms: 13 points exceed the matching cap 12$"):
             run_pipeline(RunConfig.from_json_dict(cfg))
 
     def test_limits_reach_the_checkers(self):

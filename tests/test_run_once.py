@@ -336,7 +336,6 @@ class TestEnvCapsLeaveTheEcho:
         run = write_json(tmp_path / "run.json", graded_run())
         assert main(["run", "--config", run, "--out", str(tmp_path / "a.json")]) == 0
         monkeypatch.setenv("FPMAP_ENUM_CAP", "10000000")
-        monkeypatch.setenv("FPMAP_MATCHING_CAP", "12")
         assert main(["run", "--config", run, "--out", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

@@ -18,7 +18,7 @@ from fpmap import fpcore
 from fpmap.cli import main
 from fpmap.errors import CapExceededError, InputError
 from fpmap.extraction import norm_sorted_span
-from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, set_prime_cap, truncation
+from fpmap.fpcore import GroupElement, OrderedBasis, Truncation, truncation
 from fpmap.norms import CostCompletionNorm, graded_cost, validate_axioms
 from fpmap.reduction import check_member_word_bound, reduce_basis, verify_reduced_properties
 
@@ -84,23 +84,6 @@ def test_an_over_cap_config_exits_three_with_a_shared_instance(tmp_path, capsys,
     assert error == f"error: stage build: truncation has 625 elements, above cap {5 ** 4 - 1}"
     with pytest.raises(CapExceededError, match="truncation has 625 elements, above cap 624"):
         truncation(5, 4, cap=624)
-
-
-def test_a_lowered_prime_cap_exits_two_with_a_shared_instance(tmp_path, capsys, monkeypatch):
-    cfg = PAIRS["graded-p5"][0]
-    assert in_process_report(tmp_path, cfg, "warm")[0] == 0
-    monkeypatch.setenv("FPMAP_PRIME_CAP", "3")
-    capsys.readouterr()
-    assert main(["run", "--config", str(tmp_path / "warm.json")]) == 2
-    assert capsys.readouterr().err == "error: prime must lie in [2, 3], got 5\n"
-    set_prime_cap(3)
-    try:
-        for build in (lambda: truncation(5, 4), lambda: OrderedBasis.standard(5, 4)):
-            with pytest.raises(InputError, match=r"prime must lie in \[2, 3\], got 5"):
-                build()
-    finally:
-        set_prime_cap(fpcore.DEFAULT_PRIME_CAP)
-    assert truncation(5, 4).size == 625
 
 
 @pytest.mark.parametrize("dim", [0, True, "3", 2.0])
