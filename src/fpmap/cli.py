@@ -210,13 +210,15 @@ def cmd_demo_boolean(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _run_config(_load_json(args.config))
-    try:
-        report = run_pipeline(cfg)
-    except CapExceededError as exc:  # a run stopped on a cap prints the stages it timed
-        sys.stderr.writelines(line + "\n" for line in _timing_lines(exc.timings or {}))
-        raise
-    _emit(report.to_json_dict(include_timings=args.include_timings), args.out)
-    sys.stderr.writelines(line + "\n" for line in _timing_lines(report.timings))
+    timings: dict = {}
+    try:  # a run stopped after its build began prints the stages it timed, too
+        report = run_pipeline(cfg, timings=timings)
+        doc = report.to_json_dict()
+        if args.include_timings:
+            doc["timings"] = timings
+        _emit(doc, args.out)
+    finally:
+        sys.stderr.writelines(line + "\n" for line in _timing_lines(timings))
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
 
 

@@ -14,8 +14,6 @@ class CapExceededError(FpmapError):
     sets through caps.enum or FPMAP_ENUM_CAP, or the matching cap of a Graev
     word's cover, fixed at 12 points."""
 
-    timings: dict | None = None  # the stage timings a run took, when run_pipeline raises it
-
 
 class InvalidNormError(FpmapError):
     """The norm was not validated, or its validation found violations."""

@@ -88,7 +88,7 @@ class PointedMetricSpace:
         n = len(matrix)
         if n < 1:
             raise InputError("metric space needs at least one point")
-        if not jsonio.is_int(basepoint) or not 0 <= basepoint < n:
+        if jsonio.require_int(basepoint, "basepoint", low=0) >= n:
             raise InputError(f"basepoint {basepoint!r} out of range for {n} points")
         pairs = []
         for r in matrix:

@@ -7,9 +7,8 @@ tables. Violations reported by any stage are collected into the report and
 decide the verdict; they never abort the run. Only malformed input aborts.
 
 Reports serialize canonically: fixed key set, explicit nulls for stages
-that did not run, rationals as "num/den" strings, and no wall-clock data
-unless explicitly asked for (timings are the one nondeterministic field,
-so the canonical byte stream excludes them).
+that did not run, rationals as "num/den" strings, and no wall-clock data.
+Stage timings go into a record the caller passes, never into the report.
 """
 
 from dataclasses import dataclass, field
@@ -110,33 +109,32 @@ class RunReport:
 
     stages always carries every stage key; a stage that did not run is an
     explicit null. error describes the first aborting finding (exhaustion or
-    a failed norm bound), if any. timings are measured but excluded from
-    canonical bytes; pass include_timings=True to embed them.
+    a failed norm bound), if any. The document's timings key is null.
     """
 
     config_echo: dict
     stages: dict
     verdict: str
     error: dict | None
-    timings: dict
 
     @property
     def ok(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json_dict(self, *, include_timings: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "config": self.config_echo,
             "stages": {k: self.stages[k] for k in STAGE_KEYS},
             "verdict": self.verdict,
             "error": self.error,
-            "timings": dict(self.timings) if include_timings else None,
+            "timings": None,
         }
 
 
 def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
                  reduced: ReducedBasis | None = None,
-                 properties_tuple: int | None = None) -> RunReport:
+                 properties_tuple: int | None = None,
+                 timings: dict | None = None) -> RunReport:
     """Build the norm, then run the given stages and the stages they read from.
 
     Stages run in STAGE_KEYS order, axioms always; a stage that is neither
@@ -146,7 +144,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
     is cfg.max_tuple. Axiom failure, selection exhaustion,
     and a failed member norm bound stop the chain (later stages stay null,
     verdict "fail") but still produce a complete report. Checker violations
-    only flip the verdict. The norm build is timed as "build" but has no
+    only flip the verdict. Each stage's seconds, its document included, go
+    into the timings record in run order, a stage that raised included; the
+    record is output only. The norm build is timed as "build" but has no
     stage document. The enum cap bounds the truncation when the norm is
     built, and the axiom check takes it again for the same element count.
     Past those it goes only to the stages whose counts can pass that size:
@@ -163,18 +163,12 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
     if wanted - {"build", "axioms"}:
         wanted.add("reduction")
     docs: dict = {k: None for k in STAGE_KEYS}
-    timings: dict = {}
+    timings = {} if timings is None else timings
     error = None
     # threads (accepted, but ignored) never changes what a run computes, so
     # it stays out of the echo to keep reports byte-identical across it
     echo = {k: v for k, v in cfg.raw.items() if k != "threads"}
     cap = cfg.enum_cap
-
-    def stopped(name, exc):
-        """exc with its stage named, carrying the timings taken so far."""
-        err = CapExceededError(f"stage {name}: {exc}")
-        err.timings = timings
-        return err
 
     def run_stage(name, fn):
         """fn's result, timed with its document; None for a stage not asked for."""
@@ -186,7 +180,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
             if name in docs:
                 docs[name] = result.to_json_dict()
         except CapExceededError as exc:
-            raise stopped(name, exc) from exc
+            raise CapExceededError(f"stage {name}: {exc}") from exc
         finally:
             timings[name] = perf_counter() - t0
         return result
@@ -202,7 +196,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
         try:
             require_member_bound_scan(*shape, cfg.max_tuple, cap)
         except CapExceededError as exc:
-            raise stopped("member_word_bound", exc) from exc
+            raise CapExceededError(f"stage member_word_bound: {exc}") from exc
     axioms = run_stage("axioms", lambda: validate_axioms(norm, cap=cap))
     bad = not axioms.ok
 
@@ -248,5 +242,4 @@ def run_pipeline(cfg: RunConfig, stages: tuple = STAGE_KEYS, *,
         stages=docs,
         verdict="fail" if bad else "pass",
         error=error,
-        timings=timings,
     )

@@ -7,6 +7,7 @@ call each stage function that the benchmark tracer patches exactly once.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -178,7 +179,11 @@ class TestCapPrecedence:
         run = json.loads((tmp_path / "run.json").read_text())
         write_json(tmp_path / "run.json", dict(run, norm=dict(norm, matching_cap=10)))
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: norm config has unknown key(s): matching_cap\n"
+        err = capsys.readouterr().err
+        if case == "run":  # the build began, so its timing line comes first
+            timed, err = err.split("\n", 1)
+            assert re.fullmatch(r"timing build: \d+\.\d{3}s", timed)
+        assert err == "error: norm config has unknown key(s): matching_cap\n"
 
     def test_run_caps_beat_the_descriptor_and_env_beats_both(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -271,9 +276,10 @@ class TestStageSubsets:
         (("coarser",), ("axioms", "reduction", "selection", "family", "coarser")),
     ])
     def test_prerequisites_run_and_nothing_else(self, stages, ran):
-        report = pipeline.run_pipeline(self.cfg(), stages=stages)
+        timings = {}
+        report = pipeline.run_pipeline(self.cfg(), stages=stages, timings=timings)
         assert tuple(k for k, v in report.stages.items() if v is not None) == ran
-        assert tuple(report.timings) == ("build", *ran)
+        assert tuple(timings) == ("build", *ran)
         assert report.ok
 
     def test_full_run_equals_the_default(self):
@@ -291,8 +297,10 @@ class TestStageSubsets:
         norm = cfg.build_norm()
         validate_axioms(norm)
         two = reduce_basis(OrderedBasis(norm.prime, OrderedBasis.standard(3, 4).elems[:2]), norm)
-        report = pipeline.run_pipeline(cfg, ("member_word_bound",), reduced=two)
-        assert report.stages["reduction"] is None and "reduction" not in report.timings
+        timings = {}
+        report = pipeline.run_pipeline(cfg, ("member_word_bound",), reduced=two,
+                                       timings=timings)
+        assert report.stages["reduction"] is None and "reduction" not in timings
         assert report.stages["member_word_bound"]["ok"]
         with pytest.raises(CapExceededError, match="^stage member_word_bound: .* ~648 "):
             pipeline.run_pipeline(cfg, ("member_word_bound",))
@@ -327,12 +335,15 @@ class TestBuildTiming:
 
     def test_canonical_bytes_leave_build_out(self, tmp_path, capsys):
         cfg = pipeline.RunConfig.from_json_dict(RUN_CONFIGS["graded-p2-d4"])
-        report = pipeline.run_pipeline(cfg)
-        assert "build" in report.timings
+        timings = {}
+        report = pipeline.run_pipeline(cfg, timings=timings)
+        assert "build" in timings
         assert '"build"' not in jsonio.canonical_dumps(report.to_json_dict())
 
     def test_build_cap_errors_name_the_stage(self):
         cfg = pipeline.RunConfig.from_json_dict(dict(RUN_CONFIGS["graded-p2-d4"],
                                                      caps={"enum": 5}))
+        timings = {}
         with pytest.raises(CapExceededError, match="^stage build: "):
-            pipeline.run_pipeline(cfg)
+            pipeline.run_pipeline(cfg, timings=timings)
+        assert list(timings) == ["build"]  # a stage that raised is timed too

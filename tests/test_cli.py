@@ -17,6 +17,7 @@ from fpmap.duality import convergent_line_space
 from fpmap.errors import InputError
 from fpmap.fpcore import GroupElement, Prime, Truncation
 from fpmap.norms import random_metric_space
+from fpmap.pipeline import STAGE_KEYS
 from fpmap import fpcore, jsonio, norms
 
 
@@ -48,7 +49,8 @@ def violating_table_norm():
 
 def stopped_run(capsys):
     """(the stages of its timing lines, its last line) of the stderr of a
-    command that exits on a cap: a run prints the stages it timed first."""
+    command that stops on an error: a run whose build began prints the
+    stages it timed first."""
     *timed, last = capsys.readouterr().err.splitlines()
     assert all(re.fullmatch(r"timing \w+: \d+\.\d{3}s", line) for line in timed)
     return [line.split()[1].rstrip(":") for line in timed], last
@@ -95,13 +97,40 @@ class TestRun:
         assert main(["run", "--config", two, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_include_timings_embeds_floats(self, tmp_path):
+    def test_include_timings_embeds_floats(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", graded_run_cfg())
         out = tmp_path / "timed.json"
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--include-timings"]) == 0
         doc = json.loads(out.read_text())
         assert isinstance(doc["timings"]["reduction"], float)
+        # the embedded record is the printed one: stderr follows the run
+        # order, and the canonical document sorts its keys
+        printed = dict(re.fullmatch(r"timing (\w+): (\d+\.\d{3})s", line).groups()
+                       for line in capsys.readouterr().err.splitlines())
+        assert list(printed) == ["build", *STAGE_KEYS]
+        assert list(doc["timings"]) == sorted(printed)
+        assert {stage: f"{s:.3f}" for stage, s in doc["timings"].items()} == printed
+
+    @pytest.mark.parametrize("norm, error", [
+        ({"kind": "ultrametric", "prime": 2, "dim": 2, "weights": ["1/2"]},
+         "error: need 2 weights, got 1"),
+        ({"kind": "ultrametric", "prime": 2, "dim": 3},
+         "error: config dim 2 does not match the norm's 3"),
+    ], ids=["weights", "dim-mismatch"])
+    def test_a_run_stopped_in_its_build_prints_its_timing(self, tmp_path, capsys, norm, error):
+        cfg = write_json(tmp_path / "run.json", {"prime": 2, "dim": 2, "norm": norm})
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert stopped_run(capsys) == (["build"], error)
+        assert not out.exists()
+
+    def test_a_report_that_cannot_be_written_prints_every_timing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", graded_run_cfg())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run.json" / "r")]) == 2
+        timed, last = stopped_run(capsys)
+        assert timed == ["build", *STAGE_KEYS]
+        assert last.startswith("error: ")
 
     def test_violations_exit_one(self, tmp_path):
         run = {"prime": 2, "dim": 2, "norm": violating_table_norm(),
@@ -805,7 +834,9 @@ def test_run_refuses_steps_that_are_not_positive_integers(tmp_path, capsys, step
     cfg = write_json(tmp_path / "run.json", dict(graded_run_cfg(), norm=norm))
     out = tmp_path / "report.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: steps must be a positive integer")
+    timed, last = stopped_run(capsys)
+    assert timed == ["build"]
+    assert last.startswith("error: steps must be a positive integer")
     assert not out.exists()
 
 

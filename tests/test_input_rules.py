@@ -9,6 +9,7 @@ before anything of that size is formed.
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,12 @@ def with_value(doc, path, value):
     return doc
 
 
+def masked_err(capsys):
+    """stderr with the seconds of its timing lines masked: a run whose
+    build began prints them before its error line."""
+    return re.sub(r"(?m)^(timing \w+: )\d+\.\d{3}s$", r"\1*", capsys.readouterr().err)
+
+
 def assert_input_error(tmp_path, capsys, command, doc):
     assert main(argv_for(tmp_path, command, doc)) == 2
     err = capsys.readouterr().err
@@ -162,7 +169,7 @@ def test_graded_flag_takes_only_true_or_false(tmp_path, capsys, value):
     # each of these ran into a traceback (exit 1) or was silently accepted
     (["run"], dict(RUN, dim=2, limits={}, caps={},
                    norm=with_value(NORMS["graev"], ("matching_cap",), "5")),
-     "error: norm config has unknown key(s): matching_cap\n"),
+     "timing build: *\nerror: norm config has unknown key(s): matching_cap\n"),
     (["validate-norm"], with_value(NORMS["seeded"], ("seed",), []),
      "error: seed must be an integer, got []\n"),
     (["duality"], with_value(TOPOLOGIES["seeded"], ("seed",), []),
@@ -177,19 +184,35 @@ def test_graded_flag_takes_only_true_or_false(tmp_path, capsys, value):
         "graded-string"])
 def test_inputs_that_escaped_the_rule(tmp_path, capsys, command, doc, message):
     assert main(argv_for(tmp_path, command, doc)) == 2
-    assert capsys.readouterr().err == message
+    assert masked_err(capsys) == message
+
+
+@pytest.mark.parametrize("basepoint, message", [
+    ("0", "basepoint must be an integer >= 0, got '0'"),
+    (-1, "basepoint must be an integer >= 0, got -1"),
+    (3, "basepoint 3 out of range for 3 points"),
+], ids=["string", "negative", "past-the-points"])
+def test_a_basepoint_is_checked_as_an_integer_before_its_range(tmp_path, capsys,
+                                                                basepoint, message):
+    # a string basepoint was reported as out of range, although "0" names point 0
+    doc = with_value(NORMS["graev"], ("space", "basepoint"), basepoint)
+    assert main(argv_for(tmp_path, ["validate-norm"], doc)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+CAPS_KEY = "error: caps has unknown key(s): matching\n"
+NORM_KEY = "error: norm config has unknown key(s): matching_cap\n"
 
 
 @pytest.mark.parametrize("command, doc, path, message", [
-    (["run"], RUN, ("caps", "matching"), "caps has unknown key(s): matching"),
-    (["duality", "--check", "coarser"], RUN, ("caps", "matching"),
-     "caps has unknown key(s): matching"),
-    (["run"], RUN, ("norm", "matching_cap"), "norm config has unknown key(s): matching_cap"),
-    (["validate-norm"], NORMS["graev"], ("matching_cap",),
-     "norm config has unknown key(s): matching_cap"),
+    (["run"], RUN, ("caps", "matching"), CAPS_KEY),
+    (["duality", "--check", "coarser"], RUN, ("caps", "matching"), CAPS_KEY),
+    # a run config's norm is read when the build begins
+    (["run"], RUN, ("norm", "matching_cap"), "timing build: *\n" + NORM_KEY),
+    (["validate-norm"], NORMS["graev"], ("matching_cap",), NORM_KEY),
     (["duality"], dict(TOPOLOGIES["balls"], norm=NORMS["graev"]), ("norm", "matching_cap"),
-     "norm config has unknown key(s): matching_cap"),
-    (["verify"], None, ("norm", "matching_cap"), "norm config has unknown key(s): matching_cap"),
+     NORM_KEY),
+    (["verify"], None, ("norm", "matching_cap"), NORM_KEY),
 ], ids=["run-caps", "coarser-caps", "run-norm", "norm", "balls-norm", "reduced-norm"])
 def test_matching_cap_keys_are_unknown(tmp_path, capsys, command, doc, path, message):
     # the matching cap is a constant, so a document that sets it exits 2,
@@ -197,7 +220,7 @@ def test_matching_cap_keys_are_unknown(tmp_path, capsys, command, doc, path, mes
     assert main(argv_for(tmp_path, command, reduced_doc() if doc is None else doc)) == 0
     capsys.readouterr()
     assert main(argv_for(tmp_path, command, with_value(doc, path, 12))) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert masked_err(capsys) == message
 
 
 @pytest.mark.parametrize("dim", [100_000, 2 ** 70], ids=["1e5", "2^70"])
