@@ -44,6 +44,7 @@ from fpmap.norms import (  # noqa: E402
     CostCompletionNorm,
     GraevBooleanNorm,
     UltrametricProductNorm,
+    _cover_table,
     _shortest_path_values,
     graded_cost,
     norm_from_config,
@@ -190,7 +191,7 @@ def test_value_order(benchmark, p, dim):
     norm = CostCompletionNorm(graded_cost(0, p, dim))
 
     def cold():
-        norm._order = None
+        norm.__dict__.pop("order", None)  # the cached_property's kept value
         return (norm,), {}
 
     benchmark.pedantic(norm_sorted_span, setup=cold, rounds=100)
@@ -236,8 +237,8 @@ def test_graev_build(benchmark):
 
 def test_graev_table(benchmark):
     # p=2, dim 11: the table the norm builds at construction, all 2048 subsets at once
-    norm = _graev()
-    benchmark(norm._dense_values, norm._points[::-1])
+    space = random_metric_space(0, 12, 1, 3)
+    benchmark(_cover_table, space, space.nonbase[::-1])
 
 
 def test_ultrametric_table(benchmark):

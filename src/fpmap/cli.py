@@ -137,9 +137,7 @@ _LEMMA_STAGES = {"props": ("properties",), "1": ("member_word_bound",),
 def cmd_verify(args) -> int:
     # all input is read before the norm is built; --limits n bounds the
     # properties check too, where run's checks every tuple size
-    if bool(args.config) == bool(args.reduced):
-        raise InputError("pass --config or --reduced, not both")
-    if args.reduced:
+    if args.reduced is not None:
         doc = jsonio.require_keys(_load_json(args.reduced), ["norm", "reduced"], [],
                                   what="reduce output")
         norm_cfg = doc["norm"]
@@ -354,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_reduce)
 
     sub = subs.add_parser("verify", help="run the reduction checkers")
-    sub.add_argument("--config", help="path to a norm config JSON")
-    sub.add_argument("--reduced", help="path to a reduce output JSON")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a norm config JSON")
+    source.add_argument("--reduced", help="path to a reduce output JSON")
     sub.add_argument("--lemma", choices=tuple(_LEMMA_STAGES), default="all")
     sub.add_argument("--limits", action="append", metavar="n=INT",
                      help="checker limits, e.g. n=4 for the tuple size")

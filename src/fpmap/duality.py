@@ -13,8 +13,10 @@ can only mean a bug, never mathematics. boolean_counterexample is the
 convergent-sequence case where no epsilon/delta certificate exists.
 """
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from random import Random
@@ -36,7 +38,7 @@ from .fpcore import (
     rank_digits,
     truncation,
 )
-from .norms import GraevBooleanNorm, Norm, PointedMetricSpace, norm_from_config
+from .norms import Norm, PointedMetricSpace, cover_value, norm_from_config
 
 
 @dataclass(frozen=True)
@@ -382,11 +384,32 @@ class CertificateResult:
         }
 
 
-def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
+def _certificate_limit(n: int, p: int, search_depth: int, max_terms: int | None,
+                       cap: int | None) -> int:
+    """The most nonzero exponents of a certificate scan over n terms, once
+    its grid prints and its combination count fits the enum cap ``cap``."""
+    if search_depth < 1:
+        raise InputError(f"search_depth must be at least 1, got {search_depth}")
+    # str() writes no int of more digits than this limit (0: none, as before
+    # Python 3.10.7); (4p)^j >= 8^j passes 16^digits once 3j > 4 digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and (3 * search_depth > 4 * digits or (4 * p) ** search_depth >= 10 ** digits):
+        raise InputError(f"search_depth {search_depth} gives the grid value "
+                         f"1/{4 * p}^{search_depth} more than {digits} digits")
+    limit = n if max_terms is None else min(max_terms, n)
+    est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
+    capv = DEFAULT_ENUM_CAP if cap is None else cap
+    if est > capv:
+        raise CapExceededError(f"certificate scan needs ~{est} combinations, above cap {capv}")
+    return limit
+
+
+def epsilon_delta_certificate(xs, value, p, eps, *, search_depth: int = 3,
                               max_terms: int | None = None,
                               cap: int | None = None) -> CertificateResult:
     """Direct check of the small-word-forces-small-terms definition.
 
+    The norm on the exponent-``p`` group is ``value`` (a Norm's eval, say).
     A combination is "bad" when one of its used terms k_i * x_i already has
     norm >= eps; delta works iff every bad combination has norm >= delta.
     Returns the largest grid value 1/(4p)^j (j = 1..search_depth) below the
@@ -398,19 +421,17 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    if search_depth < 1:
-        raise InputError(f"search_depth must be at least 1, got {search_depth}")
-    p = norm.prime.p
-    n = len(xs)
+    p = as_prime(p).p
     for x in xs:
         _same_prime(x.prime.p, p)
-    grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
+    limit = _certificate_limit(len(xs), p, search_depth, max_terms, cap)
+    return _certificate_scan(xs, value, p, eps, search_depth, limit)
 
-    limit = n if max_terms is None else min(max_terms, n)
-    est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
-    capv = DEFAULT_ENUM_CAP if cap is None else cap
-    if est > capv:
-        raise CapExceededError(f"certificate scan needs ~{est} combinations, above cap {capv}")
+
+def _certificate_scan(xs, value, p: int, eps, search_depth: int, limit: int) -> CertificateResult:
+    """epsilon_delta_certificate's scan, once _certificate_limit has passed."""
+    n = len(xs)
+    grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
 
     terms: dict[tuple[int, int], tuple[GroupElement, Fraction]] = {}
 
@@ -418,7 +439,7 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
         """k * xs[i] and its value, each term evaluated once."""
         if (i, k) not in terms:
             g = xs[i].smul(k)
-            terms[i, k] = g, norm.eval(g)
+            terms[i, k] = g, value(g)
         return terms[i, k]
 
     min_bad = None
@@ -432,8 +453,8 @@ def epsilon_delta_certificate(xs, norm: Norm, eps, *, search_depth: int = 3,
                 bad = next(((i, k) for i, k in pairs if term(i, k)[1] >= eps), None)
                 if bad is None:
                     continue
-                w = sum((term(i, k)[0] for i, k in pairs), GroupElement.zero(norm.prime))
-                vw = norm.eval(w)
+                w = sum((term(i, k)[0] for i, k in pairs), GroupElement.zero(p))
+                vw = value(w)
                 if min_bad is None or vw < min_bad:
                     min_bad = vw
                     exponents = [0] * n
@@ -486,17 +507,21 @@ def boolean_counterexample(n_points: int, *, search_depth: int = 3,
     Every single generator keeps norm >= 1, yet the two-element subsets
     {x, y_n} have norm 1/n, so no delta can force both members of a small
     word below eps = 1/2. The certificate run makes that failure explicit.
-    The enum cap goes to the Graev norm and to the certificate.
+    Words are valued by cover_value, with no table at any size; the
+    certificate's depth and estimate are checked once, before the space.
     """
+    if n_points < 2:
+        raise InputError(f"need at least 2 points, got {n_points}")
+    limit = _certificate_limit(n_points + 1, 2, search_depth, 2, cap)
     space = convergent_line_space(n_points)
-    norm = GraevBooleanNorm(space, cap=cap)
+    value = functools.partial(cover_value, space)
     x = GroupElement.unit(2, 1)
+    v_x = value(x)
     entries = []
     for k in range(1, n_points + 1):
         y = GroupElement.unit(2, k + 1)
         pair = x + y
-        v_pair = norm.eval(pair)
-        v_x = norm.eval(x)
+        v_pair = value(pair)
         entries.append({
             "n": k,
             "pair": jsonio.element_to_pairs(pair),
@@ -505,6 +530,5 @@ def boolean_counterexample(n_points: int, *, search_depth: int = 3,
             "ratio": jsonio.frac_to_str(v_x / v_pair),
         })
     xs = [GroupElement.unit(2, i) for i in range(1, n_points + 2)]
-    cert = epsilon_delta_certificate(xs, norm, Fraction(1, 2),
-                                     search_depth=search_depth, max_terms=2, cap=cap)
+    cert = _certificate_scan(xs, value, 2, Fraction(1, 2), search_depth, limit)
     return BooleanWitnessReport(n_points, tuple(entries), cert)

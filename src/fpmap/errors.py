@@ -11,8 +11,9 @@ class InputError(FpmapError, ValueError):
 
 class CapExceededError(FpmapError):
     """A stage's work would pass a size cap: the enumeration cap, which a user
-    sets through caps.enum or FPMAP_ENUM_CAP, or the matching cap of a Graev
-    word's cover, fixed at 12 points."""
+    sets through caps.enum or FPMAP_ENUM_CAP, or the fixed matching cap of 12
+    points, on the points of a Graev norm's table or of the one word that
+    cover_value covers."""
 
 
 class InvalidNormError(FpmapError):

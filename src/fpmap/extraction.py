@@ -32,7 +32,7 @@ from .fpcore import (
     truncation,
     word_digits,
 )
-from .norms import Norm, value_order
+from .norms import Norm
 from .reduction import ReducedBasis
 
 
@@ -130,12 +130,10 @@ class NullSequence:
 
 
 def norm_sorted_span(norm: Norm) -> np.ndarray:
-    """The int64 ranks of the whole truncation ordered by (norm value, rank):
-    the canonical finite stand-in for a sequence converging to zero. Rank r
-    has value row r of the norm's table, so no rank row is needed, and a
-    validated norm already holds this order (read-only) from
-    validate_axioms. The table was built under the enum cap."""
-    return norm._order if norm._order is not None else value_order(norm._values()[0])
+    """The read-only int64 ranks of the truncation by (norm value, rank): the
+    canonical finite stand-in for a sequence converging to zero. It is
+    Norm.order, sorted once from the table, so no rank row is needed."""
+    return norm.order
 
 
 def select_null_subsequence(ranks: np.ndarray, norm: Norm, reduced: ReducedBasis,

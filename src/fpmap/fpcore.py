@@ -19,7 +19,6 @@ from .jsonio import is_int, require_int
 
 PRIME_CAP = 97
 DEFAULT_ENUM_CAP = 10_000_000
-DEFAULT_MATCHING_CAP = 12
 
 _SHARED_SLOTS = 4  # the (p, dim) pairs whose truncation and standard basis are kept
 _SHARED_MAX_SIZE = 1 << 16  # larger truncations are not kept: their tables go with their owner

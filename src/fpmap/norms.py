@@ -6,12 +6,11 @@ denominator, stored as int64 when the sum of any two fits and as Python ints
 otherwise; both storages give the same exact arithmetic. A cost is such a
 vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
-element. Each norm's dense value table is such a vector too, indexed by rank,
-and every norm builds it at construction: a Graev norm by one integer DP over
-all subsets, when its points fit the matching cap. Norm.eval and values_of (by
-rank) read values from it; a Graev norm wider than its matching cap has no
-table, runs the same DP on the points of each word eval is given, and refuses
-every other read.
+element. A norm is its dense value table, such a vector too, indexed by rank
+and built at construction: a Graev norm's by one integer DP over all subsets,
+when its points fit the matching cap. Norm.eval and values_of (by rank) read
+values from it. cover_value runs the same DP on the points of one word, for
+a space of any size.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
@@ -33,11 +33,9 @@ import numpy as np
 from . import jsonio
 from .errors import CapExceededError, InputError
 from .fpcore import (
-    DEFAULT_MATCHING_CAP,
     GroupElement,
     Truncation,
     _same_prime,
-    as_prime,
     require_size,
     truncation,
 )
@@ -124,7 +122,7 @@ class PointedMetricSpace:
     def dist(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.nums[i, j]), self.den)
 
-    @property
+    @cached_property
     def nonbase(self) -> tuple[int, ...]:
         """Point indices other than the basepoint, in natural order."""
         return tuple(i for i in range(self.n_points) if i != self.basepoint)
@@ -297,64 +295,37 @@ def random_metric_space(seed: int, n_points: int, low, high, *, basepoint: int =
 
 
 class Norm:
-    """Base class for a norm on the truncation F_p^dim.
+    """Base class for a norm on the truncation F_p^dim: its value table.
 
-    ``_table`` holds the dense values (numerators by rank of ``_tr``, one
-    denominator), built at construction. Only a Graev norm wider than its
-    matching cap has none; it implements ``_eval``, which eval calls word by
-    word, and every other reader of the table raises its matching cap error.
-    validate_axioms keeps the ranks in (value, rank) order as ``_order``."""
+    ``_table`` holds the dense values, numerators by rank of ``truncation``
+    over one denominator as _scaled stores them; every norm builds it at
+    construction, under the enumeration cap."""
 
     kind = "abstract"
 
-    def __init__(self, p, dim: int):
-        self.prime = as_prime(p)
-        self.dim = jsonio.require_int(dim, "dimension", low=1)
-        self._axiom_report: AxiomReport | None = None
-        self._tr: Truncation | None = None
-        self._table: tuple[np.ndarray, int] | None = None
-        self._order: np.ndarray | None = None  # the table's stable argsort
+    def __init__(self, tr: Truncation, table: tuple[np.ndarray, int]):
+        self.prime, self.dim, self.truncation = tr.prime, tr.dim, tr
+        self._table = table
+        self.axiom_report: AxiomReport | None = None  # validate_axioms' last report
 
-    @property
-    def axiom_report(self) -> "AxiomReport | None":
-        return self._axiom_report
-
-    def _check(self, g: GroupElement) -> None:
-        _same_prime(g.prime.p, self.prime.p)
-        if g.max_index > self.dim:
-            raise InputError(
-                f"index {g.max_index} outside the norm's truncation (dim {self.dim})")
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The ranks in (value, rank) order, read-only, sorted once."""
+        order = value_order(self._table[0])
+        order.flags.writeable = False
+        return order
 
     def eval(self, g: GroupElement) -> Fraction:
-        """The value of g; with a table, Truncation.rank_of checks g."""
-        if self._table is None:
-            self._check(g)
-            return self._eval(g)
+        """The value of g; Truncation.rank_of checks g."""
         nums, den = self._table
-        return Fraction(int(nums[self._tr.rank_of(g)]), den)
-
-    def _values(self) -> tuple[np.ndarray, int]:
-        """The value table; only a Graev norm wider than its matching cap has
-        none, and the first word over the cap in rank order has cap + 1
-        points."""
-        if self._table is None:
-            cap = self.matching_cap
-            raise CapExceededError(f"{cap + 1} points exceed the matching cap {cap}")
-        return self._table
-
-    @property
-    def truncation(self) -> Truncation:
-        """The truncation whose ranks index the table; a norm without one
-        raises as _values does."""
-        self._values()
-        return self._tr
+        return Fraction(int(nums[self.truncation.rank_of(g)]), den)
 
     def values_of(self, ranks: np.ndarray) -> tuple[np.ndarray, int]:
         """Exact values of the elements of the given ranks, numerators as
         _scaled stores them over one denominator: one gather from the table.
         The values of span(elems) in word order are those of
         truncation.span_ranks(elems); c * elems[j] sits at row c * p^(k-1-j)."""
-        nums, den = self._values()
+        nums, den = self._table
         return nums[ranks], den
 
 
@@ -365,25 +336,24 @@ class TableNorm(Norm):
 
     def __init__(self, p, dim: int, entries: Iterable[tuple[GroupElement, Fraction]],
                  *, cap: int | None = None):
-        super().__init__(p, dim)
-        self._tr = truncation(self.prime, dim, cap=cap)
-        vals: list[Fraction | None] = [None] * self._tr.size
+        tr = truncation(p, dim, cap=cap)
+        vals: list[Fraction | None] = [None] * tr.size
         for g, v in entries:
-            r = self._tr.rank_of(g)
+            r = tr.rank_of(g)
             v = _as_fraction(v, "table value")
             if v < 0:
                 raise InputError(f"table values cannot be negative, got {v}")
             if vals[r] is not None and vals[r] != v:
                 raise InputError(f"conflicting table entries for {g!r}")
             vals[r] = v
-        missing = [r for r in range(1, self._tr.size) if vals[r] is None]
+        missing = [r for r in range(1, tr.size) if vals[r] is None]
         if missing:
             raise InputError(
                 f"table must cover every nonzero element of the truncation; "
                 f"{len(missing)} entries missing (first: rank {missing[0]})")
         if vals[0] is None:
             vals[0] = Fraction(0)
-        self._table = _scaled(vals)
+        super().__init__(tr, _scaled(vals))
 
 
 class UltrametricProductNorm(Norm):
@@ -398,8 +368,7 @@ class UltrametricProductNorm(Norm):
 
     def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None,
                  *, cap: int | None = None):
-        super().__init__(p, dim)
-        self._tr = truncation(self.prime, dim, cap=cap)
+        tr = truncation(p, dim, cap=cap)
         if weights is None:
             ws = tuple(Fraction(1, i) for i in range(1, dim + 1))
         else:
@@ -415,8 +384,8 @@ class UltrametricProductNorm(Norm):
         w, den = _scaled(ws)
         nums = np.zeros(1, dtype=w.dtype)
         for w_i in w[::-1]:
-            nums = np.concatenate([nums] + [np.maximum(nums, w_i)] * (self.prime.p - 1))
-        self._table = nums, den
+            nums = np.concatenate([nums] + [np.maximum(nums, w_i)] * (tr.prime.p - 1))
+        super().__init__(tr, (nums, den))
 
 
 class CostCompletionNorm(Norm):
@@ -430,9 +399,7 @@ class CostCompletionNorm(Norm):
     kind = "cost_completion"
 
     def __init__(self, cost: CostFunction):
-        super().__init__(cost.prime, cost.dim)
-        self._tr = cost.truncation
-        self._table = _shortest_path_values(self._tr, cost)
+        super().__init__(cost.truncation, _shortest_path_values(cost.truncation, cost))
 
 
 def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarray, int]:
@@ -482,73 +449,74 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     return dist, den
 
 
+MATCHING_CAP = 12  # the most points whose covers one subset DP takes
+
+
+def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The cover cost of every subset of the points ``pts`` of ``space``, by
+    mask: bit b of a mask stands for pts[b]. One integer DP on their rows of
+    the space's distances; more than MATCHING_CAP points are refused.
+
+    The masks whose lowest set bit is b are taken together, for b from
+    len(pts) - 1 down to 0: the point at b is left alone or paired with a
+    point at a higher bit c, and both leave a mask whose lowest bit is
+    above b. Every value and candidate sum is at most len(pts) times the
+    largest distance read, which picks the DP storage. Every distance is
+    itself a value (a singleton, or by the triangle inequality a pair),
+    so the space's denominator, the least common one of all distances,
+    is the least one of the table when pts are all non-basepoint points.
+    """
+    d = len(pts)
+    if d > MATCHING_CAP:
+        raise CapExceededError(f"{d} points exceed the matching cap {MATCHING_CAP}")
+    # column d is the basepoint
+    dist = space.nums[np.ix_(pts, [*pts, space.basepoint])]
+    val = np.zeros(2 ** d, dtype=_storage(int(dist.max(initial=0)), d))
+    for b in reversed(range(d)):
+        step = 2 ** (b + 1)
+        rest = val[::step]  # the masks without b: every subset of the higher bits
+        best = rest + int(dist[b, d])
+        for c in range(b + 1, d):
+            half = 2 ** (c - b - 1)
+            with_c = best.reshape(-1, 2, half)[:, 1]
+            np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[b, c]), out=with_c)
+        val[2 ** b::step] = best
+    return val.astype(_storage(int(val.max()))), space.den
+
+
+def cover_value(space: PointedMetricSpace, g: GroupElement) -> Fraction:
+    """The Graev value of the Boolean word g over ``space``, group index i
+    standing for space.nonbase[i - 1]: the cheapest cover of its points, by
+    _cover_table over them alone. Checks g's prime and indices as
+    Truncation.rank_of does."""
+    _same_prime(g.prime.p, 2)
+    nonbase = space.nonbase
+    if g.max_index > len(nonbase):
+        raise InputError(f"index {g.max_index} outside truncation of dimension {len(nonbase)}")
+    return Fraction(int(_cover_table(space, [nonbase[i - 1] for i in g.support])[0][-1]),
+                    space.den)
+
+
 class GraevBooleanNorm(Norm):
     """Graev-style norm on the Boolean group of a pointed metric space.
 
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
-    minimum pair/singleton cover cost, which _dense_values computes. When
-    every subset fits the matching cap (dim <= matching_cap), the whole
-    table is built at construction, under the enumeration cap ``cap``. A
-    wider space builds no table and may be large: each evaluation covers
-    its own subset, which the matching cap bounds, and validate_axioms
-    refuses it with the matching cap error. The matching cap is
-    DEFAULT_MATCHING_CAP; ``matching_cap`` lowers it only so that a test
-    can compare the word path with the table on one space.
+    minimum pair/singleton cover cost. The whole table is built at
+    construction by _cover_table, once the truncation fits the enumeration
+    cap ``cap`` and then the points fit MATCHING_CAP. cover_value covers
+    one word of a space of any size.
     """
 
     kind = "graev_boolean"
 
-    def __init__(self, space: PointedMetricSpace, *, matching_cap: int | None = None,
-                 cap: int | None = None):
+    def __init__(self, space: PointedMetricSpace, *, cap: int | None = None):
         if space.n_points < 2:
             raise InputError("need at least one non-basepoint point")
-        super().__init__(2, space.n_points - 1)
+        tr = truncation(2, space.n_points - 1, cap=cap)
+        # bit b of a rank carries group index dim - b
+        super().__init__(tr, _cover_table(space, space.nonbase[::-1]))
         self.space = space
-        self.matching_cap = (DEFAULT_MATCHING_CAP if matching_cap is None else
-                             jsonio.require_int(matching_cap, "matching cap", low=1))
-        self._points = space.nonbase
-        if self.dim <= self.matching_cap:
-            self._tr = truncation(self.prime, self.dim, cap=cap)
-            # bit b of a rank carries group index dim - b
-            self._table = self._dense_values(self._points[::-1])
-
-    def _eval(self, g: GroupElement) -> Fraction:
-        pts = [self._points[i - 1] for i in g.support]
-        if len(pts) > self.matching_cap:
-            raise CapExceededError(
-                f"{len(pts)} points exceed the matching cap {self.matching_cap}")
-        nums, den = self._dense_values(pts)
-        return Fraction(int(nums[-1]), den)
-
-    def _dense_values(self, pts: Sequence[int]) -> tuple[np.ndarray, int]:
-        """The cover cost of every subset of ``pts``, by mask: bit b of a
-        mask stands for pts[b]. One integer DP on their rows of the space's
-        distances.
-
-        The masks whose lowest set bit is b are taken together, for b from
-        len(pts) - 1 down to 0: the point at b is left alone or paired with a
-        point at a higher bit c, and both leave a mask whose lowest bit is
-        above b. Every value and candidate sum is at most len(pts) times the
-        largest distance read, which picks the DP storage. Every distance is
-        itself a value (a singleton, or by the triangle inequality a pair),
-        so the space's denominator, the least common one of all distances,
-        is the least one of the table when pts are all non-basepoint points.
-        """
-        d = len(pts)
-        # column d is the basepoint
-        dist = self.space.nums[np.ix_(pts, [*pts, self.space.basepoint])]
-        val = np.zeros(2 ** d, dtype=_storage(int(dist.max(initial=0)), d))
-        for b in reversed(range(d)):
-            step = 2 ** (b + 1)
-            rest = val[::step]  # the masks without b: every subset of the higher bits
-            best = rest + int(dist[b, d])
-            for c in range(b + 1, d):
-                half = 2 ** (c - b - 1)
-                with_c = best.reshape(-1, 2, half)[:, 1]
-                np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[b, c]), out=with_c)
-            val[2 ** b::step] = best
-        return val.astype(_storage(int(val.max()))), self.space.den
 
 
 @dataclass(frozen=True)
@@ -655,17 +623,16 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     it is refuted, the scan runs as it would have, so the worst case costs
     at most twice the scan and every violation is found by the scan.
     Violations are listed by (g, h) ranks, g <= h. The check reads the
-    norm's own table and builds none: a Graev norm wider than its matching
-    cap, which has no table, raises its matching cap error after the
-    enumeration cap is checked. ``threads`` must be a positive integer and
-    changes nothing: everything runs on the calling thread.
+    norm's own table and value order and builds neither. ``threads`` must be
+    a positive integer and changes nothing: everything runs on the calling
+    thread.
     The report is cached on the norm object so downstream operations can
     require a clean validation.
     """
     jsonio.require_int(threads, "threads", low=1)
     size = require_size(norm.prime.p, norm.dim, cap)
-    nums, den = norm._values()
-    tr = norm._tr
+    nums, den = norm._table
+    tr = norm.truncation
     violations: list[dict] = []
 
     ser = {}  # element serializations by rank, built for the violations only
@@ -692,9 +659,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "negated_value": value(int(neg[r])),
         })
 
-    order = value_order(nums)
-    order.flags.writeable = False
-    norm._order = order  # norm_sorted_span's result
+    order = norm.order
     sorted_nums = nums[order]
     ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
     # ends[i] - i never grows with i, so the positions with partners come first
@@ -728,7 +693,7 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
         pairs_checked=size * (size + 1) // 2,
         violations=tuple(violations),
     )
-    norm._axiom_report = report
+    norm.axiom_report = report
     return report
 
 

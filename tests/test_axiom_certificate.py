@@ -81,7 +81,7 @@ def check(norm, threads=1):
         scanned = validate_axioms(norm)
     assert (jsonio.canonical_dumps(report.to_json_dict())
             == jsonio.canonical_dumps(scanned.to_json_dict()))
-    tr = norm._tr
+    tr = norm.truncation
     assert report_triangles(report, tr) == row_scan_triangles(tr, norm._table[0])
     assert report.pairs_checked == tr.size * (tr.size + 1) // 2
     return report, log
@@ -148,19 +148,19 @@ class TestCompletions:
         # the last pair or singleton of an optimal cover is the witness
         norm = GraevBooleanNorm(random_metric_space(seed, dim + 1, *bounds))
         validate_axioms(norm)
-        assert _is_own_completion(norm._tr, norm._table[0])
+        assert _is_own_completion(norm.truncation, norm._table[0])
 
     @pytest.mark.parametrize("seed, p, dim", [(0, 3, 3), (1, 3, 5), (2, 5, 3), (3, 2, 6)])
     def test_every_e_completion_passes(self, seed, p, dim):
         norm = generator_cost_norm(seed, p, dim)
         validate_axioms(norm)
-        assert _is_own_completion(norm._tr, norm._table[0])
+        assert _is_own_completion(norm.truncation, norm._table[0])
 
     @pytest.mark.parametrize("p, dim", [(2, 3), (3, 3), (5, 3)])
     def test_ultrametric_norms_fail(self, p, dim):
         norm = UltrametricProductNorm(p, dim)
         validate_axioms(norm)
-        assert not _is_own_completion(norm._tr, norm._table[0])
+        assert not _is_own_completion(norm.truncation, norm._table[0])
 
 
 @st.composite
@@ -246,7 +246,7 @@ class TestSoundness:
     def test_verdicts_on_small_norms(self, make, verdict, clean):
         norm = make()
         validate_axioms(norm)
-        assert _is_own_completion(norm._tr, norm._table[0]) == verdict
+        assert _is_own_completion(norm.truncation, norm._table[0]) == verdict
         assert (not brute_triangle_pairs(norm)) == clean
 
     @given(st.sampled_from([(2, 4), (2, 5), (3, 3)]), st.integers(0, 10 ** 6), st.data())
@@ -262,7 +262,7 @@ class TestSoundness:
             values[rng.randrange(1, len(values))] *= rng.choice([F(1, 2), F(4, 5), F(5, 4), 2])
         norm = table_norm(p, dim, values)
         validate_axioms(norm)
-        if _is_own_completion(norm._tr, norm._table[0]):
+        if _is_own_completion(norm.truncation, norm._table[0]):
             assert not brute_triangle_pairs(norm)
 
 
@@ -290,18 +290,18 @@ class TestRefutations:
         assert all((nums[ranks ^ e] <= nums + nums[e]).all() for e in gens)
         report, log = check(norm)
         assert log["verdicts"] == [False]
-        assert (7, 14, 9) in report_triangles(report, norm._tr)
+        assert (7, 14, 9) in report_triangles(report, norm.truncation)
 
     def test_a_zero_generator_keeps_the_scan(self):
         # N(1) = 0 makes every value attained through rank 1, so the
         # certificate's equations hold; only the axiom (1) guard keeps it out
         norm = table_norm(2, 8, popcount_values(8, shift=1))
         validate_axioms(norm)
-        assert _is_own_completion(norm._tr, norm._table[0])
+        assert _is_own_completion(norm.truncation, norm._table[0])
         report, log = check(norm)
         assert log["verdicts"] == [] and log["scanned"]
         assert [v["element"] for v in report.violations if v["axiom"] == 1] == [[[8, 1]]]
-        assert (14, 28, 18) in report_triangles(report, norm._tr)
+        assert (14, 28, 18) in report_triangles(report, norm.truncation)
 
 
 class TestWorkRule:
@@ -323,7 +323,7 @@ class TestWorkRule:
         norm = GraevBooleanNorm(random_metric_space(2, 9, 1, 3))
         report, log = check(norm)
         assert report.ok and log["verdicts"] == [] and log["scanned"]
-        assert _is_own_completion(norm._tr, norm._table[0])
+        assert _is_own_completion(norm.truncation, norm._table[0])
 
     def test_threads_split_only_the_scan(self):
         # threads is accepted and ignored: the certificate and the scan run

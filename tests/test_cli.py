@@ -233,16 +233,16 @@ class TestInputAndCapExits:
         # the enum cap stops stage build, as for the ultrametric norm
         (5, {"enum": 31}, 4, ["build"],
          "stage build: truncation has 32 elements, above cap 31"),
-        # past it the norm has no table, and validate_axioms refuses it
-        (13, {}, 4, ["build", "axioms"],
-         "stage axioms: 13 points exceed the matching cap 12"),
-        # after checking the enum cap; one-index words keep the member
-        # bound's estimate (26 triples) under it
-        (13, {"enum": 31}, 1, ["build", "axioms"],
-         "stage axioms: truncation has 8192 elements, above cap 31"),
-        # words of up to 4 indices take 7774 triples, checked right after the build
-        (13, {"enum": 31}, 4, ["build"],
-         "stage member_word_bound: bound scan needs ~7774 evaluations, above cap 31"),
+        # past it the build refuses the norm
+        (13, {}, 4, ["build"],
+         "stage build: 13 points exceed the matching cap 12"),
+        # after checking the enum cap
+        (13, {"enum": 31}, 1, ["build"],
+         "stage build: truncation has 8192 elements, above cap 31"),
+        # a table that fits the cap: words of up to 4 indices take 5568
+        # triples, checked right after the build
+        (12, {"enum": 4096}, 4, ["build"],
+         "stage member_word_bound: bound scan needs ~5568 evaluations, above cap 4096"),
     ], ids=["inside-matching-cap", "past-matching-cap", "past-both-caps",
             "member-bound-before-axioms"])
     def test_graev_enum_cap_either_side_of_the_matching_cap(self, tmp_path, capsys, dim, caps,
@@ -255,18 +255,18 @@ class TestInputAndCapExits:
 
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
         # dim == 12, the matching cap, validates; one point more exits 3
-        # before any subset DP
+        # in the build, before any subset DP
         def space(n_points):
             return random_metric_space(1, n_points, 1, 3).to_json_dict()
 
         for n_points, code in ((13, 0), (14, 3)):
             norm = {"kind": "graev_boolean", "space": space(n_points)}
             assert main(["validate-norm", "--config", write_json(tmp_path / "g.json", norm)]) == code
-        assert capsys.readouterr().err == "error: stage axioms: 13 points exceed the matching cap 12\n"
+        assert capsys.readouterr().err == "error: stage build: 13 points exceed the matching cap 12\n"
         run = {"prime": 2, "dim": 13, "norm": {"kind": "graev_boolean", "space": space(14)}}
         assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
         assert stopped_run(capsys) == (
-            ["build", "axioms"], "error: stage axioms: 13 points exceed the matching cap 12")
+            ["build"], "error: stage build: 13 points exceed the matching cap 12")
 
 
 class TestEnvOverrides:
@@ -460,7 +460,8 @@ class TestReduceVerify:
 
     def test_verify_needs_a_source(self, capsys):
         assert main(["verify"]) == 2
-        assert "--config or --reduced" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "fpmap verify: error: one of the arguments --config --reduced is required\n")
 
     def test_verify_refuses_both_sources(self, tmp_path, capsys):
         # both are refused, even where --config names no file
@@ -470,8 +471,9 @@ class TestReduceVerify:
         for config in (cfg, str(tmp_path / "missing.json")):
             assert main(["verify", "--config", config, "--reduced", str(red)]) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == (
-                "", "error: pass --config or --reduced, not both\n")
+            assert captured.out == ""
+            assert captured.err.endswith("fpmap verify: error: argument --reduced: "
+                                         "not allowed with argument --config\n")
 
 
 class TestExtractModulus:
@@ -521,7 +523,7 @@ class TestDuality:
         assert doc == {"dim": 3, "kernel_basis": [[[3, 1]]], "prime": 2}
 
     def test_balls_over_a_graev_norm_past_its_matching_cap(self, tmp_path, capsys):
-        # the 13-point norm has no value table, so the balls cannot be read
+        # a norm of 13 non-basepoint points is refused when the spec builds it
         norm = {"kind": "graev_boolean",
                 "space": random_metric_space(1, 14, 1, 3).to_json_dict()}
         spec = write_json(tmp_path / "balls.json",
@@ -617,20 +619,38 @@ class TestDemoAndReport:
         doc = json.loads(out)
         assert doc["certificate"]["counterexample"] is True
         assert doc["certificate"]["min_bad_value"] == "1/9900"
-        # 100 points put the Graev norm past its matching cap, so these bytes
-        # pin the word-by-word evaluation and epsilon_delta_certificate
+        # these bytes pin cover_value and epsilon_delta_certificate on a
+        # space far past the matching cap
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "caddc192176f444d22a13396ba75249edd88159fff97eef23773b05bbdb1a328"
 
+    @pytest.mark.parametrize("points, digest", [
+        (2, "84c8056f1fe7e452cff34040974d23d5073c5049117bd9fba03894e3ba96fe6f"),
+        (3, "daf275ba86b97d05fffad7d34852b9c0e50d4401b7871d41ba88b0aaecdaad69"),
+        (5, "14b993608b9c7055967069898e8fe2d1ad0203cdab346d8786bf973e012e7fdf"),
+        (11, "ce0d2846c4290a4830fb5f54daaebb96c6e6c24b6ce0a5c3de329773c5280d4a"),
+        (12, "d3001a280dfc9460d5d89eff4f9be9218827bc23ac79a08c0d58dd99cc3eaf63"),
+        (40, "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"),
+    ])
+    def test_demo_boolean_bytes(self, capsys, points, digest):
+        # 11 and 12 points sit either side of the matching cap that a Graev
+        # norm's table meets (12 and 13 non-basepoint points): cover_value
+        # values the words of both, as of every other size
+        assert main(["demo-boolean", "--points", str(points)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("env, code, err", [
-        ({"FPMAP_ENUM_CAP": "4"}, 3, "error: truncation has 64 elements, above cap 4\n"),
+        ({"FPMAP_ENUM_CAP": "4"}, 3,
+         "error: certificate scan needs ~21 combinations, above cap 4\n"),
+        ({"FPMAP_ENUM_CAP": "21"}, 0, ""),
         ({"FPMAP_MATCHING_CAP": "1"}, 0, ""),
-    ], ids=["enum", "matching"])
+    ], ids=["enum", "estimate", "matching"])
     def test_demo_boolean_takes_the_environment_caps(self, monkeypatch, capsys, env, code,
                                                      err):
-        # 5 points make a 6-point Graev norm: within the matching cap its
-        # table is built under the enum cap. FPMAP_MATCHING_CAP is not read,
-        # so it leaves the output as it is
+        # 5 points make 6 terms, whose certificate scan takes 21 combinations:
+        # the enum cap bounds that estimate and no table, so a cap of 21 runs
+        # the demo. FPMAP_MATCHING_CAP is not read, so it leaves the output
+        # as it is
         assert main(["demo-boolean", "--points", "5"]) == 0
         default = capsys.readouterr().out
         for name, value in env.items():
@@ -650,6 +670,22 @@ class TestDemoAndReport:
 
     def test_demo_boolean_bad_points(self, capsys):
         assert main(["demo-boolean", "--points", "1"]) == 2
+
+    @pytest.mark.parametrize("argv, code, err", [
+        # 5001 terms take 12507501 combinations, refused before the space
+        # of 5002 points is built
+        (["--points", "5000"], 3,
+         "error: certificate scan needs ~12507501 combinations, above cap 10000000\n"),
+        # 1/8^5000 has more digits than str() writes
+        (["--points", "2", "--depth", "5000"], 2,
+         "error: search_depth 5000 gives the grid value 1/8^5000 more than 4300 digits\n"),
+        (["--points", "2", "--depth", "0"], 2, "error: search_depth must be at least 1, got 0\n"),
+    ], ids=["points-5000", "depth-5000", "depth-0"])
+    def test_demo_boolean_checks_the_certificate_first(self, capsys, monkeypatch, argv, code,
+                                                       err):
+        monkeypatch.setattr("fpmap.duality.convergent_line_space", None)  # never reached
+        assert main(["demo-boolean", *argv]) == code
+        assert capsys.readouterr() == ("", err)
 
     def test_report_renders_pass(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", graded_run_cfg())

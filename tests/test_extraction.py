@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import candidate_ranks, is_independent_oracle
+from fpmap import duality
 from fpmap.duality import (
     BooleanWitnessReport,
     boolean_counterexample,
@@ -261,8 +262,8 @@ class TestIndependenceModulus:
                 assert report.ok, report.violations[:2]
 
     def test_planted_violation(self):
-        # ten points keep the Graev norm within its matching cap, so it has
-        # the value table the modulus reads; {x, y_10} has norm 1/10 < 1/8
+        # ten points keep the Graev norm within its matching cap, so it
+        # builds; {x, y_10} has norm 1/10 < 1/8
         space = convergent_line_space(10)
         norm = GraevBooleanNorm(space)
         validate_axioms_small = norm  # no axiom run needed; modulus does not gate
@@ -330,7 +331,7 @@ class TestFamilyWordCap:
 class TestEpsilonDeltaCertificate:
     def test_singleton_unconstrained(self):
         norm = spaced_weights_norm()
-        cert = epsilon_delta_certificate([e(2, (3, 1))], norm, F(1, 2))
+        cert = epsilon_delta_certificate([e(2, (3, 1))], norm.eval, 2, F(1, 2))
         assert cert.delta == F(1, 8)
         assert not cert.is_counterexample
         assert cert.witness is None
@@ -338,7 +339,7 @@ class TestEpsilonDeltaCertificate:
 
     def test_two_terms_witness(self):
         norm = spaced_weights_norm()
-        cert = epsilon_delta_certificate([e(2, (3, 1)), e(2, (5, 1))], norm, F(1, 20))
+        cert = epsilon_delta_certificate([e(2, (3, 1)), e(2, (5, 1))], norm.eval, 2, F(1, 20))
         # every bad combination uses the first term, of norm 1/10; the first
         # of them in enumeration order, that term alone, is the witness
         assert cert.combos_checked == 3
@@ -352,7 +353,7 @@ class TestEpsilonDeltaCertificate:
         xs = [e(2, (3, 1)), e(2, (5, 1)), e(2, (9, 1))]
         deltas = []
         for eps in (F(1), F(1, 20), F(1, 200), F(1, 2000)):
-            cert = epsilon_delta_certificate(xs, norm, eps, search_depth=5)
+            cert = epsilon_delta_certificate(xs, norm.eval, 2, eps, search_depth=5)
             deltas.append(cert.delta if cert.delta is not None else F(0))
         assert deltas == sorted(deltas, reverse=True)
 
@@ -364,7 +365,7 @@ class TestEpsilonDeltaCertificate:
         fam = extract_independent_family(seq, red, norm)
         for l in (1, 2, 3):
             cert = epsilon_delta_certificate(
-                list(fam.members), norm, F(1, 2 ** (l - 1)), search_depth=l)
+                list(fam.members), norm.eval, 2, F(1, 2 ** (l - 1)), search_depth=l)
             assert cert.delta is not None
             assert cert.delta >= threshold(2, l)
 
@@ -398,6 +399,24 @@ class TestBooleanCounterexample:
         assert cert.witness["value_w"] == "1/9900"
         # smaller than even the finest grid threshold, hence no delta works
         assert cert.min_bad_value < threshold(2, 3)
+
+    def test_the_certificate_is_checked_before_the_space(self, monkeypatch):
+        # 5001 terms pass the enum cap, and 8^4762 has 4301 digits, one more
+        # than str() writes (8^4761 has 4300); neither builds the space of
+        # 5002 points, whose repair alone would take hours
+        def no_space(n_points):
+            raise AssertionError(f"built the space of {n_points + 2} points")
+
+        monkeypatch.setattr(duality, "convergent_line_space", no_space)
+        with pytest.raises(CapExceededError,
+                           match="^certificate scan needs ~12507501 combinations, above cap 10000000$"):
+            boolean_counterexample(5000)
+        with pytest.raises(InputError, match=r"^search_depth 4762 gives the grid value "
+                                             r"1/8\^4762 more than 4300 digits$"):
+            boolean_counterexample(2, search_depth=4762)
+        monkeypatch.undo()
+        assert boolean_counterexample(2, search_depth=4761).certificate.grid[-1] == \
+            threshold(2, 4761)
 
     def test_ratio_grows_with_points(self):
         small = boolean_counterexample(5)

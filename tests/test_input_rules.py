@@ -17,7 +17,6 @@ from fpmap.cli import main
 from fpmap.errors import InputError
 from fpmap.fpcore import OrderedBasis
 from fpmap.norms import (
-    GraevBooleanNorm,
     UltrametricProductNorm,
     random_metric_space,
     validate_axioms,
@@ -245,10 +244,6 @@ def test_oversized_dim_keeps_the_printed_size(tmp_path, capsys):
 
 LIBRARY_INTEGERS = {
     # argument: (call with the value, message for a non-integer, for 0)
-    # a Graev norm's matching cap
-    "graev_norm-matching_cap": (
-        lambda v: GraevBooleanNorm(random_metric_space(1, 4, 1, 2), matching_cap=v),
-        "matching cap must be a positive integer, got {!r}", None),
     "random_metric_space-n_points": (
         lambda v: random_metric_space(1, v, 1, 2),
         "n_points must be an integer, got {!r}", "need at least one point"),
@@ -261,7 +256,7 @@ LIBRARY_INTEGERS = {
 @pytest.mark.parametrize("value", NOT_INTEGERS + (0,), ids=json.dumps)
 @pytest.mark.parametrize("name", sorted(LIBRARY_INTEGERS))
 def test_library_integer_arguments_take_the_rule(name, value):
-    # matching_cap="5" raised TypeError, and n_points=True built a space
+    # n_points=True built a space
     call, message, zero = LIBRARY_INTEGERS[name]
     with pytest.raises(InputError) as info:
         call(value)

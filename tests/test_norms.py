@@ -27,6 +27,7 @@ from fpmap.norms import (
     PointedMetricSpace,
     TableNorm,
     UltrametricProductNorm,
+    cover_value,
     norm_from_config,
     random_cost,
     random_metric_space,
@@ -119,8 +120,8 @@ def graev_word(space, points):
 
 
 class TestGraevNorm:
-    """Cover values read through GraevBooleanNorm.eval, from its table and
-    word by word past the matching cap, against brute_graev."""
+    """Cover values read through GraevBooleanNorm.eval from its table and
+    through cover_value word by word, against each other and brute_graev."""
 
     def test_pair_beats_singletons(self):
         # frozen by hand: pairing costs 3/5, the two singletons cost 1 + 3/2
@@ -130,6 +131,7 @@ class TestGraevNorm:
             [F(3, 2), F(3, 5), 0],
         ])
         assert GraevBooleanNorm(sp).eval(graev_word(sp, [1, 2])) == F(3, 5)
+        assert cover_value(sp, graev_word(sp, [1, 2])) == F(3, 5)
 
     def test_singleton(self):
         sp = PointedMetricSpace([[0, F(7, 4)], [F(7, 4), 0]])
@@ -137,60 +139,61 @@ class TestGraevNorm:
 
     def test_empty_set_is_zero(self):
         sp = random_metric_space(1, 4, F(1), F(2))
-        for cap in (1, 3):
-            assert GraevBooleanNorm(sp, matching_cap=cap).eval(GroupElement.zero(2)) == 0
+        assert GraevBooleanNorm(sp).eval(GroupElement.zero(2)) == 0
+        assert cover_value(sp, GroupElement.zero(2)) == 0
 
     def test_basepoint_not_allowed(self):
         # one group index per non-basepoint point: index 2 of a two-point
-        # space would be the basepoint, and no norm takes it
+        # space would be the basepoint, and neither reader takes it
         sp = PointedMetricSpace([[0, 1], [1, 0]])
-        with pytest.raises(InputError, match="^index 2 outside truncation of dimension 1$"):
-            GraevBooleanNorm(sp).eval(e(2, (2, 1)))
-        wide = GraevBooleanNorm(random_metric_space(1, 3, F(1), F(2)), matching_cap=1)
-        with pytest.raises(InputError, match=r"^index 3 outside the norm's truncation \(dim 2\)$"):
-            wide.eval(e(2, (3, 1)))
+        for read in (GraevBooleanNorm(sp).eval, lambda g: cover_value(sp, g)):
+            with pytest.raises(InputError, match="^index 2 outside truncation of dimension 1$"):
+                read(e(2, (2, 1)))
+            with pytest.raises(InputError, match="^mismatched primes: 3 vs 2$"):
+                read(e(3, (1, 1)))
 
     def test_matching_cap(self):
+        # a 15-point space builds no norm, and cover_value takes 12 of its
+        # points but not 14
         sp = random_metric_space(5, 16, F(1), F(2))
-        norm = GraevBooleanNorm(sp, matching_cap=12)
-        assert norm.eval(graev_word(sp, range(1, 13))) == brute_graev(sp, range(1, 13))
+        with pytest.raises(CapExceededError, match="^15 points exceed the matching cap 12$"):
+            GraevBooleanNorm(sp)
+        assert cover_value(sp, graev_word(sp, range(1, 13))) == brute_graev(sp, range(1, 13))
         with pytest.raises(CapExceededError, match="^14 points exceed the matching cap 12$"):
-            norm.eval(graev_word(sp, range(1, 15)))
+            cover_value(sp, graev_word(sp, range(1, 15)))
 
     @given(st.integers(0, 500), st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
     def test_matches_partition_enumeration(self, seed, npts):
         sp = random_metric_space(seed, npts, F(1, 3), F(5, 2))
         pts = [i for i in sp.nonbase if (seed >> i) & 1] or list(sp.nonbase)
-        for cap in (len(pts), npts - 1):
-            assert GraevBooleanNorm(sp, matching_cap=cap).eval(graev_word(sp, pts)) == \
-                brute_graev(sp, pts)
+        want = brute_graev(sp, pts)
+        assert GraevBooleanNorm(sp).eval(graev_word(sp, pts)) == want
+        assert cover_value(sp, graev_word(sp, pts)) == want
 
-    @given(dim=st.integers(2, 9), seed=st.integers(0, 10 ** 6), data=st.data())
+    @given(dim=st.integers(2, 20), seed=st.integers(0, 10 ** 6), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_word_path_matches_partition_enumeration(self, dim, seed, data):
-        # a norm past its matching cap covers each word's own points; distances
-        # near 2^70 put the space and the DP on Python ints
+        # cover_value covers each word's own points, past the matching cap
+        # of the space too; distances near 2^70 put the space and the DP on
+        # Python ints
         low, high = data.draw(st.sampled_from([(F(1, 7), F(3)), (2 ** 70, 2 ** 70 + 10 ** 6),
                                                (1, 2 ** 70)]))
         space = random_metric_space(seed, dim + 1, low, high,
                                     basepoint=data.draw(st.integers(0, dim)))
-        cap = data.draw(st.integers(1, dim - 1))
-        wide = GraevBooleanNorm(space, matching_cap=cap)
-        assert wide._table is None
-        pts = data.draw(st.lists(st.sampled_from(space.nonbase), max_size=cap, unique=True))
-        assert wide.eval(graev_word(space, pts)) == brute_graev(space, pts)
+        pts = data.draw(st.lists(st.sampled_from(space.nonbase), max_size=8, unique=True))
+        assert cover_value(space, graev_word(space, pts)) == brute_graev(space, pts)
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_word_path_matches_the_table(self, dim):
-        # every word within the smaller cap, big distances on the last dims
+        # every word, big distances on the last dims
         high = F(5, 2) if dim < 6 else 2 ** 70
         space = random_metric_space(dim, dim + 1, F(1, 3), high, basepoint=dim % 3)
-        table, wide = GraevBooleanNorm(space), GraevBooleanNorm(space, matching_cap=dim - 1)
+        norm = GraevBooleanNorm(space)
         tr = Truncation(2, dim)
-        for r in range(tr.size - 1):  # the last rank is the one word of dim points
+        for r in range(tr.size):
             w = tr.element_of(r)
-            assert wide.eval(w) == table.eval(w)
+            assert cover_value(space, w) == norm.eval(w)
 
 
 class TestCostFunction:
@@ -510,15 +513,17 @@ class TestGraevBooleanNorm:
 
     def test_wide_space_without_dense_table(self):
         sp = self.line_space(100)  # 102 points, dimension 101
-        norm = GraevBooleanNorm(sp)
-        assert norm.dim == 101
+        # its table would pass the enum cap, which is checked first
+        with pytest.raises(CapExceededError,
+                           match=f"^truncation has {2 ** 101} elements, above cap 10000000$"):
+            GraevBooleanNorm(sp)
         # subset {x}: singleton back to the basepoint
-        assert norm.eval(e(2, (1, 1))) == F(1)
+        assert cover_value(sp, e(2, (1, 1))) == F(1)
         # subset {x, y_1}: pairing x with y_1 costs 1, beats 1 + 2
-        assert norm.eval(e(2, (1, 1), (2, 1))) == F(1)
+        assert cover_value(sp, e(2, (1, 1), (2, 1))) == F(1)
         # subset {y_99, y_100}: pairing costs 1/99 - 1/100
         # (group index k+1 carries y_k, since index 1 carries x)
-        assert norm.eval(e(2, (100, 1), (101, 1))) == F(1, 9900)
+        assert cover_value(sp, e(2, (100, 1), (101, 1))) == F(1, 9900)
 
     def test_memo_reuse(self):
         sp = self.line_space(3)
@@ -528,9 +533,10 @@ class TestGraevBooleanNorm:
 
     def test_matching_cap_enforced(self):
         sp = self.line_space(20)
-        norm = GraevBooleanNorm(sp, matching_cap=4)
-        with pytest.raises(CapExceededError):
-            norm.eval(GroupElement.make(2, [(i, 1) for i in range(1, 7)]))
+        with pytest.raises(CapExceededError, match="^13 points exceed the matching cap 12$"):
+            cover_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 14)]))
+        assert cover_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 7)])) == \
+            brute_graev(sp, range(1, 7))
 
     def test_axioms_on_small_space(self):
         sp = self.line_space(2)  # 4 points, dimension 3
@@ -627,38 +633,33 @@ class TestGraevTable:
         assert_same_storage(norm._table, graev_table_and_reference(space)[1])
 
     def test_matching_cap_bounds_the_table(self):
-        space = random_metric_space(2, 6, F(1), F(2))  # dimension 5
-        assert validate_axioms(GraevBooleanNorm(space, matching_cap=5)).ok
-        with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
-            validate_axioms(GraevBooleanNorm(space, matching_cap=4))
-        # the enum cap is checked first
-        with pytest.raises(CapExceededError, match="truncation has 32 elements"):
-            validate_axioms(GraevBooleanNorm(space, matching_cap=4), cap=16)
+        # 12 non-basepoint points build and validate; 13 are refused at
+        # construction, after the enum cap
+        assert validate_axioms(GraevBooleanNorm(random_metric_space(2, 13, F(1), F(2)))).ok
+        space = random_metric_space(2, 14, F(1), F(2))
+        with pytest.raises(CapExceededError, match="^13 points exceed the matching cap 12$"):
+            GraevBooleanNorm(space)
+        with pytest.raises(CapExceededError, match="^truncation has 8192 elements, above cap 16$"):
+            GraevBooleanNorm(space, cap=16)
 
     def test_enum_cap_bounds_the_table_at_construction(self):
         space = random_metric_space(2, 6, F(1), F(2))  # dimension 5
         with pytest.raises(CapExceededError, match="^truncation has 32 elements, above cap 31$"):
             GraevBooleanNorm(space, cap=31)
-        # a norm past its matching cap builds no table, so nothing to bound
-        wide = GraevBooleanNorm(space, matching_cap=4, cap=31)
-        assert wide._table is None
-        assert wide.eval(GroupElement.make(2, [(1, 1), (3, 1)])) == \
+        assert GraevBooleanNorm(space, cap=32).truncation.size == 32
+        # cover_value builds no table, so there is nothing to bound
+        assert cover_value(space, GroupElement.make(2, [(1, 1), (3, 1)])) == \
             brute_graev(space, [space.nonbase[0], space.nonbase[2]])
-        with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
-            wide.values_of(np.arange(4))
 
     def test_a_wide_norm_evaluates_words_and_refuses_spans(self):
-        # eval is the only read of a Graev norm without a table: the ranks of
-        # a span come from its truncation, which raises the matching cap
-        # error that values_of raises
-        space = random_metric_space(3, 7, F(1), F(3))  # dimension 6
-        wide = GraevBooleanNorm(space, matching_cap=4)
-        x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 6)
-        assert wide.eval(x + y) == brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 6)])
-        for read in (lambda: wide.truncation.span_ranks([x, y]),
-                     lambda: wide.values_of(np.arange(4))):
-            with pytest.raises(CapExceededError, match="^5 points exceed the matching cap 4$"):
-                read()
+        # past the matching cap no norm is built, so no span of it is read;
+        # cover_value still values each word of the space
+        space = random_metric_space(3, 15, F(1), F(3))  # dimension 14
+        with pytest.raises(CapExceededError, match="^14 points exceed the matching cap 12$"):
+            GraevBooleanNorm(space)
+        x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 14)
+        assert cover_value(space, x + y) == \
+            brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 14)])
 
 
 class TestNormFromConfig:

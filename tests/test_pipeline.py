@@ -234,7 +234,7 @@ class TestRunPipeline:
             run_pipeline(RunConfig.from_json_dict(graded_cfg(caps={"enum": 5})))
 
     def test_matching_cap_overflow_names_stage(self):
-        # 13 points pass the matching cap of 12
+        # 13 points pass the matching cap of 12, so the norm is refused at build
         space = convergent_line_space(12)
         cfg = {
             "prime": 2,
@@ -244,7 +244,7 @@ class TestRunPipeline:
             "limits": {"m": 3},
         }
         with pytest.raises(CapExceededError,
-                           match="^stage axioms: 13 points exceed the matching cap 12$"):
+                           match="^stage build: 13 points exceed the matching cap 12$"):
             run_pipeline(RunConfig.from_json_dict(cfg))
 
     def test_limits_reach_the_checkers(self):

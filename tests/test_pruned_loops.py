@@ -210,7 +210,7 @@ def report_triangles(report, tr):
 
 def scan_matches_row_scan(norm, threads=1):
     report = validate_axioms(norm, threads=threads)
-    tr = norm._tr
+    tr = norm.truncation
     expected = row_scan_triangles(tr, norm._table[0])
     assert report_triangles(report, tr) == expected
     assert report.pairs_checked == tr.size * (tr.size + 1) // 2

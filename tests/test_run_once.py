@@ -271,7 +271,7 @@ class TestLeanTriangleLoop:
         for seed in range(3):
             norm = table_norm(p, dim, injected_values(seed, p ** dim, scale))
             report = validate_axioms(norm, threads=threads)
-            tr = norm._tr
+            tr = norm.truncation
             assert norm._table[0].dtype == dtype
             got = [tuple(tr.rank_of(jsonio.element_from_pairs(p, v[k])) for k in ("g", "h", "sum"))
                    for v in report.violations if v["axiom"] == 3]
@@ -280,11 +280,11 @@ class TestLeanTriangleLoop:
 
     def test_the_norm_keeps_its_truncation(self):
         norm = CostCompletionNorm(graded_cost(0, 5, 3))
-        tr = norm._tr
+        tr = norm.truncation
         halves, neg = tr._halves, tr.neg_perm
         assert halves is not None
         validate_axioms(norm)
-        assert norm._tr is tr and tr._halves is halves and tr.neg_perm is neg
+        assert norm.truncation is tr and tr._halves is halves and tr.neg_perm is neg
 
     def test_the_cap_still_holds_for_a_built_truncation(self):
         norm = CostCompletionNorm(graded_cost(0, 2, 4))

@@ -159,7 +159,7 @@ def test_a_large_truncation_goes_with_its_norm(monkeypatch):
     monkeypatch.setattr(Truncation, "__init__",
                         lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
     # the checks read the norm's own truncation and build none
-    assert validate_axioms(norm).ok and norm_sorted_span(norm) is norm._order
+    assert validate_axioms(norm).ok and norm_sorted_span(norm) is norm.order
     assert built == [] and fpcore._shared_truncation.cache_info().currsize == 0
     with pytest.raises(CapExceededError, match=f"truncation has {2 ** dim} elements"):
         truncation(p, dim, cap=2 ** dim - 1)
