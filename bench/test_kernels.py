@@ -95,6 +95,10 @@ def _graev():
     return GraevBooleanNorm(random_metric_space(0, 12, 1, 3))
 
 
+def _graev16():
+    return GraevBooleanNorm(random_metric_space(0, 17, 1, 3))
+
+
 @pytest.mark.parametrize("p, dim", SHAPES)
 def test_graded_cost(benchmark, p, dim):
     benchmark(graded_cost, 0, p, dim)
@@ -120,11 +124,11 @@ def _ultrametric():
     return UltrametricProductNorm(2, 11)
 
 
-@pytest.mark.parametrize("make_norm", [_graded, _graev, _ultrametric],
-                         ids=["graded-5-5", "graev-2-11", "ultrametric-2-11"])
+@pytest.mark.parametrize("make_norm", [_graded, _graev, _graev16, _ultrametric],
+                         ids=["graded-5-5", "graev-2-11", "graev-2-16", "ultrametric-2-11"])
 def test_triangle_scan(benchmark, make_norm):
     # the whole validate_axioms call, on the table each norm built.
-    # graded-5-5 takes the pair scan, graev-2-11 the generator certificate,
+    # graded-5-5 takes the pair scan, the Graev norms the generator certificate,
     # and ultrametric-2-11 tries the certificate, is refuted, then scans:
     # the worst case of the work rule
     norm = make_norm()
@@ -227,17 +231,19 @@ def test_verify_reduced_properties(benchmark):
     benchmark(verify_reduced_properties, reduced, norm)
 
 
-def test_graev_build(benchmark):
-    # a graev-p2-shaped descriptor: 12 points, distances as "num/den" strings
-    # on a 60-step grid in [1/100000, 1/50000]
-    space = random_metric_space(0, 12, Fraction(1, 100000), Fraction(1, 50000))
-    cfg = {"kind": "graev_boolean", "prime": 2, "dim": 11, "space": space.to_json_dict()}
+@pytest.mark.parametrize("dim", [11, 16])
+def test_graev_build(benchmark, dim):
+    # dim 11 is a graev-p2-shaped descriptor: 12 points, distances as
+    # "num/den" strings on a 60-step grid in [1/100000, 1/50000]
+    space = random_metric_space(0, dim + 1, Fraction(1, 100000), Fraction(1, 50000))
+    cfg = {"kind": "graev_boolean", "prime": 2, "dim": dim, "space": space.to_json_dict()}
     benchmark(norm_from_config, cfg)
 
 
-def test_graev_table(benchmark):
-    # p=2, dim 11: the table the norm builds at construction, all 2048 subsets at once
-    space = random_metric_space(0, 12, 1, 3)
+@pytest.mark.parametrize("dim", [11, 16])
+def test_graev_table(benchmark, dim):
+    # the table the norm builds at construction, all 2^dim subsets at once
+    space = random_metric_space(0, dim + 1, 1, 3)
     benchmark(_cover_table, space, space.nonbase[::-1])
 
 

@@ -10,10 +10,9 @@ class InputError(FpmapError, ValueError):
 
 
 class CapExceededError(FpmapError):
-    """A stage's work would pass a size cap: the enumeration cap, which a user
-    sets through caps.enum or FPMAP_ENUM_CAP, or the fixed matching cap of 12
-    points, on the points of a Graev norm's table or of the one word that
-    cover_value covers."""
+    """A stage's work would pass the enumeration cap, the package's one size
+    cap, which a user sets through caps.enum or FPMAP_ENUM_CAP; it bounds a
+    Graev norm's table too, and the subsets of a word cover_value covers."""
 
 
 class InvalidNormError(FpmapError):

@@ -7,10 +7,10 @@ otherwise; both storages give the same exact arithmetic. A cost is such a
 vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
 element. A norm is its dense value table, such a vector too, indexed by rank
-and built at construction: a Graev norm's by one integer DP over all subsets,
-when its points fit the matching cap. Norm.eval and values_of (by rank) read
-values from it. cover_value runs the same DP on the points of one word, for
-a space of any size.
+and built at construction under the enumeration cap: a Graev norm's by one
+integer DP over all subsets of its points. Norm.eval and values_of (by rank)
+read values from it. cover_value runs the same DP on the points of one word,
+for a space of any size, under the default cap on the word's 2^k subsets.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .errors import CapExceededError, InputError
+from .errors import InputError
 from .fpcore import (
     GroupElement,
     Truncation,
@@ -449,13 +449,10 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     return dist, den
 
 
-MATCHING_CAP = 12  # the most points whose covers one subset DP takes
-
-
 def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndarray, int]:
     """The cover cost of every subset of the points ``pts`` of ``space``, by
     mask: bit b of a mask stands for pts[b]. One integer DP on their rows of
-    the space's distances; more than MATCHING_CAP points are refused.
+    the space's distances, whose 2^len(pts) masks each caller caps first.
 
     The masks whose lowest set bit is b are taken together, for b from
     len(pts) - 1 down to 0: the point at b is left alone or paired with a
@@ -467,8 +464,6 @@ def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndar
     is the least one of the table when pts are all non-basepoint points.
     """
     d = len(pts)
-    if d > MATCHING_CAP:
-        raise CapExceededError(f"{d} points exceed the matching cap {MATCHING_CAP}")
     # column d is the basepoint
     dist = space.nums[np.ix_(pts, [*pts, space.basepoint])]
     val = np.zeros(2 ** d, dtype=_storage(int(dist.max(initial=0)), d))
@@ -488,11 +483,14 @@ def cover_value(space: PointedMetricSpace, g: GroupElement) -> Fraction:
     """The Graev value of the Boolean word g over ``space``, group index i
     standing for space.nonbase[i - 1]: the cheapest cover of its points, by
     _cover_table over them alone. Checks g's prime and indices as
-    Truncation.rank_of does."""
+    Truncation.rank_of does, then its 2^k subsets by require_size under the
+    default cap; the empty word is 0."""
     _same_prime(g.prime.p, 2)
     nonbase = space.nonbase
     if g.max_index > len(nonbase):
         raise InputError(f"index {g.max_index} outside truncation of dimension {len(nonbase)}")
+    if g.support:
+        require_size(2, len(g.support), None)
     return Fraction(int(_cover_table(space, [nonbase[i - 1] for i in g.support])[0][-1]),
                     space.den)
 
@@ -504,8 +502,7 @@ class GraevBooleanNorm(Norm):
     group index per point in natural order); the value of a subset is its
     minimum pair/singleton cover cost. The whole table is built at
     construction by _cover_table, once the truncation fits the enumeration
-    cap ``cap`` and then the points fit MATCHING_CAP. cover_value covers
-    one word of a space of any size.
+    cap ``cap``. cover_value covers one word of a space of any size.
     """
 
     kind = "graev_boolean"
@@ -761,9 +758,11 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
             jsonio.require_int(cfg["dim"], "dimension", low=1)
         sp = cfg["space"]
         jsonio.require_keys(sp, ["basepoint", "dist"], [], what="metric space")
-        matrix = [[jsonio.pair_from_str(x)
-                   for x in jsonio.require_list(row, what="dist row")]
-                  for row in jsonio.require_list(sp["dist"], what="dist")]
+        rows = jsonio.require_list(sp["dist"], what="dist")
+        if len(rows) > 1:  # the table's cap, before any entry is parsed or repaired
+            require_size(2, len(rows) - 1, cap)
+        matrix = [[jsonio.pair_from_str(x) for x in jsonio.require_list(row, what="dist row")]
+                  for row in rows]
         space = PointedMetricSpace(matrix, basepoint=sp["basepoint"])
         norm = GraevBooleanNorm(space, cap=cap)
         if "dim" in cfg and cfg["dim"] != norm.dim:

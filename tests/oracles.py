@@ -45,7 +45,7 @@ from fpmap.fpcore import (
     solve_in_span,
     word_digits,
 )
-from fpmap.norms import CostFunction, Norm, _as_fraction, _scaled
+from fpmap.norms import CostCompletionNorm, CostFunction, Norm, _as_fraction, _scaled, _storage
 from fpmap.reduction import (
     LemmaReport,
     ReducedBasis,
@@ -172,6 +172,25 @@ def brute_graev(space, points):
         return value
 
     return best(tuple(pts))
+
+
+def graev_completion_table(space):
+    """The Graev table of ``space``, (nums, den) by rank, as a shortest-path
+    completion instead of a subset DP: the CostCompletionNorm of the cost that
+    charges d(x, base) on e_x, d(x, y) on e_x + e_y and, on every other
+    nonzero rank, the singletons' sum plus 1, above any cover. It enumerates
+    no partitions. Bit b of a rank carries space.nonbase[::-1][b], so e_1 is
+    the top rank."""
+    pts = space.nonbase[::-1]
+    single = [int(space.nums[x, space.basepoint]) for x in pts]
+    nums = [0] + [sum(single) + 1] * (2 ** len(pts) - 1)
+    for b, x in enumerate(pts):
+        nums[1 << b] = single[b]
+        for c in range(b + 1, len(pts)):
+            nums[1 << b | 1 << c] = int(space.nums[x, pts[c]])
+    cost = CostFunction(Truncation(2, len(pts)),
+                        np.array(nums, dtype=_storage(sum(single) + 1)), space.den)
+    return CostCompletionNorm(cost)._table
 
 
 def brute_random_cost(seed, p, dim, low, high, *, steps=60, cap=None):

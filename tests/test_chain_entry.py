@@ -139,7 +139,7 @@ def test_verify_calls_only_the_stage_functions_of_its_lemmas(tmp_path, monkeypat
 
 
 def capped_graev(tmp_path):
-    """A Graev norm of dim 5, within the matching cap, as a descriptor and a run."""
+    """A Graev norm of dim 5, as a descriptor and a run."""
     norm = {"kind": "graev_boolean", "space": convergent_line_space(4).to_json_dict()}
     run = {"prime": 2, "dim": 5, "norm": norm, "limits": {"l": 1, "m": 1}}
     return write_json(tmp_path / "norm.json", norm), write_json(tmp_path / "run.json", run)

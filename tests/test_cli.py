@@ -229,14 +229,15 @@ class TestInputAndCapExits:
             ["build"], "error: stage build: truncation has 32 elements, above cap 31")
 
     @pytest.mark.parametrize("dim, caps, max_tuple, timed, err", [
-        # within the matching cap of 12 points the norm builds its table, so
-        # the enum cap stops stage build, as for the ultrametric norm
+        # the norm builds its table, so the enum cap stops stage build, as
+        # for the ultrametric norm
         (5, {"enum": 31}, 4, ["build"],
          "stage build: truncation has 32 elements, above cap 31"),
-        # past it the build refuses the norm
-        (13, {}, 4, ["build"],
-         "stage build: 13 points exceed the matching cap 12"),
-        # after checking the enum cap
+        # 13 to 23 points fit the default enum cap (test_graev_matching_cap_edge
+        # runs 13), and 24 points pass it
+        (24, {}, 4, ["build"],
+         "stage build: truncation has 16777216 elements, above cap 10000000"),
+        # and 13 points a cap of 31
         (13, {"enum": 31}, 1, ["build"],
          "stage build: truncation has 8192 elements, above cap 31"),
         # a table that fits the cap: words of up to 4 indices take 5568
@@ -254,19 +255,27 @@ class TestInputAndCapExits:
         assert stopped_run(capsys) == (timed, f"error: {err}")
 
     def test_graev_matching_cap_edge(self, tmp_path, capsys):
-        # dim == 12, the matching cap, validates; one point more exits 3
-        # in the build, before any subset DP
+        # the enum cap is a Graev table's one cap: dim 13 validates and runs
+        # (to exhaustion, exit 1), and dim 24 passes the default cap and exits
+        # 3 in the build, before any subset DP
         def space(n_points):
             return random_metric_space(1, n_points, 1, 3).to_json_dict()
 
-        for n_points, code in ((13, 0), (14, 3)):
+        for n_points, code in ((14, 0), (25, 3)):
             norm = {"kind": "graev_boolean", "space": space(n_points)}
             assert main(["validate-norm", "--config", write_json(tmp_path / "g.json", norm)]) == code
-        assert capsys.readouterr().err == "error: stage build: 13 points exceed the matching cap 12\n"
-        run = {"prime": 2, "dim": 13, "norm": {"kind": "graev_boolean", "space": space(14)}}
-        assert main(["run", "--config", write_json(tmp_path / "run.json", run)]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage build: truncation has 16777216 elements, above cap 10000000\n")
+        def run(n_points):
+            doc = {"prime": 2, "dim": n_points - 1,
+                   "norm": {"kind": "graev_boolean", "space": space(n_points)}}
+            return main(["run", "--config", write_json(tmp_path / "run.json", doc)])
+
+        assert run(14) == 1
+        capsys.readouterr()
+        assert run(25) == 3
         assert stopped_run(capsys) == (
-            ["build"], "error: stage build: 13 points exceed the matching cap 12")
+            ["build"], "error: stage build: truncation has 16777216 elements, above cap 10000000")
 
 
 class TestEnvOverrides:
@@ -523,13 +532,16 @@ class TestDuality:
         assert doc == {"dim": 3, "kernel_basis": [[[3, 1]]], "prime": 2}
 
     def test_balls_over_a_graev_norm_past_its_matching_cap(self, tmp_path, capsys):
-        # a norm of 13 non-basepoint points is refused when the spec builds it
-        norm = {"kind": "graev_boolean",
-                "space": random_metric_space(1, 14, 1, 3).to_json_dict()}
-        spec = write_json(tmp_path / "balls.json",
-                          {"kind": "balls", "norm": norm, "radii": ["2"]})
-        assert main(["duality", "--check", "map", "--spec", spec]) == 3
-        assert capsys.readouterr().err == "error: 13 points exceed the matching cap 12\n"
+        # a norm of 13 non-basepoint points builds when the spec does; one of
+        # 24 passes the default enum cap and is refused
+        for n_points, code in ((14, 0), (25, 3)):
+            norm = {"kind": "graev_boolean",
+                    "space": random_metric_space(1, n_points, 1, 3).to_json_dict()}
+            spec = write_json(tmp_path / "balls.json",
+                              {"kind": "balls", "norm": norm, "radii": ["2"]})
+            assert main(["duality", "--check", "map", "--spec", spec]) == code
+        assert capsys.readouterr().err == (
+            "error: truncation has 16777216 elements, above cap 10000000\n")
 
     @pytest.mark.parametrize("check", ["map", "kernel"])
     def test_matching_cap_env_reaches_a_balls_norm(self, tmp_path, monkeypatch, capsys, check):
@@ -620,7 +632,8 @@ class TestDemoAndReport:
         assert doc["certificate"]["counterexample"] is True
         assert doc["certificate"]["min_bad_value"] == "1/9900"
         # these bytes pin cover_value and epsilon_delta_certificate on a
-        # space far past the matching cap
+        # space of 101 non-basepoint points, whose table would pass the enum
+        # cap
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "caddc192176f444d22a13396ba75249edd88159fff97eef23773b05bbdb1a328"
 
@@ -633,9 +646,9 @@ class TestDemoAndReport:
         (40, "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"),
     ])
     def test_demo_boolean_bytes(self, capsys, points, digest):
-        # 11 and 12 points sit either side of the matching cap that a Graev
-        # norm's table meets (12 and 13 non-basepoint points): cover_value
-        # values the words of both, as of every other size
+        # 11 and 12 points make spaces of 12 and 13 non-basepoint points,
+        # whose Graev tables fit the enum cap: cover_value values the words
+        # of both, as of every other size
         assert main(["demo-boolean", "--points", str(points)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -262,8 +262,8 @@ class TestIndependenceModulus:
                 assert report.ok, report.violations[:2]
 
     def test_planted_violation(self):
-        # ten points keep the Graev norm within its matching cap, so it
-        # builds; {x, y_10} has norm 1/10 < 1/8
+        # eleven non-basepoint points, a table of 2048 values; {x, y_10}
+        # has norm 1/10 < 1/8
         space = convergent_line_space(10)
         norm = GraevBooleanNorm(space)
         validate_axioms_small = norm  # no axiom run needed; modulus does not gate

@@ -14,6 +14,7 @@ from oracles import (
     brute_graev,
     brute_ultrametric_values,
     enumerate_span,
+    graev_completion_table,
 )
 from fpmap import jsonio
 from fpmap.errors import CapExceededError, InputError, InvalidNormError
@@ -113,6 +114,10 @@ class TestPointedMetricSpace:
             PointedMetricSpace([[0]], basepoint=3)
 
 
+def no_cover_table(space, pts):
+    raise AssertionError(f"ran the subset DP on {len(pts)} points")
+
+
 def graev_word(space, points):
     """The element of the Boolean group over ``space`` whose support is the
     group indices of ``points``."""
@@ -152,15 +157,21 @@ class TestGraevNorm:
             with pytest.raises(InputError, match="^mismatched primes: 3 vs 2$"):
                 read(e(3, (1, 1)))
 
-    def test_matching_cap(self):
-        # a 15-point space builds no norm, and cover_value takes 12 of its
-        # points but not 14
+    def test_matching_cap(self, monkeypatch):
+        # a 15-point space builds its norm, which values 12 of its points as
+        # partition enumeration does and all 15 as cover_value does; a
+        # 24-point word has 2^24 subsets, over the default enum cap, and
+        # cover_value refuses it before its DP
         sp = random_metric_space(5, 16, F(1), F(2))
-        with pytest.raises(CapExceededError, match="^15 points exceed the matching cap 12$"):
-            GraevBooleanNorm(sp)
-        assert cover_value(sp, graev_word(sp, range(1, 13))) == brute_graev(sp, range(1, 13))
-        with pytest.raises(CapExceededError, match="^14 points exceed the matching cap 12$"):
-            cover_value(sp, graev_word(sp, range(1, 15)))
+        norm = GraevBooleanNorm(sp)
+        for pts, want in ((range(1, 13), brute_graev(sp, range(1, 13))),
+                          (sp.nonbase, cover_value(sp, graev_word(sp, sp.nonbase)))):
+            assert norm.eval(graev_word(sp, pts)) == want
+        wide = random_metric_space(5, 25, F(1), F(2))
+        monkeypatch.setattr("fpmap.norms._cover_table", no_cover_table)
+        with pytest.raises(CapExceededError,
+                           match="^truncation has 16777216 elements, above cap 10000000$"):
+            cover_value(wide, graev_word(wide, wide.nonbase))
 
     @given(st.integers(0, 500), st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
@@ -174,8 +185,8 @@ class TestGraevNorm:
     @given(dim=st.integers(2, 20), seed=st.integers(0, 10 ** 6), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_word_path_matches_partition_enumeration(self, dim, seed, data):
-        # cover_value covers each word's own points, past the matching cap
-        # of the space too; distances near 2^70 put the space and the DP on
+        # cover_value covers each word's own points, whatever the size of
+        # the space; distances near 2^70 put the space and the DP on
         # Python ints
         low, high = data.draw(st.sampled_from([(F(1, 7), F(3)), (2 ** 70, 2 ** 70 + 10 ** 6),
                                                (1, 2 ** 70)]))
@@ -532,9 +543,11 @@ class TestGraevBooleanNorm:
         assert norm.eval(g) == norm.eval(g)
 
     def test_matching_cap_enforced(self):
-        sp = self.line_space(20)
-        with pytest.raises(CapExceededError, match="^13 points exceed the matching cap 12$"):
-            cover_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 14)]))
+        # cover_value values a 13-point word of a 14-point line space as the
+        # space's table does, and a 6-point one as partition enumeration does
+        sp = self.line_space(13)
+        word = GroupElement.make(2, [(i, 1) for i in range(1, 14)])
+        assert cover_value(sp, word) == GraevBooleanNorm(sp).eval(word)
         assert cover_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 7)])) == \
             brute_graev(sp, range(1, 7))
 
@@ -578,8 +591,28 @@ def far_base_space(n_near, base_dist):
                                 for j in range(n)] for i in range(n)])
 
 
+def assert_same_values(got, want):
+    assert got[1] == want[1]
+    assert got[0].tolist() == want[0].tolist()
+
+
 class TestGraevTable:
-    """GraevBooleanNorm's one-DP value table against brute_graev word by word."""
+    """GraevBooleanNorm's one-DP value table against brute_graev word by word,
+    and against the cost completion, which reaches sizes brute_graev cannot."""
+
+    @pytest.mark.parametrize("dim", [13, 14])
+    def test_matches_the_cost_completion(self, dim):
+        space = random_metric_space(dim, dim + 1, F(1, 100), F(1), basepoint=dim % 3)
+        assert_same_values(GraevBooleanNorm(space)._table, graev_completion_table(space))
+
+    @given(dim=st.integers(1, 10), seed=st.integers(0, 10 ** 6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_cost_completion_on_random_spaces(self, dim, seed, data):
+        low = F(1, data.draw(st.integers(1, 10 ** 6)))
+        space = random_metric_space(seed, dim + 1, low, low * data.draw(st.integers(1, 50)),
+                                    basepoint=data.draw(st.integers(0, dim)),
+                                    steps=data.draw(st.integers(1, 60)))
+        assert_same_values(GraevBooleanNorm(space)._table, graev_completion_table(space))
 
     @given(dim=st.integers(1, 8), seed=st.integers(0, 10 ** 6), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -632,15 +665,25 @@ class TestGraevTable:
         assert validate_axioms(norm).ok
         assert_same_storage(norm._table, graev_table_and_reference(space)[1])
 
-    def test_matching_cap_bounds_the_table(self):
-        # 12 non-basepoint points build and validate; 13 are refused at
-        # construction, after the enum cap
-        assert validate_axioms(GraevBooleanNorm(random_metric_space(2, 13, F(1), F(2)))).ok
+    def test_matching_cap_bounds_the_table(self, monkeypatch):
+        # the enum cap is the table's one bound: 13 non-basepoint points
+        # build and validate unless the cap is under their 8192 elements.
+        # At the default cap 23 points build, and their full word is
+        # cover_value's; 24 points are refused, by the norm and by
+        # cover_value, before any subset DP
         space = random_metric_space(2, 14, F(1), F(2))
-        with pytest.raises(CapExceededError, match="^13 points exceed the matching cap 12$"):
-            GraevBooleanNorm(space)
-        with pytest.raises(CapExceededError, match="^truncation has 8192 elements, above cap 16$"):
-            GraevBooleanNorm(space, cap=16)
+        assert validate_axioms(GraevBooleanNorm(space)).ok
+        with pytest.raises(CapExceededError, match="^truncation has 8192 elements, above cap 8191$"):
+            GraevBooleanNorm(space, cap=8191)
+        space = random_metric_space(2, 24, F(1), F(2))
+        full = graev_word(space, space.nonbase)
+        assert GraevBooleanNorm(space).eval(full) == cover_value(space, full)
+        space = random_metric_space(2, 25, F(1), F(2))
+        monkeypatch.setattr("fpmap.norms._cover_table", no_cover_table)
+        for build in (GraevBooleanNorm, lambda sp: cover_value(sp, graev_word(sp, sp.nonbase))):
+            with pytest.raises(CapExceededError,
+                               match="^truncation has 16777216 elements, above cap 10000000$"):
+                build(space)
 
     def test_enum_cap_bounds_the_table_at_construction(self):
         space = random_metric_space(2, 6, F(1), F(2))  # dimension 5
@@ -652,17 +695,50 @@ class TestGraevTable:
             brute_graev(space, [space.nonbase[0], space.nonbase[2]])
 
     def test_a_wide_norm_evaluates_words_and_refuses_spans(self):
-        # past the matching cap no norm is built, so no span of it is read;
-        # cover_value still values each word of the space
+        # a 14-point norm is built, so its spans read its table, word for
+        # word what cover_value gives; a 24-point space builds no norm, and
+        # cover_value still values its small words
         space = random_metric_space(3, 15, F(1), F(3))  # dimension 14
-        with pytest.raises(CapExceededError, match="^14 points exceed the matching cap 12$"):
-            GraevBooleanNorm(space)
+        norm = GraevBooleanNorm(space)
         x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 14)
+        nums, den = norm.values_of(norm.truncation.span_ranks([x, y]))
+        assert [F(int(v), den) for v in nums] == \
+            [cover_value(space, w) for w in (GroupElement.zero(2), y, x, x + y)]
+        space = random_metric_space(3, 25, F(1), F(3))  # dimension 24
+        with pytest.raises(CapExceededError,
+                           match="^truncation has 16777216 elements, above cap 10000000$"):
+            GraevBooleanNorm(space)
+        y = GroupElement.unit(2, 24)
         assert cover_value(space, x + y) == \
-            brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 14)])
+            brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 24)])
 
 
 class TestNormFromConfig:
+    def test_a_wide_graev_descriptor_is_refused_before_its_entries(self, monkeypatch):
+        # 1200 rows are refused on their count: no entry is parsed and no
+        # space repaired
+        def reached(*args, **kwargs):
+            raise AssertionError("parsed or repaired an entry of an over-cap space")
+
+        monkeypatch.setattr(jsonio, "pair_from_str", reached)
+        monkeypatch.setattr("fpmap.norms.PointedMetricSpace", reached)
+        cfg = {"kind": "graev_boolean", "space": {"basepoint": 0, "dist": [["1"] * 1200] * 1200}}
+        with pytest.raises(CapExceededError,
+                           match=f"^truncation has {2 ** 1199} elements, above cap 10000000$"):
+            norm_from_config(cfg)
+        monkeypatch.undo()
+        # so an over-cap matrix of malformed entries is refused on its size
+        cfg = {"kind": "graev_boolean", "space": {"basepoint": 0, "dist": [["x"] * 25] * 25}}
+        with pytest.raises(CapExceededError,
+                           match="^truncation has 16777216 elements, above cap 10000000$"):
+            norm_from_config(cfg)
+        # 0 and 1 points keep their messages
+        for dist, message in (([], "metric space needs at least one point"),
+                              ([["0"]], "need at least one non-basepoint point")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                norm_from_config({"kind": "graev_boolean",
+                                  "space": {"basepoint": 0, "dist": dist}})
+
     def test_ultrametric_roundtrip(self):
         norm = norm_from_config({"kind": "ultrametric", "prime": 3, "dim": 2,
                                  "weights": ["1/2", "1/9"]})

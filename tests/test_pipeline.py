@@ -234,18 +234,24 @@ class TestRunPipeline:
             run_pipeline(RunConfig.from_json_dict(graded_cfg(caps={"enum": 5})))
 
     def test_matching_cap_overflow_names_stage(self):
-        # 13 points pass the matching cap of 12, so the norm is refused at build
-        space = convergent_line_space(12)
-        cfg = {
-            "prime": 2,
-            "dim": 13,
-            "norm": {"kind": "graev_boolean", "prime": 2, "dim": 13,
-                     "space": space.to_json_dict()},
-            "limits": {"m": 3},
-        }
-        with pytest.raises(CapExceededError,
-                           match="^stage build: 13 points exceed the matching cap 12$"):
-            run_pipeline(RunConfig.from_json_dict(cfg))
+        # 13 non-basepoint points run the chain to its selection; 24 pass the
+        # default enum cap, so the norm is refused at build
+        def cfg(n_points):
+            dim = n_points + 1
+            return RunConfig.from_json_dict({
+                "prime": 2,
+                "dim": dim,
+                "norm": {"kind": "graev_boolean", "prime": 2, "dim": dim,
+                         "space": convergent_line_space(n_points).to_json_dict()},
+                "limits": {"m": 3},
+            })
+
+        rep = run_pipeline(cfg(12))
+        assert rep.stages["axioms"]["ok"] is True
+        assert rep.error["stage"] == "selection"
+        with pytest.raises(CapExceededError, match="^stage build: truncation has 16777216 "
+                                                   "elements, above cap 10000000$"):
+            run_pipeline(cfg(23))
 
     def test_limits_reach_the_checkers(self):
         cfg = graded_cfg(limits={"max_tuple": 2, "l": 2, "m": 3})
