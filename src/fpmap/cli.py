@@ -211,10 +211,7 @@ def cmd_run(args) -> int:
     timings: dict = {}
     try:  # a run stopped after its build began prints the stages it timed, too
         report = run_pipeline(cfg, timings=timings)
-        doc = report.to_json_dict()
-        if args.include_timings:
-            doc["timings"] = timings
-        _emit(doc, args.out)
+        _emit(report.to_json_dict(), args.out)
     finally:
         sys.stderr.writelines(line + "\n" for line in _timing_lines(timings))
     return EXIT_PASS if report.ok else EXIT_VIOLATIONS
@@ -313,8 +310,6 @@ def render_report(doc: dict) -> str:
         for F, v in last.items():
             lines.append(f"    delta F={{{F}}}: {v}")
         lines.extend(_violation_lines(coarser["violations"]))
-
-    lines += _timing_lines(doc["timings"] or {})
     return "\n".join(lines) + "\n"
 
 
@@ -397,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("run", help="execute the full pipeline from a run config")
     sub.add_argument("--config", required=True, help="path to a run config JSON")
     sub.add_argument("--out")
-    sub.add_argument("--include-timings", action="store_true",
-                     help="embed wall-clock timings (breaks byte stability)")
     sub.set_defaults(func=cmd_run)
 
     return parser

@@ -117,7 +117,7 @@ class TopologySpec:
 
     @classmethod
     def from_elements(cls, p, dim: int, sets, *, cap: int | None = None) -> "TopologySpec":
-        """Base sets given as iterables of GroupElement; zero is added."""
+        """Base sets as iterables of GroupElement, iterated after the cap check; zero is added."""
         prime = as_prime(p)
         tr = truncation(prime, dim, cap=cap)
         members = []
@@ -189,9 +189,9 @@ def topology_from_config(cfg, *, cap: int | None = None) -> TopologySpec:
         jsonio.require_keys(cfg, ["kind", "prime", "dim", "base"], [],
                             what="elements topology config")
         p = cfg["prime"]
-        sets = [[jsonio.element_from_pairs(p, pairs)
-                 for pairs in jsonio.require_list(u, what="base set")]
-                for u in jsonio.require_list(cfg["base"], what="base")]
+        sets = ((jsonio.element_from_pairs(p, pairs)
+                 for pairs in jsonio.iter_list(u, what="base set"))
+                for u in jsonio.iter_list(cfg["base"], what="base"))
         return TopologySpec.from_elements(p, cfg["dim"], sets, cap=cap)
     if kind == "balls":
         jsonio.require_keys(cfg, ["kind", "norm", "radii"], [],

@@ -145,6 +145,12 @@ def require_list(value, *, what="array"):
     return value
 
 
+def iter_list(value, *, what="array"):
+    """The items of ``value`` as an iterator that checks it by require_list
+    only when its first item is read."""
+    yield from require_list(value, what=what)
+
+
 def require_keys(mapping, required, optional=(), *, what="object"):
     """Strict key check for config documents: fail fast on unknown keys."""
     if not isinstance(mapping, dict):

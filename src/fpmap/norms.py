@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +66,23 @@ def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     den = math.lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
     return np.array(nums, dtype=_storage(max(map(abs, nums), default=0))), den
+
+
+def _values_by_rank(tr: Truncation, pairs: Iterable, what: str) -> list[Fraction | None]:
+    """The values of (element, value) pairs by rank of ``tr``, rank 0 None
+    unless a pair values it. Conflicting duplicates and the first nonzero
+    rank without a value are refused, in messages that name ``what``."""
+    vals: list[Fraction | None] = [None] * tr.size
+    for g, v in pairs:
+        r = tr.rank_of(g)
+        v = _as_fraction(v, f"{what} value")
+        if vals[r] is not None and vals[r] != v:
+            raise InputError(f"conflicting {what} entries for {g!r}")
+        vals[r] = v
+    for r in range(1, tr.size):
+        if vals[r] is None:
+            raise InputError(f"{what} missing for element of rank {r}")
+    return vals
 
 
 class PointedMetricSpace:
@@ -163,18 +180,12 @@ class CostFunction:
     @classmethod
     def from_pairs(cls, p, dim: int, pairs: Iterable[tuple[GroupElement, Fraction]],
                    *, cap: int | None = None) -> "CostFunction":
+        """The cost of ``pairs`` by _values_by_rank, iterated only after the cap check."""
         tr = truncation(p, dim, cap=cap)
-        vals: list[Fraction | None] = [Fraction(0)] + [None] * (tr.size - 1)
-        for g, v in pairs:
-            r = tr.rank_of(g)
-            if r == 0:
-                raise InputError("the zero element takes no cost entry")
-            v = _as_fraction(v, "cost value")
-            if vals[r] is not None and vals[r] != v:
-                raise InputError(f"conflicting cost entries for {g!r}")
-            vals[r] = v
-        if None in vals:
-            raise InputError(f"cost missing for element of rank {vals.index(None)}")
+        vals = _values_by_rank(tr, pairs, "cost")
+        if vals[0] is not None:
+            raise InputError("the zero element takes no cost entry")
+        vals[0] = Fraction(0)
         return cls(tr, *_scaled(vals))
 
     def value_of_rank(self, r: int) -> Fraction:
@@ -330,34 +341,25 @@ class Norm:
 
 
 class TableNorm(Norm):
-    """Explicit lookup table covering every nonzero element of the truncation."""
+    """Explicit lookup table covering every nonzero element of the truncation;
+    ``entries`` is iterated only after the cap check, rank 0 may take a value."""
 
     kind = "table"
 
     def __init__(self, p, dim: int, entries: Iterable[tuple[GroupElement, Fraction]],
                  *, cap: int | None = None):
         tr = truncation(p, dim, cap=cap)
-        vals: list[Fraction | None] = [None] * tr.size
-        for g, v in entries:
-            r = tr.rank_of(g)
-            v = _as_fraction(v, "table value")
-            if v < 0:
-                raise InputError(f"table values cannot be negative, got {v}")
-            if vals[r] is not None and vals[r] != v:
-                raise InputError(f"conflicting table entries for {g!r}")
-            vals[r] = v
-        missing = [r for r in range(1, tr.size) if vals[r] is None]
-        if missing:
-            raise InputError(
-                f"table must cover every nonzero element of the truncation; "
-                f"{len(missing)} entries missing (first: rank {missing[0]})")
+        vals = _values_by_rank(tr, entries, "table")
         if vals[0] is None:
             vals[0] = Fraction(0)
+        for v in vals:
+            if v < 0:
+                raise InputError(f"table values cannot be negative, got {v}")
         super().__init__(tr, _scaled(vals))
 
 
 class UltrametricProductNorm(Norm):
-    """max of per-index weights over the support; weights default to 1/i.
+    """max of per-index weights (1/i by default, iterated after the cap check) over the support.
 
     Satisfies the strong inequality N(g+h) <= max(N(g), N(h)) for any positive
     weights, since the support of a sum is contained in the union of supports.
@@ -366,7 +368,7 @@ class UltrametricProductNorm(Norm):
 
     kind = "ultrametric"
 
-    def __init__(self, p, dim: int, weights: Sequence[Fraction] | None = None,
+    def __init__(self, p, dim: int, weights: Iterable[Fraction] | None = None,
                  *, cap: int | None = None):
         tr = truncation(p, dim, cap=cap)
         if weights is None:
@@ -476,7 +478,7 @@ def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndar
             with_c = best.reshape(-1, 2, half)[:, 1]
             np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[b, c]), out=with_c)
         val[2 ** b::step] = best
-    return val.astype(_storage(int(val.max()))), space.den
+    return val.astype(_storage(int(val.max())), copy=False), space.den
 
 
 def cover_value(space: PointedMetricSpace, g: GroupElement) -> Fraction:
@@ -694,15 +696,13 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     return report
 
 
-def _valued_elements(cfg: dict, key: str, what: str) -> list[tuple[GroupElement, Fraction]]:
-    """The (element, value) pairs of the list cfg[key] of {"element", "value"}
-    objects, each checked as a ``what``."""
-    pairs = []
+def _valued_elements(cfg: dict, key: str, what: str) -> Iterator[tuple[GroupElement, Fraction]]:
+    """An iterator of the (element, value) pairs of the list cfg[key] of
+    {"element", "value"} objects, each checked as a ``what`` when it is read."""
     for e in jsonio.require_list(cfg[key], what=key):
         jsonio.require_keys(e, ["element", "value"], [], what=what)
-        pairs.append((jsonio.element_from_pairs(cfg["prime"], e["element"]),
-                      jsonio.frac_from_str(e["value"])))
-    return pairs
+        yield (jsonio.element_from_pairs(cfg["prime"], e["element"]),
+               jsonio.frac_from_str(e["value"]))
 
 
 def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
@@ -718,9 +718,8 @@ def norm_from_config(cfg: Mapping, *, cap: int | None = None) -> Norm:
         jsonio.require_keys(cfg, ["kind", "prime", "dim"], ["weights"],
                             what="ultrametric config")
         weights = cfg.get("weights")
-        if weights is not None:
-            weights = [jsonio.frac_from_str(w)
-                       for w in jsonio.require_list(weights, what="weights")]
+        if weights is not None:  # an iterator, read after the cap check
+            weights = map(jsonio.frac_from_str, jsonio.iter_list(weights, what="weights"))
         return UltrametricProductNorm(cfg["prime"], cfg["dim"], weights, cap=cap)
     if kind == "table":
         jsonio.require_keys(cfg, ["kind", "prime", "dim", "entries"], [],

@@ -98,19 +98,15 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_include_timings_embeds_floats(self, tmp_path, capsys):
+        # no option embeds timings in a report: argparse refuses the retired
+        # flag, as it refuses --threads, and writes no report
         cfg = write_json(tmp_path / "run.json", graded_run_cfg())
         out = tmp_path / "timed.json"
-        assert main(["run", "--config", cfg, "--out", str(out),
-                     "--include-timings"]) == 0
-        doc = json.loads(out.read_text())
-        assert isinstance(doc["timings"]["reduction"], float)
-        # the embedded record is the printed one: stderr follows the run
-        # order, and the canonical document sorts its keys
-        printed = dict(re.fullmatch(r"timing (\w+): (\d+\.\d{3})s", line).groups()
-                       for line in capsys.readouterr().err.splitlines())
-        assert list(printed) == ["build", *STAGE_KEYS]
-        assert list(doc["timings"]) == sorted(printed)
-        assert {stage: f"{s:.3f}" for stage, s in doc["timings"].items()} == printed
+        assert main(["run", "--config", cfg, "--out", str(out), "--include-timings"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fpmap") and "Traceback" not in err
+        assert err.endswith("error: unrecognized arguments: --include-timings\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("norm, error", [
         ({"kind": "ultrametric", "prime": 2, "dim": 2, "weights": ["1/2"]},
@@ -276,6 +272,36 @@ class TestInputAndCapExits:
         assert run(25) == 3
         assert stopped_run(capsys) == (
             ["build"], "error: stage build: truncation has 16777216 elements, above cap 10000000")
+
+    @pytest.mark.parametrize("listed", ["well-formed", "not-an-array", "bad-entries"])
+    @pytest.mark.parametrize("kind, key", [("table", "entries"), ("cost_completion", "costs"),
+                                           ("ultrametric", "weights")],
+                             ids=["table", "costs", "weights"])
+    def test_an_over_cap_list_is_refused_before_its_entries(self, tmp_path, monkeypatch, capsys,
+                                                            kind, key, listed):
+        # a dim-30 norm exits 3 on its truncation before any entry of its list
+        # is parsed, so a list that would not parse exits 3 too
+        def reached(*args, **kwargs):
+            raise AssertionError("parsed an entry of an over-cap list")
+
+        monkeypatch.setattr(jsonio, "element_from_pairs", reached)
+        monkeypatch.setattr(jsonio, "frac_from_str", reached)
+        entry = "1/1" if key == "weights" else {"element": [[1, 1]], "value": "1/1"}
+        items = {"well-formed": [entry] * 3000, "not-an-array": "x",
+                 "bad-entries": [7, {"element": "x"}]}[listed]
+        cfg = write_json(tmp_path / "n.json", {"kind": kind, "prime": 2, "dim": 30, key: items})
+        assert main(["validate-norm", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: stage build: truncation has 1073741824 elements, above cap 10000000\n")
+
+    @pytest.mark.parametrize("kind, key", [("table", "entries"), ("cost_completion", "costs"),
+                                           ("ultrametric", "weights")],
+                             ids=["table", "costs", "weights"])
+    def test_a_bad_dim_is_named_before_a_malformed_list(self, tmp_path, capsys, kind, key):
+        cfg = write_json(tmp_path / "n.json", {"kind": kind, "prime": 2, "dim": 0, key: "x"})
+        assert main(["validate-norm", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: dimension must be a positive integer, got 0\n")
 
 
 class TestEnvOverrides:
@@ -530,6 +556,23 @@ class TestDuality:
                      "--spec", self.topo(tmp_path)]) == 0
         doc = stdout_doc(capsys)
         assert doc == {"dim": 3, "kernel_basis": [[[3, 1]]], "prime": 2}
+
+    @pytest.mark.parametrize("base", ["well-formed", "not-an-array", "bad-sets"])
+    def test_an_over_cap_elements_spec_is_refused_before_its_sets(self, tmp_path, monkeypatch,
+                                                                  capsys, base):
+        # the base sets are read after the cap check, as a norm's lists are,
+        # and the error has no stage
+        def reached(*args, **kwargs):
+            raise AssertionError("parsed an element of an over-cap spec")
+
+        monkeypatch.setattr(jsonio, "element_from_pairs", reached)
+        sets = {"well-formed": [[[[1, 1]]] * 3000, [[[2, 1]]]], "not-an-array": "x",
+                "bad-sets": [7, ["x"]]}[base]
+        spec = write_json(tmp_path / "topo.json",
+                          {"kind": "elements", "prime": 2, "dim": 30, "base": sets})
+        assert main(["duality", "--check", "map", "--spec", spec]) == 3
+        assert capsys.readouterr().err == (
+            "error: truncation has 1073741824 elements, above cap 10000000\n")
 
     def test_balls_over_a_graev_norm_past_its_matching_cap(self, tmp_path, capsys):
         # a norm of 13 non-basepoint points builds when the spec does; one of

@@ -215,6 +215,21 @@ class TestCostFunction:
         with pytest.raises(InputError, match="^cost missing for element of rank 1$"):
             CostFunction.from_pairs(2, 2, [(e(2, (1, 1)), F(1))])
 
+    def test_pairs_are_read_by_rank(self):
+        # _values_by_rank takes an equal duplicate as one entry and refuses a
+        # conflict, then a gap; the zero element is refused after both
+        one, two, both, zero = e(2, (1, 1)), e(2, (2, 1)), e(2, (1, 1), (2, 1)), e(2)
+        full = [(one, F(3)), (two, F(2)), (both, F(4))]
+        cost = CostFunction.from_pairs(2, 2, full + [(one, F(6, 2))])
+        assert [cost.value_of_rank(r) for r in (1, 2, 3)] == [F(2), F(3), F(4)]
+        for pairs, message in (
+                ([(zero, F(1)), (one, F(3)), (one, F(2))], r"conflicting cost entries for .*"),
+                ([(zero, F(1)), (one, F(3)), (both, F(4))], "cost missing for element of rank 1"),
+                (full + [(zero, F(1))], "the zero element takes no cost entry"),
+                (full + [(zero, F(0))], "the zero element takes no cost entry")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                CostFunction.from_pairs(2, 2, pairs)
+
     def test_requires_positive(self):
         with pytest.raises(InputError, match="^cost values must be positive, got 0 at rank 1$"):
             CostFunction(Truncation(2, 1), np.array([0, 0]), 1)
@@ -376,6 +391,27 @@ class TestTableNorm:
     def test_conflicting_entries_rejected(self):
         with pytest.raises(InputError, match="conflicting"):
             TableNorm(2, 1, [(e(2, (1, 1)), F(1)), (e(2, (1, 1)), F(2))])
+
+    def test_entries_are_read_by_rank(self):
+        # the reader the costs use: an equal duplicate is one entry, the first
+        # missing rank is named, and a negative value is named in rank order,
+        # after conflicts and gaps. Rank 0 keeps a value it is given
+        one, two, both, zero = e(2, (1, 1)), e(2, (2, 1)), e(2, (1, 1), (2, 1)), e(2)
+        norm = TableNorm(2, 2, [(one, F(1)), (two, F(2)), (both, F(3)), (one, F(2, 2))])
+        assert [norm.eval(g) for g in (zero, one, two, both)] == [0, 1, 2, 3]
+        for entries, message in (
+                ([(both, F(-1)), (both, F(-2)), (one, F(1)), (two, F(1))],
+                 r"conflicting table entries for .*"),
+                ([(both, F(-1)), (one, F(1))], "table missing for element of rank 1"),
+                ([(both, F(-1)), (two, F(-2)), (one, F(1))],
+                 "table values cannot be negative, got -2"),
+                ([(zero, F(-3)), (both, F(-1)), (two, F(1)), (one, F(1))],
+                 "table values cannot be negative, got -3")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                TableNorm(2, 2, entries)
+        norm = TableNorm(2, 1, [(zero, F(1, 2)), (one, F(1))])
+        assert norm.eval(zero) == F(1, 2)
+        assert not validate_axioms(norm).ok
 
     def test_lookup(self):
         norm = TableNorm(2, 1, [(e(2, (1, 1)), F(5, 3))])
