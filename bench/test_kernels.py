@@ -1,10 +1,11 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
 of the seeded cost builders, of the shortest-path completion and the axiom
 check (pair scan, generator certificate, and a refuted certificate followed by
-the scan), of the span kernel under every exhaustive word scan, of the
-prefix ranks, the member word bound and the coarser tables, of the Graev
-value-table DP and the ultrametric table build, of the norm-sorted span
-and null-subsequence selection, on the standard original and a dense one,
+the scan) and of the p = 2 certificate alone (test_generator_certificate),
+of the span kernel under every exhaustive word scan, of the prefix ranks,
+the member word bound and the coarser tables, of the Graev value-table DP
+and the ultrametric table build, of the norm-sorted span and
+null-subsequence selection, on the standard original and a dense one,
 of duality: is_map on two ultrametric balls (test_is_map_balls) and the
 von Neumann kernel of a seeded topology (test_von_neumann_kernel_seeded),
 of the support and strip build, of the reduction, the properties check and
@@ -45,6 +46,7 @@ from fpmap.norms import (  # noqa: E402
     GraevBooleanNorm,
     UltrametricProductNorm,
     _cover_table,
+    _is_own_completion,
     _shortest_path_values,
     graded_cost,
     norm_from_config,
@@ -134,6 +136,18 @@ def test_triangle_scan(benchmark, make_norm):
     norm = make_norm()
     validate_axioms(norm)
     benchmark(validate_axioms, norm)
+
+
+@pytest.mark.parametrize("make_norm, verdict", [
+    (_graev16, True),
+    (lambda: GraevBooleanNorm(random_metric_space(0, 21, 1, 3)), True),
+    (lambda: UltrametricProductNorm(2, 16), False),
+], ids=["graev-2-16", "graev-2-20", "ultrametric-2-16"])
+def test_generator_certificate(benchmark, make_norm, verdict):
+    # the p = 2 certificate alone: one Graev cover DP on the table's own
+    # values on E, which the Graev norms pass and the ultrametric one fails
+    norm = make_norm()
+    assert benchmark(_is_own_completion, norm.truncation, norm._table[0]) == verdict
 
 
 @pytest.fixture(scope="module", params=[_graded, _graev], ids=["graded-5-5", "graev-2-11"])

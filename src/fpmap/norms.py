@@ -546,15 +546,14 @@ class AxiomReport:
 
 
 def _is_own_completion(tr: Truncation, nums: np.ndarray) -> bool:
-    """Whether N(g) = min over e in E of N(g - e) + N(e) for every nonzero
-    rank g, E the nonzero ranks of support at most 2, which are closed under
-    negation: one gathered row and one np.minimum per generator, in the
-    storage of ``nums`` (each sum adds two of its entries)."""
-    best = None
-    for e in tr.words_within(2).tolist():
-        via_e = nums[tr.sub_rank_row(e)] + nums[e]
-        best = via_e if best is None else np.minimum(best, via_e, out=best)
-    return bool((best[1:] == nums[1:]).all())
+    """Whether the p = 2 table ``nums``, 0 at rank 0 and positive on E, is
+    the cover table of its own values on E (validate_axioms): point b is
+    rank bit b and the basepoint, last, is rank 0, with points x and y at
+    distance N(x ^ y), which PointedMetricSpace closes under shortest paths
+    (it refuses a zero distance, hence the caller's N > 0 check first)."""
+    pts = [1 << b for b in range(tr.dim)] + [0]
+    space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)
+    return np.array_equal(_cover_table(space, range(tr.dim))[0], nums)
 
 
 def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_nums: np.ndarray,
@@ -606,27 +605,28 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
       N(g) + N(h) < max N can violate it, and only those are summed: with the
       ranks sorted by value, the partners of the i-th one from position i on
       are the slice up to the first value >= max N - (its value).
-    - The generator certificate. Let E be the nonzero ranks of support at
-      most 2. If N(e) > 0 for every e in E and N(g) = min over e in E of
-      N(g - e) + N(e) for every g != 0, N is subadditive: the "at most every
-      term" half gives N(x + e) <= N(x) + N(e) for all x; the "attained"
-      half writes each g as e_1 + ... + e_k with N(g) = sum N(e_i), since N
-      drops strictly at each step and only 0 has no step; so
-      N(h + g) <= N(h) + N(g). A Graev norm, the cheapest cover of a subset
-      by pairs and singletons, always passes, with the last pair or
-      singleton of an optimal cover as the witness.
+    - The generator certificate, at p = 2 only. Let E be the ranks of
+      support 1 and 2, and N > 0 on E. If N(g) = min over e in E of
+      N(g - e) + N(e) for every g != 0, N is subadditive: every term gives
+      N(x + e) <= N(x) + N(e), and the attained ones write g as
+      e_1 + ... + e_k with N(g) = sum N(e_i), since N drops at each step.
+      These equations hold exactly when N is the shortest-path distance over
+      E weighted by N, whose cheapest path to g is a minimum T-join on g's
+      bits (and the basepoint): a perfect matching under the closed weights
+      (Edmonds and Johnson, 1973), the cheapest cover by pairs and
+      singletons. So _is_own_completion compares N with the Graev table of
+      its own values on E, one DP of order dim * size. A Graev norm passes.
 
-    The choice is made on work counted before either runs: the scan's
-    candidate pairs against |E| * size. The certificate is tried only when
-    it is cheaper and axiom (1) has no violation (which gives N(e) > 0). If
-    it is refuted, the scan runs as it would have, so the worst case costs
-    at most twice the scan and every violation is found by the scan.
-    Violations are listed by (g, h) ranks, g <= h. The check reads the
-    norm's own table and value order and builds neither. ``threads`` must be
-    a positive integer and changes nothing: everything runs on the calling
-    thread.
-    The report is cached on the norm object so downstream operations can
-    require a clean validation.
+    The choice is made on work counted before either runs: at p = 2, the
+    scan's candidate pairs against dim * size; odd p always scans. The
+    certificate is tried only when it is cheaper and axiom (1) has no
+    violation (which gives N(e) > 0). If it is refuted, the scan runs as it
+    would have, so the worst case costs at most twice the scan and every
+    violation is found by the scan. Violations are listed by (g, h) ranks,
+    g <= h. The check reads the norm's own table and value order and builds
+    neither. ``threads`` must be a positive integer and changes nothing:
+    everything runs on the calling thread. The report is cached on the norm
+    object so downstream operations can require a clean validation.
     """
     jsonio.require_int(threads, "threads", low=1)
     size = require_size(norm.prime.p, norm.dim, cap)
@@ -664,9 +664,8 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     # ends[i] - i never grows with i, so the positions with partners come first
     reach = ends - tr.identity
     n_pos = int(np.count_nonzero(reach > 0))
-    p, d = tr.prime.p, tr.dim
-    n_gens = d * (p - 1) + math.comb(d, 2) * (p - 1) ** 2  # |E|
-    if n_gens * size < int(reach[:n_pos].sum()) and axiom1.all() and _is_own_completion(tr, nums):
+    if tr.prime.p == 2 and tr.dim * size < int(reach[:n_pos].sum()) and axiom1.all() \
+            and _is_own_completion(tr, nums):
         n_pos = 0
     found = _triangle_scan(tr, nums, order, sorted_nums, ends, range(n_pos))
     if found:

@@ -19,6 +19,7 @@ class Mutant(NamedTuple):
 OVER_CAP_LISTS = "tests/test_cli.py::TestInputAndCapExits::test_an_over_cap_list_is_refused_before_its_entries"
 DEMO_FIRST = "tests/test_extraction.py::TestBooleanCounterexample"
 SORTED_SPAN = "tests/test_rank_space.py::test_norm_sorted_span_returns_ranks_in_value_order"
+CERTIFICATE = "tests/test_axiom_certificate.py"
 
 MUTANTS = (
     # a descriptor's lists are read only after its truncation passes the cap
@@ -103,4 +104,27 @@ MUTANTS = (
            "        order.flags.writeable = False\n",
            "",
            (f"{SORTED_SPAN}[cost]", f"{SORTED_SPAN}[ultrametric]")),
+    # axiom (3)'s generator certificate: the cover DP of the table's own
+    # values on E, tried at p = 2 only, after axiom (1), charged dim * size
+    Mutant("certificate-tried-at-odd-p", "norms.py",
+           "if tr.prime.p == 2 and tr.dim * size <",
+           "if tr.dim * size <",
+           (f"{CERTIFICATE}::TestCompletions::test_every_e_completion_passes[1-3-5]",
+            f"{CERTIFICATE}::TestCompletions::test_every_e_completion_passes[2-5-3]",
+            f"{CERTIFICATE}::TestAgainstTheScan::test_p3_takes_the_certificate[clean]",
+            f"{CERTIFICATE}::TestAgainstTheScan::test_p3_takes_the_certificate[planted]")),
+    Mutant("axiom1-checked-after-the-certificate", "norms.py",
+           "axiom1.all() \\\n            and _is_own_completion(tr, nums):",
+           "_is_own_completion(tr, nums) \\\n            and axiom1.all():",
+           (f"{CERTIFICATE}::TestRefutations::test_a_zero_generator_keeps_the_scan",)),
+    Mutant("certificate-without-the-closure", "norms.py",
+           "    space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)\n",
+           "    space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)\n"
+           "    space.nums = np.array([[int(nums[x ^ y]) for y in pts] for x in pts])\n",
+           (f"{CERTIFICATE}::TestCoverCertificate::"
+            "test_pair_values_that_break_the_triangle_inequality_are_refuted",)),
+    Mutant("certificate-charged-size", "norms.py",
+           "tr.dim * size <",
+           "size <",
+           (f"{CERTIFICATE}::TestWorkRule::test_the_choice_is_made_on_counted_work",)),
 )

@@ -9,10 +9,11 @@ word scans that build and evaluate every word instead of reading the
 span's ranks from the value table, duality by a dot product of every dual vector with every
 element instead of linear algebra on the spans of the base sets, the
 reduction checkers with one digit pass per index instead of the word
-layout, and the metric repair on Fractions instead of integers), or the
-package's own loops without their pruning (a Dijkstra step for every
-vertex, a triangle row for every g). Agreement between the two is what the
-tests assert.
+layout, the metric repair on Fractions instead of integers, and axiom
+(3)'s generator equations by one rank row per generator instead of a cover
+DP), or the package's own loops without their pruning (a Dijkstra step for
+every vertex, a triangle row for every g). Agreement between the two is
+what the tests assert.
 """
 
 import itertools
@@ -306,6 +307,19 @@ def row_scan_triangles(tr, nums):
             h = g + int(off)
             found.append((g, h, int(idx[int(off)])))
     return found
+
+
+def generator_rows_certificate(tr, nums):
+    """Whether N(g) = min over e in E of N(g - e) + N(e) for every nonzero
+    rank g, E the nonzero ranks of support at most 2, at any p: one gathered
+    sub_rank_row and one np.minimum per generator, in the storage of
+    ``nums`` (each sum adds two of its entries). The reference for the
+    equations that norms._is_own_completion decides at p = 2."""
+    best = None
+    for e in tr.words_within(2).tolist():
+        via_e = nums[tr.sub_rank_row(e)] + nums[e]
+        best = via_e if best is None else np.minimum(best, via_e, out=best)
+    return bool((best[1:] == nums[1:]).all())
 
 
 def brute_axiom_violations(norm, dim):

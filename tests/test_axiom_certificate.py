@@ -1,32 +1,33 @@
 """Axiom (3) by the generator certificate, against the pair scan and the
 references in tests/oracles.py.
 
-validate_axioms proves the triangle inequality either by scanning the
-candidate pairs or, when that counts as more work than |E| * size, by
+At p = 2, validate_axioms proves the triangle inequality either by scanning
+the candidate pairs or, when that counts as more work than dim * size, by
 checking that the norm is its own shortest-path completion over E, the
-nonzero elements of support at most 2. A refuted certificate falls back to
-the scan, so every report must equal the one the scan alone gives, byte for
-byte, and list the violations of the full row scan.
+elements of support 1 and 2: one Graev cover DP on the table's own values
+on E (norms._is_own_completion), whose equations
+oracles.generator_rows_certificate checks with one rank row per generator.
+Odd p always scans. A refuted certificate falls back to the scan, so every
+report must equal the one the scan alone gives, byte for byte, and list the
+violations of the full row scan.
 
-Mutants of validate_axioms these tests catch (each on a scratch copy):
-``>=`` for ``==`` in the certificate's final comparison, in either order
-(TestRefutations), the axiom (1) guard dropped, so a zero-valued generator
-is trusted (test_a_zero_generator_keeps_the_scan), E without the pairs
-(test_graev_norms_at_benchmark_size_skip_the_scan), and the work rule
-reversed (TestWorkRule).
+The mutants these tests kill are named with their test ids in
+tests/mutants/mutants.py; the work rule reversed is killed by TestWorkRule.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction as F
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_axiom_violations, row_scan_triangles
+from oracles import brute_axiom_violations, generator_rows_certificate, row_scan_triangles
 from fpmap import jsonio, norms
+from fpmap.errors import InputError
 from fpmap.fpcore import Truncation
 from fpmap.norms import (
     CostCompletionNorm,
@@ -34,6 +35,7 @@ from fpmap.norms import (
     GraevBooleanNorm,
     TableNorm,
     UltrametricProductNorm,
+    _cover_table,
     _is_own_completion,
     _scaled,
     graded_cost,
@@ -85,6 +87,22 @@ def check(norm, threads=1):
     assert report_triangles(report, tr) == row_scan_triangles(tr, norm._table[0])
     assert report.pairs_checked == tr.size * (tr.size + 1) // 2
     return report, log
+
+
+def scanned_without_certificate(norm):
+    """The report, after checking that validate_axioms never called the
+    certificate and scanned, and that it matches the scan alone and the
+    row scan: the odd-p path."""
+    report, log = check(norm)
+    assert log["verdicts"] == [] and log["scanned"]
+    return report
+
+
+def candidate_pairs(norm):
+    """Pairs of value-sorted positions i <= j with N(g) + N(h) < max N."""
+    s = np.sort(norm._table[0])
+    i, j = np.triu_indices(s.size)
+    return int(np.count_nonzero(s[i] + s[j] < s.max()))
 
 
 def table_norm(p, dim, values):
@@ -152,15 +170,25 @@ class TestCompletions:
 
     @pytest.mark.parametrize("seed, p, dim", [(0, 3, 3), (1, 3, 5), (2, 5, 3), (3, 2, 6)])
     def test_every_e_completion_passes(self, seed, p, dim):
+        # the equations hold at every p; only p = 2 has the cover DP, and
+        # odd p scans without calling it
         norm = generator_cost_norm(seed, p, dim)
         validate_axioms(norm)
-        assert _is_own_completion(norm.truncation, norm._table[0])
+        assert generator_rows_certificate(norm.truncation, norm._table[0])
+        if p == 2:
+            assert _is_own_completion(norm.truncation, norm._table[0])
+        else:
+            assert scanned_without_certificate(norm).ok
 
     @pytest.mark.parametrize("p, dim", [(2, 3), (3, 3), (5, 3)])
     def test_ultrametric_norms_fail(self, p, dim):
         norm = UltrametricProductNorm(p, dim)
         validate_axioms(norm)
-        assert not _is_own_completion(norm.truncation, norm._table[0])
+        assert not generator_rows_certificate(norm.truncation, norm._table[0])
+        if p == 2:
+            assert not _is_own_completion(norm.truncation, norm._table[0])
+        else:
+            assert scanned_without_certificate(norm).ok
 
 
 @st.composite
@@ -199,13 +227,14 @@ class TestAgainstTheScan:
     @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
     def test_p3_takes_the_certificate(self, planted):
         # a weighted l1 norm at p = 3, d = 7: its own completion over the
-        # singletons, where the scan would count twice the certificate's work
+        # singletons, with 477023 candidate pairs against dim * size = 15309;
+        # the certificate is p = 2's, so the scan proves it or lists the plant
         values = l1_values(3, 7)
         if planted:
             values[-1] *= 2
-        report, log = check(table_norm(3, 7, values))
-        assert log["verdicts"] == [not planted]
-        assert (log["scanned"] > 0) == planted == (not report.ok)
+        norm = table_norm(3, 7, values)
+        assert generator_rows_certificate(norm.truncation, norm._table[0]) == (not planted)
+        assert scanned_without_certificate(norm).ok == (not planted)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_object_storage(self, threads):
@@ -244,9 +273,15 @@ class TestSoundness:
     ], ids=["graev-2-5", "planted-graev-2-5", "l1-3-3", "planted-l1-3-3", "e-cost-3-3",
             "popcount-2-5", "ultrametric-3-3"])
     def test_verdicts_on_small_norms(self, make, verdict, clean):
+        # the row equations' verdict at every p; the cover DP's at p = 2,
+        # where odd p scans without calling it
         norm = make()
         validate_axioms(norm)
-        assert _is_own_completion(norm.truncation, norm._table[0]) == verdict
+        assert generator_rows_certificate(norm.truncation, norm._table[0]) == verdict
+        if norm.prime.p == 2:
+            assert _is_own_completion(norm.truncation, norm._table[0]) == verdict
+        else:
+            assert scanned_without_certificate(norm).ok == clean
         assert (not brute_triangle_pairs(norm)) == clean
 
     @given(st.sampled_from([(2, 4), (2, 5), (3, 3)]), st.integers(0, 10 ** 6), st.data())
@@ -262,7 +297,12 @@ class TestSoundness:
             values[rng.randrange(1, len(values))] *= rng.choice([F(1, 2), F(4, 5), F(5, 4), 2])
         norm = table_norm(p, dim, values)
         validate_axioms(norm)
-        if _is_own_completion(norm.truncation, norm._table[0]):
+        certified = generator_rows_certificate(norm.truncation, norm._table[0])
+        if p == 2:
+            assert _is_own_completion(norm.truncation, norm._table[0]) == certified
+        else:
+            scanned_without_certificate(norm)
+        if certified:
             assert not brute_triangle_pairs(norm)
 
 
@@ -294,10 +334,13 @@ class TestRefutations:
 
     def test_a_zero_generator_keeps_the_scan(self):
         # N(1) = 0 makes every value attained through rank 1, so the
-        # certificate's equations hold; only the axiom (1) guard keeps it out
+        # certificate's equations hold; the axiom (1) guard keeps the cover
+        # DP out, whose space refuses the two points at distance 0
         norm = table_norm(2, 8, popcount_values(8, shift=1))
         validate_axioms(norm)
-        assert _is_own_completion(norm.truncation, norm._table[0])
+        assert generator_rows_certificate(norm.truncation, norm._table[0])
+        with pytest.raises(InputError, match="distinct but at distance 0"):
+            _is_own_completion(norm.truncation, norm._table[0])
         report, log = check(norm)
         assert log["verdicts"] == [] and log["scanned"]
         assert [v["element"] for v in report.violations if v["axiom"] == 1] == [[[8, 1]]]
@@ -318,12 +361,20 @@ class TestWorkRule:
         assert log["verdicts"] == [] and log["scanned"]
 
     def test_the_choice_is_made_on_counted_work(self):
-        # at d = 8 this Graev norm has 6246 candidate pairs against
-        # |E| * size = 9216: the certificate would pass, but the scan is cheaper
-        norm = GraevBooleanNorm(random_metric_space(2, 9, 1, 3))
-        report, log = check(norm)
+        # the certificate is charged dim * size, its DP's order: at d = 4
+        # this Graev norm has 41 candidate pairs, above size = 16 but below
+        # dim * size = 64, so the scan runs although the certificate would
+        # pass; at d = 5, 186 pairs against 160, so the certificate runs
+        # (|E| * size = 480 would have chosen the scan)
+        small = GraevBooleanNorm(random_metric_space(0, 5, 1, 3))
+        assert candidate_pairs(small) == 41
+        report, log = check(small)
         assert report.ok and log["verdicts"] == [] and log["scanned"]
-        assert _is_own_completion(norm.truncation, norm._table[0])
+        assert _is_own_completion(small.truncation, small._table[0])
+        larger = GraevBooleanNorm(random_metric_space(0, 6, 1, 3))
+        assert candidate_pairs(larger) == 186
+        report, log = check(larger)
+        assert report.ok and log == {"verdicts": [True], "scanned": 0}
 
     def test_threads_split_only_the_scan(self):
         # threads is accepted and ignored: the certificate and the scan run
@@ -337,3 +388,73 @@ class TestWorkRule:
         assert log["verdicts"] == [False] and log["scanned"]
         assert report.to_json_dict() == validate_axioms(norm, threads=1).to_json_dict()
 
+
+@st.composite
+def boolean_tables(draw):
+    """p = 2 value lists by rank, 0 at rank 0 and positive elsewhere: Graev
+    tables, E-completions with planted moves, ultrametric, popcount and
+    random positive tables."""
+    kind = draw(st.sampled_from(["graev", "e-completion", "ultrametric", "popcount", "random"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    dim = draw(st.integers(1, 9))
+    rng = Random(seed)
+    if kind == "graev":
+        return graev_values(seed, dim, *draw(st.sampled_from([(1, 3), (F(1, 100), 1), NEAR_BASE])))
+    if kind == "popcount":
+        return popcount_values(dim)
+    if kind == "random":
+        return [F(0)] + [F(rng.randint(1, 20), rng.randint(1, 4)) for _ in range(2 ** dim - 1)]
+    if kind == "ultrametric":
+        norm = UltrametricProductNorm(2, dim, [F(1, rng.randint(1, 9)) for _ in range(dim)])
+    else:
+        norm = generator_cost_norm(seed, 2, dim)
+    values = [F(int(x), norm._table[1]) for x in norm._table[0]]
+    for _ in range(draw(st.integers(0, 3))):
+        values[rng.randrange(1, len(values))] *= rng.choice([F(1, 2), F(4, 5), F(5, 4), 2])
+    return values
+
+
+class TestCoverCertificate:
+    """The p = 2 certificate is one _cover_table of the table's own values on
+    E: it must decide the row equations of oracles.generator_rows_certificate."""
+
+    @given(boolean_tables(), st.sampled_from([1, 1 << 70]))
+    @settings(max_examples=80, deadline=None)
+    def test_the_cover_dp_decides_the_row_equations(self, values, scale):
+        norm = table_norm(2, len(values).bit_length() - 1, [v * scale for v in values])
+        tr, nums = norm.truncation, norm._table[0]
+        assert (nums.dtype == object) == (scale > 1)
+        assert _is_own_completion(tr, nums) == generator_rows_certificate(tr, nums)
+
+    def test_pair_values_that_break_the_triangle_inequality_are_refuted(self):
+        # the cover table of an unclosed block, built without the space's
+        # closure: d(0, 1) = 190 is above d(0, c) + d(c, 1) <= 120 and below
+        # the singletons' sum, so it is the value at e_0 + e_1, rank 3. Only
+        # the closure of the table's own pair values refutes the table
+        d = 10
+        rng = Random(0)
+        block = np.zeros((d + 1, d + 1), dtype=np.int64)
+        for b in range(d):
+            block[b, d] = block[d, b] = rng.randint(100, 200)
+            for c in range(b + 1, d):
+                block[b, c] = block[c, b] = rng.randint(40, 60)
+        block[0, 1] = block[1, 0] = 190
+        nums = _cover_table(SimpleNamespace(nums=block, den=1, basepoint=d), range(d))[0]
+        assert int(nums[3]) == 190
+        norm = table_norm(2, d, [F(int(x)) for x in nums])
+        assert not generator_rows_certificate(norm.truncation, norm._table[0])
+        report, log = check(norm)
+        assert log["verdicts"] == [False] and log["scanned"]
+        assert 3 in [s for _, _, s in report_triangles(report, norm.truncation)]
+
+    def test_the_certificate_builds_no_rank_row(self):
+        norm = GraevBooleanNorm(random_metric_space(0, 17, 1, 3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank row was built")
+
+        with recorded_paths() as log, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Truncation, "sub_rank_row", refuse)
+            mp.setattr(Truncation, "add_rank_row", refuse)
+            report = validate_axioms(norm)
+        assert report.ok and log == {"verdicts": [True], "scanned": 0}
