@@ -3,10 +3,11 @@
     python bench/ladder.py OTHER/src src BENCH_n.json
 
 Each rung is one run_pipeline(cfg, timings=record) call, the whole chain at
-its default stages, in a fresh interpreter with the side's src/ first on its
-path. The child prints the call's wall time, the per-stage seconds of the
-caller-held record, its ru_maxrss and the sha256 of the report's canonical
-JSON. Every rung runs REPEATS times on each side, before and after
+its default stages, or one boolean_counterexample(n) call, the demo-boolean
+report, in a fresh interpreter with the side's src/ first on its path. The
+child prints the call's wall time, the per-stage seconds of the caller-held
+record (none for the demo), its ru_maxrss and the sha256 of the report's
+canonical JSON. Every rung runs REPEATS times on each side, before and after
 alternating, and the output keeps every run. A rung whose digests differ,
 between sides or between repeats, fails the ladder: it exits 1 after writing
 the file. The file also records each side's src/fpmap/ line count.
@@ -25,8 +26,9 @@ from pathlib import Path
 
 REPEATS = 3
 
-# Rung descriptors, in the child's terms: a run config, or a seed-0 Graev
-# space of n non-basepoint points, random_metric_space(0, n + 1, 1/2, 1).
+# Rung descriptors, in the child's terms: a run config, a seed-0 Graev
+# space of n non-basepoint points, random_metric_space(0, n + 1, 1/2, 1), or
+# the demo's line of n points.
 RUNGS = {
     "graev-16": {"graev": 16},
     "graev-20": {"graev": 20},
@@ -41,6 +43,9 @@ RUNGS = {
                              "graded": True}},
     "random-cost-2-16": {"norm": {"kind": "cost_completion", "prime": 2, "dim": 16, "seed": 0,
                                   "low": "1/100", "high": "1"}},
+    "demo-100": {"demo": 100},
+    "demo-300": {"demo": 300},
+    "demo-600": {"demo": 600},
 }
 
 CHILD = r"""
@@ -51,25 +56,30 @@ from fpmap.norms import random_metric_space
 from fpmap.pipeline import RunConfig, run_pipeline
 
 rung = json.loads(sys.argv[1])
-if "graev" in rung:
-    n = rung["graev"]
-    space = random_metric_space(0, n + 1, Fraction(1, 2), 1)
-    norm = {"kind": "graev_boolean", "space": space.to_json_dict()}
-else:
-    norm = rung["norm"]
-    n = norm["dim"]
-cfg = RunConfig.from_json_dict({"prime": 2 if "graev" in rung else norm["prime"], "dim": n,
-                                "norm": norm, "limits": {"m": 4}})
 record = {}
+if "demo" in rung:
+    from fpmap.duality import boolean_counterexample
+    run = lambda: boolean_counterexample(rung["demo"])
+else:
+    if "graev" in rung:
+        n = rung["graev"]
+        space = random_metric_space(0, n + 1, Fraction(1, 2), 1)
+        norm = {"kind": "graev_boolean", "space": space.to_json_dict()}
+    else:
+        norm = rung["norm"]
+        n = norm["dim"]
+    cfg = RunConfig.from_json_dict({"prime": 2 if "graev" in rung else norm["prime"], "dim": n,
+                                    "norm": norm, "limits": {"m": 4}})
+    run = lambda: run_pipeline(cfg, timings=record)
 t0 = time.perf_counter()
-report = run_pipeline(cfg, timings=record)
+report = run()
 wall = time.perf_counter() - t0
 text = jsonio.canonical_dumps(report.to_json_dict())
 print(json.dumps({
     "wall_s": wall,
     "stages_s": record,
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "verdict": report.verdict,
+    "verdict": getattr(report, "verdict", None),
     "sha256": hashlib.sha256(text.encode()).hexdigest(),
 }))
 """

@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -258,7 +259,8 @@ def test_graev_build(benchmark, dim):
 def test_graev_table(benchmark, dim):
     # the table the norm builds at construction, all 2^dim subsets at once
     space = random_metric_space(0, dim + 1, 1, 3)
-    benchmark(_cover_table, space, space.nonbase[::-1])
+    pts = space.nonbase[::-1]
+    benchmark(_cover_table, space.nums[np.ix_(pts, [*pts, space.basepoint])], space.den)
 
 
 def test_ultrametric_table(benchmark):

@@ -13,7 +13,6 @@ can only mean a bug, never mathematics. boolean_counterexample is the
 convergent-sequence case where no epsilon/delta certificate exists.
 """
 
-import functools
 import itertools
 import math
 import sys
@@ -38,7 +37,7 @@ from .fpcore import (
     rank_digits,
     truncation,
 )
-from .norms import Norm, PointedMetricSpace, cover_value, norm_from_config
+from .norms import Norm, PointedMetricSpace, _cover_table, _storage, norm_from_config
 
 
 @dataclass(frozen=True)
@@ -491,13 +490,23 @@ class BooleanWitnessReport:
         }
 
 
-def convergent_line_space(n_points: int) -> PointedMetricSpace:
-    """Basepoint 0, the point x = 1, and y_n = 1 + 1/n for n = 1..n_points."""
+def _line_coordinates(n_points: int) -> tuple[np.ndarray, int]:
+    """The line of the demo: the basepoint 0, the point x = 1, and
+    y_k = 1 + 1/k for k = 1..n_points, at indices 0, 1 and k + 1, as
+    numerators over their least common denominator lcm(1..n_points),
+    stored so that the distance |a - b| of any two stays exact."""
     if n_points < 2:
         raise InputError(f"need at least 2 points, got {n_points}")
-    pts = [Fraction(0), Fraction(1)] + [1 + Fraction(1, k) for k in range(1, n_points + 1)]
-    rows = [[abs(a - b) for b in pts] for a in pts]
-    return PointedMetricSpace(rows)
+    den = math.lcm(*range(1, n_points + 1))
+    nums = [0, den] + [den + den // k for k in range(1, n_points + 1)]
+    return np.array(nums, dtype=_storage(2 * den)), den
+
+
+def convergent_line_space(n_points: int) -> PointedMetricSpace:
+    """The demo's line as a PointedMetricSpace, basepoint 0."""
+    nums, den = _line_coordinates(n_points)
+    nums = nums.tolist()
+    return PointedMetricSpace([[(abs(a - b), den) for b in nums] for a in nums])
 
 
 def boolean_counterexample(n_points: int, *, search_depth: int = 3,
@@ -507,14 +516,19 @@ def boolean_counterexample(n_points: int, *, search_depth: int = 3,
     Every single generator keeps norm >= 1, yet the two-element subsets
     {x, y_n} have norm 1/n, so no delta can force both members of a small
     word below eps = 1/2. The certificate run makes that failure explicit.
-    Words are valued by cover_value, with no table at any size; the
-    certificate's depth and estimate are checked once, before the space.
+    The word over group indices i is valued by _cover_table on the block of
+    its points' distances on the line, whose point i is group index i; the
+    certificate's depth and estimate are checked once, before the line.
     """
-    if n_points < 2:
-        raise InputError(f"need at least 2 points, got {n_points}")
     limit = _certificate_limit(n_points + 1, 2, search_depth, 2, cap)
-    space = convergent_line_space(n_points)
-    value = functools.partial(cover_value, space)
+    coords, den = _line_coordinates(n_points)
+
+    def value(g: GroupElement) -> Fraction:
+        pts = coords[list(g.support)]
+        # the basepoint, last, is at 0
+        block = abs(pts[:, None] - np.append(pts, 0))
+        return Fraction(int(_cover_table(block, den)[0][-1]), den)
+
     x = GroupElement.unit(2, 1)
     v_x = value(x)
     entries = []

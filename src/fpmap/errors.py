@@ -12,7 +12,7 @@ class InputError(FpmapError, ValueError):
 class CapExceededError(FpmapError):
     """A stage's work would pass the enumeration cap, the package's one size
     cap, which a user sets through caps.enum or FPMAP_ENUM_CAP; it bounds a
-    Graev norm's table too, and the subsets of a word cover_value covers."""
+    Graev norm's table too, and the demo's certificate combinations."""
 
 
 class InvalidNormError(FpmapError):

@@ -8,9 +8,9 @@ vector: CostFunction holds integer numerators by rank over one denominator,
 and graded_cost and random_cost draw them directly, with no Fraction per
 element. A norm is its dense value table, such a vector too, indexed by rank
 and built at construction under the enumeration cap: a Graev norm's by one
-integer DP over all subsets of its points. Norm.eval and values_of (by rank)
-read values from it. cover_value runs the same DP on the points of one word,
-for a space of any size, under the default cap on the word's 2^k subsets.
+integer DP over all subsets of its points, _cover_table, which reads a
+block of distances and so also values the words of a space too large for
+a table. Norm.eval and values_of (by rank) read values from the table.
 
 A norm here satisfies
   (1) N(g) = 0 iff g = 0,
@@ -35,7 +35,6 @@ from .errors import InputError
 from .fpcore import (
     GroupElement,
     Truncation,
-    _same_prime,
     require_size,
     truncation,
 )
@@ -451,23 +450,21 @@ def _shortest_path_values(tr: Truncation, cost: CostFunction) -> tuple[np.ndarra
     return dist, den
 
 
-def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndarray, int]:
-    """The cover cost of every subset of the points ``pts`` of ``space``, by
-    mask: bit b of a mask stands for pts[b]. One integer DP on their rows of
-    the space's distances, whose 2^len(pts) masks each caller caps first.
+def _cover_table(dist: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """The cover cost of every subset of k points, by mask: bit b of a mask
+    stands for point b. ``dist`` is their distance block, numerators over
+    ``den``: k rows, and k + 1 columns, point c at column c and the
+    basepoint last. One integer DP, whose 2^k masks each caller caps first.
 
     The masks whose lowest set bit is b are taken together, for b from
-    len(pts) - 1 down to 0: the point at b is left alone or paired with a
-    point at a higher bit c, and both leave a mask whose lowest bit is
-    above b. Every value and candidate sum is at most len(pts) times the
-    largest distance read, which picks the DP storage. Every distance is
-    itself a value (a singleton, or by the triangle inequality a pair),
-    so the space's denominator, the least common one of all distances,
-    is the least one of the table when pts are all non-basepoint points.
+    k - 1 down to 0: the point at b is left alone or paired with a point at
+    a higher bit c, and both leave a mask whose lowest bit is above b.
+    Every value and candidate sum is at most k times the largest distance
+    read, which picks the DP storage. Every distance is itself a value (a
+    singleton, or by the triangle inequality a pair), so when ``den`` is the
+    least common denominator of the block, it is the table's.
     """
-    d = len(pts)
-    # column d is the basepoint
-    dist = space.nums[np.ix_(pts, [*pts, space.basepoint])]
+    d = len(dist)
     val = np.zeros(2 ** d, dtype=_storage(int(dist.max(initial=0)), d))
     for b in reversed(range(d)):
         step = 2 ** (b + 1)
@@ -478,23 +475,7 @@ def _cover_table(space: PointedMetricSpace, pts: Sequence[int]) -> tuple[np.ndar
             with_c = best.reshape(-1, 2, half)[:, 1]
             np.minimum(with_c, rest.reshape(-1, 2, half)[:, 0] + int(dist[b, c]), out=with_c)
         val[2 ** b::step] = best
-    return val.astype(_storage(int(val.max())), copy=False), space.den
-
-
-def cover_value(space: PointedMetricSpace, g: GroupElement) -> Fraction:
-    """The Graev value of the Boolean word g over ``space``, group index i
-    standing for space.nonbase[i - 1]: the cheapest cover of its points, by
-    _cover_table over them alone. Checks g's prime and indices as
-    Truncation.rank_of does, then its 2^k subsets by require_size under the
-    default cap; the empty word is 0."""
-    _same_prime(g.prime.p, 2)
-    nonbase = space.nonbase
-    if g.max_index > len(nonbase):
-        raise InputError(f"index {g.max_index} outside truncation of dimension {len(nonbase)}")
-    if g.support:
-        require_size(2, len(g.support), None)
-    return Fraction(int(_cover_table(space, [nonbase[i - 1] for i in g.support])[0][-1]),
-                    space.den)
+    return val.astype(_storage(int(val.max())), copy=False), den
 
 
 class GraevBooleanNorm(Norm):
@@ -504,7 +485,7 @@ class GraevBooleanNorm(Norm):
     group index per point in natural order); the value of a subset is its
     minimum pair/singleton cover cost. The whole table is built at
     construction by _cover_table, once the truncation fits the enumeration
-    cap ``cap``. cover_value covers one word of a space of any size.
+    cap ``cap``.
     """
 
     kind = "graev_boolean"
@@ -514,7 +495,9 @@ class GraevBooleanNorm(Norm):
             raise InputError("need at least one non-basepoint point")
         tr = truncation(2, space.n_points - 1, cap=cap)
         # bit b of a rank carries group index dim - b
-        super().__init__(tr, _cover_table(space, space.nonbase[::-1]))
+        pts = space.nonbase[::-1]
+        super().__init__(tr, _cover_table(space.nums[np.ix_(pts, [*pts, space.basepoint])],
+                                          space.den))
         self.space = space
 
 
@@ -553,14 +536,14 @@ def _is_own_completion(tr: Truncation, nums: np.ndarray) -> bool:
     (it refuses a zero distance, hence the caller's N > 0 check first)."""
     pts = [1 << b for b in range(tr.dim)] + [0]
     space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)
-    return np.array_equal(_cover_table(space, range(tr.dim))[0], nums)
+    return np.array_equal(_cover_table(space.nums[:-1], space.den)[0], nums)
 
 
 def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_nums: np.ndarray,
-                   ends: np.ndarray, positions: range) -> list[tuple[np.ndarray, ...]]:
+                   ends: np.ndarray, n_pos: int) -> list[tuple[np.ndarray, ...]]:
     """(g, h, g + h) rank arrays of the axiom (3) violations among the
-    candidate pairs of the given value-sorted positions: position i pairs
-    order[i] with order[i:ends[i]].
+    candidate pairs of the first n_pos value-sorted positions: position i
+    pairs order[i] with order[i:ends[i]].
 
     One step per position, on Python scalars: its slices are short, so
     NumPy's per-call overhead is what there is to save. The zero element
@@ -568,9 +551,8 @@ def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_n
     """
     add = np.bitwise_xor if tr.prime.p == 2 else lambda hs, g: tr.add_ranks(g, hs)
     found = []
-    a, b = positions.start, positions.stop
-    for i, g, end, v in zip(positions, order[a:b].tolist(), ends[a:b].tolist(),
-                            sorted_nums[a:b].tolist()):
+    for i, g, end, v in zip(range(n_pos), order[:n_pos].tolist(), ends[:n_pos].tolist(),
+                            sorted_nums[:n_pos].tolist()):
         if g == 0 and v >= 0:
             continue
         hs = order[i:end]
@@ -661,13 +643,14 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
     order = norm.order
     sorted_nums = nums[order]
     ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
-    # ends[i] - i never grows with i, so the positions with partners come first
-    reach = ends - tr.identity
-    n_pos = int(np.count_nonzero(reach > 0))
-    if tr.prime.p == 2 and tr.dim * size < int(reach[:n_pos].sum()) and axiom1.all() \
+    # ends[i] - i never grows with i, so the positions with partners come
+    # first, and theirs are sum(ends[i] - i) for i < n_pos candidate pairs
+    n_pos = int(np.count_nonzero(ends > tr.identity))
+    candidates = int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2
+    if tr.prime.p == 2 and tr.dim * size < candidates and axiom1.all() \
             and _is_own_completion(tr, nums):
         n_pos = 0
-    found = _triangle_scan(tr, nums, order, sorted_nums, ends, range(n_pos))
+    found = _triangle_scan(tr, nums, order, sorted_nums, ends, n_pos)
     if found:
         a, b, s = map(np.concatenate, zip(*found))
         g, h = np.minimum(a, b), np.maximum(a, b)

@@ -70,30 +70,34 @@ MUTANTS = (
            "require_size(2, len(rows) - 1, cap)",
            "require_size(2, len(rows), cap)",
            ("tests/test_norms.py::TestNormFromConfig::test_a_wide_graev_descriptor_is_refused_before_its_entries",)),
-    # cover_value checks a word's indices and its 2^k subsets before its DP
-    Mutant("cover-value-size-check-dropped", "norms.py",
-           "        require_size(2, len(g.support), None)\n",
-           "        pass\n",
-           ("tests/test_norms.py::TestGraevNorm::test_matching_cap",
-            "tests/test_norms.py::TestGraevTable::test_matching_cap_bounds_the_table")),
-    Mutant("cover-value-index-check-off-by-one", "norms.py",
-           "if g.max_index > len(nonbase):",
-           "if g.max_index > len(nonbase) + 1:",
-           ("tests/test_norms.py::TestGraevNorm::test_basepoint_not_allowed",)),
-    # the demo checks its grid depth and certificate estimate before its space
+    # the demo checks its grid depth and certificate estimate before it
+    # forms its line
     Mutant("demo-depth-check-past-the-digit-limit", "duality.py",
            "(4 * p) ** search_depth >= 10 ** digits",
            "(4 * p) ** search_depth > 10 ** (digits + 1)",
            (f"{DEMO_FIRST}::test_the_certificate_is_checked_before_the_space",)),
     Mutant("demo-estimate-checked-after-the-space", "duality.py",
            '''    limit = _certificate_limit(n_points + 1, 2, search_depth, 2, cap)
-    space = convergent_line_space(n_points)
+    coords, den = _line_coordinates(n_points)
 ''',
-           '''    space = convergent_line_space(n_points)
+           '''    coords, den = _line_coordinates(n_points)
     limit = _certificate_limit(n_points + 1, 2, search_depth, 2, cap)
 ''',
            (f"{DEMO_FIRST}::test_the_certificate_is_checked_before_the_space",
             "tests/test_cli.py::TestDemoAndReport::test_demo_boolean_checks_the_certificate_first[points-5000]")),
+    # the line is its coordinates over lcm(1..n), and a word's block holds
+    # their distances
+    Mutant("line-coordinates-without-the-lcm", "duality.py",
+           "den = math.lcm(*range(1, n_points + 1))",
+           "den = math.factorial(n_points)",
+           (f"{DEMO_FIRST}::test_the_line_is_over_its_least_common_denominator[4]",
+            f"{DEMO_FIRST}::test_the_line_is_over_its_least_common_denominator[12]")),
+    Mutant("line-distance-signed", "duality.py",
+           "block = abs(pts[:, None] - np.append(pts, 0))",
+           "block = pts[:, None] - np.append(pts, 0)",
+           (f"{DEMO_FIRST}::test_witness_values",
+            f"{DEMO_FIRST}::test_word_values_match_the_repaired_space",
+            f"{DEMO_FIRST}::test_the_demo_builds_no_metric_space")),
     # a norm's value order is sorted once and read-only
     Mutant("order-as-a-plain-property", "norms.py",
            "    @cached_property\n    def order(self)",
@@ -123,6 +127,11 @@ MUTANTS = (
            "    space.nums = np.array([[int(nums[x ^ y]) for y in pts] for x in pts])\n",
            (f"{CERTIFICATE}::TestCoverCertificate::"
             "test_pair_values_that_break_the_triangle_inequality_are_refuted",)),
+    Mutant("candidate-count-without-the-correction", "norms.py",
+           "candidates = int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2",
+           "candidates = int(ends[:n_pos].sum())",
+           (f"{CERTIFICATE}::TestWorkRule::test_the_candidate_count_is_the_scan_s_pairs[7-4-bounds0-44]",
+            f"{CERTIFICATE}::TestWorkRule::test_the_candidate_count_is_the_scan_s_pairs[16-5-bounds1-160]")),
     Mutant("certificate-charged-size", "norms.py",
            "tr.dim * size <",
            "size <",

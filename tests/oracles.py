@@ -46,7 +46,15 @@ from fpmap.fpcore import (
     solve_in_span,
     word_digits,
 )
-from fpmap.norms import CostCompletionNorm, CostFunction, Norm, _as_fraction, _scaled, _storage
+from fpmap.norms import (
+    CostCompletionNorm,
+    CostFunction,
+    Norm,
+    _as_fraction,
+    _cover_table,
+    _scaled,
+    _storage,
+)
 from fpmap.reduction import (
     LemmaReport,
     ReducedBasis,
@@ -173,6 +181,17 @@ def brute_graev(space, points):
         return value
 
     return best(tuple(pts))
+
+
+def graev_word_value(space, g):
+    """The Graev value of the Boolean word g over ``space``, group index i
+    standing for space.nonbase[i - 1]. Not a reference: it gathers the
+    block of the word's points alone from the space's distances and runs
+    the package's own cover DP, norms._cover_table, on it, so it values a
+    word of a space of any size with no table."""
+    pts = [space.nonbase[i - 1] for i in g.support]
+    block = space.nums[np.ix_(pts, [*pts, space.basepoint])]
+    return Fraction(int(_cover_table(block, space.den)[0][-1]), space.den)
 
 
 def graev_completion_table(space):

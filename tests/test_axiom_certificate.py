@@ -18,7 +18,6 @@ tests/mutants/mutants.py; the work rule reversed is killed by TestWorkRule.
 from contextlib import contextmanager
 from fractions import Fraction as F
 from random import Random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ def recorded_paths():
         return log["verdicts"][-1]
 
     def counting_scan(*args):
-        log["scanned"] += len(args[-1])
+        log["scanned"] += args[-1]
         return scan(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -376,6 +375,19 @@ class TestWorkRule:
         report, log = check(larger)
         assert report.ok and log == {"verdicts": [True], "scanned": 0}
 
+    @pytest.mark.parametrize("seed, dim, bounds, pairs", [(7, 4, (F(1, 2), 1), 44),
+                                                          (16, 5, (1, 3), 160)])
+    def test_the_candidate_count_is_the_scan_s_pairs(self, seed, dim, bounds, pairs):
+        # the scan's pairs are sum(ends[i] - i) over the positions with
+        # partners, at most dim * size here (160 = 5 * 32 exactly), so the
+        # scan runs although the certificate would pass; sum(ends[i]) alone
+        # would count 65 and 226, above dim * size
+        norm = GraevBooleanNorm(random_metric_space(seed, dim + 1, *bounds))
+        assert candidate_pairs(norm) == pairs <= dim * norm.truncation.size
+        report, log = check(norm)
+        assert report.ok and log["verdicts"] == [] and log["scanned"]
+        assert _is_own_completion(norm.truncation, norm._table[0])
+
     def test_threads_split_only_the_scan(self):
         # threads is accepted and ignored: the certificate and the scan run
         # as they do at threads=1
@@ -439,7 +451,7 @@ class TestCoverCertificate:
             for c in range(b + 1, d):
                 block[b, c] = block[c, b] = rng.randint(40, 60)
         block[0, 1] = block[1, 0] = 190
-        nums = _cover_table(SimpleNamespace(nums=block, den=1, basepoint=d), range(d))[0]
+        nums = _cover_table(block[:d], 1)[0]
         assert int(nums[3]) == 190
         norm = table_norm(2, d, [F(int(x)) for x in nums])
         assert not generator_rows_certificate(norm.truncation, norm._table[0])

@@ -674,9 +674,9 @@ class TestDemoAndReport:
         doc = json.loads(out)
         assert doc["certificate"]["counterexample"] is True
         assert doc["certificate"]["min_bad_value"] == "1/9900"
-        # these bytes pin cover_value and epsilon_delta_certificate on a
-        # space of 101 non-basepoint points, whose table would pass the enum
-        # cap
+        # these bytes pin the cover DP on each word's block of the line and
+        # epsilon_delta_certificate on 101 non-basepoint points, whose table
+        # would pass the enum cap
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "caddc192176f444d22a13396ba75249edd88159fff97eef23773b05bbdb1a328"
 
@@ -690,8 +690,8 @@ class TestDemoAndReport:
     ])
     def test_demo_boolean_bytes(self, capsys, points, digest):
         # 11 and 12 points make spaces of 12 and 13 non-basepoint points,
-        # whose Graev tables fit the enum cap: cover_value values the words
-        # of both, as of every other size
+        # whose Graev tables fit the enum cap: the demo values the words of
+        # both from their blocks of line coordinates, as at every other size
         assert main(["demo-boolean", "--points", str(points)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -728,8 +728,8 @@ class TestDemoAndReport:
         assert main(["demo-boolean", "--points", "1"]) == 2
 
     @pytest.mark.parametrize("argv, code, err", [
-        # 5001 terms take 12507501 combinations, refused before the space
-        # of 5002 points is built
+        # 5001 terms take 12507501 combinations, refused before the line's
+        # coordinates are formed
         (["--points", "5000"], 3,
          "error: certificate scan needs ~12507501 combinations, above cap 10000000\n"),
         # 1/8^5000 has more digits than str() writes
@@ -739,7 +739,7 @@ class TestDemoAndReport:
     ], ids=["points-5000", "depth-5000", "depth-0"])
     def test_demo_boolean_checks_the_certificate_first(self, capsys, monkeypatch, argv, code,
                                                        err):
-        monkeypatch.setattr("fpmap.duality.convergent_line_space", None)  # never reached
+        monkeypatch.setattr("fpmap.duality._line_coordinates", None)  # never reached
         assert main(["demo-boolean", *argv]) == code
         assert capsys.readouterr() == ("", err)
 
@@ -905,7 +905,7 @@ class TestThreads:
         scanned = []
         scan = norms._triangle_scan
         monkeypatch.setattr(norms, "_triangle_scan",
-                            lambda *args: scanned.append(len(args[-1])) or scan(*args))
+                            lambda *args: scanned.append(args[-1]) or scan(*args))
         monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("thread started"))
         one, four = tmp_path / "one.json", tmp_path / "four.json"
         for threads, out in ((1, one), (4, four)):

@@ -1,9 +1,13 @@
+import functools
+import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import candidate_ranks, is_independent_oracle
-from fpmap import duality
+from oracles import candidate_ranks, graev_word_value, is_independent_oracle
+from fpmap import duality, jsonio
 from fpmap.duality import (
     BooleanWitnessReport,
     boolean_counterexample,
@@ -30,6 +34,7 @@ from fpmap.extraction import (
 from fpmap.norms import (
     CostCompletionNorm,
     GraevBooleanNorm,
+    PointedMetricSpace,
     TableNorm,
     UltrametricProductNorm,
     graded_cost,
@@ -370,6 +375,34 @@ class TestEpsilonDeltaCertificate:
             assert cert.delta >= threshold(2, l)
 
 
+class _Captured(Exception):
+    pass
+
+
+@functools.lru_cache(maxsize=None)
+def demo_value(n):
+    """The word value function boolean_counterexample(n) hands its
+    certificate scan, captured before the scan runs."""
+    def capture(xs, value, *args):
+        raise _Captured(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(duality, "_certificate_scan", capture)
+        try:
+            boolean_counterexample(n)
+        except _Captured as c:
+            return c.args[0]
+    raise AssertionError("the certificate scan was not reached")
+
+
+line_space = functools.lru_cache(maxsize=None)(convergent_line_space)
+
+
+@functools.lru_cache(maxsize=None)
+def line_norm(n):
+    return GraevBooleanNorm(line_space(n))
+
+
 class TestBooleanCounterexample:
     def test_line_space_shape(self):
         space = convergent_line_space(3)
@@ -402,12 +435,12 @@ class TestBooleanCounterexample:
 
     def test_the_certificate_is_checked_before_the_space(self, monkeypatch):
         # 5001 terms pass the enum cap, and 8^4762 has 4301 digits, one more
-        # than str() writes (8^4761 has 4300); neither builds the space of
-        # 5002 points, whose repair alone would take hours
-        def no_space(n_points):
-            raise AssertionError(f"built the space of {n_points + 2} points")
+        # than str() writes (8^4761 has 4300); neither forms the line's
+        # coordinates
+        def no_line(n_points):
+            raise AssertionError(f"formed the line of {n_points + 2} points")
 
-        monkeypatch.setattr(duality, "convergent_line_space", no_space)
+        monkeypatch.setattr(duality, "_line_coordinates", no_line)
         with pytest.raises(CapExceededError,
                            match="^certificate scan needs ~12507501 combinations, above cap 10000000$"):
             boolean_counterexample(5000)
@@ -417,6 +450,42 @@ class TestBooleanCounterexample:
         monkeypatch.undo()
         assert boolean_counterexample(2, search_depth=4761).certificate.grid[-1] == \
             threshold(2, 4761)
+
+    def test_the_demo_builds_no_metric_space(self, monkeypatch):
+        # the words are valued from the line's coordinates alone: no
+        # (N+2)^2 matrix is formed or repaired, and the bytes stay pinned
+        def no_space(*args, **kwargs):
+            raise AssertionError("built a PointedMetricSpace")
+
+        monkeypatch.setattr(PointedMetricSpace, "__init__", no_space)
+        text = jsonio.canonical_dumps(boolean_counterexample(40).to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12, 60])
+    def test_the_line_is_over_its_least_common_denominator(self, n):
+        # the coordinates are the repaired distances to the basepoint of the
+        # line built from Fractions, over the same least denominator
+        pts = [F(0), F(1)] + [1 + F(1, k) for k in range(1, n + 1)]
+        ref = PointedMetricSpace([[abs(a - b) for b in pts] for a in pts])
+        coords, den = duality._line_coordinates(n)
+        assert den == ref.den
+        assert coords.tolist() == ref.nums[0].tolist()
+        space = convergent_line_space(n)
+        assert space.den == den and space.nums.tolist() == ref.nums.tolist()
+
+    @given(n=st.integers(2, 60), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_word_values_match_the_repaired_space(self, n, data):
+        # the demo's value of a word of at most 3 points, from its block of
+        # line coordinates, against the DP on the block gathered from the
+        # repaired matrix and, up to 12 points, against the Graev table
+        support = data.draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=3, unique=True))
+        w = GroupElement.make(2, [(i, 1) for i in sorted(support)])
+        value = demo_value(n)
+        assert value(w) == graev_word_value(line_space(n), w)
+        if n <= 12:
+            assert value(w) == line_norm(n).eval(w)
 
     def test_ratio_grows_with_points(self):
         small = boolean_counterexample(5)

@@ -15,6 +15,7 @@ from oracles import (
     brute_ultrametric_values,
     enumerate_span,
     graev_completion_table,
+    graev_word_value,
 )
 from fpmap import jsonio
 from fpmap.errors import CapExceededError, InputError, InvalidNormError
@@ -28,7 +29,6 @@ from fpmap.norms import (
     PointedMetricSpace,
     TableNorm,
     UltrametricProductNorm,
-    cover_value,
     norm_from_config,
     random_cost,
     random_metric_space,
@@ -114,8 +114,8 @@ class TestPointedMetricSpace:
             PointedMetricSpace([[0]], basepoint=3)
 
 
-def no_cover_table(space, pts):
-    raise AssertionError(f"ran the subset DP on {len(pts)} points")
+def no_cover_table(dist, den):
+    raise AssertionError(f"ran the subset DP on {len(dist)} points")
 
 
 def graev_word(space, points):
@@ -126,7 +126,8 @@ def graev_word(space, points):
 
 class TestGraevNorm:
     """Cover values read through GraevBooleanNorm.eval from its table and
-    through cover_value word by word, against each other and brute_graev."""
+    through graev_word_value, the same DP on one word's block of distances,
+    against each other and brute_graev."""
 
     def test_pair_beats_singletons(self):
         # frozen by hand: pairing costs 3/5, the two singletons cost 1 + 3/2
@@ -136,7 +137,7 @@ class TestGraevNorm:
             [F(3, 2), F(3, 5), 0],
         ])
         assert GraevBooleanNorm(sp).eval(graev_word(sp, [1, 2])) == F(3, 5)
-        assert cover_value(sp, graev_word(sp, [1, 2])) == F(3, 5)
+        assert graev_word_value(sp, graev_word(sp, [1, 2])) == F(3, 5)
 
     def test_singleton(self):
         sp = PointedMetricSpace([[0, F(7, 4)], [F(7, 4), 0]])
@@ -145,33 +146,25 @@ class TestGraevNorm:
     def test_empty_set_is_zero(self):
         sp = random_metric_space(1, 4, F(1), F(2))
         assert GraevBooleanNorm(sp).eval(GroupElement.zero(2)) == 0
-        assert cover_value(sp, GroupElement.zero(2)) == 0
+        assert graev_word_value(sp, GroupElement.zero(2)) == 0
 
     def test_basepoint_not_allowed(self):
         # one group index per non-basepoint point: index 2 of a two-point
-        # space would be the basepoint, and neither reader takes it
+        # space would be the basepoint, and the norm does not take it
         sp = PointedMetricSpace([[0, 1], [1, 0]])
-        for read in (GraevBooleanNorm(sp).eval, lambda g: cover_value(sp, g)):
-            with pytest.raises(InputError, match="^index 2 outside truncation of dimension 1$"):
-                read(e(2, (2, 1)))
-            with pytest.raises(InputError, match="^mismatched primes: 3 vs 2$"):
-                read(e(3, (1, 1)))
+        with pytest.raises(InputError, match="^index 2 outside truncation of dimension 1$"):
+            GraevBooleanNorm(sp).eval(e(2, (2, 1)))
+        with pytest.raises(InputError, match="^mismatched primes: 3 vs 2$"):
+            GraevBooleanNorm(sp).eval(e(3, (1, 1)))
 
-    def test_matching_cap(self, monkeypatch):
+    def test_matching_cap(self):
         # a 15-point space builds its norm, which values 12 of its points as
-        # partition enumeration does and all 15 as cover_value does; a
-        # 24-point word has 2^24 subsets, over the default enum cap, and
-        # cover_value refuses it before its DP
+        # partition enumeration does and all 15 as the DP on their block does
         sp = random_metric_space(5, 16, F(1), F(2))
         norm = GraevBooleanNorm(sp)
         for pts, want in ((range(1, 13), brute_graev(sp, range(1, 13))),
-                          (sp.nonbase, cover_value(sp, graev_word(sp, sp.nonbase)))):
+                          (sp.nonbase, graev_word_value(sp, graev_word(sp, sp.nonbase)))):
             assert norm.eval(graev_word(sp, pts)) == want
-        wide = random_metric_space(5, 25, F(1), F(2))
-        monkeypatch.setattr("fpmap.norms._cover_table", no_cover_table)
-        with pytest.raises(CapExceededError,
-                           match="^truncation has 16777216 elements, above cap 10000000$"):
-            cover_value(wide, graev_word(wide, wide.nonbase))
 
     @given(st.integers(0, 500), st.integers(2, 7))
     @settings(max_examples=40, deadline=None)
@@ -180,20 +173,20 @@ class TestGraevNorm:
         pts = [i for i in sp.nonbase if (seed >> i) & 1] or list(sp.nonbase)
         want = brute_graev(sp, pts)
         assert GraevBooleanNorm(sp).eval(graev_word(sp, pts)) == want
-        assert cover_value(sp, graev_word(sp, pts)) == want
+        assert graev_word_value(sp, graev_word(sp, pts)) == want
 
     @given(dim=st.integers(2, 20), seed=st.integers(0, 10 ** 6), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_word_path_matches_partition_enumeration(self, dim, seed, data):
-        # cover_value covers each word's own points, whatever the size of
-        # the space; distances near 2^70 put the space and the DP on
-        # Python ints
+        # the DP covers the block of each word's own points, whatever the
+        # size of the space; distances near 2^70 put the space and the DP
+        # on Python ints
         low, high = data.draw(st.sampled_from([(F(1, 7), F(3)), (2 ** 70, 2 ** 70 + 10 ** 6),
                                                (1, 2 ** 70)]))
         space = random_metric_space(seed, dim + 1, low, high,
                                     basepoint=data.draw(st.integers(0, dim)))
         pts = data.draw(st.lists(st.sampled_from(space.nonbase), max_size=8, unique=True))
-        assert cover_value(space, graev_word(space, pts)) == brute_graev(space, pts)
+        assert graev_word_value(space, graev_word(space, pts)) == brute_graev(space, pts)
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_word_path_matches_the_table(self, dim):
@@ -204,7 +197,7 @@ class TestGraevNorm:
         tr = Truncation(2, dim)
         for r in range(tr.size):
             w = tr.element_of(r)
-            assert cover_value(space, w) == norm.eval(w)
+            assert graev_word_value(space, w) == norm.eval(w)
 
 
 class TestCostFunction:
@@ -565,12 +558,12 @@ class TestGraevBooleanNorm:
                            match=f"^truncation has {2 ** 101} elements, above cap 10000000$"):
             GraevBooleanNorm(sp)
         # subset {x}: singleton back to the basepoint
-        assert cover_value(sp, e(2, (1, 1))) == F(1)
+        assert graev_word_value(sp, e(2, (1, 1))) == F(1)
         # subset {x, y_1}: pairing x with y_1 costs 1, beats 1 + 2
-        assert cover_value(sp, e(2, (1, 1), (2, 1))) == F(1)
+        assert graev_word_value(sp, e(2, (1, 1), (2, 1))) == F(1)
         # subset {y_99, y_100}: pairing costs 1/99 - 1/100
         # (group index k+1 carries y_k, since index 1 carries x)
-        assert cover_value(sp, e(2, (100, 1), (101, 1))) == F(1, 9900)
+        assert graev_word_value(sp, e(2, (100, 1), (101, 1))) == F(1, 9900)
 
     def test_memo_reuse(self):
         sp = self.line_space(3)
@@ -579,12 +572,13 @@ class TestGraevBooleanNorm:
         assert norm.eval(g) == norm.eval(g)
 
     def test_matching_cap_enforced(self):
-        # cover_value values a 13-point word of a 14-point line space as the
-        # space's table does, and a 6-point one as partition enumeration does
+        # the DP on a word's block values a 13-point word of a 14-point line
+        # space as the space's table does, and a 6-point one as partition
+        # enumeration does
         sp = self.line_space(13)
         word = GroupElement.make(2, [(i, 1) for i in range(1, 14)])
-        assert cover_value(sp, word) == GraevBooleanNorm(sp).eval(word)
-        assert cover_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 7)])) == \
+        assert graev_word_value(sp, word) == GraevBooleanNorm(sp).eval(word)
+        assert graev_word_value(sp, GroupElement.make(2, [(i, 1) for i in range(1, 7)])) == \
             brute_graev(sp, range(1, 7))
 
     def test_axioms_on_small_space(self):
@@ -704,48 +698,46 @@ class TestGraevTable:
     def test_matching_cap_bounds_the_table(self, monkeypatch):
         # the enum cap is the table's one bound: 13 non-basepoint points
         # build and validate unless the cap is under their 8192 elements.
-        # At the default cap 23 points build, and their full word is
-        # cover_value's; 24 points are refused, by the norm and by
-        # cover_value, before any subset DP
+        # At the default cap 23 points build, and their full word is the
+        # DP's on its block; 24 points are refused before any subset DP
         space = random_metric_space(2, 14, F(1), F(2))
         assert validate_axioms(GraevBooleanNorm(space)).ok
         with pytest.raises(CapExceededError, match="^truncation has 8192 elements, above cap 8191$"):
             GraevBooleanNorm(space, cap=8191)
         space = random_metric_space(2, 24, F(1), F(2))
         full = graev_word(space, space.nonbase)
-        assert GraevBooleanNorm(space).eval(full) == cover_value(space, full)
+        assert GraevBooleanNorm(space).eval(full) == graev_word_value(space, full)
         space = random_metric_space(2, 25, F(1), F(2))
         monkeypatch.setattr("fpmap.norms._cover_table", no_cover_table)
-        for build in (GraevBooleanNorm, lambda sp: cover_value(sp, graev_word(sp, sp.nonbase))):
-            with pytest.raises(CapExceededError,
-                               match="^truncation has 16777216 elements, above cap 10000000$"):
-                build(space)
+        with pytest.raises(CapExceededError,
+                           match="^truncation has 16777216 elements, above cap 10000000$"):
+            GraevBooleanNorm(space)
 
     def test_enum_cap_bounds_the_table_at_construction(self):
         space = random_metric_space(2, 6, F(1), F(2))  # dimension 5
         with pytest.raises(CapExceededError, match="^truncation has 32 elements, above cap 31$"):
             GraevBooleanNorm(space, cap=31)
         assert GraevBooleanNorm(space, cap=32).truncation.size == 32
-        # cover_value builds no table, so there is nothing to bound
-        assert cover_value(space, GroupElement.make(2, [(1, 1), (3, 1)])) == \
+        # a word's block builds no table, so there is nothing to bound
+        assert graev_word_value(space, GroupElement.make(2, [(1, 1), (3, 1)])) == \
             brute_graev(space, [space.nonbase[0], space.nonbase[2]])
 
     def test_a_wide_norm_evaluates_words_and_refuses_spans(self):
         # a 14-point norm is built, so its spans read its table, word for
-        # word what cover_value gives; a 24-point space builds no norm, and
-        # cover_value still values its small words
+        # word what the DP on each word's block gives; a 24-point space
+        # builds no norm, and the blocks of its small words still value them
         space = random_metric_space(3, 15, F(1), F(3))  # dimension 14
         norm = GraevBooleanNorm(space)
         x, y = GroupElement.make(2, [(1, 1), (4, 1)]), GroupElement.unit(2, 14)
         nums, den = norm.values_of(norm.truncation.span_ranks([x, y]))
         assert [F(int(v), den) for v in nums] == \
-            [cover_value(space, w) for w in (GroupElement.zero(2), y, x, x + y)]
+            [graev_word_value(space, w) for w in (GroupElement.zero(2), y, x, x + y)]
         space = random_metric_space(3, 25, F(1), F(3))  # dimension 24
         with pytest.raises(CapExceededError,
                            match="^truncation has 16777216 elements, above cap 10000000$"):
             GraevBooleanNorm(space)
         y = GroupElement.unit(2, 24)
-        assert cover_value(space, x + y) == \
+        assert graev_word_value(space, x + y) == \
             brute_graev(space, [space.nonbase[i - 1] for i in (1, 4, 24)])
 
 
