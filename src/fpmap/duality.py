@@ -37,7 +37,7 @@ from .fpcore import (
     rank_digits,
     truncation,
 )
-from .norms import Norm, PointedMetricSpace, _cover_table, _storage, norm_from_config
+from .norms import Norm, PointedMetricSpace, _as_fraction, _cover_table, _storage, norm_from_config
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class TopologySpec:
     def from_balls(cls, norm: Norm, radii, *, cap: int | None = None) -> "TopologySpec":
         """Base sets {g : eval(g) < r} for each positive radius r."""
         tr = truncation(norm.prime, norm.dim, cap=cap)  # enforces the enumeration cap
-        radii = [Fraction(raw) for raw in radii]
+        radii = [_as_fraction(raw, "ball radius") for raw in radii]
         for r in radii:
             if r <= 0:
                 raise InputError(f"ball radius must be positive, got {r}")
@@ -383,7 +383,7 @@ class CertificateResult:
         }
 
 
-def _certificate_limit(n: int, p: int, search_depth: int, max_terms: int | None,
+def _certificate_limit(n: int, p: int, search_depth: int, max_terms: int,
                        cap: int | None) -> int:
     """The most nonzero exponents of a certificate scan over n terms, once
     its grid prints and its combination count fits the enum cap ``cap``."""
@@ -395,7 +395,7 @@ def _certificate_limit(n: int, p: int, search_depth: int, max_terms: int | None,
     if digits and (3 * search_depth > 4 * digits or (4 * p) ** search_depth >= 10 ** digits):
         raise InputError(f"search_depth {search_depth} gives the grid value "
                          f"1/{4 * p}^{search_depth} more than {digits} digits")
-    limit = n if max_terms is None else min(max_terms, n)
+    limit = min(max_terms, n)
     est = sum(math.comb(n, t) * (p - 1) ** t for t in range(1, limit + 1))
     capv = DEFAULT_ENUM_CAP if cap is None else cap
     if est > capv:
@@ -404,7 +404,6 @@ def _certificate_limit(n: int, p: int, search_depth: int, max_terms: int | None,
 
 
 def epsilon_delta_certificate(xs, value, p, eps, *, search_depth: int = 3,
-                              max_terms: int | None = None,
                               cap: int | None = None) -> CertificateResult:
     """Direct check of the small-word-forces-small-terms definition.
 
@@ -414,33 +413,30 @@ def epsilon_delta_certificate(xs, value, p, eps, *, search_depth: int = 3,
     Returns the largest grid value 1/(4p)^j (j = 1..search_depth) below the
     smallest bad-combination norm, or the witness of the smallest bad
     combination when even the finest grid value fails. Every exponent vector
-    with at most ``max_terms`` nonzero entries is enumerated, under ``cap``.
+    is enumerated, under ``cap``; each term is evaluated once.
     """
     xs = list(xs)
-    eps = Fraction(eps)
+    eps = _as_fraction(eps, "eps")
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     p = as_prime(p).p
     for x in xs:
         _same_prime(x.prime.p, p)
-    limit = _certificate_limit(len(xs), p, search_depth, max_terms, cap)
-    return _certificate_scan(xs, value, p, eps, search_depth, limit)
+    limit = _certificate_limit(len(xs), p, search_depth, len(xs), cap)
+    mults = [[x.smul(k) for k in range(1, p)] for x in xs]
+    word = lambda pairs: sum((mults[i][k - 1] for i, k in pairs), GroupElement.zero(p))
+    terms = [[value(g) for g in row] for row in mults]
+    return _certificate_scan(terms, lambda pairs: value(word(pairs)), word, p, eps,
+                             search_depth, limit)
 
 
-def _certificate_scan(xs, value, p: int, eps, search_depth: int, limit: int) -> CertificateResult:
-    """epsilon_delta_certificate's scan, once _certificate_limit has passed."""
-    n = len(xs)
+def _certificate_scan(terms, value, word, p: int, eps, search_depth: int,
+                      limit: int) -> CertificateResult:
+    """epsilon_delta_certificate's scan, once _certificate_limit has passed:
+    ``terms[i][k - 1]`` is the value of k * x_i, ``value`` that of the word
+    of (i, k) pairs, and ``word`` builds its element, for the witness only."""
+    n = len(terms)
     grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
-
-    terms: dict[tuple[int, int], tuple[GroupElement, Fraction]] = {}
-
-    def term(i: int, k: int) -> tuple[GroupElement, Fraction]:
-        """k * xs[i] and its value, each term evaluated once."""
-        if (i, k) not in terms:
-            g = xs[i].smul(k)
-            terms[i, k] = g, value(g)
-        return terms[i, k]
-
     min_bad = None
     witness = None
     checked = 0
@@ -449,11 +445,10 @@ def _certificate_scan(xs, value, p: int, eps, search_depth: int, limit: int) -> 
             for ks in itertools.product(range(1, p), repeat=t):
                 checked += 1
                 pairs = tuple(zip(support, ks))
-                bad = next(((i, k) for i, k in pairs if term(i, k)[1] >= eps), None)
+                bad = next(((i, k) for i, k in pairs if terms[i][k - 1] >= eps), None)
                 if bad is None:
                     continue
-                w = sum((term(i, k)[0] for i, k in pairs), GroupElement.zero(p))
-                vw = value(w)
+                vw = value(pairs)
                 if min_bad is None or vw < min_bad:
                     min_bad = vw
                     exponents = [0] * n
@@ -461,10 +456,10 @@ def _certificate_scan(xs, value, p: int, eps, search_depth: int, limit: int) -> 
                         exponents[i] = k
                     witness = {
                         "exponents": exponents,
-                        "w": jsonio.element_to_pairs(w),
+                        "w": jsonio.element_to_pairs(word(pairs)),
                         "term_index": bad[0] + 1,
                         "value_w": jsonio.frac_to_str(vw),
-                        "value_term": jsonio.frac_to_str(term(*bad)[1]),
+                        "value_term": jsonio.frac_to_str(terms[bad[0]][bad[1] - 1]),
                     }
     if min_bad is None:
         return CertificateResult(eps, grid, grid[0], None, None, checked)
@@ -516,33 +511,31 @@ def boolean_counterexample(n_points: int, *, search_depth: int = 3,
     Every single generator keeps norm >= 1, yet the two-element subsets
     {x, y_n} have norm 1/n, so no delta can force both members of a small
     word below eps = 1/2. The certificate run makes that failure explicit.
-    The word over group indices i is valued by _cover_table on the block of
-    its points' distances on the line, whose point i is group index i; the
+    Term i is the line's point i + 1, and a word is valued by _cover_table on
+    its points' distance block, with no group element but the witness's; the
     certificate's depth and estimate are checked once, before the line.
     """
     limit = _certificate_limit(n_points + 1, 2, search_depth, 2, cap)
     coords, den = _line_coordinates(n_points)
 
-    def value(g: GroupElement) -> Fraction:
-        pts = coords[list(g.support)]
+    def value(pairs) -> Fraction:
+        pts = coords[[i + 1 for i, _ in pairs]]
         # the basepoint, last, is at 0
         block = abs(pts[:, None] - np.append(pts, 0))
         return Fraction(int(_cover_table(block, den)[0][-1]), den)
 
-    x = GroupElement.unit(2, 1)
-    v_x = value(x)
+    v_x = value([(0, 1)])
     entries = []
     for k in range(1, n_points + 1):
-        y = GroupElement.unit(2, k + 1)
-        pair = x + y
-        v_pair = value(pair)
+        v_pair = value([(0, 1), (k, 1)])
         entries.append({
             "n": k,
-            "pair": jsonio.element_to_pairs(pair),
+            "pair": [[1, 1], [k + 1, 1]],
             "value_pair": jsonio.frac_to_str(v_pair),
             "value_x": jsonio.frac_to_str(v_x),
             "ratio": jsonio.frac_to_str(v_x / v_pair),
         })
-    xs = [GroupElement.unit(2, i) for i in range(1, n_points + 2)]
-    cert = _certificate_scan(xs, value, 2, Fraction(1, 2), search_depth, limit)
+    terms = [[value([(i, 1)])] for i in range(n_points + 1)]
+    word = lambda pairs: GroupElement.make(2, [(i + 1, k) for i, k in pairs])
+    cert = _certificate_scan(terms, value, word, 2, Fraction(1, 2), search_depth, limit)
     return BooleanWitnessReport(n_points, tuple(entries), cert)

@@ -98,6 +98,13 @@ MUTANTS = (
            (f"{DEMO_FIRST}::test_witness_values",
             f"{DEMO_FIRST}::test_word_values_match_the_repaired_space",
             f"{DEMO_FIRST}::test_the_demo_builds_no_metric_space")),
+    # the certificate scan reads the value of k * x_i from its term table
+    # by the exponent k, which only p >= 5 tells from the value of x_i
+    Mutant("certificate-term-read-at-exponent-1", "duality.py",
+           "terms[i][k - 1] >= eps",
+           "terms[i][0] >= eps",
+           tuple(f"tests/test_extraction.py::TestEpsilonDeltaCertificate::"
+                 f"test_p5_matches_the_brute_scan[{seed}]" for seed in (0, 2, 3))),
     # a norm's value order is sorted once and read-only
     Mutant("order-as-a-plain-property", "norms.py",
            "    @cached_property\n    def order(self)",

@@ -9,9 +9,10 @@ word scans that build and evaluate every word instead of reading the
 span's ranks from the value table, duality by a dot product of every dual vector with every
 element instead of linear algebra on the spans of the base sets, the
 reduction checkers with one digit pass per index instead of the word
-layout, the metric repair on Fractions instead of integers, and axiom
-(3)'s generator equations by one rank row per generator instead of a cover
-DP), or the package's own loops without their pruning (a Dijkstra step for
+layout, the metric repair on Fractions instead of integers, axiom (3)'s
+generator equations by one rank row per generator instead of a cover DP,
+and the epsilon-delta certificate over every exponent vector instead of by
+support size), or the package's own loops without their pruning (a Dijkstra step for
 every vertex, a triangle row for every g). Agreement between the two is
 what the tests assert.
 """
@@ -25,7 +26,7 @@ from random import Random
 import numpy as np
 
 from fpmap import jsonio
-from fpmap.duality import Character
+from fpmap.duality import CertificateResult, Character
 from fpmap.errors import CapExceededError, ExhaustedError, InputError
 from fpmap.extraction import (
     CoarserReport,
@@ -192,6 +193,42 @@ def graev_word_value(space, g):
     pts = [space.nonbase[i - 1] for i in g.support]
     block = space.nums[np.ix_(pts, [*pts, space.basepoint])]
     return Fraction(int(_cover_table(block, space.den)[0][-1]), space.den)
+
+
+def brute_certificate(xs, value, p: int, eps, search_depth: int = 3) -> CertificateResult:
+    """epsilon_delta_certificate over every exponent vector of F_p^n, taken
+    by itertools.product, each word valued by ``value`` of its explicit sum
+    and each term k * x_i by ``value`` of its own multiple. A word is bad
+    when some term it uses has value >= eps, and its term_index is the
+    first such. Of the bad words of least value, the witness is the first
+    in the package's scan order: fewer terms, then the support, then the
+    exponents, each compared lexicographically."""
+    zero = GroupElement.zero(p)
+    grid = tuple(threshold(p, j) for j in range(1, search_depth + 1))
+    best, checked = None, 0
+    for exps in product(range(p), repeat=len(xs)):
+        used = [(i, k) for i, k in enumerate(exps) if k]
+        if not used:
+            continue
+        checked += 1
+        bad = [(i, v) for i, v in ((i, value(xs[i].smul(k))) for i, k in used) if v >= eps]
+        if not bad:
+            continue
+        w = sum((xs[i].smul(k) for i, k in used), zero)
+        key = (value(w), len(used), [i for i, _ in used], [k for _, k in used])
+        if best is None or key < best[0]:
+            best = key, {
+                "exponents": list(exps),
+                "w": jsonio.element_to_pairs(w),
+                "term_index": bad[0][0] + 1,
+                "value_w": jsonio.frac_to_str(key[0]),
+                "value_term": jsonio.frac_to_str(bad[0][1]),
+            }
+    if best is None:
+        return CertificateResult(eps, grid, grid[0], None, None, checked)
+    least = best[0][0]
+    delta = next((g for g in grid if g <= least), None)
+    return CertificateResult(eps, grid, delta, least, best[1], checked)
 
 
 def graev_completion_table(space):

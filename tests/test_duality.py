@@ -146,6 +146,11 @@ class TestTopologySpec:
         with pytest.raises(InputError, match="positive"):
             TopologySpec.from_balls(norm, [F(0)])
 
+    @pytest.mark.parametrize("radius", [0.4, "1/3"], ids=["float", "string"])
+    def test_ball_radii_must_be_exact(self, radius):
+        with pytest.raises(InputError, match="^ball radius must be an exact rational"):
+            TopologySpec.from_balls(UltrametricProductNorm(2, 2), [F(1, 2), radius])
+
     def test_json_roundtrip(self):
         spec = random_topology(7, 2, 3)
         again = topology_from_config(spec.to_json_dict())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import candidate_ranks, graev_word_value, is_independent_oracle
+from oracles import brute_certificate, candidate_ranks, graev_word_value, is_independent_oracle
 from fpmap import duality, jsonio
 from fpmap.duality import (
     BooleanWitnessReport,
@@ -374,6 +374,26 @@ class TestEpsilonDeltaCertificate:
             assert cert.delta is not None
             assert cert.delta >= threshold(2, l)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_p5_matches_the_brute_scan(self, seed):
+        # at p = 2 every exponent is 1, and at p = 3 2x = -x has the value
+        # of x, so only p >= 5 reads the term table by exponent: here x and
+        # 2x take different values, and every term value is tried as eps
+        norm = CostCompletionNorm(random_cost(seed, 5, 3, F(1, 500), F(1)))
+        xs = [e(5, (1, 1), (2, 3)), e(5, (2, 1), (3, 4)), e(5, (1, 2), (3, 1))]
+        term_values = {norm.eval(x.smul(k)) for x in xs for k in range(1, 5)}
+        assert any(norm.eval(x) != norm.eval(x.smul(2)) for x in xs)
+        for eps in sorted(term_values):
+            cert = epsilon_delta_certificate(xs, norm.eval, 5, eps)
+            assert cert == brute_certificate(xs, norm.eval, 5, eps)
+            assert cert.combos_checked == 5 ** 3 - 1
+
+    @pytest.mark.parametrize("eps", [0.1, "1/2"], ids=["float", "string"])
+    def test_eps_must_be_exact(self, eps):
+        norm = spaced_weights_norm()
+        with pytest.raises(InputError, match="^eps must be an exact rational"):
+            epsilon_delta_certificate([e(2, (3, 1))], norm.eval, 2, eps)
+
 
 class _Captured(Exception):
     pass
@@ -381,9 +401,10 @@ class _Captured(Exception):
 
 @functools.lru_cache(maxsize=None)
 def demo_value(n):
-    """The word value function boolean_counterexample(n) hands its
-    certificate scan, captured before the scan runs."""
-    def capture(xs, value, *args):
+    """The value of a Boolean word of the line's points, by the value
+    function boolean_counterexample(n) hands its certificate scan, captured
+    before the scan runs; the scan's term i is group index i + 1."""
+    def capture(terms, value, *args):
         raise _Captured(value)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -391,7 +412,8 @@ def demo_value(n):
         try:
             boolean_counterexample(n)
         except _Captured as c:
-            return c.args[0]
+            value = c.args[0]
+            return lambda w: value(tuple((i - 1, k) for i, k in w.items))
     raise AssertionError("the certificate scan was not reached")
 
 
@@ -458,6 +480,17 @@ class TestBooleanCounterexample:
             raise AssertionError("built a PointedMetricSpace")
 
         monkeypatch.setattr(PointedMetricSpace, "__init__", no_space)
+        text = jsonio.canonical_dumps(boolean_counterexample(40).to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"
+
+    def test_the_demo_adds_no_group_elements(self, monkeypatch):
+        # the entries and the scan's words are valued by the line's point
+        # indices, so no element is summed; only the witness is made
+        def no_add(*args):
+            raise AssertionError("added two GroupElements")
+
+        monkeypatch.setattr(GroupElement, "__add__", no_add)
         text = jsonio.canonical_dumps(boolean_counterexample(40).to_json_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"
