@@ -1,7 +1,8 @@
 """Microbenchmarks of the rank-row kernels under the norm build and axiom scan,
 of the seeded cost builders, of the shortest-path completion and the axiom
 check (pair scan, generator certificate, and a refuted certificate followed by
-the scan) and of the p = 2 certificate alone (test_generator_certificate),
+the scan) and of the p = 2 certificate alone, its DP and a live Graev
+norm's shared table (test_generator_certificate),
 of the span kernel under every exhaustive word scan, of the prefix ranks,
 the member word bound and the coarser tables, of the Graev value-table DP
 and the ultrametric table build, of the norm-sorted span and
@@ -29,6 +30,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fpmap import norms  # noqa: E402
 from fpmap.duality import (  # noqa: E402
     TopologySpec,
     is_map,
@@ -131,24 +133,33 @@ def _ultrametric():
                          ids=["graded-5-5", "graev-2-11", "graev-2-16", "ultrametric-2-11"])
 def test_triangle_scan(benchmark, make_norm):
     # the whole validate_axioms call, on the table each norm built.
-    # graded-5-5 takes the pair scan, the Graev norms the generator certificate,
-    # and ultrametric-2-11 tries the certificate, is refuted, then scans:
-    # the worst case of the work rule
+    # graded-5-5 takes the pair scan, the Graev norms the generator certificate
+    # on the table their build made, and ultrametric-2-11 tries the
+    # certificate, is refuted, then scans: the worst case of the work rule
     norm = make_norm()
     validate_axioms(norm)
     benchmark(validate_axioms, norm)
 
 
-@pytest.mark.parametrize("make_norm, verdict", [
-    (_graev16, True),
-    (lambda: GraevBooleanNorm(random_metric_space(0, 21, 1, 3)), True),
-    (lambda: UltrametricProductNorm(2, 16), False),
-], ids=["graev-2-16", "graev-2-20", "ultrametric-2-16"])
-def test_generator_certificate(benchmark, make_norm, verdict):
+@pytest.mark.parametrize("make_norm, live, verdict", [
+    (_graev16, False, True),
+    (lambda: GraevBooleanNorm(random_metric_space(0, 21, 1, 3)), False, True),
+    (_graev16, True, True),
+    (lambda: UltrametricProductNorm(2, 16), True, False),
+], ids=["graev-2-16", "graev-2-20", "graev-2-16-live", "ultrametric-2-16"])
+def test_generator_certificate(benchmark, make_norm, live, verdict):
     # the p = 2 certificate alone: one Graev cover DP on the table's own
-    # values on E, which the Graev norms pass and the ultrametric one fails
+    # values on E, which the Graev norms pass and the ultrametric one fails.
+    # A Graev norm that is still alive hands its build's table to the
+    # certificate through the memo, so graev-2-16-live times that hit; the
+    # other Graev ids time the DP on the values of a norm already dropped
     norm = make_norm()
-    assert benchmark(_is_own_completion, norm.truncation, norm._table[0]) == verdict
+    tr, nums = norm.truncation, norm._table[0]
+    if not live:
+        nums = nums.copy()
+        del norm
+        assert norms._last_cover[1]() is None
+    assert benchmark(_is_own_completion, tr, nums) == verdict
 
 
 @pytest.fixture(scope="module", params=[_graded, _graev], ids=["graded-5-5", "graev-2-11"])

@@ -22,6 +22,7 @@ and validate_axioms checks all three exhaustively on the norm's table.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -478,14 +479,32 @@ def _cover_table(dist: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return val.astype(_storage(int(val.max())), copy=False), den
 
 
+_last_cover = (None, lambda: None)  # a block and a weak reference to its table
+
+
+def _shared_cover_table(dist: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """_cover_table(dist, den), read-only, through a one-entry memo keyed by
+    the block's dtype, shape and entries (Python ints on object storage),
+    which holds the table by a weak reference only, so the table goes with
+    its norm. The entry is one tuple, so racing threads can only miss."""
+    global _last_cover
+    block, ref = _last_cover
+    table = ref()
+    if table is None or block.dtype != dist.dtype or not np.array_equal(block, dist):
+        table = _cover_table(dist, den)[0]
+        table.flags.writeable = False
+        _last_cover = dist.copy(), weakref.ref(table)
+    return table, den
+
+
 class GraevBooleanNorm(Norm):
     """Graev-style norm on the Boolean group of a pointed metric space.
 
     Elements are finite subsets of the non-basepoint points (prime 2, one
     group index per point in natural order); the value of a subset is its
     minimum pair/singleton cover cost. The whole table is built at
-    construction by _cover_table, once the truncation fits the enumeration
-    cap ``cap``.
+    construction by _shared_cover_table, once the truncation fits the
+    enumeration cap ``cap``.
     """
 
     kind = "graev_boolean"
@@ -496,8 +515,8 @@ class GraevBooleanNorm(Norm):
         tr = truncation(2, space.n_points - 1, cap=cap)
         # bit b of a rank carries group index dim - b
         pts = space.nonbase[::-1]
-        super().__init__(tr, _cover_table(space.nums[np.ix_(pts, [*pts, space.basepoint])],
-                                          space.den))
+        super().__init__(tr, _shared_cover_table(space.nums[np.ix_(pts, [*pts, space.basepoint])],
+                                                 space.den))
         self.space = space
 
 
@@ -533,10 +552,12 @@ def _is_own_completion(tr: Truncation, nums: np.ndarray) -> bool:
     the cover table of its own values on E (validate_axioms): point b is
     rank bit b and the basepoint, last, is rank 0, with points x and y at
     distance N(x ^ y), which PointedMetricSpace closes under shortest paths
-    (it refuses a zero distance, hence the caller's N > 0 check first)."""
+    (it refuses a zero distance, hence the caller's N > 0 check first).
+    A Graev norm's pair values are its space's closed distances, so while
+    the norm lives _shared_cover_table returns its table and runs no DP."""
     pts = [1 << b for b in range(tr.dim)] + [0]
     space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)
-    return np.array_equal(_cover_table(space.nums[:-1], space.den)[0], nums)
+    return np.array_equal(_shared_cover_table(space.nums[:-1], space.den)[0], nums)
 
 
 def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_nums: np.ndarray,
@@ -561,6 +582,14 @@ def _triangle_scan(tr: Truncation, nums: np.ndarray, order: np.ndarray, sorted_n
         if bad.size:
             found.append((np.full(bad.size, g), hs[bad], sums[bad]))
     return found
+
+
+def _sure_candidates(nums: np.ndarray) -> int:
+    """k(k + 1) / 2 for the k values v < max / 2, that is v < ceil(max / 2):
+    a lower bound on the scan's candidate pairs, since any two of them, or
+    one taken twice, sum below max."""
+    k = int(np.count_nonzero(nums < (int(nums.max()) + 1) // 2))
+    return k * (k + 1) // 2
 
 
 def value_order(nums: np.ndarray) -> np.ndarray:
@@ -597,18 +626,22 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
       bits (and the basepoint): a perfect matching under the closed weights
       (Edmonds and Johnson, 1973), the cheapest cover by pairs and
       singletons. So _is_own_completion compares N with the Graev table of
-      its own values on E, one DP of order dim * size. A Graev norm passes.
+      its own values on E, one DP of order dim * size, which a live Graev
+      norm passes with no DP: it reads the table the build made.
 
     The choice is made on work counted before either runs: at p = 2, the
     scan's candidate pairs against dim * size; odd p always scans. The
     certificate is tried only when it is cheaper and axiom (1) has no
-    violation (which gives N(e) > 0). If it is refuted, the scan runs as it
-    would have, so the worst case costs at most twice the scan and every
-    violation is found by the scan. Violations are listed by (g, h) ranks,
-    g <= h. The check reads the norm's own table and value order and builds
-    neither. ``threads`` must be a positive integer and changes nothing:
-    everything runs on the calling thread. The report is cached on the norm
-    object so downstream operations can require a clean validation.
+    violation (which gives N(e) > 0). The k values below max N / 2 give at
+    least k(k + 1) / 2 candidates, so the pairs are counted, on the value
+    order, only when that bound cannot decide. If the certificate is
+    refuted, the scan runs as it would have, so the worst case costs at most
+    twice the scan and every violation is found by the scan. Violations are
+    listed by (g, h) ranks, g <= h. The check reads the norm's own table and
+    value order and builds neither. ``threads`` must be a positive integer
+    and changes nothing: everything runs on the calling thread. The report
+    is cached on the norm object so downstream operations can require a
+    clean validation.
     """
     jsonio.require_int(threads, "threads", low=1)
     size = require_size(norm.prime.p, norm.dim, cap)
@@ -640,17 +673,23 @@ def validate_axioms(norm: Norm, *, cap: int | None = None, threads: int = 1) -> 
             "negated_value": value(int(neg[r])),
         })
 
-    order = norm.order
-    sorted_nums = nums[order]
-    ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
-    # ends[i] - i never grows with i, so the positions with partners come
-    # first, and theirs are sum(ends[i] - i) for i < n_pos candidate pairs
-    n_pos = int(np.count_nonzero(ends > tr.identity))
-    candidates = int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2
-    if tr.prime.p == 2 and tr.dim * size < candidates and axiom1.all() \
+    def scan_inputs():
+        sorted_nums = nums[norm.order]
+        ends = np.searchsorted(sorted_nums, nums.max() - sorted_nums)
+        # ends[i] - i never grows with i, so the positions with partners come first
+        return norm.order, sorted_nums, ends, int(np.count_nonzero(ends > tr.identity))
+
+    def candidates(scan) -> int:  # sum(ends[i] - i) for i < n_pos
+        *_, ends, n_pos = scan
+        return int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2
+
+    work, scan = tr.dim * size, None
+    if tr.prime.p == 2 and axiom1.all() \
+            and (work < _sure_candidates(nums) or work < candidates(scan := scan_inputs())) \
             and _is_own_completion(tr, nums):
-        n_pos = 0
-    found = _triangle_scan(tr, nums, order, sorted_nums, ends, n_pos)
+        found = []
+    else:
+        found = _triangle_scan(tr, nums, *(scan or scan_inputs()))
     if found:
         a, b, s = map(np.concatenate, zip(*found))
         g, h = np.minimum(a, b), np.maximum(a, b)

@@ -96,7 +96,8 @@ MUTANTS = (
            "block = abs(pts[:, None] - np.append(pts, 0))",
            "block = pts[:, None] - np.append(pts, 0)",
            (f"{DEMO_FIRST}::test_witness_values",
-            f"{DEMO_FIRST}::test_word_values_match_the_repaired_space",
+            f"{DEMO_FIRST}::test_words_with_the_point_x_match_the_repaired_space[2-support0]",
+            f"{DEMO_FIRST}::test_words_with_the_point_x_match_the_repaired_space[40-support1]",
             f"{DEMO_FIRST}::test_the_demo_builds_no_metric_space")),
     # the certificate scan reads the value of k * x_i from its term table
     # by the exponent k, which only p >= 5 tells from the value of x_i
@@ -116,17 +117,21 @@ MUTANTS = (
            "",
            (f"{SORTED_SPAN}[cost]", f"{SORTED_SPAN}[ultrametric]")),
     # axiom (3)'s generator certificate: the cover DP of the table's own
-    # values on E, tried at p = 2 only, after axiom (1), charged dim * size
+    # values on E, tried at p = 2 only, after axiom (1), charged dim * size,
+    # on candidate pairs counted only when the sure ones cannot decide
     Mutant("certificate-tried-at-odd-p", "norms.py",
-           "if tr.prime.p == 2 and tr.dim * size <",
-           "if tr.dim * size <",
+           "if tr.prime.p == 2 and axiom1.all()",
+           "if axiom1.all()",
            (f"{CERTIFICATE}::TestCompletions::test_every_e_completion_passes[1-3-5]",
             f"{CERTIFICATE}::TestCompletions::test_every_e_completion_passes[2-5-3]",
             f"{CERTIFICATE}::TestAgainstTheScan::test_p3_takes_the_certificate[clean]",
             f"{CERTIFICATE}::TestAgainstTheScan::test_p3_takes_the_certificate[planted]")),
     Mutant("axiom1-checked-after-the-certificate", "norms.py",
-           "axiom1.all() \\\n            and _is_own_completion(tr, nums):",
-           "_is_own_completion(tr, nums) \\\n            and axiom1.all():",
+           "axiom1.all() \\\n"
+           "            and (work < _sure_candidates(nums) or work < candidates(scan := scan_inputs())) \\\n"
+           "            and _is_own_completion(tr, nums):",
+           "(work < _sure_candidates(nums) or work < candidates(scan := scan_inputs())) \\\n"
+           "            and _is_own_completion(tr, nums) and axiom1.all():",
            (f"{CERTIFICATE}::TestRefutations::test_a_zero_generator_keeps_the_scan",)),
     Mutant("certificate-without-the-closure", "norms.py",
            "    space = PointedMetricSpace([[(int(nums[x ^ y]), 1) for y in pts] for x in pts], tr.dim)\n",
@@ -135,12 +140,21 @@ MUTANTS = (
            (f"{CERTIFICATE}::TestCoverCertificate::"
             "test_pair_values_that_break_the_triangle_inequality_are_refuted",)),
     Mutant("candidate-count-without-the-correction", "norms.py",
-           "candidates = int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2",
-           "candidates = int(ends[:n_pos].sum())",
+           "return int(ends[:n_pos].sum()) - n_pos * (n_pos - 1) // 2",
+           "return int(ends[:n_pos].sum())",
            (f"{CERTIFICATE}::TestWorkRule::test_the_candidate_count_is_the_scan_s_pairs[7-4-bounds0-44]",
             f"{CERTIFICATE}::TestWorkRule::test_the_candidate_count_is_the_scan_s_pairs[16-5-bounds1-160]")),
     Mutant("certificate-charged-size", "norms.py",
-           "tr.dim * size <",
-           "size <",
+           "work, scan = tr.dim * size, None",
+           "work, scan = size, None",
            (f"{CERTIFICATE}::TestWorkRule::test_the_choice_is_made_on_counted_work",)),
-)
+    Mutant("sure-candidates-count-values-at-half-the-top", "norms.py",
+           "nums < (int(nums.max()) + 1) // 2",
+           "nums <= (int(nums.max()) + 1) // 2",
+           (f"{CERTIFICATE}::TestSureCandidates::test_values_at_half_the_top_are_not_counted",)),
+    # a Graev norm's certificate reads its build's table from a memo keyed
+    # by the block's value
+    Mutant("cover-memo-keyed-by-dtype-and-shape", "norms.py",
+           "not np.array_equal(block, dist)",
+           "block.shape != dist.shape",
+           (f"{CERTIFICATE}::TestSharedTable::test_two_norms_of_one_dim_keep_their_own_tables",)))

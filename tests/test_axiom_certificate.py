@@ -11,10 +11,16 @@ Odd p always scans. A refuted certificate falls back to the scan, so every
 report must equal the one the scan alone gives, byte for byte, and list the
 violations of the full row scan.
 
+A Graev norm's certificate reads the table its build made, through the
+one-entry memo norms._shared_cover_table, so a Graev run does one cover DP
+(TestSharedTable). The candidate pairs are counted only when the lower
+bound norms._sure_candidates cannot decide the work rule.
+
 The mutants these tests kill are named with their test ids in
 tests/mutants/mutants.py; the work rule reversed is killed by TestWorkRule.
 """
 
+import hashlib
 from contextlib import contextmanager
 from fractions import Fraction as F
 from random import Random
@@ -24,10 +30,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_axiom_violations, generator_rows_certificate, row_scan_triangles
+from oracles import (
+    brute_axiom_violations,
+    brute_graev,
+    generator_rows_certificate,
+    graev_word_value,
+    row_scan_triangles,
+)
 from fpmap import jsonio, norms
+from fpmap.duality import boolean_counterexample
 from fpmap.errors import InputError
-from fpmap.fpcore import Truncation
+from fpmap.fpcore import GroupElement, Truncation
 from fpmap.norms import (
     CostCompletionNorm,
     CostFunction,
@@ -37,11 +50,13 @@ from fpmap.norms import (
     _cover_table,
     _is_own_completion,
     _scaled,
+    _sure_candidates,
     graded_cost,
     random_cost,
     random_metric_space,
     validate_axioms,
 )
+from fpmap.pipeline import RunConfig, run_pipeline
 
 NEAR_BASE = (F(1, 100000), F(1, 50000))  # the point range of the graev-p2 benchmark configs
 
@@ -470,3 +485,112 @@ class TestCoverCertificate:
             mp.setattr(Truncation, "add_rank_row", refuse)
             report = validate_axioms(norm)
         assert report.ok and log == {"verdicts": [True], "scanned": 0}
+
+
+class TestSureCandidates:
+    """The candidate pairs are counted only when the k(k + 1) / 2 sure ones
+    of the k values below max / 2 cannot decide the work rule, which must
+    choose as it would on the counted pairs."""
+
+    @given(boolean_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_the_bound_keeps_the_counted_choice(self, values):
+        # the k values below max / 2 are the positions with partners, and
+        # their k(k + 1) / 2 pairs are candidates; the certificate is tried
+        # exactly when dim * size is below the candidate count, and the
+        # scan takes those k positions unless the certificate passes
+        norm = table_norm(2, len(values).bit_length() - 1, values)
+        tr = norm.truncation
+        top = max(values)
+        k = sum(2 * v < top for v in values)
+        assert _sure_candidates(norm._table[0]) == k * (k + 1) // 2 <= candidate_pairs(norm)
+        _, log = check(norm)
+        tried = min(values[1:]) > 0 and tr.dim * tr.size < candidate_pairs(norm)
+        assert len(log["verdicts"]) == tried
+        assert log["scanned"] == (0 if log["verdicts"] == [True] else k)
+
+    def test_values_at_half_the_top_are_not_counted(self):
+        # 1 everywhere but rank 0 and the top, 2: only N(0) = 0 is below
+        # max / 2, so 1 pair is sure and 31 are candidates, under
+        # dim * size = 160, and the scan runs; counting the 30 values at
+        # exactly max / 2 would give 496 and try the certificate
+        norm = table_norm(2, 5, [F(0)] + [F(1)] * 30 + [F(2)])
+        assert _sure_candidates(norm._table[0]) == 1
+        assert candidate_pairs(norm) == 31
+        report, log = check(norm)
+        assert report.ok and log["verdicts"] == [] and log["scanned"] == 1
+
+
+def graev_run_config(n, high):
+    """A run config of the seed-0 Graev space of n non-basepoint points in [1, high]."""
+    space = random_metric_space(0, n + 1, 1, high)
+    norm = {"kind": "graev_boolean", "space": space.to_json_dict()}
+    return RunConfig.from_json_dict({"prime": 2, "dim": n, "norm": norm, "limits": {"m": 4}})
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """An empty memo, and the dtype of each block norms._cover_table reads."""
+    calls = []
+    cover = norms._cover_table
+    monkeypatch.setattr(norms, "_last_cover", (None, lambda: None))
+    monkeypatch.setattr(norms, "_cover_table",
+                        lambda dist, den: calls.append(dist.dtype) or cover(dist, den))
+    return calls
+
+
+class TestSharedTable:
+    """A Graev norm and its certificate share one cover table, which the
+    memo holds only while the norm lives."""
+
+    @pytest.mark.parametrize("high, dtype", [(3, np.int64), (1 + F(1, 1 << 70), object)],
+                             ids=["int64", "object"])
+    def test_a_graev_run_does_one_cover_dp(self, dp_calls, high, dtype):
+        # the certificate's repaired block equals the build's by value; on
+        # object storage the Python ints are equal, not their pointers
+        with recorded_paths() as log:
+            report = run_pipeline(graev_run_config(9, high))
+        assert report.stages["axioms"]["ok"] and log == {"verdicts": [True], "scanned": 0}
+        assert dp_calls == [dtype]
+
+    def test_two_norms_of_one_dim_keep_their_own_tables(self, dp_calls):
+        # the memo holds the second norm's block when the first is validated:
+        # a key of dtype and shape alone would hand it the second's table
+        first = GraevBooleanNorm(random_metric_space(0, 12, 1, 3))
+        second = GraevBooleanNorm(random_metric_space(1, 12, 1, 3))
+        assert first.truncation is second.truncation
+        for norm in (first, second):
+            with recorded_paths() as log:
+                assert validate_axioms(norm).ok
+            assert log == {"verdicts": [True], "scanned": 0}
+        assert len(dp_calls) == 4
+
+    def test_the_table_is_read_only_and_goes_with_its_norm(self, dp_calls):
+        norm = GraevBooleanNorm(random_metric_space(0, 8, 1, 3))
+        table = norm._table[0]
+        assert not table.flags.writeable and norms._last_cover[1]() is table
+        del norm, table
+        assert norms._last_cover[1]() is None
+
+    def test_validation_builds_no_value_order(self):
+        # at 16 points the sure pairs alone exceed dim * size, so the
+        # certificate is tried before the value order would be read
+        norm = GraevBooleanNorm(random_metric_space(0, 17, 1, 3))
+        assert _sure_candidates(norm._table[0]) > norm.dim * norm.truncation.size
+        assert validate_axioms(norm).ok
+        assert "order" not in vars(norm)
+
+    def test_the_demo_and_the_word_oracle_run_their_own_dp(self, monkeypatch):
+        # both call _cover_table itself, so the pinned demo bytes and the
+        # oracle's value come with the memo refused
+        def no_memo(*args):
+            raise AssertionError("entered the memo")
+
+        monkeypatch.setattr(norms, "_shared_cover_table", no_memo)
+        text = jsonio.canonical_dumps(boolean_counterexample(40).to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "12d88ae72d39a3af6aa313a39e3b6b430cc795ca66aadfa43b20f70aef7c00be"
+        space = random_metric_space(0, 7, 1, 3)
+        support = (1, 4, 6)
+        w = GroupElement.make(2, [(i, 1) for i in support])
+        assert graev_word_value(space, w) == brute_graev(space, [space.nonbase[i - 1] for i in support])

@@ -520,6 +520,14 @@ class TestBooleanCounterexample:
         if n <= 12:
             assert value(w) == line_norm(n).eval(w)
 
+    @pytest.mark.parametrize("n, support", [(2, [1, 2]), (40, [1, 17])])
+    def test_words_with_the_point_x_match_the_repaired_space(self, n, support):
+        # x, group index 1, has the smallest coordinate, so its row of a
+        # word's block is the one whose entries above the diagonal, the part
+        # the DP reads, are negative without the distance's abs
+        w = GroupElement.make(2, [(i, 1) for i in support])
+        assert demo_value(n)(w) == graev_word_value(line_space(n), w)
+
     def test_ratio_grows_with_points(self):
         small = boolean_counterexample(5)
         big = boolean_counterexample(50)
